@@ -102,15 +102,6 @@ class GuardedDSA:
         return hit
 
 
-def dsa_step(
-    dsa: GuardedDSA,
-    q: str,
-    state_env: Mapping[str, Fraction],
-    mode: str,
-) -> str:
-    return dsa.step(q, state_env, mode)
-
-
 def parse_dsa(
     text: str,
     variables: tuple[str, ...] | None = None,

@@ -22,7 +22,6 @@ __all__ = [
     "load_benchmark",
     "manifest",
     "read_corpus_text",
-    "corpus_path",
 ]
 
 
@@ -32,11 +31,6 @@ def _root():
 
 def read_corpus_text(filename: str) -> str:
     return (_root() / filename).read_text()
-
-
-def corpus_path(filename: str) -> str:
-    """Filesystem path of a corpus file (the corpus ships as real files)."""
-    return str(_root() / filename)
 
 
 def manifest() -> dict:

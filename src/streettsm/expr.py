@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-Rational = Fraction
+from typing import Mapping, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -405,11 +403,3 @@ class Atom:
 
     def __repr__(self) -> str:
         return f"{self.form} {self.rel.value} 0"
-
-
-def conjunction_holds(
-    atoms: Iterable[Atom],
-    params: Mapping[str, Fraction],
-    state: Mapping[str, Fraction],
-) -> bool:
-    return all(a.holds(params, state) for a in atoms)

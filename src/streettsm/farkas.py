@@ -7,7 +7,8 @@ polynomial in the existential parameters) is valid iff
                 or (A^T z = 0 and b^T z < 0)          (general form)
 
 where the second disjunct certifies an infeasible premise.  When A and b
-are parameter-free, premise feasibility is decided up front by exact LP:
+are parameter-free, premise feasibility is decided up front by exact LP,
+with the premise atoms that were strict before relaxation strict again:
 infeasible premises make the implication vacuous, feasible ones admit the
 conjunction-only specialization
 
@@ -118,10 +119,13 @@ class ConstraintSystem:
 
 
 def premise_feasible(impl: Implication) -> str:
-    """'feasible' / 'infeasible' by exact LP, or 'parameter-dependent'."""
+    """'feasible' / 'infeasible' by exact LP, or 'parameter-dependent'.
+
+    The premise is decided with its strict atoms: their relaxation can be
+    feasible (x < -1/2 and -1/2 < x admits x = -1/2 once relaxed)."""
     if any(not a.form.is_param_free() for a in impl.premise):
         return "parameter-dependent"
-    res = atoms_feasible(list(impl.premise), list(impl.variables))
+    res = atoms_feasible(list(impl.strict_premise()), list(impl.variables))
     return "feasible" if res.status == "optimal" else "infeasible"
 
 
@@ -300,7 +304,10 @@ def rewrite_qcp(system: ConstraintSystem) -> ConstraintSystem:
 
 def implication_valid_bruteforce(impl: Implication) -> bool:
     """Exact validity of a parameter-free implication, independently of
-    Farkas: LP maximization of the consequent over the premise."""
+    Farkas: LP maximization of the consequent over the relaxed premise.
+
+    A non-empty strict premise has the relaxed one as its closure, so the
+    maximum decides validity unless the strict premise is empty."""
     if impl.params():
         raise ValueError("brute-force oracle needs a parameter-free implication")
     sysm = system_from_atoms(list(impl.premise), list(impl.variables))
@@ -310,7 +317,10 @@ def implication_valid_bruteforce(impl: Implication) -> bool:
     ]
     rhs = -impl.consequent.form.const.constant_value()
     ok, _ = check_implication(sysm, coeffs, rhs)
-    return ok
+    if ok or not any(impl.strict):
+        return ok
+    strict = atoms_feasible(list(impl.strict_premise()), list(impl.variables))
+    return strict.status == "infeasible"
 
 
 def dump_duals(duals: Sequence[DualConstraint]) -> str:

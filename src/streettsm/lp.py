@@ -1,14 +1,33 @@
-"""Exact-rational linear programming over free variables.
+"""Exact-rational linear programming.
 
 A small two-phase full-tableau simplex with Bland's rule, working directly
 on fractions.Fraction.  It decides feasibility and optimization of systems
 
-    sum_j a_ij x_j  (<= | =)  b_i          (x free)
+    sum_j a_ij x_j  (<= | =)  b_i
 
 and produces certificates both ways: a feasible (optimal) point, an
 improving ray for unbounded objectives, or a Farkas ray proving
 infeasibility (multipliers y with y_i >= 0 on inequality rows,
-y^T A = 0 and y^T b < 0).
+y^T A = 0 and y^T b < 0), one entry per input row.
+
+Tableau layout.  Variables are free unless a row bounds their sign: the
+first row of the form  -a x_j <= 0  (a > 0) for a variable is taken as the
+bound x_j >= 0, leaves the tableau, and gives x_j a single column.  Every
+other variable is split as x = u - w over two columns.  Farkas
+multipliers, which make up most of every synthesized system, thereby cost
+one column instead of two columns, a row, a slack and an artificial.  A
+`<=` row with rhs >= 0 starts with its slack in the basis; only `=` rows
+and rows flipped to a non-negative rhs get an artificial, and phase 1 is
+skipped when no row has one.  Points and rays are read back through the
+per-variable column map.
+
+Farkas rays.  On an infeasible phase 1 the duals pi of the final basis
+give the ray: pi_i is minus the reduced cost of row i's slack for a
+slack-started row, and 1 minus the reduced cost of its artificial
+otherwise; y_i is -pi_i, with the sign of a flipped row undone.  Phase-1
+optimality leaves sum_i y_i a_ij >= 0 on a sign-bounded column, so the
+multiplier of its removed bound row  -a x_j <= 0  is
+(sum_i y_i a_ij) / a >= 0, which restores y^T A = 0 over the input rows.
 
 Strict inequalities are handled by a slack-maximization transform:
 max t subject to strict rows tightened by t and t <= 1; the strict system
@@ -34,7 +53,7 @@ _ONE = Fraction(1)
 
 @dataclass
 class LinearSystem:
-    """Constraint rows over named free variables."""
+    """Constraint rows over named variables."""
 
     variables: list[str]
     # (coeffs aligned with `variables`, rel in {"<=", "<", "="}, rhs)
@@ -59,12 +78,28 @@ class LPResult:
     farkas: list[Fraction] | None = None
 
 
+def _sign_bounds(rows: list[tuple[Row, str, Fraction]]) -> dict[int, int]:
+    """Variable index -> the first input row  -a x_j <= 0  (a > 0)."""
+    bound_row: dict[int, int] = {}
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        if rel != "<=" or rhs != 0:
+            continue
+        support = [j for j, cf in enumerate(coeffs) if cf]
+        if (
+            len(support) == 1
+            and coeffs[support[0]] < 0
+            and support[0] not in bound_row
+        ):
+            bound_row[support[0]] = i
+    return bound_row
+
+
 def solve(
     system: LinearSystem,
     objective: Sequence[Fraction] | None = None,
     maximize: bool = True,
 ) -> LPResult:
-    """Feasibility / optimization over free variables.
+    """Feasibility / optimization of a system of `<=` and `=` rows.
 
     With no objective: any feasible point (status 'optimal', value 0) or
     'infeasible' with a Farkas ray aligned with the input rows.
@@ -72,49 +107,59 @@ def solve(
     if any(rel == "<" for _, rel, _ in system.rows):
         raise ValueError("strict rows: use solve_strict()")
 
+    rows = system.rows
     nvars = len(system.variables)
-    m = len(system.rows)
-    # free x = u - w with u, w >= 0; "<=" rows gain one slack column
-    slack_of_row = {}
-    ncols = 2 * nvars
-    for i, (_, rel, _) in enumerate(system.rows):
-        if rel == "<=":
-            slack_of_row[i] = ncols
+    bound_row = _sign_bounds(rows)
+    bound_rows = set(bound_row.values())
+    kept = [i for i in range(len(rows)) if i not in bound_rows]
+    m = len(kept)
+
+    # one column per sign-bounded variable, u - w per free one
+    col_of: list[int] = []
+    ncols = 0
+    for j in range(nvars):
+        col_of.append(ncols)
+        ncols += 1 if j in bound_row else 2
+    slack_of_row: dict[int, int] = {}
+    for r, i in enumerate(kept):
+        if rows[i][1] == "<=":
+            slack_of_row[r] = ncols
             ncols += 1
     n_real = ncols
-    total = n_real + m  # artificial identity block on the right
+    art_of_row: dict[int, int] = {}
+    for r, i in enumerate(kept):
+        _, rel, rhs = rows[i]
+        if rel == "=" or rhs < 0:
+            art_of_row[r] = ncols
+            ncols += 1
+    total = ncols
 
     a: list[Row] = []
     b: list[Fraction] = []
+    basis: list[int] = []
     flipped: list[bool] = []
-    for i, (coeffs, rel, rhs) in enumerate(system.rows):
+    for r, i in enumerate(kept):
+        coeffs, rel, rhs = rows[i]
         row = [_ZERO] * total
         for j, cf in enumerate(coeffs):
             if cf:
-                row[2 * j] = cf
-                row[2 * j + 1] = -cf
+                row[col_of[j]] = cf
+                if j not in bound_row:
+                    row[col_of[j] + 1] = -cf
         if rel == "<=":
-            row[slack_of_row[i]] = _ONE
+            row[slack_of_row[r]] = _ONE
         flip = rhs < 0
         if flip:
             row = [-v for v in row]
             rhs = -rhs
-        row[n_real + i] = _ONE
+        if r in art_of_row:
+            row[art_of_row[r]] = _ONE
+            basis.append(art_of_row[r])
+        else:
+            basis.append(slack_of_row[r])
         a.append(row)
-        b.append(Fraction(rhs))
+        b.append(rhs)
         flipped.append(flip)
-
-    basis = list(range(n_real, total))
-    # objective row held as reduced costs; phase 1 minimizes sum of
-    # artificials.  obj[j] = c_j - c_B^T B^{-1} A_j.
-    obj = [_ZERO] * total
-    for row in a:
-        # c over artificials is 1; subtract each constraint row once
-        for j, v in enumerate(row):
-            if v:
-                obj[j] -= v
-    for i in range(m):
-        obj[n_real + i] += _ONE
 
     def pivot(r: int, c: int) -> None:
         arow = a[r]
@@ -139,11 +184,10 @@ def solve(
                 obj[j] -= f * v
         basis[r] = c
 
-    def basis_value(cost: list[Fraction]) -> Fraction:
-        return sum((cost[bi] * b[i] for i, bi in enumerate(basis)), _ZERO)
-
-    def run_simplex(allowed: int) -> str:
-        """Min the current obj over columns [0, allowed). Bland's rule."""
+    def run_simplex(allowed: int) -> int | None:
+        """Min the current obj over columns [0, allowed) by Bland's rule:
+        None at an optimum, else the entering column of an unbounded
+        direction."""
         while True:
             entering = -1
             for j in range(allowed):
@@ -151,7 +195,7 @@ def solve(
                     entering = j
                     break
             if entering < 0:
-                return "optimal"
+                return None
             leave = -1
             best: Fraction | None = None
             for i in range(m):
@@ -166,48 +210,66 @@ def solve(
                         best = ratio
                         leave = i
             if leave < 0:
-                return "unbounded"
+                return entering
             pivot(leave, entering)
 
-    status = run_simplex(total)
-    assert status == "optimal"  # phase 1 is bounded below by 0
-    phase1_cost = [_ZERO] * n_real + [_ONE] * m
-    if basis_value(phase1_cost) > 0:
-        # Farkas ray from phase-1 duals: y_i = 1 - reduced cost of
-        # artificial i; multipliers for the ORIGINAL rows then need the
-        # row flip undone and a global sign switch to match the
-        # y^T A = 0 / y^T b < 0 convention.
-        farkas: list[Fraction] = []
-        for i in range(m):
-            yi = _ONE - obj[n_real + i]
-            lam = -yi if not flipped[i] else yi
-            farkas.append(lam)
-        return LPResult(status="infeasible", farkas=farkas)
+    # objective row held as reduced costs c_j - c_B^T B^{-1} A_j; phase 1
+    # minimizes the sum of artificials, which start basic at cost 1
+    obj = [_ZERO] * total
+    if art_of_row:
+        for r in art_of_row:
+            for j, v in enumerate(a[r]):
+                if v:
+                    obj[j] -= v
+        for c in art_of_row.values():
+            obj[c] += _ONE
+        unbounded = run_simplex(total)
+        assert unbounded is None  # phase 1 is bounded below by 0
+        if sum((b[r] for r in range(m) if basis[r] >= n_real), _ZERO) > 0:
+            # Farkas ray from the phase-1 duals, see the module docstring
+            farkas = [_ZERO] * len(rows)
+            for r, i in enumerate(kept):
+                if r in art_of_row:
+                    pi = _ONE - obj[art_of_row[r]]
+                else:
+                    pi = -obj[slack_of_row[r]]
+                farkas[i] = pi if flipped[r] else -pi
+            for j, i in bound_row.items():
+                residual = sum(
+                    (farkas[k] * rows[k][0][j] for k in kept), _ZERO
+                )
+                farkas[i] = residual / -rows[i][0][j]
+            return LPResult(status="infeasible", farkas=farkas)
 
-    # drop redundant rows whose artificial cannot leave the basis
-    drop: list[int] = []
-    for r in range(m):
-        if basis[r] >= n_real:
-            piv_col = next(
-                (j for j in range(n_real) if a[r][j] != 0), None
-            )
-            if piv_col is not None:
-                pivot(r, piv_col)
-            else:
-                drop.append(r)
-    if drop:
+        # drop redundant rows whose artificial cannot leave the basis
+        drop: list[int] = []
+        for r in range(m):
+            if basis[r] >= n_real:
+                piv_col = next(
+                    (j for j in range(n_real) if a[r][j] != 0), None
+                )
+                if piv_col is not None:
+                    pivot(r, piv_col)
+                else:
+                    drop.append(r)
         for r in sorted(drop, reverse=True):
             del a[r], b[r], basis[r]
         m = len(basis)
+        for row in a:  # phase 2 never lets an artificial re-enter
+            del row[n_real:]
+
+    def to_variables(vals: dict[int, Fraction]) -> dict[str, Fraction]:
+        out = {}
+        for j, v in enumerate(system.variables):
+            c = col_of[j]
+            x = vals.get(c, _ZERO)
+            if j not in bound_row:
+                x -= vals.get(c + 1, _ZERO)
+            out[v] = x
+        return out
 
     def extract_point() -> dict[str, Fraction]:
-        vals: dict[int, Fraction] = {}
-        for i, bi in enumerate(basis):
-            vals[bi] = b[i]
-        return {
-            v: vals.get(2 * j, _ZERO) - vals.get(2 * j + 1, _ZERO)
-            for j, v in enumerate(system.variables)
-        }
+        return to_variables({bi: b[i] for i, bi in enumerate(basis)})
 
     if objective is None:
         return LPResult(
@@ -216,13 +278,13 @@ def solve(
 
     # phase 2
     sign = -_ONE if maximize else _ONE
-    cost2 = [_ZERO] * total
+    cost2 = [_ZERO] * n_real
     for j, cf in enumerate(objective):
         if cf:
-            cost2[2 * j] = sign * Fraction(cf)
-            cost2[2 * j + 1] = -sign * Fraction(cf)
-    for j in range(total):
-        obj[j] = cost2[j]
+            cost2[col_of[j]] = sign * Fraction(cf)
+            if j not in bound_row:
+                cost2[col_of[j] + 1] = -sign * Fraction(cf)
+    obj = list(cost2)
     for i, bi in enumerate(basis):
         cb = cost2[bi]
         if cb:
@@ -230,29 +292,18 @@ def solve(
                 if v:
                     obj[j] -= cb * v
 
-    status = run_simplex(n_real)
-    if status == "unbounded":
-        basis_set = set(basis)
-        for j in range(n_real):
-            if j in basis_set or obj[j] >= 0:
-                continue
-            if all(a[i][j] <= 0 for i in range(m)):
-                ray_vals: dict[int, Fraction] = {j: _ONE}
-                for i, bi in enumerate(basis):
-                    if a[i][j]:
-                        ray_vals[bi] = -a[i][j]
-                ray = {
-                    v: ray_vals.get(2 * k, _ZERO)
-                    - ray_vals.get(2 * k + 1, _ZERO)
-                    for k, v in enumerate(system.variables)
-                }
-                return LPResult(
-                    status="unbounded",
-                    assignment=extract_point(),
-                    ray=ray,
-                )
-        raise AssertionError("unbounded without certifying column")
-    objval = basis_value(cost2)
+    entering = run_simplex(n_real)
+    if entering is not None:
+        ray_vals: dict[int, Fraction] = {entering: _ONE}
+        for i, bi in enumerate(basis):
+            if a[i][entering]:
+                ray_vals[bi] = -a[i][entering]
+        return LPResult(
+            status="unbounded",
+            assignment=extract_point(),
+            ray=to_variables(ray_vals),
+        )
+    objval = sum((cost2[bi] * b[i] for i, bi in enumerate(basis)), _ZERO)
     value = -objval if maximize else objval
     return LPResult(
         status="optimal", assignment=extract_point(), value=value

@@ -353,7 +353,9 @@ def _propagate_pins(constraints, pins: dict[str, Fraction]):
                 (name,) = names
                 slope = con.poly.terms.get((name,), F0)
                 linear = all(len(m) <= 1 for m in con.poly.terms)
-                if linear and slope:
+                # a second pin on the same name in this sweep stays a row,
+                # so the next sweep checks it against the first
+                if linear and slope and name not in pins:
                     pins[name] = -con.poly.terms.get((), F0) / slope
                     changed = True
                     continue

@@ -134,9 +134,6 @@ class PostPiece:
     form: LinForm  # symbolic Post V piece over x
     source_line: int = 0
 
-    def premise_atoms(self) -> tuple[Atom, ...]:
-        return self.guard
-
 
 @dataclass(frozen=True)
 class PostTable:

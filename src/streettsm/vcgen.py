@@ -14,14 +14,15 @@ templates witness almost-sure satisfaction of every Streett pair:
     nonneg     V >= 0                on the invariant
 
 Every implication is normalized to non-strict premises (strict atoms
-relaxed and logged) with a single non-strict consequent, so that Farkas'
+relaxed and flagged) with a single non-strict consequent, so that Farkas'
 Lemma applies directly.  Premises are kept even when they are plainly
-infeasible; vacuity is discharged downstream by the feasibility screen.
+infeasible; vacuity is discharged downstream by the feasibility screen,
+which decides the premise with its strict atoms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,7 +38,13 @@ class StrictConsequentError(ValueError):
 
 @dataclass(frozen=True)
 class Implication:
-    """forall variables: premise atoms (all <=) imply consequent (<= )."""
+    """forall variables: premise atoms (all <=) imply consequent (<= ).
+
+    `strict` flags the premise atoms that were strict before relaxation,
+    aligned with `premise`; empty means none was.  The relaxed atoms feed
+    the Farkas dual; the strict ones feed the vacuity screen, since a
+    relaxed premise can be feasible where the strict one is not.
+    """
 
     family: str  # init | consec | dec | inc | noninc | nonneg
     location: Location | None
@@ -45,7 +52,24 @@ class Implication:
     premise: tuple[Atom, ...]
     consequent: Atom
     note: str = ""
-    strictness_log: tuple[str, ...] = ()
+    strict: tuple[bool, ...] = ()
+
+    def strict_premise(self) -> tuple[Atom, ...]:
+        """The premise with its relaxed atoms made strict again."""
+        if not any(self.strict):
+            return self.premise
+        return tuple(
+            Atom(a.form, Rel.LT) if s else a
+            for a, s in zip(self.premise, self.strict)
+        )
+
+    @property
+    def strictness_log(self) -> tuple[str, ...]:
+        return tuple(
+            f"{a} relaxed to non-strict"
+            for a, s in zip(self.strict_premise(), self.strict)
+            if s
+        )
 
     @property
     def tag(self) -> str:
@@ -84,18 +108,18 @@ class VCSet:
         return "\n".join(lines) + "\n"
 
 
-def normalize_strict(atoms: Sequence[Atom]) -> tuple[list[Atom], list[str]]:
-    """Premise atoms in <= normal form; strict ones relaxed and logged."""
+def normalize_strict(
+    atoms: Sequence[Atom],
+) -> tuple[list[Atom], tuple[bool, ...]]:
+    """Premise atoms in <= normal form, strict ones relaxed, with a flag
+    per output atom that is set where the atom was strict."""
     out: list[Atom] = []
-    log: list[str] = []
+    strict: list[bool] = []
     for atom in atoms:
         for le in atom.normalized_le():
-            if le.rel == Rel.LT:
-                log.append(f"{le} relaxed to non-strict")
-                out.append(Atom(le.form, Rel.LE))
-            else:
-                out.append(le)
-    return out, log
+            out.append(Atom(le.form, Rel.LE))
+            strict.append(le.rel == Rel.LT)
+    return out, tuple(strict)
 
 
 def normalize_consequent(atom: Atom) -> Atom:
@@ -153,7 +177,7 @@ def _mk(
     consequent: Atom,
     note: str = "",
 ) -> Implication:
-    prem, log = normalize_strict(premise)
+    prem, strict = normalize_strict(premise)
     return Implication(
         family,
         location,
@@ -161,7 +185,7 @@ def _mk(
         tuple(prem),
         normalize_consequent(consequent),
         note,
-        tuple(log),
+        strict,
     )
 
 

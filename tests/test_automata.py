@@ -121,11 +121,20 @@ def test_corpus_observer_frozen_run():
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    """Every corpus benchmark, loaded once for all drawn points."""
+    return {
+        name: load_benchmark(name)
+        for name in benchmark_names(include_extras=True)
+    }
+
+
 @given(st.sampled_from(sorted(benchmark_names(include_extras=True))),
        rationals, rationals)
-def test_exactly_one_transition_everywhere(name, x0, x1):
+def test_exactly_one_transition_everywhere(corpus, name, x0, x1):
     # determinism + totality, probed pointwise across the whole corpus
-    b = load_benchmark(name)
+    b = corpus[name]
     state = (x0,) if b.model.state_dim == 1 else (x0, x1)
     env = b.model.state_env(state)
     for q in b.dsa.states:

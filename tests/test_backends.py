@@ -136,6 +136,23 @@ def test_simplex_pins_alpha_to_zero():
     assert verdict.valuation == {"alpha": F(0)}
 
 
+def _assert_farkas_ray(system: ConstraintSystem, ray) -> None:
+    """y >= 0 on <= rows, y^T A = 0 and y^T b < 0 over the rows
+    `coeffs . params <= -const` (or `=`) that simplex_solve builds."""
+    names = [p.name for p in system.params]
+    assert ray is not None and len(ray) == len(system.constraints)
+    combo = {n: F(0) for n in names}
+    rhs = F(0)
+    for y, c in zip(ray, system.constraints):
+        if c.rel == Rel.LE:
+            assert y >= 0
+        for n in names:
+            combo[n] += y * c.poly.terms.get((n,), F(0))
+        rhs -= y * c.poly.terms.get((), F(0))
+    assert all(v == 0 for v in combo.values())
+    assert rhs < 0
+
+
 def test_simplex_unsat_carries_a_certificate():
     x = Param("x", CERT)
     system = system_of(
@@ -143,7 +160,22 @@ def test_simplex_unsat_carries_a_certificate():
     )
     verdict = simplex_solve(system)
     assert verdict.status == "unsat"
-    assert verdict.ray  # infeasibility witness from the exact LP
+    _assert_farkas_ray(system, verdict.ray)
+    # y >= 0 is a sign bound, not a tableau row, and still needs a
+    # positive multiplier: x >= 2 and y >= 0 contradict x + y <= 1
+    y = Param("y", MULT)
+    system = system_of(
+        [x, y],
+        [
+            le(Poly() - P("y")),
+            le(P("x") + P("y") - Poly.const(F(1))),
+            le(Poly.const(F(2)) - P("x")),
+        ],
+    )
+    verdict = simplex_solve(system)
+    assert verdict.status == "unsat"
+    _assert_farkas_ray(system, verdict.ray)
+    assert verdict.ray[0] > 0
 
 
 def test_simplex_rejects_nonlinear_and_disjunctive_input():
@@ -317,6 +349,22 @@ def test_bundled_solver_answers_quadratic_sat_and_unsat(monkeypatch):
     assert sat_sys.holds(verdict.witness)
     unsat_sys = system_of([a], [le(P("a")), le(Poly.const(F(1)) - P("a"))])
     assert decide(SolverJob(unsat_sys, backend="smt")).status == "unsat"
+
+
+def test_bundled_solver_checks_a_second_pin_on_one_name(monkeypatch):
+    # 1 + b = 0 and b = 0 pin b twice in one sweep; the second pin is a
+    # contradiction, not a new value
+    monkeypatch.delenv(backends.SOLVER_ENV_VAR, raising=False)
+    a, b = Param("a", CERT), Param("b", CERT)
+    system = system_of(
+        [a, b],
+        [
+            PolyConstraint(Poly.const(F(1)) + P("b"), Rel.EQ),
+            PolyConstraint(P("b"), Rel.EQ),
+        ],
+    )
+    assert simplex_solve(system).status == "unsat"
+    assert decide(SolverJob(system, backend="smt")).status == "unsat"
 
 
 linear_polys = st.builds(

@@ -1,5 +1,6 @@
 """Farkas transform: dual shapes, routing, QCP lowering, differential oracle."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from streettsm import farkas, lp
 from streettsm.automata import parse_dsa
+from streettsm.backends import simplex_solve
 from streettsm.benchmarks import load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from streettsm.farkas import (
@@ -26,7 +28,12 @@ from streettsm.farkas import (
 )
 from streettsm.model import parse_model
 from streettsm.templates import CertTemplate, InvTemplate, parse_invariant, post_table
-from streettsm.vcgen import Implication, VCSet, build_product_vcs
+from streettsm.vcgen import (
+    Implication,
+    VCSet,
+    build_product_vcs,
+    normalize_strict,
+)
 
 P = Poly.param
 ONE = Fraction(1)
@@ -160,6 +167,36 @@ def test_infeasible_concrete_premise_routes_vacuous():
 def test_premise_sat_rejects_parameter_dependent_premises():
     with pytest.raises(ValueError, match="parameter-dependent"):
         farkas_premise_sat(templated_control_implication())
+
+
+def test_strict_premise_contradiction_routes_vacuous():
+    # x < -1/2 and -1/2 < x: empty, though its relaxation admits x = -1/2;
+    # a `false` target (1 <= 0) reached only there is vacuously valid
+    x = LinForm.var("x")
+    half = LinForm.constant(Fraction(1, 2))
+    premise, strict = normalize_strict(
+        [Atom(x + half, Rel.LT), Atom(-x - half, Rel.LT)]
+    )
+    false = Atom(LinForm.constant(ONE), Rel.LE)
+    impl = Implication(
+        "consec", None, ("x",), tuple(premise), false, strict=strict
+    )
+    assert premise_feasible(impl) == "infeasible"
+    assert transform(VCSet((impl,), (), ()))[0].mode == "vacuous"
+    assert implication_valid_bruteforce(impl)
+    relaxed = dataclasses.replace(impl, strict=())
+    assert premise_feasible(relaxed) == "feasible"
+    assert not implication_valid_bruteforce(relaxed)
+
+
+def test_even_or_negative_synthesizes_over_its_invariant():
+    b = load_benchmark("evenOrNegative")
+    Vs = [CertTemplate.fresh(b.model, b.dsa, k) for k in range(len(b.dsa.pairs))]
+    tables = [post_table(V, b.model, b.dsa) for V in Vs]
+    vcs = build_product_vcs(b.model, b.dsa, Vs, b.invariant, tables)
+    system = assemble(vcs, transform(vcs))
+    assert system.all_linear()
+    assert simplex_solve(system).status == "sat"
 
 
 def example2_pieces(model_file: str):

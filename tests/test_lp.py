@@ -36,6 +36,20 @@ def _satisfies(system, point, strict_ok=True):
     return True
 
 
+def _assert_farkas(system, y):
+    """One multiplier per input row, >= 0 on <= rows, y^T A = 0 and
+    y^T b < 0."""
+    assert y is not None and len(y) == len(system.rows)
+    assert all(v >= 0 for v, row in zip(y, system.rows) if row[1] == "<=")
+    combo = [F(0)] * len(system.variables)
+    rhs = F(0)
+    for yi, (coeffs, _, b) in zip(y, system.rows):
+        for j, c in enumerate(coeffs):
+            combo[j] += yi * c
+        rhs += yi * b
+    assert all(c == 0 for c in combo) and rhs < 0
+
+
 def test_infeasible_has_farkas_certificate():
     s = _sys(["x"], [([1], "<=", 1), ([-1], "<=", -2)])
     r = feasible(s)
@@ -45,6 +59,24 @@ def test_infeasible_has_farkas_certificate():
     assert all(v >= 0 for v in y)
     assert y[0] * 1 + y[1] * (-1) == 0  # y^T A = 0
     assert y[0] * 1 + y[1] * (-2) < 0  # y^T b < 0
+
+
+def test_sign_bound_rows_get_farkas_multipliers():
+    # x >= 0 twice (the second bound stays a tableau row), y >= 0, and
+    # x + y <= -1: only the bounds contradict the last row
+    s = _sys(
+        ["x", "y"],
+        [
+            ([-2, 0], "<=", 0),
+            ([0, -1], "<=", 0),
+            ([-1, 0], "<=", 0),
+            ([1, 1], "<=", -1),
+        ],
+    )
+    r = feasible(s)
+    assert r.status == "infeasible"
+    _assert_farkas(s, r.farkas)
+    assert r.farkas[1] > 0 and r.farkas[3] > 0
 
 
 def test_feasible_point_satisfies_rows():
@@ -135,6 +167,17 @@ def test_strict_feasibility():
     assert feasible(s3ns).status == "optimal"
 
 
+def test_strict_sign_row_is_not_a_bound():
+    # -x < 0 has the shape of a sign bound but excludes x = 0; next to
+    # the non-strict bound -x <= 0 it must still exclude it
+    s = _sys(["x"], [([-1], "<", 0), ([-1], "<=", 0), ([1], "<=", 0)])
+    assert solve_strict(s).status == "infeasible"
+    s2 = _sys(["x"], [([-1], "<", 0), ([1], "<=", F(1, 2))])
+    r = solve_strict(s2)
+    assert r.status == "optimal"
+    assert 0 < r.assignment["x"] <= F(1, 2)
+
+
 def test_strict_rows_rejected_by_solve():
     s = _sys(["x"], [([1], "<", 1)])
     with pytest.raises(ValueError):
@@ -172,6 +215,12 @@ def systems(draw):
         coeffs = [draw(coef) for _ in range(nv)]
         rel = draw(st.sampled_from(["<=", "="]))
         rows.append((coeffs, rel, draw(coef)))
+    # sign bounds -a x_j <= 0 anywhere among the rows; with up to nv + 1
+    # of them, some variable can be bounded twice
+    for j in draw(st.lists(st.integers(0, nv - 1), max_size=nv + 1)):
+        coeffs = [F(0)] * nv
+        coeffs[j] = -draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+        rows.insert(draw(st.integers(0, len(rows))), (coeffs, "<=", F(0)))
     return _sys(variables, rows)
 
 
@@ -183,15 +232,33 @@ def test_solve_certificates_are_sound(s):
         assert _satisfies(s, r.assignment)
     else:
         assert r.status == "infeasible"
-        y = r.farkas
-        assert all(v >= 0 for i, v in enumerate(y) if s.rows[i][1] == "<=")
-        combo = [F(0)] * len(s.variables)
-        rhs = F(0)
-        for yi, (coeffs, _, b) in zip(y, s.rows):
-            for j, c in enumerate(coeffs):
-                combo[j] += yi * c
-            rhs += yi * b
-        assert all(c == 0 for c in combo) and rhs < 0
+        _assert_farkas(s, r.farkas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.lists(coef, min_size=3, max_size=3), st.booleans())
+def test_optima_cannot_be_beaten(s, obj, maximize):
+    c = obj[: len(s.variables)]
+    r = solve(s, objective=c, maximize=maximize)
+    if r.status == "infeasible":
+        _assert_farkas(s, r.farkas)
+        return
+    assert _satisfies(s, r.assignment)
+    sense = F(1) if maximize else F(-1)
+    if r.status == "unbounded":
+        gain = sum(ci * r.ray[v] for ci, v in zip(c, s.variables))
+        assert sense * gain > 0
+        far = {v: r.assignment[v] + 5 * r.ray[v] for v in s.variables}
+        assert _satisfies(s, far)
+        return
+    assert r.status == "optimal"
+    assert r.value == sum(ci * r.assignment[v] for ci, v in zip(c, s.variables))
+    # sense * c.x >= sense * value + 1e-6, written as a <= row
+    better = _sys(s.variables, s.rows)
+    better.add([-sense * ci for ci in c], "<=", -sense * r.value - F(1, 10**6))
+    beaten = feasible(better)
+    assert beaten.status == "infeasible"
+    _assert_farkas(better, beaten.farkas)
 
 
 @settings(max_examples=100, deadline=None)

@@ -238,13 +238,12 @@ def test_relaxation_only_weakens_premises(rows, x):
         Atom(LinForm.var("x").scale(a) + LinForm.constant(b), rel)
         for a, b, rel in rows
     ]
-    relaxed, log = normalize_strict(atoms)
+    relaxed, strict = normalize_strict(atoms)
     env = {"x": x}
     orig_holds = all(a.holds({}, env) for a in atoms)
     if orig_holds:
         assert all(a.holds({}, env) for a in relaxed)
     assert all(a.rel == Rel.LE for a in relaxed)
-    strict_count = sum(
-        1 for a in atoms for le in a.normalized_le() if le.rel == Rel.LT
-    )
-    assert len(log) == strict_count
+    les = [le for a in atoms for le in a.normalized_le()]
+    assert len(strict) == len(relaxed) == len(les)
+    assert list(strict) == [le.rel == Rel.LT for le in les]
