@@ -23,6 +23,8 @@ from . import lp, smtsolver
 from .expr import ParamKind, Poly, Rel
 from .farkas import ConstraintSystem, Disjunction, PolyConstraint
 
+_ZERO = Fraction(0)
+
 SOLVER_ENV_VAR = "STREETTSM_SOLVER"
 
 
@@ -212,8 +214,8 @@ def run_solver(
 
 
 def _linear_row(poly: Poly, names: list[str]):
-    coeffs = {n: Fraction(0) for n in names}
-    const = Fraction(0)
+    coeffs = dict.fromkeys(names, _ZERO)
+    const = _ZERO
     for mono, coeff in poly.terms.items():
         if len(mono) == 0:
             const += coeff
@@ -246,7 +248,7 @@ def simplex_solve(system: ConstraintSystem) -> Verdict:
     if res.status == "infeasible":
         return Verdict(status="unsat", ray=res.farkas)
     assert res.status == "optimal"
-    witness = {n: res.assignment.get(n, Fraction(0)) for n in names}
+    witness = {n: res.assignment.get(n, _ZERO) for n in names}
     if not system.holds(witness):
         raise BackendError("simplex point fails exact re-check")
     return Verdict(
@@ -284,10 +286,10 @@ def _propagate_equalities(system, known) -> None:
             if any(len(m) > 1 for m in residual.terms):
                 continue
             (name,) = unknowns
-            slope = residual.terms.get((name,), Fraction(0))
+            slope = residual.terms.get((name,), _ZERO)
             if not slope:
                 continue
-            known[name] = -residual.terms.get((), Fraction(0)) / slope
+            known[name] = -residual.terms.get((), _ZERO) / slope
             changed = True
 
 
@@ -350,7 +352,7 @@ def _solve_component(group, known) -> dict[str, Fraction] | None:
             continue  # nonlinear under this substitution: not solvable here
         res = lp.solve_strict(linear)
         if res.status == "optimal":
-            return {n: res.assignment.get(n, Fraction(0)) for n in names}
+            return {n: res.assignment.get(n, _ZERO) for n in names}
     return None
 
 
@@ -402,7 +404,7 @@ def extend_and_check(
             return None
         known.update(extension)
     for p in system.params:
-        known.setdefault(p.name, Fraction(0))
+        known.setdefault(p.name, _ZERO)
     return known if system.holds(known) else None
 
 

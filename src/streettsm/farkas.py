@@ -188,6 +188,11 @@ def farkas_premise_sat(impl: Implication, prefix: str = "z") -> DualConstraint:
         raise ValueError(
             f"premise-sat Farkas on a {status} premise ({impl.tag})"
         )
+    return _premise_sat_dual(impl, prefix)
+
+
+def _premise_sat_dual(impl: Implication, prefix: str) -> DualConstraint:
+    """The premise-sat dual of a premise already screened feasible."""
     zs = _fresh_zs(impl, prefix)
     nonneg = tuple(
         PolyConstraint(Poly() - Poly.param(z.name), Rel.LE) for z in zs
@@ -210,7 +215,7 @@ def transform(vcset: VCSet) -> list[DualConstraint]:
         if status == "infeasible":
             duals.append(DualConstraint(impl.tag, "vacuous", (), ()))
         elif status == "feasible":
-            duals.append(farkas_premise_sat(impl, prefix))
+            duals.append(_premise_sat_dual(impl, prefix))
         else:
             duals.append(farkas_general(impl, prefix))
     return duals

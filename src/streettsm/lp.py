@@ -1,7 +1,7 @@
 """Exact-rational linear programming.
 
-A small two-phase full-tableau simplex with Bland's rule, working directly
-on fractions.Fraction.  It decides feasibility and optimization of systems
+A small two-phase full-tableau simplex with Bland's rule.  It decides
+feasibility and optimization of systems
 
     sum_j a_ij x_j  (<= | =)  b_i
 
@@ -20,6 +20,21 @@ one column instead of two columns, a row, a slack and an artificial.  A
 and rows flipped to a non-negative rhs get an artificial, and phase 1 is
 skipped when no row has one.  Points and rays are read back through the
 per-variable column map.
+
+Integer rows.  The tableau holds no fractions.  Each row is a sparse
+{column: int} map with an int rhs, a positive multiple of the true row:
+scaled by the lcm of its denominators when built, and divided by the gcd
+of its entries after every update.  The basic column's entry is that
+multiple, so it stays positive; a pivot row whose pivot is negative is
+negated first, which happens only when a redundant artificial row is
+pivoted out at rhs 0.  A positive scale changes neither the sign of an
+entry nor a ratio b_i / a_ic, so entering columns are chosen by sign and
+the ratio test cross-multiplies; the pivot sequence is the one a
+Fraction tableau would take.  The objective row is an int map over one
+positive denominator.  Its reduced costs c_j - c_B^T B^{-1} A_j depend on
+the basis only, not on how its rows are scaled, so the duals read from
+them (and so the Farkas ray) are those of the Fraction tableau.
+Fractions appear only at the edges: the point, the rays and the optimum.
 
 Farkas rays.  On an infeasible phase 1 the duals pi of the final basis
 give the ray: pi_i is minus the reduced cost of row i's slack for a
@@ -41,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Literal, Sequence
 
 from .expr import Atom
@@ -49,6 +65,10 @@ Row = list[Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _frac(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass
@@ -64,9 +84,7 @@ class LinearSystem:
             raise ValueError("coefficient/variable length mismatch")
         if rel not in ("<=", "<", "="):
             raise ValueError(f"unsupported relation {rel!r}")
-        self.rows.append(
-            ([Fraction(c) for c in coeffs], rel, Fraction(rhs))
-        )
+        self.rows.append(([_frac(c) for c in coeffs], rel, _frac(rhs)))
 
 
 @dataclass
@@ -92,6 +110,34 @@ def _sign_bounds(rows: list[tuple[Row, str, Fraction]]) -> dict[int, int]:
         ):
             bound_row[support[0]] = i
     return bound_row
+
+
+def _reduce(row: dict[int, int], rhs: int) -> tuple[dict[int, int], int]:
+    """Divide a row and its rhs by the gcd of their entries."""
+    g = gcd(*row.values(), rhs)
+    if g > 1:
+        return {j: v // g for j, v in row.items()}, rhs // g
+    return row, rhs
+
+
+def _eliminate(
+    row: dict[int, int], rhs: int, prow: dict[int, int], prhs: int, c: int
+) -> tuple[dict[int, int], int]:
+    """Clear column c of `row` with the pivot row `prow`, whose entry at c
+    is positive: a positive multiple of  row - (row_c / prow_c) prow,
+    reduced.  May update `row` in place."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    mp, mf = p // g, f // g
+    if mp != 1:
+        row = {j: v * mp for j, v in row.items()}
+    for j, v in prow.items():
+        w = row.get(j, 0) - mf * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    return _reduce(row, rhs * mp - mf * prhs)
 
 
 def solve(
@@ -132,107 +178,92 @@ def solve(
         if rel == "=" or rhs < 0:
             art_of_row[r] = ncols
             ncols += 1
-    total = ncols
 
-    a: list[Row] = []
-    b: list[Fraction] = []
+    # integer rows, see the module docstring
+    a: list[dict[int, int]] = []
+    b: list[int] = []
     basis: list[int] = []
     flipped: list[bool] = []
     for r, i in enumerate(kept):
         coeffs, rel, rhs = rows[i]
-        row = [_ZERO] * total
+        # a negative scale flips the row to a non-negative rhs
+        flip = rhs < 0
+        scale = lcm(rhs.denominator, *(cf.denominator for cf in coeffs if cf))
+        if flip:
+            scale = -scale
+        row: dict[int, int] = {}
         for j, cf in enumerate(coeffs):
             if cf:
-                row[col_of[j]] = cf
+                v = cf.numerator * (scale // cf.denominator)
+                row[col_of[j]] = v
                 if j not in bound_row:
-                    row[col_of[j] + 1] = -cf
+                    row[col_of[j] + 1] = -v
         if rel == "<=":
-            row[slack_of_row[r]] = _ONE
-        flip = rhs < 0
-        if flip:
-            row = [-v for v in row]
-            rhs = -rhs
+            row[slack_of_row[r]] = scale
         if r in art_of_row:
-            row[art_of_row[r]] = _ONE
+            row[art_of_row[r]] = abs(scale)
             basis.append(art_of_row[r])
         else:
             basis.append(slack_of_row[r])
+        row, rhs_int = _reduce(row, rhs.numerator * (scale // rhs.denominator))
         a.append(row)
-        b.append(rhs)
+        b.append(rhs_int)
         flipped.append(flip)
 
+    # objective row: reduced costs c_j - c_B^T B^{-1} A_j as obj[j] / den,
+    # kept up to date by every pivot; no zero entry is ever stored
+    obj: dict[int, int] = {}
+    den = 1
+
     def pivot(r: int, c: int) -> None:
-        arow = a[r]
-        piv = arow[c]
-        if piv != 1:
-            inv = _ONE / piv
-            a[r] = arow = [v * inv for v in arow]
-            b[r] *= inv
-        # only the pivot row's nonzero columns change the other rows
-        support = [(j, v) for j, v in enumerate(arow) if v]
+        nonlocal obj, den
+        prow = a[r]
+        if prow[c] < 0:  # a redundant artificial row, rhs 0
+            a[r] = prow = {j: -v for j, v in prow.items()}
         for i in range(m):
-            if i != r:
-                row = a[i]
-                f = row[c]
-                if f:
-                    for j, v in support:
-                        row[j] -= f * v
-                    b[i] -= f * b[r]
-        f = obj[c]
-        if f:
-            for j, v in support:
-                obj[j] -= f * v
+            if i != r and c in a[i]:
+                a[i], b[i] = _eliminate(a[i], b[i], prow, b[r], c)
+        if c in obj:
+            obj, den = _eliminate(obj, den, prow, 0, c)
         basis[r] = c
 
-    def run_simplex(allowed: int) -> int | None:
-        """Min the current obj over columns [0, allowed) by Bland's rule:
-        None at an optimum, else the entering column of an unbounded
-        direction."""
+    def run_simplex() -> int | None:
+        """Min the current obj by Bland's rule: None at an optimum, else
+        the entering column of an unbounded direction."""
         while True:
-            entering = -1
-            for j in range(allowed):
-                if obj[j] < 0:
-                    entering = j
-                    break
+            entering = min((j for j, v in obj.items() if v < 0), default=-1)
             if entering < 0:
                 return None
             leave = -1
-            best: Fraction | None = None
             for i in range(m):
-                coef = a[i][entering]
+                coef = a[i].get(entering, 0)
                 if coef > 0:
-                    ratio = b[i] / coef
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])
-                    ):
-                        best = ratio
-                        leave = i
+                    # b_i / coef against the best b_l / a_l, cross-multiplied
+                    if leave < 0:
+                        leave, best_b, best_a = i, b[i], coef
+                        continue
+                    lhs, rhs = b[i] * best_a, best_b * coef
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, best_b, best_a = i, b[i], coef
             if leave < 0:
                 return entering
             pivot(leave, entering)
 
-    # objective row held as reduced costs c_j - c_B^T B^{-1} A_j; phase 1
-    # minimizes the sum of artificials, which start basic at cost 1
-    obj = [_ZERO] * total
     if art_of_row:
-        for r in art_of_row:
-            for j, v in enumerate(a[r]):
-                if v:
-                    obj[j] -= v
-        for c in art_of_row.values():
-            obj[c] += _ONE
-        unbounded = run_simplex(total)
+        # phase 1 minimizes the sum of the artificials, which start basic
+        obj = dict.fromkeys(art_of_row.values(), 1)
+        for r, c in art_of_row.items():
+            obj, den = _eliminate(obj, den, a[r], 0, c)
+        unbounded = run_simplex()
         assert unbounded is None  # phase 1 is bounded below by 0
-        if sum((b[r] for r in range(m) if basis[r] >= n_real), _ZERO) > 0:
+        if any(b[r] > 0 for r in range(m) if basis[r] >= n_real):
             # Farkas ray from the phase-1 duals, see the module docstring
             farkas = [_ZERO] * len(rows)
             for r, i in enumerate(kept):
                 if r in art_of_row:
-                    pi = _ONE - obj[art_of_row[r]]
+                    pi = Fraction(den - obj.get(art_of_row[r], 0), den)
                 else:
-                    pi = -obj[slack_of_row[r]]
+                    pi = Fraction(-obj.get(slack_of_row[r], 0), den)
                 farkas[i] = pi if flipped[r] else -pi
             for j, i in bound_row.items():
                 residual = sum(
@@ -245,9 +276,7 @@ def solve(
         drop: list[int] = []
         for r in range(m):
             if basis[r] >= n_real:
-                piv_col = next(
-                    (j for j in range(n_real) if a[r][j] != 0), None
-                )
+                piv_col = min((j for j in a[r] if j < n_real), default=None)
                 if piv_col is not None:
                     pivot(r, piv_col)
                 else:
@@ -255,8 +284,11 @@ def solve(
         for r in sorted(drop, reverse=True):
             del a[r], b[r], basis[r]
         m = len(basis)
-        for row in a:  # phase 2 never lets an artificial re-enter
-            del row[n_real:]
+        # phase 2 never lets an artificial re-enter
+        for r in range(m):
+            a[r], b[r] = _reduce(
+                {j: v for j, v in a[r].items() if j < n_real}, b[r]
+            )
 
     def to_variables(vals: dict[int, Fraction]) -> dict[str, Fraction]:
         out = {}
@@ -269,45 +301,45 @@ def solve(
         return out
 
     def extract_point() -> dict[str, Fraction]:
-        return to_variables({bi: b[i] for i, bi in enumerate(basis)})
+        return to_variables(
+            {bi: Fraction(b[i], a[i][bi]) for i, bi in enumerate(basis)}
+        )
 
     if objective is None:
         return LPResult(
             status="optimal", assignment=extract_point(), value=_ZERO
         )
 
-    # phase 2
-    sign = -_ONE if maximize else _ONE
-    cost2 = [_ZERO] * n_real
+    # phase 2 minimizes -c^T x or c^T x, over one denominator
+    objective = [_frac(cf) for cf in objective]
+    sign = -1 if maximize else 1
+    den = lcm(*(cf.denominator for cf in objective))
+    obj = {}
     for j, cf in enumerate(objective):
         if cf:
-            cost2[col_of[j]] = sign * Fraction(cf)
+            v = sign * cf.numerator * (den // cf.denominator)
+            obj[col_of[j]] = v
             if j not in bound_row:
-                cost2[col_of[j] + 1] = -sign * Fraction(cf)
-    obj = list(cost2)
+                obj[col_of[j] + 1] = -v
     for i, bi in enumerate(basis):
-        cb = cost2[bi]
-        if cb:
-            for j, v in enumerate(a[i]):
-                if v:
-                    obj[j] -= cb * v
+        if bi in obj:
+            obj, den = _eliminate(obj, den, a[i], 0, bi)
 
-    entering = run_simplex(n_real)
+    entering = run_simplex()
+    point = extract_point()
     if entering is not None:
         ray_vals: dict[int, Fraction] = {entering: _ONE}
         for i, bi in enumerate(basis):
-            if a[i][entering]:
-                ray_vals[bi] = -a[i][entering]
+            coef = a[i].get(entering)
+            if coef:
+                ray_vals[bi] = Fraction(-coef, a[i][bi])
         return LPResult(
-            status="unbounded",
-            assignment=extract_point(),
-            ray=to_variables(ray_vals),
+            status="unbounded", assignment=point, ray=to_variables(ray_vals)
         )
-    objval = sum((cost2[bi] * b[i] for i, bi in enumerate(basis)), _ZERO)
-    value = -objval if maximize else objval
-    return LPResult(
-        status="optimal", assignment=extract_point(), value=value
+    value = sum(
+        (cf * point[v] for cf, v in zip(objective, system.variables)), _ZERO
     )
+    return LPResult(status="optimal", assignment=point, value=value)
 
 
 def feasible(system: LinearSystem) -> LPResult:
@@ -390,24 +422,22 @@ def check_implication(
         if res.value <= conclusion_rhs:
             return True, None
         return False, res.assignment
-    # unbounded: walk the improving ray until the conclusion breaks
+    # unbounded: the least k >= 0 with c.(base + k ray) > d
     base = res.assignment or {}
     ray = res.ray or {}
     names = premise.variables
     cval = sum(
-        (Fraction(conclusion_coeffs[j]) * base.get(v, _ZERO)
+        (_frac(conclusion_coeffs[j]) * base.get(v, _ZERO)
          for j, v in enumerate(names)),
         _ZERO,
     )
     cray = sum(
-        (Fraction(conclusion_coeffs[j]) * ray.get(v, _ZERO)
+        (_frac(conclusion_coeffs[j]) * ray.get(v, _ZERO)
          for j, v in enumerate(names)),
         _ZERO,
     )
     assert cray > 0
-    k = 0
-    while cval + k * cray <= conclusion_rhs:
-        k += 1
+    k = max(0, (conclusion_rhs - cval) // cray + 1)
     witness = {
         v: base.get(v, _ZERO) + k * ray.get(v, _ZERO) for v in names
     }

@@ -240,6 +240,29 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
         assert all(z.name.startswith(f"z{i}_") for z in dual.zs)
 
 
+def test_transform_screens_each_premise_once(monkeypatch):
+    calls = []
+
+    def counting(atoms, variables):
+        calls.append(tuple(atoms))
+        return lp.atoms_feasible(atoms, variables)
+
+    monkeypatch.setattr(farkas, "atoms_feasible", counting)
+    model, dsa, inv, Vs, tables = example2_pieces("example2.model")
+    for invariant in (inv, InvTemplate.fresh(model, dsa, nrows=2)):
+        vcs = build_product_vcs(
+            model, dsa, Vs, invariant, tables, eps=Fraction(1, 2)
+        )
+        calls.clear()
+        duals = transform(vcs)
+        param_free = [
+            impl for impl in vcs.implications
+            if all(a.form.is_param_free() for a in impl.premise)
+        ]
+        assert len(calls) == len(param_free)
+        assert len(calls) == sum(d.mode != "general" for d in duals)
+
+
 def test_templated_invariant_forces_the_general_form():
     model, dsa, _, Vs, tables = example2_pieces("example2.model")
     inv = InvTemplate.fresh(model, dsa, nrows=2)

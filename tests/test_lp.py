@@ -126,6 +126,35 @@ def test_degenerate_pivoting_terminates():
     assert r.status == "optimal" and r.value == F(5, 4)
 
 
+def test_beale_cycling_example_terminates_at_its_optimum():
+    # Beale (1955): the textbook pivot rule cycles here; Bland's must not
+    s = _sys(
+        ["x4", "x5", "x6", "x7"],
+        [
+            ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
+            ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
+            ([0, 0, 1, 0], "<=", 1),
+            ([-1, 0, 0, 0], "<=", 0),
+            ([0, -1, 0, 0], "<=", 0),
+            ([0, 0, -1, 0], "<=", 0),
+            ([0, 0, 0, -1], "<=", 0),
+        ],
+    )
+    c = [F(-3, 4), F(150), F(-1, 50), F(6)]
+    r = solve(s, objective=c, maximize=False)
+    assert r.status == "optimal" and r.value == F(-1, 20)
+    assert _satisfies(s, r.assignment)
+    assert sum(ci * r.assignment[v] for ci, v in zip(c, s.variables)) == r.value
+
+
+def test_add_stores_fractions():
+    s = LinearSystem(["x", "y"])
+    s.add([1, F(1, 2)], "<=", 3)
+    coeffs, rel, rhs = s.rows[0]
+    assert coeffs == [1, F(1, 2)] and rel == "<=" and rhs == 3
+    assert all(type(v) is F for v in coeffs + [rhs])
+
+
 def test_equalities_and_negative_rhs():
     s = _sys(["x", "y"], [([1, 1], "=", -1), ([1, -1], "=", 3)])
     r = feasible(s)
@@ -197,17 +226,26 @@ def test_implication_checks():
     ok, w = check_implication(empty, [F(1)], F(-100))
     assert ok
 
-    # unbounded objective direction still yields a finite witness
+    # unbounded objective direction still yields a finite witness, one
+    # step along the ray however far the bound is (a gap of 10^9 here)
     nonneg = _sys(["x"], [([-1], "<=", 0)])
-    ok, w = check_implication(nonneg, [F(1)], F(5))
-    assert not ok and _satisfies(nonneg, w) and w["x"] > 5
+    for d in (F(5), F(10**9), F(10**9, 7), F(-3)):
+        ok, w = check_implication(nonneg, [F(1)], d)
+        assert not ok and _satisfies(nonneg, w) and w["x"] > d
 
 
 coef = st.integers(-3, 3).map(F)
+small_bound = st.sampled_from([F(1), F(2), F(1, 3)])
+# numerators up to 10^12 and denominators up to 10^9
+big_bound = st.builds(F, st.integers(1, 10**12), st.integers(1, 10**9))
+big_coef = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**9)),
+)
 
 
 @st.composite
-def systems(draw):
+def systems(draw, coef=coef, bound=small_bound):
     nv = draw(st.integers(1, 3))
     variables = [f"x{i}" for i in range(nv)]
     rows = []
@@ -219,14 +257,12 @@ def systems(draw):
     # of them, some variable can be bounded twice
     for j in draw(st.lists(st.integers(0, nv - 1), max_size=nv + 1)):
         coeffs = [F(0)] * nv
-        coeffs[j] = -draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+        coeffs[j] = -draw(bound)
         rows.insert(draw(st.integers(0, len(rows))), (coeffs, "<=", F(0)))
     return _sys(variables, rows)
 
 
-@settings(max_examples=150, deadline=None)
-@given(systems())
-def test_solve_certificates_are_sound(s):
+def _check_feasibility(s):
     r = feasible(s)
     if r.status == "optimal":
         assert _satisfies(s, r.assignment)
@@ -235,9 +271,7 @@ def test_solve_certificates_are_sound(s):
         _assert_farkas(s, r.farkas)
 
 
-@settings(max_examples=150, deadline=None)
-@given(systems(), st.lists(coef, min_size=3, max_size=3), st.booleans())
-def test_optima_cannot_be_beaten(s, obj, maximize):
+def _check_optimum(s, obj, maximize):
     c = obj[: len(s.variables)]
     r = solve(s, objective=c, maximize=maximize)
     if r.status == "infeasible":
@@ -259,6 +293,34 @@ def test_optima_cannot_be_beaten(s, obj, maximize):
     beaten = feasible(better)
     assert beaten.status == "infeasible"
     _assert_farkas(better, beaten.farkas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_certificates_are_sound(s):
+    _check_feasibility(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.lists(coef, min_size=3, max_size=3), st.booleans())
+def test_optima_cannot_be_beaten(s, obj, maximize):
+    _check_optimum(s, obj, maximize)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(big_coef, big_bound))
+def test_large_coefficient_certificates_are_sound(s):
+    _check_feasibility(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    systems(big_coef, big_bound),
+    st.lists(big_coef, min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_large_coefficient_optima_cannot_be_beaten(s, obj, maximize):
+    _check_optimum(s, obj, maximize)
 
 
 @settings(max_examples=100, deadline=None)
