@@ -11,6 +11,14 @@ All arithmetic is exact: coefficients are fractions.Fraction, polynomials
 are canonical sorted-monomial maps, and two forms are equal iff their
 canonical representations are equal.  No floating point appears anywhere in
 this module (or downstream of it).
+
+Canonical form.  A `Poly`'s `terms` map has sorted monomials as keys and
+nonzero `Fraction`s as values.  The public `Poly(terms)` constructor checks
+its input and brings it to this form.  Everything else trusts it: the
+arithmetic, `Poly.const`, `Poly.param` and `substitute` build their result
+maps canonical from canonical operands, adding terms in place with
+`_accumulate`, and wrap them unchecked with `Poly._wrap`.  Outside this
+module only `farkas._dual_parts` uses those two, on canonical operands.
 """
 
 from __future__ import annotations
@@ -61,13 +69,18 @@ class Param:
 Monomial = tuple[str, ...]
 
 _ONE: Monomial = ()
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 class Poly:
     """Polynomial over parameters with exact rational coefficients.
 
-    Stored as a canonical map {monomial: coeff} with zero coefficients
-    removed, so equality and hashing are structural.
+    Stored as a canonical map {monomial: coeff}: sorted monomials, nonzero
+    Fraction coefficients, so equality and hashing are structural.
+    `Poly(terms)` canonicalizes any map (sorting monomials, merging the ones
+    that collide, dropping zeros); every other constructor and operator
+    relies on canonical operands and skips that pass.
     """
 
     __slots__ = ("terms",)
@@ -83,16 +96,23 @@ class Poly:
                         del cleaned[key]
         self.terms = cleaned
 
+    @classmethod
+    def _wrap(cls, terms: dict[Monomial, Fraction]) -> "Poly":
+        """A Poly over a fresh map already in canonical form (unchecked)."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def const(value: RationalLike) -> "Poly":
         v = rat(value)
-        return Poly({_ONE: v} if v else {})
+        return Poly._wrap({_ONE: v} if v else {})
 
     @staticmethod
     def param(name: str) -> "Poly":
-        return Poly({(name,): Fraction(1)})
+        return Poly._wrap({(name,): _F1})
 
     # -- queries -----------------------------------------------------------
 
@@ -117,28 +137,31 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return Poly(merged)
+        terms = dict(self.terms)
+        _accumulate(terms, other)
+        return Poly._wrap(terms)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        terms = dict(self.terms)
+        _accumulate(terms, other, -1)
+        return Poly._wrap(terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
+                out[mono] = out.get(mono, _F0) + c1 * c2
+        return Poly._wrap({m: c for m, c in out.items() if c})
 
     def scale(self, factor: RationalLike) -> "Poly":
         f = rat(factor)
-        return Poly({m: c * f for m, c in self.terms.items()})
+        if not f:
+            return Poly._wrap({})
+        return Poly._wrap({m: c * f for m, c in self.terms.items()})
 
     # -- evaluation / substitution -----------------------------------------
 
@@ -155,7 +178,7 @@ class Poly:
 
     def substitute(self, valuation: Mapping[str, Fraction]) -> "Poly":
         """Replace any bound parameters by rationals; others stay symbolic."""
-        acc = Poly()
+        out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             remaining: list[str] = []
             c = coeff
@@ -164,8 +187,9 @@ class Poly:
                     c *= valuation[name]
                 else:
                     remaining.append(name)
-            acc = acc + Poly({tuple(sorted(remaining)): c})
-        return acc
+            if c:
+                _add_term(out, tuple(remaining), c)  # still sorted
+        return Poly._wrap(out)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -192,6 +216,34 @@ class Poly:
                 else:
                     parts.append(f"{coeff}*{stem}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _add_term(terms: dict[Monomial, Fraction], mono: Monomial, c: Fraction) -> None:
+    """Add the nonzero term c*mono into a canonical map in place."""
+    old = terms.get(mono)
+    if old is None:
+        terms[mono] = c
+    else:
+        total = old + c
+        if total:
+            terms[mono] = total
+        else:
+            del terms[mono]
+
+
+def _accumulate(
+    terms: dict[Monomial, Fraction],
+    p: Poly,
+    sign: int = 1,
+    name: str | None = None,
+) -> None:
+    """Add sign * name * p into a canonical map in place (sign is +1 or -1;
+    no name adds sign * p).  A sum that cancels is deleted at once, so the
+    map keeps the key order that repeated `+` would give it."""
+    for mono, coeff in p.terms.items():
+        if name is not None:
+            mono = tuple(sorted(mono + (name,)))
+        _add_term(terms, mono, coeff if sign > 0 else -coeff)
 
 
 ZERO = Poly()

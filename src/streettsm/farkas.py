@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import Atom, Param, ParamKind, Poly, Rel
+from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
 from .lp import atoms_feasible, check_implication, system_from_atoms
 from .vcgen import Implication, VCSet
 
@@ -129,18 +129,6 @@ def premise_feasible(impl: Implication) -> str:
     return "feasible" if res.status == "optimal" else "infeasible"
 
 
-def _matrix(impl: Implication):
-    """(A rows, b, c, d) with Poly entries, columns = impl.variables."""
-    A = []
-    b = []
-    for atom in impl.premise:
-        A.append({v: atom.form.coeff(v) for v in impl.variables})
-        b.append(Poly() - atom.form.const)
-    c = {v: impl.consequent.form.coeff(v) for v in impl.variables}
-    d = Poly() - impl.consequent.form.const
-    return A, b, c, d
-
-
 def _fresh_zs(impl: Implication, prefix: str) -> tuple[Param, ...]:
     return tuple(
         Param(f"{prefix}_{i}", ParamKind.MULTIPLIER)
@@ -149,18 +137,25 @@ def _fresh_zs(impl: Implication, prefix: str) -> tuple[Param, ...]:
 
 
 def _dual_parts(impl, zs, homogeneous: bool):
-    """A^T z = c (or = 0) per column, and b^T z - d (or b^T z)."""
-    A, b, c, d = _matrix(impl)
+    """A^T z = c (or = 0) per column, and b^T z - d (or b^T z).
+
+    Premise atoms are  a.y + a0 <= 0, so A's rows are the coefficients a
+    and b = -a0; the consequent  c.y + c0 <= 0  gives d = -c0.  Each column
+    and the rhs are accumulated into one canonical map."""
     eqs = []
     for v in impl.variables:
-        acc = Poly() if homogeneous else Poly() - c[v]
-        for z, row in zip(zs, A):
-            acc = acc + Poly.param(z.name) * row[v]
-        eqs.append(PolyConstraint(acc, Rel.EQ))
-    rhs = Poly() if homogeneous else Poly() - d
-    for z, bi in zip(zs, b):
-        rhs = rhs + Poly.param(z.name) * bi
-    return eqs, rhs
+        acc: dict = {}
+        if not homogeneous:
+            _accumulate(acc, impl.consequent.form.coeff(v), -1)
+        for z, atom in zip(zs, impl.premise):
+            _accumulate(acc, atom.form.coeff(v), 1, z.name)
+        eqs.append(PolyConstraint(Poly._wrap(acc), Rel.EQ))
+    rhs: dict = {}
+    if not homogeneous:
+        _accumulate(rhs, impl.consequent.form.const)
+    for z, atom in zip(zs, impl.premise):
+        _accumulate(rhs, atom.form.const, -1, z.name)
+    return eqs, Poly._wrap(rhs)
 
 
 def farkas_general(impl: Implication, prefix: str = "z") -> DualConstraint:
@@ -209,9 +204,14 @@ def _premise_sat_dual(impl: Implication, prefix: str) -> DualConstraint:
 def transform(vcset: VCSet) -> list[DualConstraint]:
     """Route every implication: vacuous / premise-sat / general."""
     duals = []
+    # implications at one location share their premise: screen each once
+    screens: dict[tuple, str] = {}
     for idx, impl in enumerate(vcset.implications):
         prefix = f"z{idx}"
-        status = premise_feasible(impl)
+        key = (impl.variables, impl.strict_premise())
+        status = screens.get(key)
+        if status is None:
+            status = screens[key] = premise_feasible(impl)
         if status == "infeasible":
             duals.append(DualConstraint(impl.tag, "vacuous", (), ()))
         elif status == "feasible":

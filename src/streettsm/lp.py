@@ -355,14 +355,17 @@ def solve_strict(system: LinearSystem) -> LPResult:
     """
     if not any(rel == "<" for _, rel, _ in system.rows):
         return feasible(system)
-    aug = LinearSystem(system.variables + ["__t"])
-    for coeffs, rel, rhs in system.rows:
-        if rel == "<":
-            aug.add(list(coeffs) + [_ONE], "<=", rhs)
-        else:
-            aug.add(list(coeffs) + [_ZERO], rel, rhs)
     nv = len(system.variables)
-    aug.add([_ZERO] * nv + [_ONE], "<=", _ONE)
+    aug = LinearSystem(
+        system.variables + ["__t"],
+        [
+            (coeffs + [_ONE], "<=", rhs)
+            if rel == "<"
+            else (coeffs + [_ZERO], rel, rhs)
+            for coeffs, rel, rhs in system.rows
+        ],
+    )
+    aug.rows.append(([_ZERO] * nv + [_ONE], "<=", _ONE))
     res = solve(aug, objective=[_ZERO] * nv + [_ONE], maximize=True)
     if res.status == "infeasible" or (
         res.status == "optimal" and (res.value is None or res.value <= 0)
@@ -376,23 +379,32 @@ def solve_strict(system: LinearSystem) -> LPResult:
 def system_from_atoms(
     atoms: Sequence[Atom], variables: Sequence[str]
 ) -> LinearSystem:
-    """Parameter-free comparison atoms as LP rows (strictness preserved)."""
+    """Parameter-free comparison atoms as LP rows (strictness preserved).
+
+    Each constant is read straight from the canonical `Poly` terms (a
+    parameter-free `Poly` has at most the key `()`)."""
     out = LinearSystem(list(variables))
+    column = {v: j for j, v in enumerate(variables)}
     for atom in atoms:
         for le in atom.normalized_le():
-            coeffs = []
-            for v in variables:
-                p = le.form.coeff(v)
-                if not p.is_constant():
+            form = le.form
+            coeffs = [_ZERO] * len(column)
+            for v, p in form.coeffs.items():
+                j = column.get(v)
+                if j is None:
+                    extra = set(form.coeffs) - set(variables)
+                    raise ValueError(
+                        f"atom mentions undeclared variables {extra}"
+                    )
+                terms = p.terms
+                if len(terms) > 1 or (terms and () not in terms):
                     raise ValueError(f"parameter-bearing coefficient on {v}")
-                coeffs.append(p.constant_value())
-            extra = le.form.variables() - set(variables)
-            if extra:
-                raise ValueError(f"atom mentions undeclared variables {extra}")
-            if not le.form.const.is_constant():
+                coeffs[j] = terms.get((), _ZERO)
+            const = form.const.terms
+            if len(const) > 1 or (const and () not in const):
                 raise ValueError("parameter-bearing constant term")
-            rhs = -le.form.const.constant_value()
-            out.add(coeffs, "<" if le.strict() else "<=", rhs)
+            rhs = -const[()] if const else _ZERO
+            out.rows.append((coeffs, "<" if le.strict() else "<=", rhs))
     return out
 
 

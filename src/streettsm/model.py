@@ -107,12 +107,6 @@ class Branch:
     update: dict[str, LinForm]  # per state var, over state + disturbance names
     line: int = 0
 
-    def guard_params(self) -> set[str]:
-        out: set[str] = set()
-        for atom in self.guard:
-            out |= atom.form.params()
-        return out
-
 
 @dataclass(frozen=True)
 class PostCase:

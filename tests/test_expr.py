@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streettsm.expr import Atom, LinForm, Poly, Rel, rat
+from streettsm.expr import Atom, LinForm, Poly, Rel, _accumulate, rat
 
 
 def test_rat_coercions():
@@ -140,6 +140,39 @@ def test_poly_ring_laws(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert (p - p).is_zero()
+
+
+def _assert_canonical(p):
+    assert p.terms == Poly(p.terms).terms
+    for mono, coeff in p.terms.items():
+        assert list(mono) == sorted(mono)
+        assert type(coeff) is F and coeff != 0
+
+
+partial_valuations = st.dictionaries(st.sampled_from(["a", "b", "c"]), rationals)
+total_valuations = st.fixed_dictionaries(
+    {"a": rationals, "b": rationals, "c": rationals}
+)
+
+
+@given(
+    polys(), polys(), rationals, st.integers(-3, 3),
+    partial_valuations, total_valuations,
+)
+def test_operations_keep_canonical_form(p, q, f, n, partial, total):
+    # results skip the checking constructor, so each must already be canonical
+    results = [p + q, p - q, p - p, -p, p * q, p * (q - q)]
+    results += [p.scale(f), p.scale(n), p.scale(0)]
+    results += [p.substitute(partial), p.substitute(total), p.substitute({})]
+    results += [Poly.const(f), Poly.const(n), Poly.param("b")]
+    terms = dict(p.terms)
+    _accumulate(terms, q, -1, "b")  # the in-place p - b*q of the Farkas rows
+    results.append(Poly._wrap(terms))
+    assert results[-1] == p - Poly.param("b") * q
+    for r in results:
+        _assert_canonical(r)
+    assert p.scale(0).is_zero() and (p - p).is_zero()
+    assert p.substitute(total).is_constant()
 
 
 @given(polys(), polys(), rationals, rationals, rationals)

@@ -1,6 +1,7 @@
 """Farkas transform: dual shapes, routing, QCP lowering, differential oracle."""
 
 import dataclasses
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -244,7 +245,7 @@ def test_transform_screens_each_premise_once(monkeypatch):
     calls = []
 
     def counting(atoms, variables):
-        calls.append(tuple(atoms))
+        calls.append((tuple(variables), tuple(atoms)))
         return lp.atoms_feasible(atoms, variables)
 
     monkeypatch.setattr(farkas, "atoms_feasible", counting)
@@ -259,8 +260,68 @@ def test_transform_screens_each_premise_once(monkeypatch):
             impl for impl in vcs.implications
             if all(a.form.is_param_free() for a in impl.premise)
         ]
-        assert len(calls) == len(param_free)
-        assert len(calls) == sum(d.mode != "general" for d in duals)
+        distinct = {
+            (impl.variables, impl.strict_premise()) for impl in param_free
+        }
+        assert len(calls) == len(distinct)
+        assert set(calls) == distinct
+        assert sum(d.mode != "general" for d in duals) == len(param_free)
+        if invariant is inv:
+            # implications at one location share their premise
+            assert len(distinct) < len(param_free)
+        # the memo lives for one call: a second pass screens again
+        calls.clear()
+        transform(vcs)
+        assert len(calls) == len(distinct)
+
+
+def _dual_parts_by_repeated_add(impl, zs, homogeneous):
+    """The dual rows built one `+` at a time, as a reference."""
+    eqs = []
+    for v in impl.variables:
+        acc = Poly() if homogeneous else Poly() - impl.consequent.form.coeff(v)
+        for z, atom in zip(zs, impl.premise):
+            acc = acc + P(z.name) * atom.form.coeff(v)
+        eqs.append(PolyConstraint(acc, Rel.EQ))
+    d = Poly() - impl.consequent.form.const
+    rhs = Poly() if homogeneous else Poly() - d
+    for z, atom in zip(zs, impl.premise):
+        rhs = rhs + P(z.name) * (Poly() - atom.form.const)
+    return eqs, rhs
+
+
+def _corpus_implications():
+    out = []
+    for name, templated in (
+        ("example2", False), ("Temperature4", False), ("example2", True)
+    ):
+        b = load_benchmark(name)
+        inv = (
+            InvTemplate.fresh(b.model, b.dsa, nrows=2) if templated
+            else b.invariant
+        )
+        Vs = [CertTemplate.fresh(b.model, b.dsa, k) for k in range(len(b.dsa.pairs))]
+        tables = [post_table(V, b.model, b.dsa) for V in Vs]
+        vcs = build_product_vcs(b.model, b.dsa, Vs, inv, tables)
+        out.extend(vcs.implications)
+    return out
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_dual_parts_match_repeated_addition(homogeneous):
+    impls = _corpus_implications()
+    # the templated invariant puts parameters into premises
+    assert any(not a.form.is_param_free() for i in impls for a in i.premise)
+    # "A" sorts before every template parameter name, "z" after them
+    for impl, prefix in itertools.product(impls, ("z", "A")):
+        zs = farkas._fresh_zs(impl, prefix)
+        eqs, rhs = farkas._dual_parts(impl, zs, homogeneous)
+        ref_eqs, ref_rhs = _dual_parts_by_repeated_add(impl, zs, homogeneous)
+        assert eqs == ref_eqs and rhs == ref_rhs
+        # same key order too, so everything downstream iterates alike
+        for got, ref in zip([c.poly for c in eqs] + [rhs],
+                            [c.poly for c in ref_eqs] + [ref_rhs]):
+            assert list(got.terms.items()) == list(ref.terms.items())
 
 
 def test_templated_invariant_forces_the_general_form():

@@ -1,0 +1,51 @@
+"""Every bundled certificate fixture checks exactly, and every mutant fails.
+
+Each VC of a `*.cert.json` fixture (V, invariant, control, epsilon and M
+all taken from the file) must pass `farkas.implication_valid_bruteforce`.
+The fixture reader and the mutants are the benchmark's own
+(`perfbench/pipeline.py`, `perfbench/checks.py`).
+"""
+
+import os
+import sys
+from importlib import resources
+
+import pytest
+
+from streettsm import benchmarks
+
+BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+sys.path[:0] = [BENCH]
+
+import checks  # noqa: E402
+import pipeline  # noqa: E402
+
+ROWS = benchmarks.manifest()["benchmarks"] + benchmarks.manifest()["extras"]
+FIXTURES = [row["name"] for row in ROWS if row["cert"]]
+
+
+def test_every_bundled_fixture_is_checked():
+    bundled = {
+        f.name
+        for f in resources.files(benchmarks).iterdir()
+        if f.name.endswith(".cert.json")
+    }
+    assert {row["cert"] for row in ROWS if row["cert"]} == bundled
+    assert len(FIXTURES) == len(bundled) == 10
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_vcs_are_valid(name):
+    out = pipeline.check_fixture(pipeline.Entry(name, "fixture", "valid"))
+    assert out.verdict == "valid", out.detail
+
+
+@pytest.mark.parametrize(
+    "mutant", checks.MUTANTS, ids=[m.entry for m in checks.MUTANTS]
+)
+def test_mutated_fixture_is_rejected(mutant):
+    faults, out = checks.run_mutant(mutant)
+    assert out.verdict == "invalid"
+    assert faults  # the pointwise check sees it at the mutant's state too

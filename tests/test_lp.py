@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.lp import (
     LinearSystem,
     check_implication,
     feasible,
     solve,
     solve_strict,
+    system_from_atoms,
 )
 
 
@@ -153,6 +155,43 @@ def test_add_stores_fractions():
     coeffs, rel, rhs = s.rows[0]
     assert coeffs == [1, F(1, 2)] and rel == "<=" and rhs == 3
     assert all(type(v) is F for v in coeffs + [rhs])
+
+
+def test_system_from_atoms_builds_fraction_rows():
+    x, y = LinForm.var("x"), LinForm.var("y")
+    atoms = [
+        Atom(x.scale(2) - LinForm.constant(3), Rel.LE),
+        Atom(y - x, Rel.GT),  # strict, flipped to x - y < 0
+        Atom(y + LinForm.constant(F(1, 2)), Rel.EQ),
+    ]
+    s = system_from_atoms(atoms, ["x", "y", "w"])
+    assert s.variables == ["x", "y", "w"]
+    assert s.rows == [
+        ([2, 0, 0], "<=", 3),
+        ([1, -1, 0], "<", 0),
+        ([0, 1, 0], "<=", F(-1, 2)),
+        ([0, -1, 0], "<=", F(1, 2)),
+    ]
+    assert all(
+        type(v) is F for coeffs, _, rhs in s.rows for v in coeffs + [rhs]
+    )
+
+
+def test_system_from_atoms_rejects_parameters_and_undeclared_variables():
+    x, a = LinForm.var("x"), Poly.param("a")
+    coeff = Atom(x.mul_poly(a + Poly.const(1)), Rel.LE)
+    with pytest.raises(
+        ValueError, match=r"^parameter-bearing coefficient on x$"
+    ):
+        system_from_atoms([coeff], ["x"])
+    const = Atom(x + LinForm.from_poly(a.scale(2)), Rel.LE)
+    with pytest.raises(ValueError, match=r"^parameter-bearing constant term$"):
+        system_from_atoms([const], ["x"])
+    undeclared = Atom(x + LinForm.var("y"), Rel.LE)
+    with pytest.raises(
+        ValueError, match=r"^atom mentions undeclared variables \{'y'\}$"
+    ):
+        system_from_atoms([undeclared], ["x"])
 
 
 def test_equalities_and_negative_rhs():
