@@ -244,66 +244,6 @@ def assemble(
     return ConstraintSystem(tuple(params), tuple(constraints))
 
 
-def rewrite_qcp(system: ConstraintSystem) -> ConstraintSystem:
-    """Lower every monomial to degree <= 2 via fresh product variables.
-
-    Each distinct factor pair gets one fresh variable with its defining
-    quadratic equality; a no-op on systems already at degree <= 2.
-    """
-    if system.degree() <= 2:
-        return system
-    taken = {p.name for p in system.params}
-    products: dict[tuple[str, str], str] = {}
-    fresh_constraints: list[PolyConstraint] = []
-
-    def product_var(a: str, b: str) -> str:
-        key = (a, b) if a <= b else (b, a)
-        if key not in products:
-            name = f"qv{len(products)}"
-            if name in taken:
-                raise ValueError(f"product variable name {name!r} is taken")
-            products[key] = name
-            fresh_constraints.append(
-                PolyConstraint(
-                    Poly.param(name) - Poly.param(key[0]) * Poly.param(key[1]),
-                    Rel.EQ,
-                )
-            )
-        return products[key]
-
-    def lower_mono(mono: tuple[str, ...]) -> tuple[str, ...]:
-        while len(mono) > 2:
-            pv = product_var(mono[0], mono[1])
-            mono = tuple(sorted((pv,) + mono[2:]))
-        return mono
-
-    def lower_poly(p: Poly) -> Poly:
-        acc = Poly()
-        for mono, coeff in p.terms.items():
-            acc = acc + Poly({lower_mono(mono): coeff})
-        return acc
-
-    def lower_constraint(c: PolyConstraint) -> PolyConstraint:
-        return PolyConstraint(lower_poly(c.poly), c.rel)
-
-    items: list[PolyConstraint | Disjunction] = []
-    for item in system.constraints:
-        if isinstance(item, Disjunction):
-            items.append(
-                Disjunction(
-                    tuple(lower_constraint(c) for c in item.left),
-                    tuple(lower_constraint(c) for c in item.right),
-                )
-            )
-        else:
-            items.append(lower_constraint(item))
-    items.extend(fresh_constraints)
-    params = tuple(system.params) + tuple(
-        Param(name, ParamKind.MULTIPLIER) for name in products.values()
-    )
-    return ConstraintSystem(params, tuple(items))
-
-
 # -- brute-force validity oracle (for differential testing) -------------------
 
 

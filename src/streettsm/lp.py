@@ -57,11 +57,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Literal, Sequence
+from typing import Literal, Mapping, Sequence
 
-from .expr import Atom
+from .expr import Atom, Poly, Rel
 
 Row = list[Fraction]
+
+# the LP relation of each normalized constraint relation (`Rel.EQ.value`
+# is "==", which `LinearSystem` does not accept)
+REL = {Rel.LE: "<=", Rel.LT: "<", Rel.EQ: "="}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,6 +84,11 @@ class LinearSystem:
     rows: list[tuple[Row, str, Fraction]] = field(default_factory=list)
 
     def add(self, coeffs: Sequence[Fraction], rel: str, rhs) -> None:
+        """Append one row, checked and converted to `Fraction`.
+
+        The checked entry point for callers that hold plain numbers.
+        Rows built by `linear_row` or `system_from_atoms` are already
+        `Fraction` and go straight into `rows`."""
         if len(coeffs) != len(self.variables):
             raise ValueError("coefficient/variable length mismatch")
         if rel not in ("<=", "<", "="):
@@ -406,6 +415,26 @@ def system_from_atoms(
             rhs = -const[()] if const else _ZERO
             out.rows.append((coeffs, "<" if le.strict() else "<=", rhs))
     return out
+
+
+def linear_row(poly: Poly, column: Mapping[str, int]) -> tuple[Row, Fraction]:
+    """The affine `poly REL 0` as the row `coeffs . x REL rhs`: coefficients
+    over `column` (name -> index) and rhs, both read straight from the
+    canonical terms.  Raises ValueError on a nonlinear monomial or one over
+    a name not in `column`."""
+    coeffs = [_ZERO] * len(column)
+    rhs = _ZERO
+    for mono, c in poly.terms.items():
+        if not mono:
+            rhs = -c
+            continue
+        j = column.get(mono[0]) if len(mono) == 1 else None
+        if j is None:
+            raise ValueError(
+                f"monomial {mono} is not linear over {list(column)}"
+            )
+        coeffs[j] = c
+    return coeffs, rhs
 
 
 def atoms_feasible(

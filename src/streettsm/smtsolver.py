@@ -1,12 +1,9 @@
-"""A small exact-rational SMT-LIB2 solver for QF_LRA/QF_NRA subsets.
+"""The bundled decision procedure for polynomial constraint systems.
 
-The default decision backend for non-linear systems: ``backends`` calls
-``decide`` in process on constraints built straight from a
-``ConstraintSystem``.  The SMT-LIB2 front end (``main``, also installed as
-the ``streettsm-solver`` console script) reads the same problems as text.
-The input language covers what polynomial constraint systems need: real
-constants, (in)equalities over polynomial terms, conjunction, and flat
-disjunction.
+``backends`` sends every system that is not all-linear here, as a
+function call: ``decide`` takes the assembled ``farkas.ConstraintSystem``
+as it is, with its ``PolyConstraint`` rows and two-branch
+``Disjunction``s.  No SMT-LIB text is read or written on the way.
 
 Decision strategy:
   * single-variable equalities pin their variable; pins propagate, and
@@ -34,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .expr import Poly
+from .expr import Poly, Rel
+from .farkas import ConstraintSystem, Disjunction, PolyConstraint
 
 ROUNDS = 40
 RESTARTS = 24
@@ -47,263 +43,41 @@ RESTARTS = 24
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-
-class SolverInputError(Exception):
-    """Malformed or unsupported input script."""
-
-
-# -- s-expression reader -------------------------------------------------------
-
-
-def tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            out.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "|":
-            j = text.index("|", i + 1)
-            out.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
-
-
-def read_forms(text: str) -> list:
-    tokens = tokenize(text)
-    forms = []
-    pos = 0
-
-    def parse(at: int):
-        if at >= len(tokens):
-            raise SolverInputError("unexpected end of input")
-        if tokens[at] == "(":
-            node = []
-            at += 1
-            while at < len(tokens) and tokens[at] != ")":
-                child, at = parse(at)
-                node.append(child)
-            if at >= len(tokens):
-                raise SolverInputError("unbalanced parenthesis")
-            return node, at + 1
-        if tokens[at] == ")":
-            raise SolverInputError("stray ')'")
-        return tokens[at], at + 1
-
-    while pos < len(tokens):
-        form, pos = parse(pos)
-        forms.append(form)
-    return forms
-
-
-# -- constraints ---------------------------------------------------------------
-
-
+# A strict row sitting exactly on its boundary reports STRICT_GAP, not
+# zero: otherwise a homogeneous strict branch looks converged at the
+# all-zero point and the descent has no reason to leave it.
 STRICT_GAP = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Lin:
-    """poly REL 0 with rel in {<=, <, =}.
-
-    A strict row sitting exactly on its boundary reports STRICT_GAP, not
-    zero: otherwise a homogeneous strict branch looks converged at the
-    all-zero point and the descent has no reason to leave it."""
-
-    poly: Poly
-    rel: str
-
-    def violation(self, point) -> Fraction:
-        v = self.poly.eval(point)
-        if self.rel == "=":
-            return abs(v)
-        if self.rel == "<" and v == 0:
-            return STRICT_GAP
-        return max(F0, v)
-
-    def holds(self, point) -> bool:
-        v = self.poly.eval(point)
-        if self.rel == "=":
-            return v == 0
-        if self.rel == "<":
-            return v < 0
-        return v <= 0
-
-
-@dataclass(frozen=True)
-class Or:
-    branches: tuple[tuple[Lin, ...], ...]
-
-    def violation(self, point) -> Fraction:
+def _violation(con, point) -> Fraction:
+    """How far `point` is from satisfying a row or a disjunction."""
+    if isinstance(con, Disjunction):
         return min(
-            max((c.violation(point) for c in branch), default=F0)
-            for branch in self.branches
+            max((_violation(c, point) for c in branch), default=F0)
+            for branch in (con.left, con.right)
         )
-
-    def holds(self, point) -> bool:
-        return any(all(c.holds(point) for c in branch) for branch in self.branches)
-
-
-def _is_numeral(tok: str) -> bool:
-    body = tok[1:] if tok[:1] in "+-" else tok
-    return bool(body) and all(c.isdigit() or c == "." for c in body)
-
-
-class Script:
-    def __init__(self):
-        self.variables: list[str] = []
-        self.constraints: list[Lin | Or] = []
-        self.wanted: list[str] = []
-        self.check_sat = False
-
-    # term -> Poly
-    def poly(self, node) -> Poly:
-        if isinstance(node, str):
-            if _is_numeral(node):
-                return Poly.const(Fraction(node))
-            if node in self._declared:
-                return Poly.param(node)
-            raise SolverInputError(f"undeclared symbol {node!r}")
-        if not node:
-            raise SolverInputError("empty term")
-        head, args = node[0], node[1:]
-        if head == "+":
-            acc = Poly()
-            for a in args:
-                acc = acc + self.poly(a)
-            return acc
-        if head == "-":
-            if len(args) == 1:
-                return -self.poly(args[0])
-            acc = self.poly(args[0])
-            for a in args[1:]:
-                acc = acc - self.poly(a)
-            return acc
-        if head == "*":
-            acc = Poly.const(F1)
-            for a in args:
-                acc = acc * self.poly(a)
-            return acc
-        if head == "/":
-            if len(args) != 2:
-                raise SolverInputError("/ takes two arguments")
-            num, den = self.poly(args[0]), self.poly(args[1])
-            if not den.is_constant() or den.constant_value() == 0:
-                raise SolverInputError("division by a non-constant")
-            return num.scale(1 / den.constant_value())
-        raise SolverInputError(f"unsupported term {node!r}")
-
-    def atoms(self, node) -> list[Lin]:
-        """A formula as a conjunction of atoms (no disjunction below)."""
-        out: list[Lin | Or] = self.formula(node)
-        flat: list[Lin] = []
-        for item in out:
-            if isinstance(item, Or):
-                raise SolverInputError("nested disjunction is unsupported")
-            flat.append(item)
-        return flat
-
-    def formula(self, node) -> list:
-        if node == "true":
-            return []
-        if node == "false":
-            return [Lin(Poly.const(F1), "<=")]
-        if isinstance(node, str):
-            raise SolverInputError(f"unsupported formula {node!r}")
-        head, args = node[0], node[1:]
-        if head == "and":
-            out = []
-            for a in args:
-                out.extend(self.formula(a))
-            return out
-        if head == "or":
-            if not args:
-                raise SolverInputError("empty disjunction")
-            branches = tuple(tuple(self.atoms(a)) for a in args)
-            return [Or(branches)]
-        if head in ("<=", "<", ">=", ">", "="):
-            if len(args) != 2:
-                raise SolverInputError(f"{head} takes two arguments")
-            a, b = self.poly(args[0]), self.poly(args[1])
-            if head == "<=":
-                return [Lin(a - b, "<=")]
-            if head == "<":
-                return [Lin(a - b, "<")]
-            if head == ">=":
-                return [Lin(b - a, "<=")]
-            if head == ">":
-                return [Lin(b - a, "<")]
-            return [Lin(a - b, "=")]
-        raise SolverInputError(f"unsupported formula head {head!r}")
-
-    @property
-    def _declared(self) -> set[str]:
-        return set(self.variables)
-
-    def run_command(self, form) -> None:
-        if not isinstance(form, list) or not form:
-            raise SolverInputError(f"bad command {form!r}")
-        head = form[0]
-        if head in ("set-logic", "set-info", "set-option", "exit"):
-            return
-        if head == "declare-const":
-            name, sort = form[1], form[2]
-            if sort != "Real":
-                raise SolverInputError(f"unsupported sort {sort!r}")
-            self.variables.append(name)
-            return
-        if head == "declare-fun":
-            name, params, sort = form[1], form[2], form[3]
-            if params != [] or sort != "Real":
-                raise SolverInputError("only nullary Real functions")
-            self.variables.append(name)
-            return
-        if head == "assert":
-            self.constraints.extend(self.formula(form[1]))
-            return
-        if head == "check-sat":
-            self.check_sat = True
-            return
-        if head == "get-value":
-            for name in form[1]:
-                if name not in self._declared:
-                    raise SolverInputError(f"get-value of undeclared {name!r}")
-                self.wanted.append(name)
-            return
-        raise SolverInputError(f"unsupported command {head!r}")
-
-
-def parse_script(text: str) -> Script:
-    script = Script()
-    for form in read_forms(text):
-        script.run_command(form)
-    return script
+    v = con.poly.eval(point)
+    if con.rel is Rel.EQ:
+        return abs(v)
+    if con.rel is Rel.LT and v == 0:
+        return STRICT_GAP
+    return max(F0, v)
 
 
 # -- decision ------------------------------------------------------------------
 
 
+def _substitute_row(c: PolyConstraint, point) -> PolyConstraint:
+    return PolyConstraint(c.poly.substitute(point), c.rel)
+
+
 def _substitute(con, point):
-    if isinstance(con, Or):
-        return Or(
-            tuple(
-                tuple(Lin(c.poly.substitute(point), c.rel) for c in branch)
-                for branch in con.branches
-            )
+    if isinstance(con, Disjunction):
+        return Disjunction(
+            tuple(_substitute_row(c, point) for c in con.left),
+            tuple(_substitute_row(c, point) for c in con.right),
         )
-    return Lin(con.poly.substitute(point), con.rel)
+    return _substitute_row(con, point)
 
 
 def _propagate_pins(constraints, pins: dict[str, Fraction]):
@@ -320,9 +94,9 @@ def _propagate_pins(constraints, pins: dict[str, Fraction]):
         changed = False
         rest = []
         for con in work:
-            if isinstance(con, Or):
+            if isinstance(con, Disjunction):
                 branches = []
-                for branch in con.branches:
+                for branch in (con.left, con.right):
                     rows = []
                     dead = False
                     for c in branch:
@@ -342,14 +116,14 @@ def _propagate_pins(constraints, pins: dict[str, Fraction]):
                     rest.extend(branches[0])
                     changed = True
                     continue
-                rest.append(Or(tuple(branches)))
+                rest.append(Disjunction(*branches))
                 continue
             names = con.poly.params()
             if not names:
                 if not con.holds({}):
                     return None
                 continue
-            if con.rel == "=" and len(names) == 1:
+            if con.rel is Rel.EQ and len(names) == 1:
                 (name,) = names
                 slope = con.poly.terms.get((name,), F0)
                 linear = all(len(m) <= 1 for m in con.poly.terms)
@@ -367,21 +141,15 @@ def _propagate_pins(constraints, pins: dict[str, Fraction]):
 
 
 def _linear_verdict(constraints, names):
-    """Exact simplex on Lin rows (ignores Or items entirely)."""
+    """Exact simplex on the linear rows (disjunctions and rows of degree
+    above one are left out)."""
     system = lp.LinearSystem(list(names))
+    column = {n: j for j, n in enumerate(names)}
     for con in constraints:
-        if isinstance(con, Or):
+        if isinstance(con, Disjunction) or con.poly.degree() > 1:
             continue
-        if con.poly.degree() > 1:
-            continue
-        coeffs = {n: F0 for n in names}
-        const = F0
-        for mono, c in con.poly.terms.items():
-            if len(mono) == 0:
-                const += c
-            else:
-                coeffs[mono[0]] += c
-        system.add([coeffs[n] for n in names], con.rel, -const)
+        coeffs, rhs = lp.linear_row(con.poly, column)
+        system.rows.append((coeffs, lp.REL[con.rel], rhs))
     return lp.solve_strict(system)
 
 
@@ -405,10 +173,9 @@ def _conflict_classes(constraints, names) -> tuple[list[list[str]], list[str]]:
                     adjacent[n].add(n)  # squared: can never be the free one
 
     for con in constraints:
-        if isinstance(con, Or):
-            for branch in con.branches:
-                for c in branch:
-                    see(c.poly)
+        if isinstance(con, Disjunction):
+            for c in con.left + con.right:
+                see(c.poly)
         else:
             see(con.poly)
 
@@ -456,10 +223,9 @@ def _product_blocks(constraints, names) -> tuple[list[list[str]], list[str]] | N
                 adjacent[b].add(a)
 
     for con in constraints:
-        if isinstance(con, Or):
-            for branch in con.branches:
-                for c in branch:
-                    see(c.poly)
+        if isinstance(con, Disjunction):
+            for c in con.left + con.right:
+                see(c.poly)
         else:
             see(con.poly)
 
@@ -496,10 +262,9 @@ def _harvest_pool(constraints) -> list[Fraction]:
             seen.add(abs(coeff))
 
     for con in constraints:
-        if isinstance(con, Or):
-            for branch in con.branches:
-                for c in branch:
-                    see(c.poly)
+        if isinstance(con, Disjunction):
+            for c in con.left + con.right:
+                see(c.poly)
         else:
             see(con.poly)
     base = [F0, F1, -F1, Fraction(1, 2), -Fraction(1, 2), Fraction(2), -Fraction(2)]
@@ -514,7 +279,7 @@ def _variable_bounds(constraints, names):
     lo = {n: None for n in names}
     hi = {n: None for n in names}
     for con in constraints:
-        if isinstance(con, Or) or con.rel == "=":
+        if isinstance(con, Disjunction) or con.rel is Rel.EQ:
             continue
         terms = con.poly.terms
         vs = {n for m in terms for n in m}
@@ -563,87 +328,35 @@ def _snap(work, point, best):
 
 def _branch_key(branch, point):
     return (
-        max((c.violation(point) for c in branch), default=F0),
+        max((_violation(c, point) for c in branch), default=F0),
         0 if all(c.holds(point) for c in branch) else 1,
     )
 
 
-def _or_norms(work) -> dict[int, list[frozenset[str] | None]]:
-    """Per disjunction branch: variables to pin to scale one, or None.
-
-    A branch homogeneous in variables private to its disjunction (all
-    their other appearances are single-variable rows) keeps violation
-    zero at the origin, so LP rounds leave it degenerate and the other
-    block never sees a gradient through the products.  Any solution of
-    such a branch scales, so adding "sum of private variables = 1" to
-    the branch LP is sound and forces an informative point."""
-    occurrences: dict[str, set[int]] = {}
-    for i, con in enumerate(work):
-        if isinstance(con, Or):
-            vs: set[str] = set()
-            for branch in con.branches:
-                for c in branch:
-                    vs |= c.poly.params()
-        else:
-            vs = con.poly.params()
-            if len(vs) <= 1:
-                continue  # sign and bound rows do not claim ownership
-        for v in vs:
-            occurrences.setdefault(v, set()).add(i)
-    norms: dict[int, list[frozenset[str] | None]] = {}
-    for i, con in enumerate(work):
-        if not isinstance(con, Or):
-            continue
-        per_branch: list[frozenset[str] | None] = []
-        for branch in con.branches:
-            vs = set()
-            for c in branch:
-                vs |= c.poly.params()
-            private = frozenset(v for v in vs if occurrences.get(v, {i}) == {i})
-            homogeneous = bool(private) and bool(branch) and all(
-                c.poly.terms.get((), F0) == 0
-                and all(
-                    any(n in private for n in mono)
-                    for mono in c.poly.terms
-                    if mono
-                )
-                for c in branch
-            )
-            per_branch.append(private if homogeneous else None)
-        norms[i] = per_branch
-    return norms
+def _greedy_branch(con: Disjunction, point) -> int:
+    """0 or 1: the branch with the lower `_branch_key`, left on a tie."""
+    branches = (con.left, con.right)
+    return min((0, 1), key=lambda k: _branch_key(branches[k], point))
 
 
-def _choose_branches(constraints, point, forced=None, norms=None):
+def _choose_branches(constraints, point, forced=None):
     """Freeze each disjunction to its currently least-violated branch.
 
     Ties prefer a branch that fully holds (strict rows included), so a
     zero-violation point settles on branches the final check accepts.
     `forced` (work index -> branch index) overrides the greedy choice:
-    a stuck branch can hide the satisfiable one from the LP forever.
-    With `norms` (from _or_norms), also returns the normalization sets
-    of the chosen branches."""
-    active: list[Lin] = []
-    chosen_norms: list[frozenset[str]] = []
+    a stuck branch can hide the satisfiable one from the LP forever."""
+    active: list[PolyConstraint] = []
     for i, con in enumerate(constraints):
-        if isinstance(con, Or):
+        if isinstance(con, Disjunction):
             if forced is not None and i in forced:
                 k = forced[i]
             else:
-                k = min(
-                    range(len(con.branches)),
-                    key=lambda j: _branch_key(con.branches[j], point),
-                )
-            active.extend(con.branches[k])
-            if norms is not None:
-                ns = norms[i][k]
-                if ns is not None:
-                    chosen_norms.append(ns)
+                k = _greedy_branch(con, point)
+            active.extend((con.left, con.right)[k])
         else:
             active.append(con)
-    if norms is None:
-        return active
-    return active, chosen_norms
+    return active
 
 
 def _measure(constraints, point) -> tuple[Fraction, int]:
@@ -656,7 +369,7 @@ def _measure(constraints, point) -> tuple[Fraction, int]:
     worst = F0
     unheld = 0
     for con in constraints:
-        v = con.violation(point)
+        v = _violation(con, point)
         if v > worst:
             worst = v
         elif v == 0 and not con.holds(point):
@@ -667,57 +380,37 @@ def _measure(constraints, point) -> tuple[Fraction, int]:
 MEASURE_ZERO = (F0, 0)
 
 
-def _linear_rows(rows, sub):
-    """Each residual as (coefficient row over sub, rel, rhs, local); the
-    block construction guarantees affineness, anything else is a usage
-    error."""
-    out = []
-    for residual, rel, local in rows:
-        coeffs = {n: F0 for n in sub}
-        const = F0
-        for mono, c in residual.terms.items():
-            if len(mono) == 0:
-                const += c
-            elif len(mono) == 1 and mono[0] in coeffs:
-                coeffs[mono[0]] += c
-            else:
-                raise SolverInputError(
-                    f"monomial {mono} is nonlinear within one block"
-                )
-        out.append(([coeffs[n] for n in sub], rel, -const, local))
-    return out
-
-
-def _component_lp(sub, rows, point, norms=()):
+def _component_lp(sub, rows, point):
     """Solve one connected component of a block round exactly.
 
     Rows local to the block (no other free variables anywhere in them)
     are hard constraints: they are satisfiable regardless of the rest,
     so trading them against coupling rows only smears violation onto
     constraints the other block can never repair.  Coupling rows get
-    their worst violation minimized.  `norms` are scale-one pins for
-    active homogeneous branches, added as hard rows.  If the optimum
+    their worst violation minimized.  If the optimum
     reaches zero and strict rows are present, re-solve for an interior
     point so they hold with margin.  Keeps the old values when nothing
-    improves."""
-    linear = _linear_rows(rows, sub)
-    norm_rows = []
-    for ns in norms:
-        row = [F1 if n in ns else F0 for n in sub]
-        norm_rows.append((row, "=", F1))
+    improves.
+
+    The block construction makes every residual affine over `sub`;
+    `lp.linear_row` raises on anything else."""
+    column = {n: j for j, n in enumerate(sub)}
+    linear = []
+    for residual, rel, local in rows:
+        row, rhs = lp.linear_row(residual, column)
+        linear.append((row, lp.REL[rel], rhs, local))
 
     def build(hard_local: bool):
         system = lp.LinearSystem(list(sub) + ["__worst"])
+        out = system.rows
         for row, rel, rhs, local in linear:
             if hard_local and local:
-                system.add(row + [F0], rel if rel != "<" else "<=", rhs)
+                out.append((row + [F0], rel if rel != "<" else "<=", rhs))
                 continue
-            system.add(row + [-F1], "<=", rhs)  # expr <= worst
+            out.append((row + [-F1], "<=", rhs))  # expr <= worst
             if rel == "=":
-                system.add([-c for c in row] + [-F1], "<=", -rhs)
-        for row, rel, rhs in norm_rows:
-            system.add(row + [F0], rel, rhs)
-        system.add([F0] * len(sub) + [-F1], "<=", F0)  # worst >= 0
+                out.append(([-c for c in row] + [-F1], "<=", -rhs))
+        out.append(([F0] * len(sub) + [-F1], "<=", F0))  # worst >= 0
         return lp.solve(
             system,
             objective=[F0] * len(sub) + [-F1],
@@ -726,23 +419,20 @@ def _component_lp(sub, rows, point, norms=()):
 
     res = build(hard_local=True)
     if res.status != "optimal":
-        res = build(hard_local=False)  # local rows clash with a norm pin
+        res = build(hard_local=False)  # the local rows clash among themselves
         if res.status != "optimal":
             return {n: point[n] for n in sub}
     moved = {n: res.assignment.get(n, F0) for n in sub}
     if res.value == 0 and any(rel == "<" for _, rel, _, _ in linear):
         system = lp.LinearSystem(list(sub))
-        for row, rel, rhs, _ in linear:
-            system.add(row, rel, rhs)
-        for row, rel, rhs in norm_rows:
-            system.add(row, rel, rhs)
+        system.rows.extend((row, rel, rhs) for row, rel, rhs, _ in linear)
         strict = lp.solve_strict(system)
         if strict.status == "optimal":
             moved = {n: strict.assignment.get(n, F0) for n in sub}
     return moved
 
 
-def _block_lp(active, group, point, norms=()):
+def _block_lp(active, group, point):
     """Re-optimize `group` with everything else fixed, splitting the
     affine rows into connected components solved independently.
 
@@ -772,61 +462,45 @@ def _block_lp(active, group, point, norms=()):
     for vs, _, _, _ in touched:
         for other in vs[1:]:
             parent[find(vs[0])] = find(other)
-    live_norms = [ns for ns in norms if ns <= group_set]
-    for ns in live_norms:
-        vs = sorted(ns)
-        for other in vs[1:]:
-            parent[find(vs[0])] = find(other)
     comp_vars: dict[str, set[str]] = {}
     comp_rows: dict[str, list] = {}
     for vs, residual, rel, local in touched:
         root = find(vs[0])
         comp_vars.setdefault(root, set()).update(vs)
         comp_rows.setdefault(root, []).append((residual, rel, local))
-    comp_norms: dict[str, list[frozenset[str]]] = {}
-    for ns in live_norms:
-        root = find(sorted(ns)[0])
-        if root in comp_vars:
-            comp_vars[root].update(ns)
-            comp_norms.setdefault(root, []).append(ns)
     moved: dict[str, Fraction] = {}
     for root in sorted(comp_rows):
         sub = sorted(comp_vars[root])
-        moved.update(
-            _component_lp(sub, comp_rows[root], point, comp_norms.get(root, ()))
-        )
+        moved.update(_component_lp(sub, comp_rows[root], point))
     return moved
 
 
-def decide(
-    variables: list[str],
-    constraints: list[Lin | Or],
-    restarts: int = RESTARTS,
-    rounds: int = ROUNDS,
-):
-    """-> (status, model or None); a model values every variable."""
+def decide(system: ConstraintSystem):
+    """-> (status, model or None); a model values every parameter."""
+    variables = [p.name for p in system.params]
     pins: dict[str, Fraction] = {}
-    work = _propagate_pins(constraints, pins)
+    work = _propagate_pins(system.constraints, pins)
     if work is None:
         return "unsat", None
     names = [n for n in variables if n not in pins]
 
-    def finish(point):
+    def total(point):
         model = dict(pins)
         model.update(point)
         for n in variables:
             model.setdefault(n, F0)
-        assert all(c.holds(model) for c in constraints)
-        return "sat", model
+        return model
 
     nonlinear = any(
-        (c.poly.degree() > 1) if isinstance(c, Lin) else True for c in work
-    ) or any(isinstance(c, Or) for c in work)
+        isinstance(c, Disjunction) or c.poly.degree() > 1 for c in work
+    )
     if not nonlinear:
         res = _linear_verdict(work, names)
         if res.status == "infeasible":
             return "unsat", None
-        return finish({n: res.assignment.get(n, F0) for n in names})
+        model = total({n: res.assignment.get(n, F0) for n in names})
+        assert system.holds(model)
+        return "sat", model
 
     # sound unsat screen: the linear disjunction-free subset alone
     res = _linear_verdict(work, names)
@@ -841,9 +515,8 @@ def decide(
         blocks, sampled = split
     pool = _harvest_pool(work)
     lo, hi = _variable_bounds(work, names)
-    norms = _or_norms(work)
 
-    for restart in range(restarts):
+    for restart in range(RESTARTS):
         rng = random.Random(restart)
         point: dict[str, Fraction] = {}
         for i, n in enumerate(names):
@@ -857,7 +530,7 @@ def decide(
         best = _measure(work, point)
         forced: dict[int, int] = {}
         flips: dict[int, int] = {}
-        for _ in range(rounds):
+        for _ in range(ROUNDS):
             if best == MEASURE_ZERO:
                 break
             improved = False
@@ -888,67 +561,20 @@ def decide(
                 # the LP greedily because it shows positive violation
                 flipped = False
                 for i, con in enumerate(work):
-                    if not isinstance(con, Or):
+                    if not isinstance(con, Disjunction):
                         continue
-                    if con.violation(point) != 0 or con.holds(point):
+                    if _violation(con, point) != 0 or con.holds(point):
                         continue
-                    if flips.get(i, 0) >= len(con.branches):
+                    if flips.get(i, 0) >= 2:
                         continue
-                    current = forced.get(
-                        i,
-                        min(
-                            range(len(con.branches)),
-                            key=lambda k: _branch_key(con.branches[k], point),
-                        ),
-                    )
-                    forced[i] = (current + 1) % len(con.branches)
+                    current = forced.get(i, _greedy_branch(con, point))
+                    forced[i] = 1 - current
                     flips[i] = flips.get(i, 0) + 1
                     flipped = True
                 if not flipped:
                     break
         if best == MEASURE_ZERO:
-            full = dict(pins)
-            full.update(point)
-            for n in variables:
-                full.setdefault(n, F0)
-            if all(c.holds(full) for c in constraints):
-                return "sat", full
+            model = total(point)
+            if system.holds(model):
+                return "sat", model
     return "unknown", None
-
-
-# -- entry point ---------------------------------------------------------------
-
-
-def format_rational(q: Fraction) -> str:
-    if q < 0:
-        return f"(- {format_rational(-q)})"
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"(/ {q.numerator} {q.denominator})"
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) > 1:
-        print("usage: streettsm-solver [script.smt2]", file=sys.stderr)
-        return 2
-    try:
-        text = open(args[0]).read() if args else sys.stdin.read()
-        script = parse_script(text)
-        if not script.check_sat:
-            return 0
-        status, model = decide(script.variables, script.constraints)
-    except (SolverInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(status)
-    if status == "sat" and script.wanted:
-        pairs = " ".join(
-            f"({name} {format_rational(model[name])})" for name in script.wanted
-        )
-        print(f"({pairs})")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,29 +1,19 @@
-"""Backends: SMT-LIB emission, model parsing, exact simplex, agreement."""
+"""Backends: SMT-LIB emission, exact simplex, routing, the bundled solver."""
 
-import contextlib
-import io
-import os
-import stat
-import subprocess
-import tempfile
+import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streettsm import backends, lp, smtsolver
+from streettsm import backends, smtsolver
 from streettsm.backends import (
     BackendError,
     SolverJob,
-    Verdict,
+    bundled_solve,
     decide,
     emit_smtlib,
-    extend_and_check,
-    parse_solver_output,
-    run_solver,
-    sexp_rational,
     simplex_solve,
     smt_rational,
 )
@@ -34,7 +24,7 @@ from streettsm.farkas import (
     PolyConstraint,
     farkas_general,
 )
-from tests.test_farkas import const_atom, toy_implication
+from tests.test_farkas import toy_implication
 
 P = Poly.param
 F = Fraction
@@ -60,14 +50,6 @@ def test_rational_literals_are_quotients_never_decimals():
     assert smt_rational(F(3, 2)) == "(/ 3 2)"
     assert smt_rational(F(-3, 2)) == "(- (/ 3 2))"
     assert "." not in smt_rational(F(1, 8))
-
-
-@given(st.fractions(max_denominator=10**6))
-def test_rational_round_trip_is_exact(q):
-    text = smt_rational(q)
-    tokens = backends._tokenize_sexp(text)
-    node, _ = backends._parse_sexp(tokens, 0)
-    assert sexp_rational(node) == q
 
 
 def test_emitted_script_shape():
@@ -99,30 +81,99 @@ def test_emitted_script_shape():
     assert lines[-1] == "(exit)"
 
 
-def test_emission_respects_logic_override_and_degree():
+def test_emission_declares_qf_nra_and_writes_products():
     a = Param("a", CERT)
     system = system_of([a], [le(P("a") * P("a") - Poly.const(F(4)))])
-    text = emit_smtlib(system, logic="QF_NRA")
+    text = emit_smtlib(system)
     assert "(set-logic QF_NRA)" in text
     assert "(* a a)" in text
 
 
-# -- solver output parsing ------------------------------------------------------
+def read_sexps(text: str) -> list:
+    """Every top-level form of an SMT-LIB text, as nested lists of tokens."""
+    stack: list[list] = [[]]
+    for token in text.replace("(", " ( ").replace(")", " ) ").split():
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(token)
+    (forms,) = stack
+    return forms
 
 
-def test_parse_solver_output_verdicts_and_models():
-    assert parse_solver_output("unsat\n") == ("unsat", {})
-    assert parse_solver_output("unknown\n") == ("unknown", {})
-    status, values = parse_solver_output(
-        "sat\n((a 1) (b (/ 1 2)) (c (- (/ 7 3))) (d 0.125))\n"
-    )
-    assert status == "sat"
-    assert values == {"a": F(1), "b": F(1, 2), "c": F(-7, 3), "d": F(1, 8)}
+def smt_value(node, point) -> Fraction:
+    if isinstance(node, str):
+        return Fraction(int(node)) if node.isdigit() else point[node]
+    head, *args = node
+    vals = [smt_value(a, point) for a in args]
+    if head == "+":
+        return sum(vals, F(0))
+    if head == "-":
+        return -vals[0] if len(vals) == 1 else vals[0] - sum(vals[1:], F(0))
+    if head == "*":
+        return math.prod(vals, start=F(1))
+    assert head == "/" and len(vals) == 2
+    return vals[0] / vals[1]
 
 
-def test_parse_solver_output_rejects_garbage():
-    with pytest.raises(BackendError, match="no sat/unsat/unknown"):
-        parse_solver_output("flurble\n")
+def smt_holds(node, point) -> bool:
+    if node == "true":
+        return True
+    head, *args = node
+    if head == "and":
+        return all(smt_holds(a, point) for a in args)
+    if head == "or":
+        return any(smt_holds(a, point) for a in args)
+    lhs, rhs = (smt_value(a, point) for a in args)
+    return {"<=": lhs <= rhs, "<": lhs < rhs, "=": lhs == rhs}[head]
+
+
+@given(st.fractions(max_denominator=10**6))
+def test_rational_round_trip_is_exact(q):
+    (node,) = read_sexps(smt_rational(q))
+    assert smt_value(node, {}) == q
+
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+# monomials of degree 0 to 2 over one certificate and one multiplier name
+quadratic_polys = st.dictionaries(
+    st.sampled_from([(), ("a",), ("z",), ("a", "a"), ("a", "z")]),
+    small_fracs,
+).map(Poly)
+
+emitted_rows = st.builds(
+    PolyConstraint, quadratic_polys, st.sampled_from([Rel.LE, Rel.LT, Rel.EQ])
+)
+emitted_items = st.one_of(
+    emitted_rows,
+    st.builds(
+        Disjunction,
+        st.lists(emitted_rows, max_size=2).map(tuple),
+        st.lists(emitted_rows, max_size=2).map(tuple),
+    ),
+)
+
+
+@given(
+    st.lists(emitted_items, max_size=5),
+    st.fixed_dictionaries({"a": small_fracs, "z": small_fracs}),
+)
+@settings(max_examples=40)
+def test_emitted_asserts_hold_exactly_where_the_system_holds(items, point):
+    system = system_of([Param("a", CERT), Param("z", MULT)], items)
+    forms = read_sexps(emit_smtlib(system))
+    assert forms[0] == ["set-logic", "QF_NRA"]
+    assert ["declare-const", "a", "Real"] in forms
+    assert ["declare-const", "z", "Real"] in forms
+    asserts = [f[1] for f in forms if f[0] == "assert"]
+    assert len(asserts) == len(items)
+    for body, item in zip(asserts, items):
+        assert smt_holds(body, point) == item.holds(point)
+    assert forms[-3:] == [["check-sat"], ["get-value", ["a"]], ["exit"]]
 
 
 # -- exact simplex route --------------------------------------------------------
@@ -234,107 +285,68 @@ def test_empty_system_is_trivially_sat():
     assert decide(SolverJob(system_of([], []))).status == "sat"
 
 
-# -- completing partial models --------------------------------------------------
+# -- routing and the bundled solver ---------------------------------------------
 
 
-def test_extension_recovers_multipliers_through_equalities():
-    th = Param("th", CERT)
-    z = Param("z", MULT)
-    system = system_of(
-        [th, z],
-        [
-            PolyConstraint(P("th") - P("z"), Rel.EQ),
-            le(Poly() - P("z")),
-            le(P("th") - Poly.const(F(5))),
-        ],
-    )
-    full = extend_and_check(system, {"th": F(3)})
-    assert full == {"th": F(3), "z": F(3)}
-    assert extend_and_check(system, {"th": F(-1)}) is None  # z >= 0 fails
+def test_decide_routes_lp_only_for_all_linear(monkeypatch):
+    # the route is read from the system: linear and disjunction-free goes
+    # to the simplex, a product or a disjunction to the bundled solver
+    routes = []
+    for name in ("simplex_solve", "bundled_solve"):
+        original = getattr(backends, name)
 
+        def spy(system, original=original, name=name):
+            routes.append(name)
+            return original(system)
 
-def test_extension_solves_disjunctive_blocks_by_lp():
-    impl = toy_implication()
-    dual = farkas_general(impl, "z0")
-    system = system_of(list(dual.zs), dual.items())
-    full = extend_and_check(system, {})
-    assert full is not None
-    assert system.holds(full)
-
-
-def test_extension_fails_on_unsatisfiable_reports():
+        monkeypatch.setattr(backends, name, spy)
     a = Param("a", CERT)
-    system = system_of([a], [le(Poly.const(F(1)) - P("a"))])  # a >= 1
-    assert extend_and_check(system, {"a": F(0)}) is None
+    linear = system_of([a], [le(P("a") - Poly.const(F(1)))])
+    quad = system_of([a], [le(P("a") * P("a") - Poly.const(F(1)))])
+    disj = system_of([a], [Disjunction((le(P("a")),), (le(Poly() - P("a")),))])
+    for system, route in [
+        (linear, "simplex_solve"),
+        (quad, "bundled_solve"),
+        (disj, "bundled_solve"),
+    ]:
+        routes.clear()
+        assert decide(SolverJob(system)).status == "sat"
+        assert routes == [route]
 
 
-# -- subprocess driver ----------------------------------------------------------
-
-
-def fake_solver(tmp_path, name: str, body: str) -> str:
-    path = tmp_path / name
-    path.write_text(f"#!/bin/sh\n{body}\n")
-    path.chmod(path.stat().st_mode | stat.S_IEXEC)
-    return str(path)
-
-
-def test_run_solver_times_out_to_unknown(tmp_path):
-    slow = fake_solver(tmp_path, "slow", "sleep 5\necho sat")
-    status, values = run_solver("(check-sat)", solver=slow, timeout=0.2)
-    assert status == "unknown"
-    assert values == {}
-
-
-def test_run_solver_surfaces_nonzero_exit(tmp_path):
-    broken = fake_solver(tmp_path, "broken", "echo boom >&2\nexit 3")
-    with pytest.raises(BackendError, match="exited 3.*boom"):
-        run_solver("(check-sat)", solver=broken)
-
-
-def test_run_solver_surfaces_malformed_output(tmp_path):
-    weird = fake_solver(tmp_path, "weird", "echo flurble")
-    with pytest.raises(BackendError, match="no sat/unsat/unknown"):
-        run_solver("(check-sat)", solver=weird)
-
-
-def test_run_solver_honors_environment_variable(tmp_path, monkeypatch):
-    envsolver = fake_solver(tmp_path, "envsolver", "echo unsat")
-    monkeypatch.setenv(backends.SOLVER_ENV_VAR, envsolver)
-    assert run_solver("(check-sat)") == ("unsat", {})
-
-
-def test_run_solver_without_a_configured_solver_names_the_variable(
-    monkeypatch,
-):
-    monkeypatch.delenv(backends.SOLVER_ENV_VAR, raising=False)
-    with pytest.raises(BackendError, match=backends.SOLVER_ENV_VAR):
-        run_solver("(check-sat)")
-
-
-def test_decide_rejects_lying_solvers(tmp_path):
-    liar = fake_solver(tmp_path, "liar", "echo sat\necho '((a 0))'")
+def test_decide_rejects_lying_solvers(monkeypatch):
     a = Param("a", CERT)
     system = system_of(
         [a], [le(Poly.const(F(1)) - P("a") * P("a"))]  # a*a >= 1
     )
+    monkeypatch.setattr(
+        smtsolver, "decide", lambda system: ("sat", {"a": F(0)})
+    )
     with pytest.raises(BackendError, match="exact re-check"):
-        decide(SolverJob(system, backend="smt", solver=liar))
+        decide(SolverJob(system))
 
 
-def test_decide_routes_lp_only_for_all_linear():
-    a = Param("a", CERT)
-    quad = system_of([a], [le(P("a") * P("a"))])
-    with pytest.raises(ValueError, match="all-linear"):
-        decide(SolverJob(quad, backend="lp"))
-    with pytest.raises(ValueError, match="unknown backend"):
-        decide(SolverJob(quad, backend="qcp"))
+def test_default_smt_route_runs_in_process():
+    # a linear unsat system comes back from the simplex with its Farkas ray
+    x = Param("x", CERT)
+    unsat = system_of(
+        [x], [le(P("x") - Poly.const(F(1))), le(Poly.const(F(2)) - P("x"))]
+    )
+    verdict = decide(SolverJob(unsat))
+    assert verdict.status == "unsat"
+    _assert_farkas_ray(unsat, verdict.ray)
+    # a disjunctive dual is decided by the bundled solver as a function
+    # call, with a model over every parameter, multipliers included
+    dual = farkas_general(toy_implication(), "z0")
+    system = system_of(list(dual.zs), dual.items())
+    assert system.has_disjunction()
+    verdict = decide(SolverJob(system))
+    assert verdict.status == "sat"
+    assert set(verdict.witness) == {p.name for p in system.params}
+    assert system.holds(verdict.witness)
 
 
-# -- against the bundled solver --------------------------------------------------
-
-
-def test_bundled_solver_answers_quadratic_sat_and_unsat(monkeypatch):
-    monkeypatch.delenv(backends.SOLVER_ENV_VAR, raising=False)
+def test_bundled_solver_answers_quadratic_sat_and_unsat():
     a = Param("a", CERT)
     sat_sys = system_of(
         [a],
@@ -344,17 +356,16 @@ def test_bundled_solver_answers_quadratic_sat_and_unsat(monkeypatch):
             le(Poly.const(F(-10)) - P("a")),
         ],
     )
-    verdict = decide(SolverJob(sat_sys, backend="smt", timeout=60))
+    verdict = bundled_solve(sat_sys)
     assert verdict.status == "sat"
     assert sat_sys.holds(verdict.witness)
     unsat_sys = system_of([a], [le(P("a")), le(Poly.const(F(1)) - P("a"))])
-    assert decide(SolverJob(unsat_sys, backend="smt")).status == "unsat"
+    assert bundled_solve(unsat_sys).status == "unsat"
 
 
-def test_bundled_solver_checks_a_second_pin_on_one_name(monkeypatch):
+def test_bundled_solver_checks_a_second_pin_on_one_name():
     # 1 + b = 0 and b = 0 pin b twice in one sweep; the second pin is a
     # contradiction, not a new value
-    monkeypatch.delenv(backends.SOLVER_ENV_VAR, raising=False)
     a, b = Param("a", CERT), Param("b", CERT)
     system = system_of(
         [a, b],
@@ -364,7 +375,7 @@ def test_bundled_solver_checks_a_second_pin_on_one_name(monkeypatch):
         ],
     )
     assert simplex_solve(system).status == "unsat"
-    assert decide(SolverJob(system, backend="smt")).status == "unsat"
+    assert bundled_solve(system).status == "unsat"
 
 
 linear_polys = st.builds(
@@ -394,46 +405,24 @@ def linear_systems(draw):
 @settings(deadline=None, max_examples=40)
 def test_lp_and_smt_backends_agree(system):
     by_lp = simplex_solve(system)
-    with mock.patch.dict(os.environ):
-        os.environ.pop(backends.SOLVER_ENV_VAR, None)
-        by_smt = decide(SolverJob(system, backend="smt", timeout=60))
+    by_smt = bundled_solve(system)
     assert by_lp.status == by_smt.status
     if by_lp.status == "sat":
         assert system.holds(by_lp.witness)
         assert system.holds(by_smt.witness)
 
 
-def test_default_smt_route_runs_in_process(monkeypatch):
-    # no solver on PATH, none configured, and no subprocess allowed: the
-    # bundled solver must answer as a function call, multipliers included
-    monkeypatch.setenv("PATH", "")
-    monkeypatch.delenv(backends.SOLVER_ENV_VAR, raising=False)
-
-    def no_subprocess(*args, **kwargs):
-        raise AssertionError("the default smt route started a subprocess")
-
-    monkeypatch.setattr(subprocess, "run", no_subprocess)
-    dual = farkas_general(toy_implication(), "z0")
-    system = system_of(list(dual.zs), dual.items())
-    assert system.has_disjunction()
-    verdict = decide(SolverJob(system, backend="smt"))
-    assert verdict.status == "sat"
-    assert set(verdict.witness) == {p.name for p in system.params}
-    assert system.holds(verdict.witness)
-
-
 @given(linear_systems())
 @settings(max_examples=40)
 def test_bundled_smtlib_front_end_agrees_with_simplex(system):
-    # the SMT-LIB reader stays covered without the console script
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "system.smt2")
-        with open(path, "w") as handle:
-            handle.write(emit_smtlib(system))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert smtsolver.main([path]) == 0
-    status, values = parse_solver_output(out.getvalue())
-    assert status == simplex_solve(system).status
-    if status == "sat":
-        assert system.holds(values)
+    # the emitted SMT-LIB holds at the models of both routes, and the
+    # bundled solver and the simplex agree on the verdict
+    asserts = [
+        f[1] for f in read_sexps(emit_smtlib(system)) if f[0] == "assert"
+    ]
+    by_lp = simplex_solve(system)
+    by_smt = bundled_solve(system)
+    assert by_smt.status == by_lp.status
+    if by_lp.status == "sat":
+        for witness in (by_lp.witness, by_smt.witness):
+            assert all(smt_holds(body, witness) for body in asserts)

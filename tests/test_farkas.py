@@ -1,4 +1,4 @@
-"""Farkas transform: dual shapes, routing, QCP lowering, differential oracle."""
+"""Farkas transform: dual shapes, routing, differential oracle."""
 
 import dataclasses
 import itertools
@@ -15,7 +15,6 @@ from streettsm.backends import simplex_solve
 from streettsm.benchmarks import load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from streettsm.farkas import (
-    ConstraintSystem,
     Disjunction,
     PolyConstraint,
     assemble,
@@ -24,7 +23,6 @@ from streettsm.farkas import (
     farkas_premise_sat,
     implication_valid_bruteforce,
     premise_feasible,
-    rewrite_qcp,
     transform,
 )
 from streettsm.model import parse_model
@@ -396,80 +394,6 @@ def test_dumps_are_readable():
     assert dump.startswith("params:")
     assert "max degree: 2" in dump
     assert "or:" in dump
-
-
-# -- QCP lowering --------------------------------------------------------------
-
-
-def quartic_system() -> ConstraintSystem:
-    c3 = PolyConstraint(P("a") * P("b") * P("c") - Poly.const(ONE), Rel.LE)
-    cx3 = PolyConstraint(P("x") * P("x") * P("x") - P("x"), Rel.LE)
-    c4 = PolyConstraint(P("a") * P("b") * P("c") * P("d"), Rel.EQ)
-    disj = Disjunction(
-        (c4,), (PolyConstraint(P("a") - Poly.const(Fraction(2)), Rel.LT),)
-    )
-    params = tuple(Param(n, ParamKind.CERT) for n in "abcdx")
-    return ConstraintSystem(params, (c3, cx3, disj))
-
-
-def test_qcp_rewrite_lowers_degree_to_two():
-    system = quartic_system()
-    assert system.degree() == 4
-    lowered = rewrite_qcp(system)
-    assert lowered.degree() == 2
-    # one product variable per distinct factor pair, with its definition
-    defs = [
-        c for c in lowered.constraints
-        if isinstance(c, PolyConstraint) and c.rel == Rel.EQ
-        and any(n.startswith("qv") for mono in c.poly.terms for n in mono)
-    ]
-    assert PolyConstraint(P("qv0") - P("a") * P("b"), Rel.EQ) in defs
-    assert PolyConstraint(P("qv1") - P("x") * P("x"), Rel.EQ) in defs
-    assert PolyConstraint(P("qv2") - P("c") * P("d"), Rel.EQ) in defs
-    fresh = [p for p in lowered.params if p.name.startswith("qv")]
-    assert [p.name for p in fresh] == ["qv0", "qv1", "qv2"]
-    assert all(p.kind == ParamKind.MULTIPLIER for p in fresh)
-
-
-@given(
-    st.fixed_dictionaries(
-        {
-            n: st.fractions(min_value=-3, max_value=3, max_denominator=4)
-            for n in "abcdx"
-        }
-    )
-)
-@settings(deadline=None)
-def test_qcp_rewrite_preserves_meaning(valuation):
-    system = quartic_system()
-    lowered = rewrite_qcp(system)
-    extended = dict(valuation)
-    extended["qv0"] = valuation["a"] * valuation["b"]
-    extended["qv1"] = valuation["x"] * valuation["x"]
-    extended["qv2"] = valuation["c"] * valuation["d"]
-    assert system.holds(valuation) == lowered.holds(extended)
-
-
-def test_qcp_rewrite_is_identity_at_low_degree():
-    impl = templated_control_implication()
-    system = assemble(
-        VCSet((impl,), tuple(
-            Param(n, ParamKind.CERT)
-            for n in ("alpha0", "alpha1", "beta0", "beta1", "kappa",
-                      "eta1", "eta2", "eta3", "eta4")
-        ), ()),
-        [farkas_general(impl, "z0")],
-    )
-    assert rewrite_qcp(system) is system
-
-
-def test_qcp_rewrite_refuses_colliding_names():
-    cubic = PolyConstraint(P("qv0") * P("qv0") * P("qv0"), Rel.LE)
-    system = ConstraintSystem(
-        (Param("qv0", ParamKind.CERT),), (cubic,)
-    )
-    with pytest.raises(ValueError, match="taken"):
-        rewrite_qcp(system)
 
 
 # -- differential against the brute-force validity oracle ----------------------
