@@ -232,10 +232,17 @@ def validate_dsa(
     for atom in (a for t in dsa.transitions for a in t.atoms):
         if not atom.form.is_param_free():
             raise SourceError("automaton guards must be parameter-free", 1, 1)
+    # modes in which the same transitions are live share their guard set:
+    # screen each distinct set once (a repeated one has already passed)
+    screened: set[tuple[tuple[Atom, ...], ...]] = set()
     for q in dsa.states:
         outgoing = dsa.outgoing(q)
         for mode in modes:
             live = [t for t in outgoing if t.applies_in_mode(mode)]
+            guards = tuple(t.atoms for t in live)
+            if guards in screened:
+                continue
+            screened.add(guards)
             for t1, t2 in itertools.combinations(live, 2):
                 res = atoms_feasible(list(t1.atoms + t2.atoms), variables)
                 if res.status == "optimal":
@@ -247,8 +254,7 @@ def validate_dsa(
                         t2.line,
                         1,
                     )
-            guards = [t.atoms for t in live]
-            ok, region, point = guards_cover_space(guards, variables)
+            ok, region, point = guards_cover_space(list(guards), variables)
             if not ok:
                 desc = " and ".join(str(a) for a in region) or "true"
                 raise SourceError(

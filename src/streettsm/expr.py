@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -165,16 +166,30 @@ class Poly:
 
     # -- evaluation / substitution -----------------------------------------
 
-    def eval(self, valuation: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
+    def eval(self, valuation: Mapping[str, Fraction | int]) -> Fraction:
+        """The exact value at `valuation`, a `Fraction` equal to the fold
+        sum(coeff * prod(values)).
+
+        Each term is multiplied out as an int numerator and denominator and
+        added to one int numerator over the lcm of the term denominators
+        (one gcd per term whose denominator differs); a single `Fraction` is
+        normalised at the end.  Raises KeyError on an unbound parameter."""
+        num, den = 0, 1
         for mono, coeff in self.terms.items():
-            prod = coeff
+            n, d = coeff.numerator, coeff.denominator
             for name in mono:
                 if name not in valuation:
                     raise KeyError(f"parameter {name} unbound")
-                prod *= valuation[name]
-            total += prod
-        return total
+                x = valuation[name]
+                n *= x.numerator
+                d *= x.denominator
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+        return Fraction(num, den)
 
     def substitute(self, valuation: Mapping[str, Fraction]) -> "Poly":
         """Replace any bound parameters by rationals; others stay symbolic."""

@@ -49,6 +49,13 @@ max t subject to strict rows tightened by t and t <= 1; the strict system
 is feasible iff the optimum is positive.  This is how guard disjointness,
 automaton totality and premise screening are decided exactly.
 
+Row layout.  A row's coefficients are a sparse `Row`: a tuple of
+(column, Fraction) pairs in ascending column order, with no zero
+coefficient, so equal rows are equal tuples.  Columns and row order are
+those of the dense layout, so Bland's rule takes the same pivots.  The
+producers (`LinearSystem.add`, `system_from_atoms`, `linear_row`) emit
+this form; objectives stay dense lists aligned with the variables.
+
 Everything is deterministic; Bland's rule guarantees termination.
 """
 
@@ -61,7 +68,8 @@ from typing import Literal, Mapping, Sequence
 
 from .expr import Atom, Poly, Rel
 
-Row = list[Fraction]
+# sparse coefficients: (column, coeff) pairs, ascending, no zero coeff
+Row = tuple[tuple[int, Fraction], ...]
 
 # the LP relation of each normalized constraint relation (`Rel.EQ.value`
 # is "==", which `LinearSystem` does not accept)
@@ -77,23 +85,28 @@ def _frac(x) -> Fraction:
 
 @dataclass
 class LinearSystem:
-    """Constraint rows over named variables."""
+    """Constraint rows over named variables.
+
+    Each row is (coeffs, rel, rhs): `coeffs` a sparse `Row` of
+    (column, Fraction) pairs, ascending and zero-free, over the indices of
+    `variables`; rel in {"<=", "<", "="}; rhs a `Fraction`."""
 
     variables: list[str]
-    # (coeffs aligned with `variables`, rel in {"<=", "<", "="}, rhs)
     rows: list[tuple[Row, str, Fraction]] = field(default_factory=list)
 
     def add(self, coeffs: Sequence[Fraction], rel: str, rhs) -> None:
-        """Append one row, checked and converted to `Fraction`.
+        """Append one dense row, checked, converted to `Fraction` and
+        stored sparse.
 
         The checked entry point for callers that hold plain numbers.
         Rows built by `linear_row` or `system_from_atoms` are already
-        `Fraction` and go straight into `rows`."""
+        sparse `Fraction` rows and go straight into `rows`."""
         if len(coeffs) != len(self.variables):
             raise ValueError("coefficient/variable length mismatch")
         if rel not in ("<=", "<", "="):
             raise ValueError(f"unsupported relation {rel!r}")
-        self.rows.append(([_frac(c) for c in coeffs], rel, _frac(rhs)))
+        row = tuple((j, _frac(c)) for j, c in enumerate(coeffs) if c)
+        self.rows.append((row, rel, _frac(rhs)))
 
 
 @dataclass
@@ -109,15 +122,11 @@ def _sign_bounds(rows: list[tuple[Row, str, Fraction]]) -> dict[int, int]:
     """Variable index -> the first input row  -a x_j <= 0  (a > 0)."""
     bound_row: dict[int, int] = {}
     for i, (coeffs, rel, rhs) in enumerate(rows):
-        if rel != "<=" or rhs != 0:
+        if len(coeffs) != 1 or rel != "<=" or rhs != 0:
             continue
-        support = [j for j, cf in enumerate(coeffs) if cf]
-        if (
-            len(support) == 1
-            and coeffs[support[0]] < 0
-            and support[0] not in bound_row
-        ):
-            bound_row[support[0]] = i
+        ((j, cf),) = coeffs
+        if cf < 0 and j not in bound_row:
+            bound_row[j] = i
     return bound_row
 
 
@@ -197,16 +206,15 @@ def solve(
         coeffs, rel, rhs = rows[i]
         # a negative scale flips the row to a non-negative rhs
         flip = rhs < 0
-        scale = lcm(rhs.denominator, *(cf.denominator for cf in coeffs if cf))
+        scale = lcm(rhs.denominator, *(cf.denominator for _, cf in coeffs))
         if flip:
             scale = -scale
         row: dict[int, int] = {}
-        for j, cf in enumerate(coeffs):
-            if cf:
-                v = cf.numerator * (scale // cf.denominator)
-                row[col_of[j]] = v
-                if j not in bound_row:
-                    row[col_of[j] + 1] = -v
+        for j, cf in coeffs:
+            v = cf.numerator * (scale // cf.denominator)
+            row[col_of[j]] = v
+            if j not in bound_row:
+                row[col_of[j] + 1] = -v
         if rel == "<=":
             row[slack_of_row[r]] = scale
         if r in art_of_row:
@@ -274,11 +282,16 @@ def solve(
                 else:
                     pi = Fraction(-obj.get(slack_of_row[r], 0), den)
                 farkas[i] = pi if flipped[r] else -pi
+            # sum_k y_k a_kj over the kept rows, for every bounded j at once
+            residual: dict[int, Fraction] = {}
+            for k in kept:
+                y = farkas[k]
+                if y:
+                    for j, cf in rows[k][0]:
+                        if j in bound_row:
+                            residual[j] = residual.get(j, _ZERO) + y * cf
             for j, i in bound_row.items():
-                residual = sum(
-                    (farkas[k] * rows[k][0][j] for k in kept), _ZERO
-                )
-                farkas[i] = residual / -rows[i][0][j]
+                farkas[i] = residual.get(j, _ZERO) / -rows[i][0][0][1]
             return LPResult(status="infeasible", farkas=farkas)
 
         # drop redundant rows whose artificial cannot leave the basis
@@ -365,16 +378,15 @@ def solve_strict(system: LinearSystem) -> LPResult:
     if not any(rel == "<" for _, rel, _ in system.rows):
         return feasible(system)
     nv = len(system.variables)
+    t = ((nv, _ONE),)
     aug = LinearSystem(
         system.variables + ["__t"],
         [
-            (coeffs + [_ONE], "<=", rhs)
-            if rel == "<"
-            else (coeffs + [_ZERO], rel, rhs)
+            (coeffs + t, "<=", rhs) if rel == "<" else (coeffs, rel, rhs)
             for coeffs, rel, rhs in system.rows
         ],
     )
-    aug.rows.append(([_ZERO] * nv + [_ONE], "<=", _ONE))
+    aug.rows.append((t, "<=", _ONE))
     res = solve(aug, objective=[_ZERO] * nv + [_ONE], maximize=True)
     if res.status == "infeasible" or (
         res.status == "optimal" and (res.value is None or res.value <= 0)
@@ -391,13 +403,13 @@ def system_from_atoms(
     """Parameter-free comparison atoms as LP rows (strictness preserved).
 
     Each constant is read straight from the canonical `Poly` terms (a
-    parameter-free `Poly` has at most the key `()`)."""
+    parameter-free `Poly` has at most the key `()`, and no zero value)."""
     out = LinearSystem(list(variables))
     column = {v: j for j, v in enumerate(variables)}
     for atom in atoms:
         for le in atom.normalized_le():
             form = le.form
-            coeffs = [_ZERO] * len(column)
+            coeffs = []
             for v, p in form.coeffs.items():
                 j = column.get(v)
                 if j is None:
@@ -408,21 +420,25 @@ def system_from_atoms(
                 terms = p.terms
                 if len(terms) > 1 or (terms and () not in terms):
                     raise ValueError(f"parameter-bearing coefficient on {v}")
-                coeffs[j] = terms.get((), _ZERO)
+                if terms:
+                    coeffs.append((j, terms[()]))
             const = form.const.terms
             if len(const) > 1 or (const and () not in const):
                 raise ValueError("parameter-bearing constant term")
             rhs = -const[()] if const else _ZERO
-            out.rows.append((coeffs, "<" if le.strict() else "<=", rhs))
+            coeffs.sort()
+            out.rows.append(
+                (tuple(coeffs), "<" if le.strict() else "<=", rhs)
+            )
     return out
 
 
 def linear_row(poly: Poly, column: Mapping[str, int]) -> tuple[Row, Fraction]:
-    """The affine `poly REL 0` as the row `coeffs . x REL rhs`: coefficients
-    over `column` (name -> index) and rhs, both read straight from the
-    canonical terms.  Raises ValueError on a nonlinear monomial or one over
-    a name not in `column`."""
-    coeffs = [_ZERO] * len(column)
+    """The affine `poly REL 0` as the row `coeffs . x REL rhs`: a sparse
+    `Row` over `column` (name -> index) and rhs, both read straight from
+    the canonical terms.  Raises ValueError on a nonlinear monomial or one
+    over a name not in `column`."""
+    coeffs = []
     rhs = _ZERO
     for mono, c in poly.terms.items():
         if not mono:
@@ -433,8 +449,9 @@ def linear_row(poly: Poly, column: Mapping[str, int]) -> tuple[Row, Fraction]:
             raise ValueError(
                 f"monomial {mono} is not linear over {list(column)}"
             )
-        coeffs[j] = c
-    return coeffs, rhs
+        coeffs.append((j, c))
+    coeffs.sort()
+    return tuple(coeffs), rhs
 
 
 def atoms_feasible(

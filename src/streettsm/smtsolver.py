@@ -326,11 +326,8 @@ def _snap(work, point, best):
     return point, best
 
 
-def _branch_key(branch, point):
-    return (
-        max((_violation(c, point) for c in branch), default=F0),
-        0 if all(c.holds(point) for c in branch) else 1,
-    )
+def _branch_key(branch, point) -> Fraction:
+    return max((_violation(c, point) for c in branch), default=F0)
 
 
 def _greedy_branch(con: Disjunction, point) -> int:
@@ -339,45 +336,32 @@ def _greedy_branch(con: Disjunction, point) -> int:
     return min((0, 1), key=lambda k: _branch_key(branches[k], point))
 
 
-def _choose_branches(constraints, point, forced=None):
+def _choose_branches(constraints, point):
     """Freeze each disjunction to its currently least-violated branch.
 
-    Ties prefer a branch that fully holds (strict rows included), so a
-    zero-violation point settles on branches the final check accepts.
-    `forced` (work index -> branch index) overrides the greedy choice:
-    a stuck branch can hide the satisfiable one from the LP forever."""
+    A branch at violation zero fully holds (strict rows included, see
+    `STRICT_GAP`), so a zero-violation point settles on branches the
+    final check accepts."""
     active: list[PolyConstraint] = []
-    for i, con in enumerate(constraints):
+    for con in constraints:
         if isinstance(con, Disjunction):
-            if forced is not None and i in forced:
-                k = forced[i]
-            else:
-                k = _greedy_branch(con, point)
-            active.extend((con.left, con.right)[k])
+            active.extend((con.left, con.right)[_greedy_branch(con, point)])
         else:
             active.append(con)
     return active
 
 
-def _measure(constraints, point) -> tuple[Fraction, int]:
-    """(worst violation, items at violation zero that still do not hold).
+def _measure(constraints, point) -> Fraction:
+    """The worst violation over the rows and disjunctions, each evaluated
+    once.
 
-    The second part makes strict rows visible: a homogeneous strict row
-    sits at violation zero without holding, so the plain worst-violation
-    objective alone would call a useless point converged.  The measure is
-    compared lexicographically and (0, 0) means the point is a model."""
-    worst = F0
-    unheld = 0
-    for con in constraints:
-        v = _violation(con, point)
-        if v > worst:
-            worst = v
-        elif v == 0 and not con.holds(point):
-            unheld += 1
-    return worst, unheld
+    Zero means the point is a model: with `STRICT_GAP` a row or a
+    disjunction is at violation zero exactly when it holds, so a strict
+    row on its boundary is never taken for converged."""
+    return max((_violation(con, point) for con in constraints), default=F0)
 
 
-MEASURE_ZERO = (F0, 0)
+MEASURE_ZERO = F0
 
 
 def _component_lp(sub, rows, point):
@@ -399,18 +383,21 @@ def _component_lp(sub, rows, point):
     for residual, rel, local in rows:
         row, rhs = lp.linear_row(residual, column)
         linear.append((row, lp.REL[rel], rhs, local))
+    worst = ((len(sub), -F1),)  # the column of "__worst", negated
 
     def build(hard_local: bool):
         system = lp.LinearSystem(list(sub) + ["__worst"])
         out = system.rows
         for row, rel, rhs, local in linear:
             if hard_local and local:
-                out.append((row + [F0], rel if rel != "<" else "<=", rhs))
+                out.append((row, rel if rel != "<" else "<=", rhs))
                 continue
-            out.append((row + [-F1], "<=", rhs))  # expr <= worst
+            out.append((row + worst, "<=", rhs))  # expr <= worst
             if rel == "=":
-                out.append(([-c for c in row] + [-F1], "<=", -rhs))
-        out.append(([F0] * len(sub) + [-F1], "<=", F0))  # worst >= 0
+                out.append(
+                    (tuple((j, -c) for j, c in row) + worst, "<=", -rhs)
+                )
+        out.append((worst, "<=", F0))  # worst >= 0
         return lp.solve(
             system,
             objective=[F0] * len(sub) + [-F1],
@@ -528,14 +515,12 @@ def decide(system: ConstraintSystem):
                     value += Fraction(rng.randrange(-8, 9), 4)
             point[n] = _clamp(value, lo[n], hi[n])
         best = _measure(work, point)
-        forced: dict[int, int] = {}
-        flips: dict[int, int] = {}
         for _ in range(ROUNDS):
             if best == MEASURE_ZERO:
                 break
             improved = False
             for group in blocks:
-                active = _choose_branches(work, point, forced)
+                active = _choose_branches(work, point)
                 moved = _block_lp(active, group, point)
                 if moved is None:
                     continue
@@ -556,23 +541,7 @@ def decide(system: ConstraintSystem):
                         point, best = candidate, value
                         improved = True
             if not improved:
-                # flip the branch of disjunctions stuck at violation zero
-                # without holding; their satisfiable branch never enters
-                # the LP greedily because it shows positive violation
-                flipped = False
-                for i, con in enumerate(work):
-                    if not isinstance(con, Disjunction):
-                        continue
-                    if _violation(con, point) != 0 or con.holds(point):
-                        continue
-                    if flips.get(i, 0) >= 2:
-                        continue
-                    current = forced.get(i, _greedy_branch(con, point))
-                    forced[i] = 1 - current
-                    flips[i] = flips.get(i, 0) + 1
-                    flipped = True
-                if not flipped:
-                    break
+                break
         if best == MEASURE_ZERO:
             model = total(point)
             if system.holds(model):

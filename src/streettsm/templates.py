@@ -154,12 +154,21 @@ def _image_with_sample(
 
 
 def _joint_guard_feasible(
-    guard: tuple[Atom, ...], variables: tuple[str, ...]
+    guard: tuple[Atom, ...],
+    variables: tuple[str, ...],
+    screens: dict[tuple[Atom, ...], bool],
 ) -> bool:
-    """False only when the guard is parameter-free and LP-infeasible."""
-    if not all(a.form.is_param_free() for a in guard):
-        return True
-    return atoms_feasible(list(guard), variables).status == "optimal"
+    """False only when the guard is parameter-free and LP-infeasible.
+
+    Locations share their edges and branches, so each distinct guard is
+    decided once per call, its answer kept in `screens`."""
+    ok = screens.get(guard)
+    if ok is None:
+        ok = not all(a.form.is_param_free() for a in guard) or (
+            atoms_feasible(list(guard), variables).status == "optimal"
+        )
+        screens[guard] = ok
+    return ok
 
 
 def post_expectation(
@@ -185,13 +194,16 @@ def post_expectation(
                                 "disturbance monomial in an update"
                             )
     pieces: list[PostPiece] = []
+    screens: dict[tuple[Atom, ...], bool] = {}
     for q, m in locations(model, dsa):
         for edge in dsa.outgoing(q):
             if not edge.applies_in_mode(m):
                 continue
             for br in model.branches_for_mode(m):
                 guard = br.guard + edge.atoms
-                if not _joint_guard_feasible(guard, model.state_vars):
+                if not _joint_guard_feasible(
+                    guard, model.state_vars, screens
+                ):
                     continue
                 target = (edge.target, br.mode_to)
                 vnext = V.pieces[target]
@@ -219,13 +231,16 @@ def manual_post_lookup(
     if not model.manual_post:
         raise ValueError("model has no manual post table")
     pieces: list[PostPiece] = []
+    screens: dict[tuple[Atom, ...], bool] = {}
     for q, m in locations(model, dsa):
         for edge in dsa.outgoing(q):
             if not edge.applies_in_mode(m):
                 continue
             for blk in model.post_blocks_for_mode(m):
                 guard = blk.guard + edge.atoms
-                if not _joint_guard_feasible(guard, model.state_vars):
+                if not _joint_guard_feasible(
+                    guard, model.state_vars, screens
+                ):
                     continue
                 form = LinForm()
                 for case in blk.cases:

@@ -191,3 +191,50 @@ def test_linform_substitution_commutes_with_eval(c1, c0, d1, d0):
     for xv in (F(0), F(1), F(-7, 3)):
         inner = g.eval({}, {"x": xv})
         assert composed.eval({}, {"x": xv}) == v.eval({}, {"x": inner})
+
+
+# numerators up to 10^12, denominators up to 10^9
+big = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**9))
+big_nonzero = big.filter(bool)
+big_values = st.one_of(big, st.integers(-10**12, 10**12))
+
+
+@st.composite
+def deep_polys(draw):
+    """Up to 6 terms of degree <= 3 over a, b, c (possibly none)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mono = tuple(
+            sorted(draw(st.lists(st.sampled_from("abc"), max_size=3)))
+        )
+        terms[mono] = draw(big_nonzero)
+    return Poly(terms)
+
+
+def _fold(p, env):
+    """The reference value: one `Fraction` product and sum per term."""
+    total = F(0)
+    for mono, coeff in p.terms.items():
+        prod = coeff
+        for name in mono:
+            prod *= env[name]
+        total += prod
+    return total
+
+
+@given(deep_polys(), big_values, big_values, big_values)
+def test_poly_eval_matches_the_fraction_fold(p, va, vb, vc):
+    env = {"a": va, "b": vb, "c": vc}
+    got = p.eval(env)
+    assert type(got) is F and got == _fold(p, env)
+    assert Poly().eval(env) == 0 and type(Poly().eval({})) is F
+
+
+@given(deep_polys(), big_values)
+def test_poly_eval_rejects_an_unbound_parameter(p, va):
+    unbound = sorted(p.params())
+    if unbound:
+        with pytest.raises(KeyError, match="unbound"):
+            p.eval({n: va for n in unbound[1:]})
+    else:
+        assert p.eval({}) == _fold(p, {})

@@ -1,5 +1,7 @@
 """Tests for the exact-rational simplex and its certificates."""
 
+import os
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,10 +13,20 @@ from streettsm.lp import (
     LinearSystem,
     check_implication,
     feasible,
+    linear_row,
     solve,
     solve_strict,
     system_from_atoms,
 )
+
+sys.path[:0] = [
+    os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench",
+    )
+]
+
+import tracing  # noqa: E402
 
 
 def _sys(variables, rows):
@@ -26,9 +38,7 @@ def _sys(variables, rows):
 
 def _satisfies(system, point, strict_ok=True):
     for coeffs, rel, rhs in system.rows:
-        lhs = sum(
-            F(c) * point[v] for c, v in zip(coeffs, system.variables)
-        )
+        lhs = sum(c * point[system.variables[j]] for j, c in coeffs)
         if rel == "<=" and not lhs <= rhs:
             return False
         if rel == "<" and not (lhs < rhs if strict_ok else lhs <= rhs):
@@ -46,7 +56,7 @@ def _assert_farkas(system, y):
     combo = [F(0)] * len(system.variables)
     rhs = F(0)
     for yi, (coeffs, _, b) in zip(y, system.rows):
-        for j, c in enumerate(coeffs):
+        for j, c in coeffs:
             combo[j] += yi * c
         rhs += yi * b
     assert all(c == 0 for c in combo) and rhs < 0
@@ -152,9 +162,15 @@ def test_beale_cycling_example_terminates_at_its_optimum():
 def test_add_stores_fractions():
     s = LinearSystem(["x", "y"])
     s.add([1, F(1, 2)], "<=", 3)
-    coeffs, rel, rhs = s.rows[0]
-    assert coeffs == [1, F(1, 2)] and rel == "<=" and rhs == 3
-    assert all(type(v) is F for v in coeffs + [rhs])
+    s.add([0, -2], "=", F(1, 3))
+    assert s.rows == [
+        (((0, 1), (1, F(1, 2))), "<=", 3),
+        (((1, -2),), "=", F(1, 3)),
+    ]
+    assert all(
+        type(v) is F for coeffs, _, rhs in s.rows
+        for v in [c for _, c in coeffs] + [rhs]
+    )
 
 
 def test_system_from_atoms_builds_fraction_rows():
@@ -167,13 +183,14 @@ def test_system_from_atoms_builds_fraction_rows():
     s = system_from_atoms(atoms, ["x", "y", "w"])
     assert s.variables == ["x", "y", "w"]
     assert s.rows == [
-        ([2, 0, 0], "<=", 3),
-        ([1, -1, 0], "<", 0),
-        ([0, 1, 0], "<=", F(-1, 2)),
-        ([0, -1, 0], "<=", F(1, 2)),
+        (((0, 2),), "<=", 3),
+        (((0, 1), (1, -1)), "<", 0),
+        (((1, 1),), "<=", F(-1, 2)),
+        (((1, -1),), "<=", F(1, 2)),
     ]
     assert all(
-        type(v) is F for coeffs, _, rhs in s.rows for v in coeffs + [rhs]
+        type(v) is F for coeffs, _, rhs in s.rows
+        for v in [c for _, c in coeffs] + [rhs]
     )
 
 
@@ -327,7 +344,7 @@ def _check_optimum(s, obj, maximize):
     assert r.status == "optimal"
     assert r.value == sum(ci * r.assignment[v] for ci, v in zip(c, s.variables))
     # sense * c.x >= sense * value + 1e-6, written as a <= row
-    better = _sys(s.variables, s.rows)
+    better = LinearSystem(list(s.variables), list(s.rows))
     better.add([-sense * ci for ci in c], "<=", -sense * r.value - F(1, 10**6))
     beaten = feasible(better)
     assert beaten.status == "infeasible"
@@ -370,3 +387,72 @@ def test_implication_witnesses_are_genuine(s, obj, d):
     if not ok:
         assert _satisfies(s, w)
         assert sum(ci * w[v] for ci, v in zip(c, s.variables)) > d
+
+
+# -- the sparse row layout -------------------------------------------------------
+
+
+def _assert_sparse(row, dense):
+    """Ascending, zero-free (column, Fraction) pairs that spell `dense`."""
+    assert type(row) is tuple
+    assert all(type(j) is int and type(c) is F and c for j, c in row)
+    assert all(a[0] < b[0] for a, b in zip(row, row[1:]))
+    spelled = [F(0)] * len(dense)
+    for j, c in row:
+        spelled[j] = c
+    assert spelled == dense
+
+
+@st.composite
+def dense_rows(draw):
+    nv = draw(st.integers(1, 5))
+    coeffs = draw(
+        st.lists(st.one_of(st.just(F(0)), big_coef), min_size=nv, max_size=nv)
+    )
+    # columns in a drawn order, so term order and column order differ
+    order = draw(st.permutations(range(nv)))
+    return coeffs, order, draw(big_coef)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_rows())
+def test_producers_emit_canonical_sparse_rows(drawn):
+    coeffs, order, rhs = drawn
+    names = [f"v{i}" for i in range(len(coeffs))]
+    s = LinearSystem(names)
+    s.add(coeffs, "=", rhs)
+    _assert_sparse(s.rows[0][0], coeffs)
+    assert s.rows[0][1:] == ("=", rhs)
+
+    # the same row from an atom and from a Poly, terms in drawn order
+    form = LinForm.constant(-rhs)
+    for j in order:
+        form = form + LinForm.var(names[j]).scale(coeffs[j])
+    (row,) = system_from_atoms([Atom(form, Rel.LE)], names).rows
+    _assert_sparse(row[0], coeffs)
+    assert row[1:] == ("<=", rhs)
+
+    poly = Poly({(names[j],): coeffs[j] for j in order})
+    poly = poly - Poly.const(rhs)
+    got, got_rhs = linear_row(poly, {n: j for j, n in enumerate(names)})
+    _assert_sparse(got, coeffs)
+    assert got_rhs == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_rows(), st.data())
+def test_repeat_key_follows_the_rows(drawn, data):
+    coeffs, _, rhs = drawn
+    names = [f"v{i}" for i in range(len(coeffs))]
+
+    def key(cs):
+        s = LinearSystem(names)
+        s.add(cs, "<=", rhs)
+        s.add([F(1)] * len(cs), "=", F(0))
+        return tracing._lp_key((s, [F(1)] * len(cs)), {})
+
+    assert key(coeffs) == key(list(coeffs))
+    j = data.draw(st.integers(0, len(coeffs) - 1))
+    changed = list(coeffs)
+    changed[j] += data.draw(big_coef.filter(bool))
+    assert key(changed) != key(coeffs)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streettsm import smtsolver
 from streettsm.backends import simplex_solve
@@ -94,3 +96,37 @@ def test_disjunction_pruning_agrees_with_the_simplex(name):
     if status == "sat":
         assert set(model) == {"a", "b"}
         assert system.holds(model)
+
+
+# small values, so that rows often sit exactly on their boundary
+small = st.integers(-2, 2).map(F)
+rows = st.builds(
+    PolyConstraint,
+    st.builds(
+        lambda a, b, c: Poly({("a",): a, ("b",): b, (): c}), small, small, small
+    ),
+    st.sampled_from([Rel.LE, Rel.LT, Rel.EQ]),
+)
+branches = st.lists(rows, max_size=3).map(tuple)
+items = st.one_of(rows, st.builds(Disjunction, branches, branches))
+points = st.fixed_dictionaries({"a": small, "b": small})
+
+
+@given(st.lists(items, max_size=4), points)
+@example(  # an empty branch holds; a < 0 sits on its boundary at a = 0
+    [
+        Disjunction((), (PolyConstraint(P("a"), Rel.LT),)),
+        Disjunction((PolyConstraint(P("a"), Rel.LT),), ()),
+        PolyConstraint(P("a"), Rel.LT),
+    ],
+    {"a": F(0), "b": F(0)},
+)
+def test_zero_violation_is_exactly_holding(constraints, point):
+    # the measure's single component is enough: no item sits at violation
+    # zero without holding (a strict row on its boundary reports STRICT_GAP)
+    for con in constraints:
+        assert (smtsolver._violation(con, point) == 0) == con.holds(point)
+    worst = smtsolver._measure(constraints, point)
+    assert (worst == smtsolver.MEASURE_ZERO) == all(
+        con.holds(point) for con in constraints
+    )
