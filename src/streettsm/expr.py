@@ -81,10 +81,11 @@ class Poly:
     Fraction coefficients, so equality and hashing are structural.
     `Poly(terms)` canonicalizes any map (sorting monomials, merging the ones
     that collide, dropping zeros); every other constructor and operator
-    relies on canonical operands and skips that pass.
+    relies on canonical operands and skips that pass.  Nothing writes to
+    `terms` after construction, so the hash is computed once, on first use.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         cleaned: dict[Monomial, Fraction] = {}
@@ -212,7 +213,11 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.terms.items()))
+            return h
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -270,9 +275,11 @@ class LinForm:
 
     Evaluating under any full parameter valuation yields an affine function
     of the variables; addition, scaling and variable substitution are closed.
+    Nothing writes to `coeffs` or `const` after construction, so the hash
+    is computed once, on first use.
     """
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "const", "_hash")
 
     def __init__(
         self,
@@ -398,7 +405,11 @@ class LinForm:
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.coeffs.items()), self.const))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((frozenset(self.coeffs.items()), self.const))
+            return h
 
     def __repr__(self) -> str:
         parts = []

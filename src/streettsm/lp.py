@@ -44,10 +44,25 @@ optimality leaves sum_i y_i a_ij >= 0 on a sign-bounded column, so the
 multiplier of its removed bound row  -a x_j <= 0  is
 (sum_i y_i a_ij) / a >= 0, which restores y^T A = 0 over the input rows.
 
+Boxes.  A system whose rows each mention at most one variable is a box:
+per variable, an interval whose ends are the tightest bounds its rows
+give (a strict end beats a non-strict one at the same bound).  `solve`
+decides a box by intersecting the intervals, with no tableau, and returns
+what the tableau returns on 'optimal' and 'infeasible': a coordinate with
+a cost sits at its optimizing end, every other one at the point of its
+interval nearest 0, and the value is c.x there.  The Farkas ray of an
+empty interval puts 1/|a| on its two rows a x (<= | =) b, with the sign
+flipped on an `=` row read against its sense; an empty row that fails on
+its own (0 <= b < 0, 0 = b != 0) carries the ray alone.  An unbounded box
+returns a feasible point and an improving unit ray.  Every corpus guard,
+automaton edge and premise atom bounds one variable, so every screen the
+pipeline runs is a box.
+
 Strict inequalities are handled by a slack-maximization transform:
 max t subject to strict rows tightened by t and t <= 1; the strict system
-is feasible iff the optimum is positive.  This is how guard disjointness,
-automaton totality and premise screening are decided exactly.
+is feasible iff the optimum is positive.  A box with strict rows skips the
+transform: an interval with a strict end is nonempty iff its ends differ,
+and the point of it nearest 0 moves off a strict end (see `solve_strict`).
 
 Row layout.  A row's coefficients are a sparse `Row`: a tuple of
 (column, Fraction) pairs in ascending column order, with no zero
@@ -166,11 +181,132 @@ def solve(
     """Feasibility / optimization of a system of `<=` and `=` rows.
 
     With no objective: any feasible point (status 'optimal', value 0) or
-    'infeasible' with a Farkas ray aligned with the input rows.
+    'infeasible' with a Farkas ray aligned with the input rows.  A box
+    system is decided by interval intersection, any other by the tableau
+    (see the module docstring).
     """
     if any(rel == "<" for _, rel, _ in system.rows):
         raise ValueError("strict rows: use solve_strict()")
+    box = _box(system.rows, len(system.variables))
+    if box is None:
+        return _tableau(system, objective, maximize)
+    lo, hi, clash = box
+    if clash is not None:
+        farkas = [_ZERO] * len(system.rows)
+        for i, y in clash:
+            farkas[i] = y
+        return LPResult(status="infeasible", farkas=farkas)
+    # each coordinate with a cost sits at its optimizing end, if it has one,
+    # every other one at the point of its interval nearest 0
+    names = system.variables
+    if objective is None:
+        objective = [_ZERO] * len(names)
+    costs = [_frac(cf) for cf in objective]
+    point = {}
+    ray = None
+    for j, (cf, v) in enumerate(zip(costs, names)):
+        gain = cf if maximize else -cf
+        end = hi[j] if gain > 0 else lo[j] if gain < 0 else None
+        if end is not None:
+            point[v] = end[0]
+            continue
+        point[v] = _nearest_zero(lo[j], hi[j])
+        if gain and ray is None:
+            ray = dict.fromkeys(names, _ZERO)
+            ray[v] = _ONE if gain > 0 else -_ONE
+    if ray is not None:
+        return LPResult(status="unbounded", assignment=point, ray=ray)
+    value = sum((cf * point[v] for cf, v in zip(costs, names)), _ZERO)
+    return LPResult(status="optimal", assignment=point, value=value)
 
+
+# One end of a variable's interval in a box system: (bound, strict, row,
+# multiplier), the multiplier being the row's Farkas multiplier when the
+# row is read as this bound.
+_End = tuple[Fraction, bool, int, Fraction]
+# the nonzero entries of a Farkas ray, as (row, multiplier) pairs
+_Clash = tuple[tuple[int, Fraction], ...]
+
+
+def _box(
+    rows: list[tuple[Row, str, Fraction]], nvars: int
+) -> tuple[list[_End | None], list[_End | None], _Clash | None] | None:
+    """The per-variable lower and upper ends of a box system, and a clash:
+    None, or the (row, multiplier) pairs of a Farkas ray, from the first
+    empty row that fails on its own or else the first empty interval.
+    None if some row mentions two or more variables."""
+    lo: list[_End | None] = [None] * nvars
+    hi: list[_End | None] = [None] * nvars
+    empty = None
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        if not coeffs:
+            # 0 rel rhs; an `=` row with rhs > 0 is used against its sense
+            if empty is None and (
+                rhs < 0 or (rhs == 0 and rel == "<") or (rhs > 0 and rel == "=")
+            ):
+                empty = ((i, -_ONE if rhs > 0 else _ONE),)
+            continue
+        if len(coeffs) > 1:
+            return None
+        ((j, a),) = coeffs
+        bound = rhs / a
+        strict = rel == "<"
+        # the tighter end wins; at one bound, a strict end is tighter
+        if rel == "=" or a > 0:  # x <= bound: (1/a) row
+            cur = hi[j]
+            if cur is None or (bound, not strict) < (cur[0], not cur[1]):
+                hi[j] = (bound, strict, i, 1 / a)
+        if rel == "=" or a < 0:  # x >= bound: (-1/a) row
+            cur = lo[j]
+            if cur is None or (bound, strict) > (cur[0], cur[1]):
+                lo[j] = (bound, strict, i, -1 / a)
+    if empty is not None:
+        return lo, hi, empty
+    for low, high in zip(lo, hi):
+        if (
+            low is not None
+            and high is not None
+            and (
+                low[0] > high[0]
+                or (low[0] == high[0] and (low[1] or high[1]))
+            )
+        ):
+            # x <= high and -x <= -low add up to 0 <= high - low, false here
+            return lo, hi, ((low[2], low[3]), (high[2], high[3]))
+    return lo, hi, None
+
+
+def _nearest_zero(lo: _End | None, hi: _End | None) -> Fraction:
+    """The point of a nonempty interval nearest 0."""
+    if lo is not None and lo[0] > 0:
+        return lo[0]
+    if hi is not None and hi[0] < 0:
+        return hi[0]
+    return _ZERO
+
+
+def _interior(lo: _End | None, hi: _End | None) -> Fraction:
+    """A point of a nonempty interval off its strict ends: the point
+    nearest 0, moved to the midpoint, or one unit in from the only end,
+    when it sits on a strict end."""
+    x = _nearest_zero(lo, hi)
+    if (lo is not None and lo[1] and x == lo[0]) or (
+        hi is not None and hi[1] and x == hi[0]
+    ):
+        if lo is None:
+            return hi[0] - 1
+        if hi is None:
+            return lo[0] + 1
+        return (lo[0] + hi[0]) / 2
+    return x
+
+
+def _tableau(
+    system: LinearSystem,
+    objective: Sequence[Fraction] | None,
+    maximize: bool,
+) -> LPResult:
+    """`solve` by the two-phase tableau (see the module docstring)."""
     rows = system.rows
     nvars = len(system.variables)
     bound_row = _sign_bounds(rows)
@@ -371,12 +507,25 @@ def feasible(system: LinearSystem) -> LPResult:
 def solve_strict(system: LinearSystem) -> LPResult:
     """Decide a system containing strict rows, exactly.
 
-    Maximize t with strict rows tightened by t and t <= 1: strictly
-    feasible iff the optimum is positive.  The returned point satisfies
-    every strict row with positive margin.
+    A box is decided by interval intersection: its point is, per variable,
+    the point of the interval nearest 0, moved off a strict end to the
+    midpoint, or one unit in when the interval has one end.  Any other
+    system goes through `solve`: maximize t with strict rows tightened by
+    t and t <= 1, strictly feasible iff the optimum is positive.  The
+    returned point satisfies every strict row with positive margin.  An
+    infeasible result carries no Farkas ray.
     """
     if not any(rel == "<" for _, rel, _ in system.rows):
         return feasible(system)
+    box = _box(system.rows, len(system.variables))
+    if box is not None:
+        lo, hi, clash = box
+        if clash is not None:
+            return LPResult(status="infeasible")
+        point = {
+            v: _interior(lo[j], hi[j]) for j, v in enumerate(system.variables)
+        }
+        return LPResult(status="optimal", assignment=point, value=_ZERO)
     nv = len(system.variables)
     t = ((nv, _ONE),)
     aug = LinearSystem(
@@ -457,7 +606,9 @@ def linear_row(poly: Poly, column: Mapping[str, int]) -> tuple[Row, Fraction]:
 def atoms_feasible(
     atoms: Sequence[Atom], variables: Sequence[str]
 ) -> LPResult:
-    """Exact satisfiability of a conjunction, strict atoms honored."""
+    """Exact satisfiability of a conjunction, strict atoms honored, by
+    `solve_strict`: interval intersection when every atom bounds one
+    variable, as every corpus guard and premise atom does."""
     return solve_strict(system_from_atoms(atoms, variables))
 
 

@@ -1,5 +1,6 @@
 """Tests for guarded deterministic Streett automata."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -152,3 +153,25 @@ def test_parse_from_corpus_text_roundtrip():
     text = read_corpus_text("example2.dsa")
     dsa = parse_dsa(text, variables=("x",))
     assert dsa == load_benchmark("example2").dsa
+
+
+def test_nondeterminism_error_names_a_state_both_guards_take():
+    # 0 < x < 2 and 1 < y <= 3 meet 1 <= x and y > 2 on 1 <= x < 2, 2 < y <= 3
+    text = """
+states: q0
+init: q0
+trans q0 -> q0: x > 0 and x < 2 and y > 1 and y <= 3
+trans q0 -> q0: x >= 1 and y > 2
+pair: A { q0 } B { }
+"""
+    with pytest.raises(SourceError, match="nondeterminism") as e:
+        parse_dsa(text, variables=("x", "y"))
+    named = re.search(
+        r"\{'x': Fraction\((-?\d+), (\d+)\), 'y': Fraction\((-?\d+), (\d+)\)\}",
+        str(e.value),
+    )
+    assert named is not None
+    n1, d1, n2, d2 = map(int, named.groups())
+    x, y = F(n1, d1), F(n2, d2)
+    assert 0 < x < 2 and 1 < y <= 3
+    assert x >= 1 and y > 2

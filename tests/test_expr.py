@@ -175,6 +175,18 @@ def test_operations_keep_canonical_form(p, q, f, n, partial, total):
     assert p.substitute(total).is_constant()
 
 
+@given(polys(), polys())
+def test_cached_hashes_stay_structural(p, q):
+    first = hash(p)  # fills the cache
+    assert hash(p) == first == hash(frozenset(p.terms.items()))
+    r = (p + q) - q  # equal to p, built another way
+    assert r == p and hash(r) == first
+    f = LinForm({"x": p, "y": q}, q)
+    g = LinForm({"y": q}) + LinForm({"x": r}, q)
+    assert f == g and hash(f) == hash(g)
+    assert {Atom(f, Rel.LE): 1}[Atom(g, Rel.LE)] == 1
+
+
 @given(polys(), polys(), rationals, rationals, rationals)
 def test_poly_eval_is_homomorphism(p, q, va, vb, vc):
     env = {"a": va, "b": vb, "c": vc}

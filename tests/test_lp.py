@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streettsm.expr import Atom, LinForm, Poly, Rel
+from streettsm import lp
 from streettsm.lp import (
     LinearSystem,
     check_implication,
@@ -387,6 +388,132 @@ def test_implication_witnesses_are_genuine(s, obj, d):
     if not ok:
         assert _satisfies(s, w)
         assert sum(ci * w[v] for ci, v in zip(c, s.variables)) > d
+
+
+# -- box systems ------------------------------------------------------------
+
+
+@st.composite
+def box_systems(draw, strict):
+    """Rows that each mention at most one variable: bounds, sign bounds
+    -a x <= 0, empty rows, and a pair of equal bounds with drawn relations
+    on one variable.  `<` rows only when `strict`."""
+    nv = draw(st.integers(1, 3))
+    rels = ["<=", "=", "<"] if strict else ["<=", "="]
+    rhs = st.sampled_from([F(-2), F(-1), F(0), F(1, 2), F(1), F(3)])
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = [F(0)] * nv
+        kind = draw(st.sampled_from(["bound", "bound", "sign", "empty"]))
+        if kind == "sign":
+            coeffs[draw(st.integers(0, nv - 1))] = -draw(small_bound)
+            rows.append((coeffs, "<=", F(0)))
+            continue
+        if kind == "bound":
+            coeffs[draw(st.integers(0, nv - 1))] = draw(coef.filter(bool))
+        rows.append((coeffs, draw(st.sampled_from(rels)), draw(rhs)))
+    if draw(st.booleans()):
+        # b <= x <= b, each side strict or not
+        j, b = draw(st.integers(0, nv - 1)), draw(rhs)
+        up, down = [F(0)] * nv, [F(0)] * nv
+        up[j], down[j] = F(1), F(-1)
+        rows.insert(
+            draw(st.integers(0, len(rows))),
+            (up, draw(st.sampled_from(rels)), b),
+        )
+        rows.insert(
+            draw(st.integers(0, len(rows))),
+            (down, draw(st.sampled_from(rels)), -b),
+        )
+    return _sys([f"x{i}" for i in range(nv)], rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    box_systems(strict=False),
+    st.one_of(st.none(), st.lists(coef, min_size=3, max_size=3)),
+    st.booleans(),
+)
+def test_box_path_matches_the_tableau(s, obj, maximize):
+    assert lp._box(s.rows, len(s.variables)) is not None
+    c = None if obj is None else obj[: len(s.variables)]
+    got = solve(s, objective=c, maximize=maximize)
+    want = lp._tableau(s, c, maximize)
+    assert got.status == want.status
+    if got.status == "infeasible":
+        _assert_farkas(s, got.farkas)
+        return
+    assert _satisfies(s, got.assignment)
+    if got.status == "optimal":
+        assert got.assignment == want.assignment
+        assert got.value == want.value
+        assert all(type(x) is F for x in got.assignment.values())
+        assert type(got.value) is F
+        return
+    # unbounded: Bland's rule may leave along another variable
+    gain = sum(ci * got.ray[v] for ci, v in zip(c, s.variables))
+    assert (gain if maximize else -gain) > 0
+    far = {v: got.assignment[v] + 5 * got.ray[v] for v in s.variables}
+    assert _satisfies(s, far)
+
+
+def _augmented_status(s):
+    """`solve_strict`'s verdict by the tableau on the __t transform."""
+    nv = len(s.variables)
+    t = ((nv, F(1)),)
+    aug = LinearSystem(
+        s.variables + ["__t"],
+        [(c + t, "<=", b) if rel == "<" else (c, rel, b) for c, rel, b in s.rows]
+        + [(t, "<=", F(1))],
+    )
+    res = lp._tableau(aug, [F(0)] * nv + [F(1)], True)
+    return "optimal" if res.status == "optimal" and res.value > 0 else "infeasible"
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_systems(strict=True))
+def test_strict_box_agrees_with_the_slack_transform(s):
+    got = solve_strict(s)
+    assert got.status == _augmented_status(s)
+    if got.status == "optimal":
+        assert _satisfies(s, got.assignment)
+        assert got.value == 0
+
+
+def test_empty_rows_decide_a_box_on_their_own():
+    s = _sys(["x"], [([1], "<=", 2), ([0], "=", 1)])
+    r = feasible(s)
+    assert r.status == "infeasible" and r.farkas == [0, -1]
+    _assert_farkas(s, r.farkas)
+    s2 = _sys(["x"], [([0], "<=", -1)])
+    r2 = solve(s2, objective=[F(1)])
+    assert r2.status == "infeasible"
+    _assert_farkas(s2, r2.farkas)
+    assert solve_strict(_sys(["x"], [([0], "<", 0)])).status == "infeasible"
+    assert solve_strict(_sys(["x"], [([0], "<", 1)])).status == "optimal"
+
+
+def test_equality_against_its_sense_gets_a_negative_multiplier():
+    # 2x = 4 read as x >= 2 against x <= 1
+    s = _sys(["x"], [([1], "<=", 1), ([2], "=", 4)])
+    r = feasible(s)
+    assert r.status == "infeasible"
+    _assert_farkas(s, r.farkas)
+    assert r.farkas == [1, F(-1, 2)]
+
+
+def test_strict_box_points_leave_strict_ends():
+    # nearest 0 is a strict end: the midpoint, or one unit in
+    cases = [
+        ([([1], "<", 3), ([-1], "<", 0)], F(3, 2)),
+        ([([-1], "<", -1), ([1], "<=", 2)], F(3, 2)),
+        ([([-1], "<", -2)], F(3)),
+        ([([1], "<", -1)], F(-2)),
+        ([([1], "<", 2), ([-1], "<=", 1)], F(0)),
+    ]
+    for rows, x in cases:
+        r = solve_strict(_sys(["x"], rows))
+        assert r.status == "optimal" and r.assignment == {"x": x}
 
 
 # -- the sparse row layout -------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from fractions import Fraction as F
 
+import operator
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from streettsm.benchmarks import benchmark_names, load_benchmark
-from streettsm.model import DEFAULT_MODE, parse_model
+from streettsm.expr import Atom, LinForm, Rel
+from streettsm.model import DEFAULT_MODE, guards_cover_space, parse_model
 from streettsm.syntax import SourceError
 
 WALK = """
@@ -170,6 +174,97 @@ branch _ -> _:
     overlap = good.replace(f"x < {lit(t)}", f"x <= {lit(t)}", 1)
     with pytest.raises(SourceError, match="overlap"):
         parse_model(overlap)
+
+
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+offsets = st.sampled_from([F(0), F(1, 2), F(1), F(3)])
+
+
+@st.composite
+def guards_through(draw, point):
+    """A conjunction of one-variable atoms (var, op, const) over x and y
+    that holds at `point`, strict and non-strict mixed."""
+    guard = []
+    for _ in range(draw(st.integers(1, 3))):
+        v, op = draw(st.sampled_from("xy")), draw(st.sampled_from(sorted(OPS)))
+        d = draw(offsets.filter(bool) if len(op) == 1 else offsets)
+        guard.append((v, op, point[v] + d if op[0] == "<" else point[v] - d))
+    return guard
+
+
+def _text(guard):
+    return " and ".join(
+        f"{v} {op} ({c.numerator}/{c.denominator})" for v, op, c in guard
+    )
+
+
+def _holds(guard, state):
+    return all(OPS[op](state[v], c) for v, op, c in guard)
+
+
+def _named_state(message, names):
+    values = re.findall(r"Fraction\((-?\d+), (\d+)\)", message)
+    assert len(values) == len(names)
+    return {v: F(int(n), int(d)) for v, (n, d) in zip(names, values)}
+
+
+def _atom(v, op, c):
+    rel = {"<": Rel.LT, "<=": Rel.LE, ">": Rel.GT, ">=": Rel.GE}[op]
+    return Atom(LinForm.var(v) - LinForm.constant(c), rel)
+
+
+points = st.fixed_dictionaries(
+    {v: st.fractions(-2, 2, max_denominator=2) for v in "xy"}
+)
+
+
+@given(points, st.data())
+def test_overlap_error_names_a_state_in_both_guards(p, data):
+    g1, g2 = data.draw(guards_through(p)), data.draw(guards_through(p))
+    text = f"""
+vars: x y
+init: x = 0, y = 0
+disturbance: w finite {{ (1): 1 }}
+branch _ -> _:
+  guard: {_text(g1)}
+  update: x' = x, y' = y
+branch _ -> _:
+  guard: {_text(g2)}
+  update: x' = x, y' = y
+"""
+    with pytest.raises(SourceError, match="overlap") as e:
+        parse_model(text)
+    state = _named_state(str(e.value), "xy")
+    assert _holds(g1, state) and _holds(g2, state)
+
+
+def test_uncovered_region_point_meets_its_strict_atoms():
+    # uncovered: 0 < x <= 1 and y < 0, strict on x's lower and y's upper end
+    guards = [
+        (_atom("x", "<=", F(0)),),
+        (_atom("x", ">", F(1)),),
+        (_atom("y", ">=", F(0)),),
+    ]
+    ok, region, point = guards_cover_space(guards, ("x", "y"))
+    assert not ok and point == {"x": F(1, 2), "y": F(-1)}
+    assert all(a.holds({}, point) for a in region)
+
+
+@given(st.lists(st.lists(
+    st.tuples(
+        st.sampled_from("xy"),
+        st.sampled_from(sorted(OPS)),
+        st.fractions(-2, 2, max_denominator=2),
+    ),
+    min_size=1, max_size=2,
+), min_size=1, max_size=4))
+def test_uncovered_point_is_in_its_region_and_in_no_guard(drawn):
+    guards = [tuple(_atom(*a) for a in g) for g in drawn]
+    ok, region, point = guards_cover_space(guards, ("x", "y"))
+    if ok:
+        return
+    assert all(a.holds({}, point) for a in region)
+    assert not any(_holds(g, point) for g in drawn)
 
 
 @given(st.fractions(min_value=-4, max_value=4, max_denominator=8))
