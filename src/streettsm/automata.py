@@ -104,41 +104,23 @@ class GuardedDSA:
 
 def parse_dsa(
     text: str,
-    variables: tuple[str, ...] | None = None,
+    variables: tuple[str, ...],
     modes: tuple[str, ...] | None = None,
 ) -> GuardedDSA:
-    """Parse and validate an automaton document.
-
-    When variables/modes are omitted they are inferred from the guards;
-    pass the model's to validate against the intended universe.
-    """
+    """Parse an automaton document and validate it over the model's
+    state variables and modes (a single unnamed mode when omitted)."""
     states: tuple[str, ...] | None = None
     init: str | None = None
     raw_trans: list[tuple[str, str, TokenStream, int]] = []
     pairs: list[StreettPair] = []
-    pending_infer = variables is None
 
-    # names are collected in a first pass when inferring the universe
-    inferred_vars: list[str] = []
-    inferred_modes: list[str] = []
-
-    lines = logical_lines(text)
-    if pending_infer:
-        for lineno, line in lines:
-            toks = tokenize(line, line=lineno)
-            for i, tok in enumerate(toks):
-                if tok.kind != "ident" or tok.text != "mode":
-                    continue
-                if i + 2 < len(toks) and toks[i + 2].kind == "ident":
-                    if toks[i + 2].text not in inferred_modes:
-                        inferred_modes.append(toks[i + 2].text)
-        modes = tuple(inferred_modes) or None
-
-    for lineno, line in lines:
+    for lineno, line in logical_lines(text):
         ts = TokenStream(tokenize(line, line=lineno))
         key = ts.expect_ident("statement keyword")
         if key.text == "states":
             ts.expect(":")
+            if states is not None:
+                raise ts.error("duplicate states declaration")
             names = [ts.expect_ident("state name").text]
             while not ts.at_end():
                 names.append(ts.expect_ident("state name").text)
@@ -193,14 +175,10 @@ def parse_dsa(
                 f"acceptance set mentions unknown states {sorted(stray)}", 1, 1
             )
 
-    known_vars = set(variables) if variables is not None else None
+    known_vars = set(variables)
 
     def resolve(name: str) -> LinForm | None:
-        if known_vars is not None:
-            return LinForm.var(name) if name in known_vars else None
-        if name not in inferred_vars:
-            inferred_vars.append(name)
-        return LinForm.var(name)
+        return LinForm.var(name) if name in known_vars else None
 
     transitions: list[Transition] = []
     for src, dst, ts, lineno in raw_trans:
@@ -213,13 +191,8 @@ def parse_dsa(
             Transition(src, dst, tuple(atoms), tuple(tests), lineno)
         )
 
-    var_universe = (
-        tuple(variables) if variables is not None else tuple(inferred_vars)
-    )
-    mode_universe = modes or ("_",)
-
     dsa = GuardedDSA(states, init, tuple(transitions), tuple(pairs))
-    validate_dsa(dsa, var_universe, mode_universe)
+    validate_dsa(dsa, tuple(variables), modes or ("_",))
     return dsa
 
 

@@ -29,10 +29,6 @@ The file format is line-oriented (# comments):
     branch ev -> od:
       guard: -1/2 < x and x < 1/2
       update: x' = 2*w - 1
-    post ev:                     # optional manual post-expectation table
-      guard: -1/2 < x and x < 1/2
-      case 1/2 -> od: x' = 1
-      case 1/2 -> od: x' = -1
 """
 
 from __future__ import annotations
@@ -109,21 +105,6 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class PostCase:
-    prob: Fraction
-    image: dict[str, LinForm]  # over state vars only
-    mode_to: str
-
-
-@dataclass(frozen=True)
-class PostBlock:
-    mode_from: str
-    guard: tuple[Atom, ...]
-    cases: tuple[PostCase, ...]
-    line: int = 0
-
-
-@dataclass(frozen=True)
 class ControlParam:
     name: str
     lo: Fraction
@@ -140,7 +121,6 @@ class StochModel:
     branches: tuple[Branch, ...]
     controls: tuple[ControlParam, ...] = ()
     side_constraints: tuple[Atom, ...] = ()  # over control params only
-    manual_post: tuple[PostBlock, ...] = ()
     guards_parameter_bearing: bool = False
 
     @property
@@ -152,9 +132,6 @@ class StochModel:
 
     def branches_for_mode(self, mode: str) -> list[Branch]:
         return [b for b in self.branches if b.mode_from == mode]
-
-    def post_blocks_for_mode(self, mode: str) -> list[PostBlock]:
-        return [p for p in self.manual_post if p.mode_from == mode]
 
     def state_env(self, state: Iterable[Fraction]) -> dict[str, Fraction]:
         return dict(zip(self.state_vars, state))
@@ -192,43 +169,6 @@ class StochModel:
         )
         return nxt, branch.mode_to
 
-    def post_step(
-        self,
-        state: tuple[Fraction, ...],
-        mode: str,
-        u: Fraction,
-        control: Mapping[str, Fraction] | None = None,
-    ) -> tuple[tuple[Fraction, ...], str]:
-        """One-step successor drawn from the manual post table: the unique
-        applicable block's cases are sampled by cumulative probability
-        against u in [0, 1).  This is the stepper for models whose mode
-        switching is itself randomized and therefore has no branch form."""
-        if not (0 <= u < 1):
-            raise ValueError("u must lie in [0, 1)")
-        control = dict(control or {})
-        env = self.state_env(state)
-        hits = [
-            p
-            for p in self.post_blocks_for_mode(mode)
-            if all(a.holds(control, env) for a in p.guard)
-        ]
-        if len(hits) != 1:
-            raise ValueError(
-                f"expected exactly one post block at state {state} in mode "
-                f"{mode!r}, found {len(hits)}"
-            )
-        acc = Fraction(0)
-        case = hits[0].cases[-1]
-        for c in hits[0].cases:
-            acc += c.prob
-            if u < acc:
-                case = c
-                break
-        nxt = tuple(
-            case.image[v].eval(control, env) for v in self.state_vars
-        )
-        return nxt, case.mode_to
-
 
 # -- parsing -----------------------------------------------------------------
 
@@ -244,8 +184,7 @@ class _ModelBuilder:
         self.controls: list[ControlParam] = []
         self.side_constraints: list[TokenStream] = []  # parsed in _finish
         self.branches: list[dict] = []
-        self.posts: list[dict] = []
-        self.current: dict | None = None  # open branch/post block
+        self.current: dict | None = None  # open branch block
 
 
 def _parse_vector(ts: TokenStream, dim: int | None = None) -> tuple[Fraction, ...]:
@@ -271,7 +210,7 @@ def parse_model(text: str) -> StochModel:
         head = ts.peek()
         if head.kind != "ident":
             raise SourceError("expected a statement keyword", head.line, head.col)
-        if head.text in ("guard", "update", "case"):
+        if head.text in ("guard", "update"):
             _parse_block_line(b, ts)
         else:
             b.current = None
@@ -283,12 +222,16 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
     key = ts.advance()
     if key.text == "state_dim":
         ts.expect(":")
+        if b.state_dim is not None:
+            raise ts.error("duplicate state_dim declaration")
         n = parse_number(ts)
         if n.denominator != 1 or n <= 0:
             raise ts.error("state_dim must be a positive integer")
         b.state_dim = int(n)
     elif key.text == "vars":
         ts.expect(":")
+        if b.vars is not None:
+            raise ts.error("duplicate vars declaration")
         names = [ts.expect_ident("variable name").text]
         while not ts.at_end():
             names.append(ts.expect_ident("variable name").text)
@@ -297,6 +240,8 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         b.vars = tuple(names)
     elif key.text == "modes":
         ts.expect(":")
+        if b.modes is not None:
+            raise ts.error("duplicate modes declaration")
         names = [ts.expect_ident("mode name").text]
         while not ts.at_end():
             names.append(ts.expect_ident("mode name").text)
@@ -305,6 +250,8 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         b.modes = tuple(names)
     elif key.text == "init":
         ts.expect(":")
+        if b.init_env is not None:
+            raise ts.error("duplicate init declaration")
         env: dict[str, Fraction] = {}
         while True:
             name = ts.expect_ident()
@@ -394,7 +341,6 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         mode_to = ts.expect_ident("mode name").text
         ts.expect(":")
         blk = {
-            "kind": "branch",
             "from": mode_from,
             "to": mode_to,
             "guard": None,
@@ -402,18 +348,6 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
             "line": key.line,
         }
         b.branches.append(blk)
-        b.current = blk
-    elif key.text == "post":
-        mode_from = ts.expect_ident("mode name").text
-        ts.expect(":")
-        blk = {
-            "kind": "post",
-            "from": mode_from,
-            "guard": None,
-            "cases": [],
-            "line": key.line,
-        }
-        b.posts.append(blk)
         b.current = blk
     else:
         raise SourceError(
@@ -428,7 +362,7 @@ def _parse_block_line(b: _ModelBuilder, ts: TokenStream) -> None:
     blk = b.current
     if blk is None:
         raise SourceError(
-            f"{key.text!r} outside a branch/post block", key.line, key.col
+            f"{key.text!r} outside a branch block", key.line, key.col
         )
     if key.text == "guard":
         ts.expect(":")
@@ -436,20 +370,10 @@ def _parse_block_line(b: _ModelBuilder, ts: TokenStream) -> None:
             raise ts.error("duplicate guard")
         blk["guard"] = ts  # parsed in _finish once names are known
     elif key.text == "update":
-        if blk["kind"] != "branch":
-            raise ts.error("'update' only allowed in branch blocks")
         ts.expect(":")
         if blk["update"] is not None:
             raise ts.error("duplicate update")
         blk["update"] = ts
-    elif key.text == "case":
-        if blk["kind"] != "post":
-            raise ts.error("'case' only allowed in post blocks")
-        prob = parse_number(ts)
-        ts.expect("->")
-        mode_to = ts.expect_ident("mode name").text
-        ts.expect(":")
-        blk["cases"].append({"prob": prob, "to": mode_to, "stream": ts})
 
 
 def _parse_updates(
@@ -563,38 +487,8 @@ def _finish(b: _ModelBuilder) -> StochModel:
         branches.append(
             Branch(blk["from"], blk["to"], tuple(atoms), update, blk["line"])
         )
-    if not branches and not b.posts:
+    if not branches:
         raise SourceError("model declares no branches", 1, 1)
-
-    posts: list[PostBlock] = []
-    for blk in b.posts:
-        if blk["from"] not in modes:
-            raise SourceError("unknown mode in post header", blk["line"], 1)
-        if blk["guard"] is None:
-            raise SourceError("post block missing guard", blk["line"], 1)
-        atoms, tests = parse_conjunction(blk["guard"], resolve_guard)
-        if not blk["guard"].at_end():
-            raise blk["guard"].error("trailing input")
-        assert not tests
-        cases: list[PostCase] = []
-        for c in blk["cases"]:
-            if c["to"] not in modes:
-                raise SourceError("unknown mode in case", blk["line"], 1)
-            if c["prob"] <= 0:
-                raise SourceError(
-                    "case probability must be positive", blk["line"], 1
-                )
-            image = _parse_updates(c["stream"], state_vars, resolve_guard)
-            cases.append(PostCase(c["prob"], image, c["to"]))
-        if not cases:
-            raise SourceError("post block has no cases", blk["line"], 1)
-        if sum(c.prob for c in cases) != 1:
-            raise SourceError(
-                "case probabilities sum != 1", blk["line"], 1
-            )
-        posts.append(
-            PostBlock(blk["from"], tuple(atoms), tuple(cases), blk["line"])
-        )
 
     side: list[Atom] = []
     for ts in b.side_constraints:
@@ -604,11 +498,7 @@ def _finish(b: _ModelBuilder) -> StochModel:
         assert not tests
         side.extend(atoms)
 
-    flagged = False
-    if branches:
-        flagged = _check_guard_cover(state_vars, modes, branches)
-    if posts:
-        _check_post_cover(state_vars, modes, posts, branches)
+    flagged = _check_guard_cover(state_vars, modes, branches)
 
     return StochModel(
         state_vars=state_vars,
@@ -619,7 +509,6 @@ def _finish(b: _ModelBuilder) -> StochModel:
         branches=tuple(branches),
         controls=tuple(b.controls),
         side_constraints=tuple(side),
-        manual_post=tuple(posts),
         guards_parameter_bearing=flagged,
     )
 
@@ -710,40 +599,3 @@ def _check_guard_cover(
             )
     return flagged
 
-
-def _check_post_cover(
-    state_vars: tuple[str, ...],
-    modes: tuple[str, ...],
-    posts: list[PostBlock],
-    branches: list[Branch],
-) -> None:
-    """Manual post blocks must partition each mode's state space the same
-    way guards must; every mode needs blocks once any mode has one."""
-    for mode in modes:
-        group = [p for p in posts if p.mode_from == mode]
-        if not group:
-            raise SourceError(
-                f"manual post table missing mode {mode!r}", 1, 1
-            )
-        for p in group:
-            if not _guard_system_ok(p.guard):
-                raise SourceError(
-                    "manual post guards must be parameter-free", p.line, 1
-                )
-        for p1, p2 in itertools.combinations(group, 2):
-            res = atoms_feasible(list(p1.guard + p2.guard), state_vars)
-            if res.status == "optimal":
-                raise SourceError(
-                    f"post guards overlap in mode {mode!r}", p2.line, 1
-                )
-        ok, region, point = guards_cover_space(
-            [p.guard for p in group], state_vars
-        )
-        if not ok:
-            desc = " and ".join(str(a) for a in region)
-            raise SourceError(
-                f"post table does not cover mode {mode!r}: "
-                f"uncovered region {{{desc}}}, e.g. state {point}",
-                group[0].line,
-                1,
-            )

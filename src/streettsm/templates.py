@@ -17,9 +17,7 @@ on the conjunction of the branch guard and the edge guard.  The automaton
 target depends only on the current observation, never on w.  For finitely
 supported disturbances the sum is exact; for box-supported disturbances
 the mean is substituted, which is exact for affine V provided no update
-monomial carries two disturbance factors.  Models may instead supply a
-manual post table (an explicit successor distribution per region), which
-is consumed verbatim after cover validation.
+monomial carries two disturbance factors.
 """
 
 from __future__ import annotations
@@ -140,9 +138,6 @@ class PostTable:
     pair_index: int
     pieces: tuple[PostPiece, ...]
 
-    def at_location(self, loc: Location) -> list[PostPiece]:
-        return [p for p in self.pieces if p.location == loc]
-
 
 def _image_with_sample(
     update: dict[str, LinForm],
@@ -171,14 +166,10 @@ def _joint_guard_feasible(
     return ok
 
 
-def post_expectation(
+def post_table(
     V: CertTemplate, model: StochModel, dsa: GuardedDSA
 ) -> PostTable:
     """Symbolic Post V, one piece per (location, automaton edge, branch)."""
-    if not model.branches:
-        raise ValueError(
-            "model has no branch form; use manual_post_lookup"
-        )
     dist = model.disturbance
     wnames = dist.component_names()
     if dist.kind == "box":
@@ -222,43 +213,6 @@ def post_expectation(
                     PostPiece((q, m), edge, guard, form, br.line)
                 )
     return PostTable(V.pair_index, tuple(pieces))
-
-
-def manual_post_lookup(
-    model: StochModel, V: CertTemplate, dsa: GuardedDSA
-) -> PostTable:
-    """PostTable from the model's manual successor-distribution table."""
-    if not model.manual_post:
-        raise ValueError("model has no manual post table")
-    pieces: list[PostPiece] = []
-    screens: dict[tuple[Atom, ...], bool] = {}
-    for q, m in locations(model, dsa):
-        for edge in dsa.outgoing(q):
-            if not edge.applies_in_mode(m):
-                continue
-            for blk in model.post_blocks_for_mode(m):
-                guard = blk.guard + edge.atoms
-                if not _joint_guard_feasible(
-                    guard, model.state_vars, screens
-                ):
-                    continue
-                form = LinForm()
-                for case in blk.cases:
-                    vnext = V.pieces[(edge.target, case.mode_to)]
-                    form = form + vnext.substitute_state(case.image).scale(
-                        case.prob
-                    )
-                pieces.append(PostPiece((q, m), edge, guard, form, blk.line))
-    return PostTable(V.pair_index, tuple(pieces))
-
-
-def post_table(
-    V: CertTemplate, model: StochModel, dsa: GuardedDSA
-) -> PostTable:
-    """The model's preferred post-expectation route."""
-    if model.manual_post:
-        return manual_post_lookup(model, V, dsa)
-    return post_expectation(V, model, dsa)
 
 
 # -- invariant files ----------------------------------------------------------

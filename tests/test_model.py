@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from streettsm.automata import parse_dsa
 from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import Atom, LinForm, Rel
 from streettsm.model import DEFAULT_MODE, guards_cover_space, parse_model
@@ -25,22 +26,6 @@ branch _ -> _:
   guard: x < 0
   update: x' = x - 1
 """
-
-POST_ONLY = """
-vars: y
-modes: pos neg
-init: y = 3, mode = pos
-disturbance: w finite { (1): 1/2, (0): 1/2 }
-post pos:
-  guard: true
-  case 1/2 -> pos: y' = 4*y + 2
-  case 1/2 -> neg: y' = 4*y + 2
-post neg:
-  guard: true
-  case 1/2 -> neg: y' = y - 1
-  case 1/2 -> pos: y' = y - 1
-"""
-
 
 def test_parse_minimal_model():
     m = parse_model(WALK)
@@ -334,30 +319,49 @@ def test_name_collisions_and_duplicates():
 
 
 def test_update_outside_block_is_an_error():
-    with pytest.raises(SourceError, match="outside a branch/post block"):
+    with pytest.raises(SourceError, match="outside a branch block"):
         parse_model("state_dim: 1\nupdate: x' = x\n")
 
 
-def test_post_only_model_and_post_step():
-    m = parse_model(POST_ONLY)
-    assert not m.branches and len(m.manual_post) == 2
-    # cumulative-probability sampling: u below 1/2 takes the first case
-    assert m.post_step((F(3),), "pos", F(1, 4)) == ((F(14),), "pos")
-    assert m.post_step((F(3),), "pos", F(3, 4)) == ((F(14),), "neg")
-    assert m.post_step((F(0),), "neg", F(999, 1000)) == ((F(-1),), "pos")
-    with pytest.raises(ValueError, match="u must lie"):
-        m.post_step((F(3),), "pos", F(1))
+@pytest.mark.parametrize(
+    "line, keyword",
+    [("post _:", "post"), ("  case 1 -> _: x' = x", "case")],
+    ids=["post", "case"],
+)
+def test_post_table_syntax_is_rejected(line, keyword):
+    with pytest.raises(SourceError, match=f"unknown statement '{keyword}'") as err:
+        parse_model(WALK + line + "\n")
+    assert err.value.line == len(WALK.splitlines()) + 1
 
 
-def test_post_cover_validation():
-    gap = POST_ONLY.replace("guard: true\n  case 1/2 -> neg: y' = y - 1",
-                            "guard: y > 0\n  case 1/2 -> neg: y' = y - 1")
-    with pytest.raises(SourceError, match="does not cover"):
-        parse_model(gap)
-    bad_sum = POST_ONLY.replace("case 1/2 -> pos: y' = 4*y + 2",
-                                "case 1/3 -> pos: y' = 4*y + 2", 1)
-    with pytest.raises(SourceError, match="sum != 1"):
-        parse_model(bad_sum)
+DSA = "states: a\ninit: a\ntrans a -> a: true\npair: A { } B { }\n"
+
+
+def _parse_dsa_over_x(text):
+    return parse_dsa(text, variables=("x",))
+
+
+@pytest.mark.parametrize(
+    "keyword, parse, text",
+    [
+        ("state_dim", parse_model, WALK.replace("state_dim: 1", "state_dim: 1\n" * 2)),
+        ("vars", parse_model, WALK.replace("state_dim: 1", "vars: x\nvars: x")),
+        ("modes", parse_model, WALK + "modes: _\nmodes: _\n"),
+        ("init", parse_model, WALK.replace("init: x = 0", "init: x = 0\ninit: x = 5")),
+        ("states", _parse_dsa_over_x, "states: a b\n" + DSA),
+    ],
+    ids=["state_dim", "vars", "modes", "init", "states"],
+)
+def test_repeated_one_shot_declaration_is_an_error(keyword, parse, text):
+    # the error names the repeated declaration and points at its line
+    lines = [
+        i
+        for i, ln in enumerate(text.splitlines(), 1)
+        if ln.startswith(keyword + ":")
+    ]
+    with pytest.raises(SourceError, match=f"duplicate {keyword} declaration") as err:
+        parse(text)
+    assert err.value.line == lines[1]
 
 
 def test_side_constraints_parse_over_controls_only():

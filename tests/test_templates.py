@@ -1,12 +1,13 @@
 """Tests for certificate/invariant templates and post-expectation tables."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streettsm.benchmarks import load_benchmark, read_corpus_text
+from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.model import parse_model
 from streettsm.templates import (
@@ -14,9 +15,7 @@ from streettsm.templates import (
     CertTemplate,
     InvTemplate,
     locations,
-    manual_post_lookup,
     parse_invariant,
-    post_expectation,
     post_table,
 )
 
@@ -64,7 +63,7 @@ def test_fresh_invariant_row_count():
 def test_box_mean_substitution_is_symbolic_in_controls():
     model, dsa = _e2()
     V = CertTemplate.fresh(model, dsa, 0)
-    table = post_expectation(V, model, dsa)
+    table = post_table(V, model, dsa)
     # dynamics kappa*x + w with E[w] = 0: Post V at the self-loop piece is
     # th*kappa*x + th_c, bilinear in template and control parameters
     piece = next(
@@ -81,7 +80,7 @@ def test_piece_count_prunes_infeasible_guards():
     model, dsa = _e2()
     V = CertTemplate.fresh(model, dsa, 0)
     # 7 automaton edges, one branch, no infeasible joint guards
-    assert len(post_expectation(V, model, dsa).pieces) == 7
+    assert len(post_table(V, model, dsa).pieces) == 7
 
 
 def test_box_quadratic_disturbance_rejected():
@@ -100,7 +99,7 @@ branch _ -> _:
     dsa = parse_dsa(dsa_text, variables=("x",))
     V = CertTemplate.fresh(model, dsa, 0)
     with pytest.raises(ValueError, match="quadratic disturbance"):
-        post_expectation(V, model, dsa)
+        post_table(V, model, dsa)
 
 
 def test_finite_support_post_is_the_exact_mixture():
@@ -114,7 +113,7 @@ def test_finite_support_post_is_the_exact_mixture():
             for loc in locations(b.model, b.dsa)
         },
     )
-    table = post_expectation(V, b.model, b.dsa)
+    table = post_table(V, b.model, b.dsa)
     piece = next(
         p
         for p in table.pieces
@@ -127,55 +126,88 @@ def test_finite_support_post_is_the_exact_mixture():
     assert piece.form.const == Poly.const((c * 1 + 1 + c * (-1) + 1) / 2)
 
 
-def _eval_post(table, loc, x):
-    hits = [
-        p
-        for p in table.at_location(loc)
-        if all(a.holds({}, {"x": x}) for a in p.guard)
-    ]
-    assert len(hits) == 1
-    return hits[0].form.eval({}, {"x": x})
-
-
-rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
-
-
-@pytest.fixture(scope="module")
-def parity_routes():
-    # the parity walk carries both a branch form and a manual post table;
-    # neither Post V table depends on the probed state, so build them once
-    b = load_benchmark("evenOrNegative")
+@functools.lru_cache(maxsize=None)
+def _oracle_inputs(name):
+    """Post V table of a concrete V with a distinct affine piece per
+    location, under the fixture's control (box midpoints without one)."""
+    b = load_benchmark(name)
     V = CertTemplate.concrete(
         0,
         {
-            loc: LinForm.var("x").scale(F(i - 3)) + LinForm.constant(i)
+            loc: sum(
+                (
+                    LinForm.var(v).scale(F(i + 2, j + 1))
+                    for j, v in enumerate(b.model.state_vars)
+                ),
+                LinForm.constant(F(3 * i - 5, 2)),
+            )
             for i, loc in enumerate(locations(b.model, b.dsa))
         },
     )
-    return (
-        locations(b.model, b.dsa),
-        post_expectation(V, b.model, b.dsa),
-        manual_post_lookup(b.model, V, b.dsa),
-        post_table(V, b.model, b.dsa),
+    if b.cert is not None:
+        control = {k: F(v) for k, v in b.cert["control"].items()}
+    else:
+        control = {c.name: (c.lo + c.hi) / 2 for c in b.model.controls}
+    # guard and edge boundaries, so that draws land on every piece
+    cuts = {F(0)}
+    atoms = [a for br in b.model.branches for a in br.guard]
+    atoms += [a for t in b.dsa.transitions for a in t.atoms]
+    for atom in atoms:
+        form = atom.form.substitute_params(control)
+        if len(form.variables()) == 1:
+            (v,) = form.variables()
+            cuts.add(
+                -form.const.constant_value() / form.coeff(v).constant_value()
+            )
+    return b, V, control, post_table(V, b.model, b.dsa), sorted(cuts)
+
+
+def _expected_post(b, V, control, loc, x):
+    """Sum over w of p(w) * V at the exact successor of (loc, x)."""
+    q, m = loc
+    env = b.model.state_env(x)
+    q_next = b.dsa.step(q, env, m)
+    dist = b.model.disturbance
+    support = (
+        dist.support
+        if dist.kind == "finite"
+        else ((dist.mean_vector(), F(1)),)
     )
-
-
-@given(rationals)
-def test_branch_and_manual_routes_agree(parity_routes, x):
-    # the two Post V tables must evaluate identically everywhere
-    locs, branch_route, manual_route, table = parity_routes
-    assert table.pieces == manual_route.pieces
-    for loc in locs:
-        assert _eval_post(branch_route, loc, x) == _eval_post(
-            manual_route, loc, x
+    total = F(0)
+    for w, prob in support:
+        x_next, m_next = b.model.step(x, m, w, control)
+        total += prob * V.pieces[(q_next, m_next)].eval(
+            {}, b.model.state_env(x_next)
         )
+    return total
 
 
-def test_manual_lookup_requires_a_table():
-    model, dsa = _e2()
-    V = CertTemplate.fresh(model, dsa, 0)
-    with pytest.raises(ValueError, match="no manual post table"):
-        manual_post_lookup(model, V, dsa)
+@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+@given(data=st.data())
+def test_post_table_matches_the_exact_one_step_expectation(name, data):
+    b, V, control, table, cuts = _oracle_inputs(name)
+    near_cut = st.builds(
+        lambda c, d: c + d,
+        st.sampled_from(cuts),
+        st.fractions(min_value=-1, max_value=1, max_denominator=4),
+    )
+    anywhere = st.fractions(min_value=-500, max_value=500, max_denominator=8)
+    x = tuple(
+        data.draw(st.one_of(near_cut, anywhere), label=v)
+        for v in b.model.state_vars
+    )
+    env = b.model.state_env(x)
+    for loc in locations(b.model, b.dsa):
+        hits = [
+            p
+            for p in table.pieces
+            if p.location == loc
+            and all(a.holds(control, env) for a in p.guard)
+        ]
+        assert len(hits) == 1, (loc, x, [p.source_line for p in hits])
+        assert hits[0].form.eval(control, env) == _expected_post(
+            b, V, control, loc, x
+        )
 
 
 def test_parse_invariant_normal_form():
