@@ -141,7 +141,7 @@ def simplex_solve(system: ConstraintSystem) -> Verdict:
     for item in system.constraints:
         coeffs, rhs = lp.linear_row(item.poly, column)
         linear.rows.append((coeffs, lp.REL[item.rel], rhs))
-    res = lp.solve_strict(linear)
+    res = lp.solve(linear)
     if res.status == "infeasible":
         return Verdict(status="unsat", ray=res.farkas)
     witness = {n: res.assignment.get(n, Fraction(0)) for n in names}

@@ -435,15 +435,6 @@ class Rel(Enum):
     GT = ">"
     EQ = "=="
 
-    def flip(self) -> "Rel":
-        return {
-            Rel.LE: Rel.GE,
-            Rel.LT: Rel.GT,
-            Rel.GE: Rel.LE,
-            Rel.GT: Rel.LT,
-            Rel.EQ: Rel.EQ,
-        }[self]
-
 
 @dataclass(frozen=True)
 class Atom:

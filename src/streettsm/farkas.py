@@ -8,15 +8,16 @@ polynomial in the existential parameters) is valid iff
 
 where the second disjunct certifies an infeasible premise.  When A and b
 are parameter-free, premise feasibility is decided up front by exact LP,
-with the premise atoms that were strict before relaxation strict again:
-infeasible premises make the implication vacuous, feasible ones admit the
-conjunction-only specialization
+strict atoms honored: infeasible premises make the implication vacuous,
+feasible ones admit the conjunction-only specialization
 
     exists z >= 0: A^T z = c and b^T z <= d           (premise-sat form)
 
 which keeps the assembled system disjunction-free (and all-linear when c,
 d are affine in the parameters).  Parameter-dependent premises always take
-the general form.
+the general form.  The dual reads each premise atom's form only, so a
+strict atom  a.y + a0 < 0  is dualized as its relaxation; on a nonempty
+strict premise that is exact, the relaxed premise being its closure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import lp
 from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
 from .lp import atoms_feasible, check_implication, system_from_atoms
 from .vcgen import Implication, VCSet
@@ -125,7 +127,7 @@ def premise_feasible(impl: Implication) -> str:
     feasible (x < -1/2 and -1/2 < x admits x = -1/2 once relaxed)."""
     if any(not a.form.is_param_free() for a in impl.premise):
         return "parameter-dependent"
-    res = atoms_feasible(list(impl.strict_premise()), list(impl.variables))
+    res = atoms_feasible(list(impl.premise), list(impl.variables))
     return "feasible" if res.status == "optimal" else "infeasible"
 
 
@@ -208,7 +210,7 @@ def transform(vcset: VCSet) -> list[DualConstraint]:
     screens: dict[tuple, str] = {}
     for idx, impl in enumerate(vcset.implications):
         prefix = f"z{idx}"
-        key = (impl.variables, impl.strict_premise())
+        key = (impl.variables, impl.premise)
         status = screens.get(key)
         if status is None:
             status = screens[key] = premise_feasible(impl)
@@ -249,23 +251,30 @@ def assemble(
 
 def implication_valid_bruteforce(impl: Implication) -> bool:
     """Exact validity of a parameter-free implication, independently of
-    Farkas: LP maximization of the consequent over the relaxed premise.
+    Farkas: LP maximization of the consequent over the premise's closure,
+    its `<` rows read as `<=`.
 
-    A non-empty strict premise has the relaxed one as its closure, so the
-    maximum decides validity unless the strict premise is empty."""
+    A non-empty strict premise has that closure, so the maximum decides
+    validity unless the strict premise is empty."""
     if impl.params():
         raise ValueError("brute-force oracle needs a parameter-free implication")
     sysm = system_from_atoms(list(impl.premise), list(impl.variables))
+    strict = any(rel == "<" for _, rel, _ in sysm.rows)
+    closure = sysm
+    if strict:
+        closure = lp.LinearSystem(
+            sysm.variables,
+            [(coeffs, "<=", rhs) for coeffs, _, rhs in sysm.rows],
+        )
     coeffs = [
         impl.consequent.form.coeff(v).constant_value()
         for v in impl.variables
     ]
     rhs = -impl.consequent.form.const.constant_value()
-    ok, _ = check_implication(sysm, coeffs, rhs)
-    if ok or not any(impl.strict):
+    ok, _ = check_implication(closure, coeffs, rhs)
+    if ok or not strict:
         return ok
-    strict = atoms_feasible(list(impl.strict_premise()), list(impl.variables))
-    return strict.status == "infeasible"
+    return lp.solve(sysm).status == "infeasible"
 
 
 def dump_duals(duals: Sequence[DualConstraint]) -> str:

@@ -1,14 +1,15 @@
 """Exact-rational linear programming.
 
-A small two-phase full-tableau simplex with Bland's rule.  It decides
-feasibility and optimization of systems
+A small two-phase full-tableau simplex with Bland's rule.  One entry
+point, `solve`, decides feasibility and optimization of systems
 
     sum_j a_ij x_j  (<= | =)  b_i
 
-and produces certificates both ways: a feasible (optimal) point, an
-improving ray for unbounded objectives, or a Farkas ray proving
-infeasibility (multipliers y with y_i >= 0 on inequality rows,
-y^T A = 0 and y^T b < 0), one entry per input row.
+and feasibility of systems that also have strict `<` rows.  It produces
+certificates both ways: a feasible (optimal) point, an improving ray for
+unbounded objectives, or a Farkas ray proving infeasibility (multipliers
+y with y_i >= 0 on inequality rows, y^T A = 0 and y^T b < 0), one entry
+per input row.
 
 Tableau layout.  Variables are free unless a row bounds their sign: the
 first row of the form  -a x_j <= 0  (a > 0) for a variable is taken as the
@@ -47,22 +48,28 @@ multiplier of its removed bound row  -a x_j <= 0  is
 Boxes.  A system whose rows each mention at most one variable is a box:
 per variable, an interval whose ends are the tightest bounds its rows
 give (a strict end beats a non-strict one at the same bound).  `solve`
-decides a box by intersecting the intervals, with no tableau, and returns
-what the tableau returns on 'optimal' and 'infeasible': a coordinate with
-a cost sits at its optimizing end, every other one at the point of its
-interval nearest 0, and the value is c.x there.  The Farkas ray of an
-empty interval puts 1/|a| on its two rows a x (<= | =) b, with the sign
-flipped on an `=` row read against its sense; an empty row that fails on
-its own (0 <= b < 0, 0 = b != 0) carries the ray alone.  An unbounded box
-returns a feasible point and an improving unit ray.  Every corpus guard,
+decides a box by intersecting the intervals, with no tableau.  With no
+strict row it returns what the tableau returns on 'optimal' and
+'infeasible': a coordinate with a cost sits at its optimizing end, every
+other one at the point of its interval nearest 0, and the value is c.x
+there.  The Farkas ray of an empty interval puts 1/|a| on its two rows
+a x (<= | =) b, with the sign flipped on an `=` row read against its
+sense; an empty row that fails on its own (0 <= b < 0, 0 = b != 0)
+carries the ray alone.  An unbounded box returns a feasible point and an
+improving unit ray.  Every corpus guard,
 automaton edge and premise atom bounds one variable, so every screen the
 pipeline runs is a box.
 
-Strict inequalities are handled by a slack-maximization transform:
-max t subject to strict rows tightened by t and t <= 1; the strict system
-is feasible iff the optimum is positive.  A box with strict rows skips the
-transform: an interval with a strict end is nonempty iff its ends differ,
-and the point of it nearest 0 moves off a strict end (see `solve_strict`).
+Strict rows.  A system with a `<` row takes no objective (the supremum
+over an open set need not be attained), and an infeasible one carries no
+Farkas ray.  A box is decided by interval intersection: an interval with
+a strict end is nonempty iff its ends differ, and the point of it
+nearest 0 moves off a strict end, to the midpoint, or one unit in when
+the interval has one end (`_interior`; with no strict end it is the
+point nearest 0, so every box feasibility query takes this point).  Any
+other system goes through a slack-maximization transform: max t subject
+to strict rows tightened by t and t <= 1, by the tableau; the strict
+system is feasible iff the optimum is positive.
 
 Row layout.  A row's coefficients are a sparse `Row`: a tuple of
 (column, Fraction) pairs in ascending column order, with no zero
@@ -178,29 +185,38 @@ def solve(
     objective: Sequence[Fraction] | None = None,
     maximize: bool = True,
 ) -> LPResult:
-    """Feasibility / optimization of a system of `<=` and `=` rows.
+    """Feasibility / optimization of a system of `<=`, `<` and `=` rows.
 
-    With no objective: any feasible point (status 'optimal', value 0) or
-    'infeasible' with a Farkas ray aligned with the input rows.  A box
-    system is decided by interval intersection, any other by the tableau
-    (see the module docstring).
+    With no objective: any feasible point (status 'optimal', value 0),
+    meeting every strict row with positive margin, or 'infeasible' with a
+    Farkas ray aligned with the input rows when no row is strict.  A box
+    system is decided by interval intersection, any other by the tableau,
+    through the slack transform when a row is strict (see the module
+    docstring).  Raises ValueError on strict rows with an objective: the
+    supremum over an open set need not be attained.
     """
-    if any(rel == "<" for _, rel, _ in system.rows):
-        raise ValueError("strict rows: use solve_strict()")
+    strict = any(rel == "<" for _, rel, _ in system.rows)
+    if strict and objective is not None:
+        raise ValueError("strict rows admit no objective")
     box = _box(system.rows, len(system.variables))
     if box is None:
+        if strict:
+            return _strict_tableau(system)
         return _tableau(system, objective, maximize)
     lo, hi, clash = box
     if clash is not None:
+        if strict:
+            return LPResult(status="infeasible")
         farkas = [_ZERO] * len(system.rows)
         for i, y in clash:
             farkas[i] = y
         return LPResult(status="infeasible", farkas=farkas)
-    # each coordinate with a cost sits at its optimizing end, if it has one,
-    # every other one at the point of its interval nearest 0
     names = system.variables
     if objective is None:
-        objective = [_ZERO] * len(names)
+        point = {v: _interior(lo[j], hi[j]) for j, v in enumerate(names)}
+        return LPResult(status="optimal", assignment=point, value=_ZERO)
+    # each coordinate with a cost sits at its optimizing end, if it has one,
+    # every other one at the point of its interval nearest 0
     costs = [_frac(cf) for cf in objective]
     point = {}
     ray = None
@@ -500,32 +516,11 @@ def _tableau(
     return LPResult(status="optimal", assignment=point, value=value)
 
 
-def feasible(system: LinearSystem) -> LPResult:
-    return solve(system, objective=None)
-
-
-def solve_strict(system: LinearSystem) -> LPResult:
-    """Decide a system containing strict rows, exactly.
-
-    A box is decided by interval intersection: its point is, per variable,
-    the point of the interval nearest 0, moved off a strict end to the
-    midpoint, or one unit in when the interval has one end.  Any other
-    system goes through `solve`: maximize t with strict rows tightened by
-    t and t <= 1, strictly feasible iff the optimum is positive.  The
-    returned point satisfies every strict row with positive margin.  An
-    infeasible result carries no Farkas ray.
-    """
-    if not any(rel == "<" for _, rel, _ in system.rows):
-        return feasible(system)
-    box = _box(system.rows, len(system.variables))
-    if box is not None:
-        lo, hi, clash = box
-        if clash is not None:
-            return LPResult(status="infeasible")
-        point = {
-            v: _interior(lo[j], hi[j]) for j, v in enumerate(system.variables)
-        }
-        return LPResult(status="optimal", assignment=point, value=_ZERO)
+def _strict_tableau(system: LinearSystem) -> LPResult:
+    """`solve` of a non-box system with strict rows: maximize t with the
+    strict rows tightened by t and t <= 1, by the tableau; the system is
+    strictly feasible iff the optimum is positive.  The augmented system
+    keeps the row that made the input no box, so it is none either."""
     nv = len(system.variables)
     t = ((nv, _ONE),)
     aug = LinearSystem(
@@ -536,13 +531,11 @@ def solve_strict(system: LinearSystem) -> LPResult:
         ],
     )
     aug.rows.append((t, "<=", _ONE))
-    res = solve(aug, objective=[_ZERO] * nv + [_ONE], maximize=True)
-    if res.status == "infeasible" or (
-        res.status == "optimal" and (res.value is None or res.value <= 0)
-    ):
+    res = _tableau(aug, [_ZERO] * nv + [_ONE], True)
+    if res.status != "optimal" or res.value <= 0:
         return LPResult(status="infeasible")
-    assignment = dict(res.assignment or {})
-    assignment.pop("__t", None)
+    assignment = dict(res.assignment)
+    del assignment["__t"]
     return LPResult(status="optimal", assignment=assignment, value=_ZERO)
 
 
@@ -607,9 +600,9 @@ def atoms_feasible(
     atoms: Sequence[Atom], variables: Sequence[str]
 ) -> LPResult:
     """Exact satisfiability of a conjunction, strict atoms honored, by
-    `solve_strict`: interval intersection when every atom bounds one
-    variable, as every corpus guard and premise atom does."""
-    return solve_strict(system_from_atoms(atoms, variables))
+    `solve`: interval intersection when every atom bounds one variable, as
+    every corpus guard and premise atom does."""
+    return solve(system_from_atoms(atoms, variables))
 
 
 def check_implication(

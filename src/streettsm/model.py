@@ -127,9 +127,6 @@ class StochModel:
     def state_dim(self) -> int:
         return len(self.state_vars)
 
-    def control_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.controls)
-
     def branches_for_mode(self, mode: str) -> list[Branch]:
         return [b for b in self.branches if b.mode_from == mode]
 
@@ -256,13 +253,15 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         while True:
             name = ts.expect_ident()
             ts.expect("=")
+            if name.text in env or (
+                name.text == "mode" and b.init_mode is not None
+            ):
+                raise SourceError(
+                    f"duplicate init for {name.text!r}", name.line, name.col
+                )
             if name.text == "mode":
                 b.init_mode = ts.expect_ident("mode name").text
             else:
-                if name.text in env:
-                    raise SourceError(
-                        f"duplicate init for {name.text!r}", name.line, name.col
-                    )
                 env[name.text] = parse_number(ts)
             if not ts.match(","):
                 break

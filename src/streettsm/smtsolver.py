@@ -18,11 +18,11 @@ Decision strategy:
     solved exactly, one connected component at a time, feasibility
     first and worst-violation minimization as fallback.  Disjunction
     branches are re-chosen greedily per round; squared variables are
-    varied by sampling.  Non-bipartite products fall back to greedy
-    conflict-graph coloring with the same round mechanics.  Deterministic
-    restarts draw fresh starting points from constants harvested off the
-    problem.  A model is reported only after exact re-substitution, so
-    "sat" answers are sound; descent that fails to converge is "unknown".
+    varied by sampling.  Deterministic restarts draw fresh starting
+    points from constants harvested off the problem.  A model is reported
+    only after exact re-substitution, so "sat" answers are sound; descent
+    that fails to converge, or a product graph that is not bipartite, is
+    "unknown".
 
 All arithmetic is over fractions.Fraction; no floating point anywhere.
 """
@@ -150,51 +150,7 @@ def _linear_verdict(constraints, names):
             continue
         coeffs, rhs = lp.linear_row(con.poly, column)
         system.rows.append((coeffs, lp.REL[con.rel], rhs))
-    return lp.solve_strict(system)
-
-
-def _conflict_classes(constraints, names) -> tuple[list[list[str]], list[str]]:
-    """Group variables so fixing all groups but one linearizes everything.
-
-    Returns (classes, sampled): a variable squared anywhere is never
-    affine while free, so it is excluded from the LP rounds and varied by
-    sampling instead.
-    """
-    adjacent: dict[str, set[str]] = {n: set() for n in names}
-
-    def see(poly: Poly):
-        for mono in poly.terms:
-            distinct = sorted(set(mono))
-            for a, b in itertools.combinations(distinct, 2):
-                adjacent[a].add(b)
-                adjacent[b].add(a)
-            for n in set(mono):
-                if mono.count(n) > 1:
-                    adjacent[n].add(n)  # squared: can never be the free one
-
-    for con in constraints:
-        if isinstance(con, Disjunction):
-            for c in con.left + con.right:
-                see(c.poly)
-        else:
-            see(con.poly)
-
-    classes: list[list[str]] = []
-    color: dict[str, int] = {}
-    for n in names:
-        if n in adjacent[n]:
-            color[n] = -1  # sampled, never LP-solved
-            continue
-        used = {color.get(m) for m in adjacent[n] if m in color}
-        k = 0
-        while k in used:
-            k += 1
-        color[n] = k
-        while len(classes) <= k:
-            classes.append([])
-        classes[k].append(n)
-    sampled = [n for n, k in color.items() if k == -1]
-    return classes, sampled
+    return lp.solve(system)
 
 
 def _product_blocks(constraints, names) -> tuple[list[list[str]], list[str]] | None:
@@ -413,7 +369,7 @@ def _component_lp(sub, rows, point):
     if res.value == 0 and any(rel == "<" for _, rel, _, _ in linear):
         system = lp.LinearSystem(list(sub))
         system.rows.extend((row, rel, rhs) for row, rel, rhs, _ in linear)
-        strict = lp.solve_strict(system)
+        strict = lp.solve(system)
         if strict.status == "optimal":
             moved = {n: strict.assignment.get(n, F0) for n in sub}
     return moved
@@ -496,10 +452,8 @@ def decide(system: ConstraintSystem):
 
     split = _product_blocks(work, names)
     if split is None:
-        classes, sampled = _conflict_classes(work, names)
-        blocks = [c for c in classes if c]
-    else:
-        blocks, sampled = split
+        return "unknown", None
+    blocks, sampled = split
     pool = _harvest_pool(work)
     lo, hi = _variable_bounds(work, names)
 

@@ -13,11 +13,13 @@ templates witness almost-sure satisfaction of every Streett pair:
     noninc     Post V <= V           elsewhere
     nonneg     V >= 0                on the invariant
 
-Every implication is normalized to non-strict premises (strict atoms
-relaxed and flagged) with a single non-strict consequent, so that Farkas'
-Lemma applies directly.  Premises are kept even when they are plainly
-infeasible; vacuity is discharged downstream by the feasibility screen,
-which decides the premise with its strict atoms.
+Every implication is normalized to `<=` and `<` premise atoms (strict
+atoms stay strict) with a single non-strict consequent.  Farkas' Lemma
+dualizes a strict atom as its relaxation, which is exact whenever the
+strict premise is nonempty: its closure is then the relaxed premise.
+Premises are kept even when they are plainly infeasible; vacuity is
+discharged downstream by the feasibility screen, which decides the
+premise as written.
 """
 
 from __future__ import annotations
@@ -38,13 +40,7 @@ class StrictConsequentError(ValueError):
 
 @dataclass(frozen=True)
 class Implication:
-    """forall variables: premise atoms (all <=) imply consequent (<= ).
-
-    `strict` flags the premise atoms that were strict before relaxation,
-    aligned with `premise`; empty means none was.  The relaxed atoms feed
-    the Farkas dual; the strict ones feed the vacuity screen, since a
-    relaxed premise can be feasible where the strict one is not.
-    """
+    """forall variables: premise atoms (<= or <) imply consequent (<=)."""
 
     family: str  # init | consec | dec | inc | noninc | nonneg
     location: Location | None
@@ -52,24 +48,6 @@ class Implication:
     premise: tuple[Atom, ...]
     consequent: Atom
     note: str = ""
-    strict: tuple[bool, ...] = ()
-
-    def strict_premise(self) -> tuple[Atom, ...]:
-        """The premise with its relaxed atoms made strict again."""
-        if not any(self.strict):
-            return self.premise
-        return tuple(
-            Atom(a.form, Rel.LT) if s else a
-            for a, s in zip(self.premise, self.strict)
-        )
-
-    @property
-    def strictness_log(self) -> tuple[str, ...]:
-        return tuple(
-            f"{a} relaxed to non-strict"
-            for a, s in zip(self.strict_premise(), self.strict)
-            if s
-        )
 
     @property
     def tag(self) -> str:
@@ -103,23 +81,7 @@ class VCSet:
             for a in impl.premise:
                 lines.append(f"      {a}")
             lines.append(f"      ==> {impl.consequent}")
-            for entry in impl.strictness_log:
-                lines.append(f"      (relaxed: {entry})")
         return "\n".join(lines) + "\n"
-
-
-def normalize_strict(
-    atoms: Sequence[Atom],
-) -> tuple[list[Atom], tuple[bool, ...]]:
-    """Premise atoms in <= normal form, strict ones relaxed, with a flag
-    per output atom that is set where the atom was strict."""
-    out: list[Atom] = []
-    strict: list[bool] = []
-    for atom in atoms:
-        for le in atom.normalized_le():
-            out.append(Atom(le.form, Rel.LE))
-            strict.append(le.rel == Rel.LT)
-    return out, tuple(strict)
 
 
 def normalize_consequent(atom: Atom) -> Atom:
@@ -177,15 +139,13 @@ def _mk(
     consequent: Atom,
     note: str = "",
 ) -> Implication:
-    prem, strict = normalize_strict(premise)
     return Implication(
         family,
         location,
         tuple(variables),
-        tuple(prem),
+        tuple(le for atom in premise for le in atom.normalized_le()),
         normalize_consequent(consequent),
         note,
-        strict,
     )
 
 

@@ -27,12 +27,7 @@ from streettsm.farkas import (
 )
 from streettsm.model import parse_model
 from streettsm.templates import CertTemplate, InvTemplate, parse_invariant, post_table
-from streettsm.vcgen import (
-    Implication,
-    VCSet,
-    build_product_vcs,
-    normalize_strict,
-)
+from streettsm.vcgen import Implication, VCSet, build_product_vcs
 
 P = Poly.param
 ONE = Fraction(1)
@@ -168,24 +163,51 @@ def test_premise_sat_rejects_parameter_dependent_premises():
         farkas_premise_sat(templated_control_implication())
 
 
-def test_strict_premise_contradiction_routes_vacuous():
+def test_contradictory_strict_atoms_route_vacuous():
     # x < -1/2 and -1/2 < x: empty, though its relaxation admits x = -1/2;
     # a `false` target (1 <= 0) reached only there is vacuously valid
     x = LinForm.var("x")
     half = LinForm.constant(Fraction(1, 2))
-    premise, strict = normalize_strict(
-        [Atom(x + half, Rel.LT), Atom(-x - half, Rel.LT)]
-    )
+    premise = (Atom(x + half, Rel.LT), Atom(-x - half, Rel.LT))
     false = Atom(LinForm.constant(ONE), Rel.LE)
-    impl = Implication(
-        "consec", None, ("x",), tuple(premise), false, strict=strict
-    )
+    impl = Implication("consec", None, ("x",), premise, false)
     assert premise_feasible(impl) == "infeasible"
     assert transform(VCSet((impl,), (), ()))[0].mode == "vacuous"
     assert implication_valid_bruteforce(impl)
-    relaxed = dataclasses.replace(impl, strict=())
+    relaxed = relax(impl)
     assert premise_feasible(relaxed) == "feasible"
     assert not implication_valid_bruteforce(relaxed)
+
+
+def relax(impl: Implication) -> Implication:
+    """The implication with every strict premise atom read as `<=`."""
+    premise = tuple(Atom(a.form, Rel.LE) for a in impl.premise)
+    return dataclasses.replace(impl, premise=premise)
+
+
+def test_dual_of_strict_atoms_is_the_relaxed_dual():
+    # 0 < x < 1 implies x <= 2: a feasible strict premise is dualized as
+    # its closure, multiplier for multiplier; so is a parameter-dependent
+    # one, in the general form
+    x = LinForm.var("x")
+    premise = (Atom(x - LinForm.constant(ONE), Rel.LT), Atom(-x, Rel.LT))
+    impl = Implication(
+        "consec", None, ("x",), premise, const_atom({"x": ONE}, Fraction(2))
+    )
+    impls = [impl] + [
+        i for i in _corpus_implications()
+        if any(a.rel == Rel.LT for a in i.premise)
+    ]
+    checked = 0
+    for impl in impls:
+        (dual,) = transform(VCSet((impl,), (), ()))
+        if dual.mode == "vacuous":
+            continue
+        (want,) = transform(VCSet((relax(impl),), (), ()))
+        assert dual.mode == want.mode and dual.zs == want.zs
+        assert dual.items() == want.items()
+        checked += 1
+    assert checked > 1
 
 
 def test_even_or_negative_synthesizes_over_its_invariant():
@@ -259,7 +281,7 @@ def test_transform_screens_each_premise_once(monkeypatch):
             if all(a.form.is_param_free() for a in impl.premise)
         ]
         distinct = {
-            (impl.variables, impl.strict_premise()) for impl in param_free
+            (impl.variables, impl.premise) for impl in param_free
         }
         assert len(calls) == len(distinct)
         assert set(calls) == distinct
@@ -418,7 +440,7 @@ def branch_feasible(constraints, names: list[str]) -> bool:
     for c in constraints:
         coeffs, const = linear_parts(c.poly, names)
         system.add([coeffs[n] for n in names], rel_map[c.rel], -const)
-    return lp.solve_strict(system).status == "optimal"
+    return lp.solve(system).status == "optimal"
 
 
 def dual_sat_by_lp(dual) -> bool:

@@ -13,10 +13,8 @@ from streettsm import lp
 from streettsm.lp import (
     LinearSystem,
     check_implication,
-    feasible,
     linear_row,
     solve,
-    solve_strict,
     system_from_atoms,
 )
 
@@ -65,7 +63,7 @@ def _assert_farkas(system, y):
 
 def test_infeasible_has_farkas_certificate():
     s = _sys(["x"], [([1], "<=", 1), ([-1], "<=", -2)])
-    r = feasible(s)
+    r = solve(s)
     assert r.status == "infeasible"
     y = r.farkas
     assert y is not None and len(y) == 2
@@ -86,7 +84,7 @@ def test_sign_bound_rows_get_farkas_multipliers():
             ([1, 1], "<=", -1),
         ],
     )
-    r = feasible(s)
+    r = solve(s)
     assert r.status == "infeasible"
     _assert_farkas(s, r.farkas)
     assert r.farkas[1] > 0 and r.farkas[3] > 0
@@ -97,7 +95,7 @@ def test_feasible_point_satisfies_rows():
         ["x", "y"],
         [([1, 1], "<=", 4), ([1, 0], "<=", 2), ([-1, -1], "<=", 10)],
     )
-    r = feasible(s)
+    r = solve(s)
     assert r.status == "optimal"
     assert _satisfies(s, r.assignment)
 
@@ -214,7 +212,7 @@ def test_system_from_atoms_rejects_parameters_and_undeclared_variables():
 
 def test_equalities_and_negative_rhs():
     s = _sys(["x", "y"], [([1, 1], "=", -1), ([1, -1], "=", 3)])
-    r = feasible(s)
+    r = solve(s)
     assert r.status == "optimal"
     assert r.assignment == {"x": F(1), "y": F(-2)}
 
@@ -239,35 +237,40 @@ def test_unbounded_ray_certificate():
 
 def test_strict_feasibility():
     s = _sys(["x"], [([1], "<", 1), ([-1], "<", 0)])
-    r = solve_strict(s)
+    r = solve(s)
     assert r.status == "optimal"
     assert 0 < r.assignment["x"] < 1
 
     s2 = _sys(["x"], [([1], "<", 0), ([-1], "<", 0)])
-    assert solve_strict(s2).status == "infeasible"
+    assert solve(s2).status == "infeasible"
 
     # non-strict boundary point exists but no strict one
     s3 = _sys(["x"], [([1], "<", 1), ([-1], "<=", -1)])
-    assert solve_strict(s3).status == "infeasible"
+    assert solve(s3).status == "infeasible"
     s3ns = _sys(["x"], [([1], "<=", 1), ([-1], "<=", -1)])
-    assert feasible(s3ns).status == "optimal"
+    assert solve(s3ns).status == "optimal"
 
 
 def test_strict_sign_row_is_not_a_bound():
     # -x < 0 has the shape of a sign bound but excludes x = 0; next to
     # the non-strict bound -x <= 0 it must still exclude it
     s = _sys(["x"], [([-1], "<", 0), ([-1], "<=", 0), ([1], "<=", 0)])
-    assert solve_strict(s).status == "infeasible"
+    assert solve(s).status == "infeasible"
     s2 = _sys(["x"], [([-1], "<", 0), ([1], "<=", F(1, 2))])
-    r = solve_strict(s2)
+    r = solve(s2)
     assert r.status == "optimal"
     assert 0 < r.assignment["x"] <= F(1, 2)
 
 
 def test_strict_rows_rejected_by_solve():
-    s = _sys(["x"], [([1], "<", 1)])
-    with pytest.raises(ValueError):
-        solve(s)
+    # the supremum over an open set need not be attained: x < 1 has none
+    box = _sys(["x"], [([1], "<", 1)])
+    general = _sys(["x", "y"], [([1, 1], "<", 1)])
+    for s in (box, general):
+        assert solve(s).status == "optimal"
+        for maximize in (True, False):
+            with pytest.raises(ValueError, match="strict rows"):
+                solve(s, objective=[F(1)] * len(s.variables), maximize=maximize)
 
 
 def test_implication_checks():
@@ -320,7 +323,7 @@ def systems(draw, coef=coef, bound=small_bound):
 
 
 def _check_feasibility(s):
-    r = feasible(s)
+    r = solve(s)
     if r.status == "optimal":
         assert _satisfies(s, r.assignment)
     else:
@@ -347,7 +350,7 @@ def _check_optimum(s, obj, maximize):
     # sense * c.x >= sense * value + 1e-6, written as a <= row
     better = LinearSystem(list(s.variables), list(s.rows))
     better.add([-sense * ci for ci in c], "<=", -sense * r.value - F(1, 10**6))
-    beaten = feasible(better)
+    beaten = solve(better)
     assert beaten.status == "infeasible"
     _assert_farkas(better, beaten.farkas)
 
@@ -458,7 +461,7 @@ def test_box_path_matches_the_tableau(s, obj, maximize):
 
 
 def _augmented_status(s):
-    """`solve_strict`'s verdict by the tableau on the __t transform."""
+    """The verdict of a strict system by the tableau on the __t transform."""
     nv = len(s.variables)
     t = ((nv, F(1)),)
     aug = LinearSystem(
@@ -473,30 +476,55 @@ def _augmented_status(s):
 @settings(max_examples=400, deadline=None)
 @given(box_systems(strict=True))
 def test_strict_box_agrees_with_the_slack_transform(s):
-    got = solve_strict(s)
+    got = solve(s)
     assert got.status == _augmented_status(s)
     if got.status == "optimal":
         assert _satisfies(s, got.assignment)
         assert got.value == 0
 
 
+@st.composite
+def strict_systems(draw):
+    """`systems()` with some of its `<=` rows made strict."""
+    s = draw(systems())
+    rows = [
+        (c, "<" if rel == "<=" and draw(st.booleans()) else rel, b)
+        for c, rel, b in s.rows
+    ]
+    return LinearSystem(s.variables, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strict_systems())
+def test_strict_systems_agree_with_the_slack_transform(s):
+    got = solve(s)
+    assert got.status == _augmented_status(s)
+    if got.status == "optimal":
+        assert _satisfies(s, got.assignment)
+        assert got.value == 0
+    elif any(rel == "<" for _, rel, _ in s.rows):
+        assert got.farkas is None
+    else:
+        _assert_farkas(s, got.farkas)
+
+
 def test_empty_rows_decide_a_box_on_their_own():
     s = _sys(["x"], [([1], "<=", 2), ([0], "=", 1)])
-    r = feasible(s)
+    r = solve(s)
     assert r.status == "infeasible" and r.farkas == [0, -1]
     _assert_farkas(s, r.farkas)
     s2 = _sys(["x"], [([0], "<=", -1)])
     r2 = solve(s2, objective=[F(1)])
     assert r2.status == "infeasible"
     _assert_farkas(s2, r2.farkas)
-    assert solve_strict(_sys(["x"], [([0], "<", 0)])).status == "infeasible"
-    assert solve_strict(_sys(["x"], [([0], "<", 1)])).status == "optimal"
+    assert solve(_sys(["x"], [([0], "<", 0)])).status == "infeasible"
+    assert solve(_sys(["x"], [([0], "<", 1)])).status == "optimal"
 
 
 def test_equality_against_its_sense_gets_a_negative_multiplier():
     # 2x = 4 read as x >= 2 against x <= 1
     s = _sys(["x"], [([1], "<=", 1), ([2], "=", 4)])
-    r = feasible(s)
+    r = solve(s)
     assert r.status == "infeasible"
     _assert_farkas(s, r.farkas)
     assert r.farkas == [1, F(-1, 2)]
@@ -512,7 +540,7 @@ def test_strict_box_points_leave_strict_ends():
         ([([1], "<", 2), ([-1], "<=", 1)], F(0)),
     ]
     for rows, x in cases:
-        r = solve_strict(_sys(["x"], rows))
+        r = solve(_sys(["x"], rows))
         assert r.status == "optimal" and r.assignment == {"x": x}
 
 

@@ -316,6 +316,14 @@ def test_name_collisions_and_duplicates():
     dup = WALK + "control: k in [0, 1]\ncontrol: k in [0, 2]\n"
     with pytest.raises(SourceError, match="duplicate control"):
         parse_model(dup)
+    modes = WALK.replace("state_dim: 1", "state_dim: 1\nmodes: a b")
+    line = "init: x = 0, mode = a, mode = b"
+    twice = modes.replace("init: x = 0", line)
+    with pytest.raises(SourceError, match="duplicate init for 'mode'") as err:
+        parse_model(twice)
+    # anchored at the second `mode` token
+    assert err.value.line == twice.splitlines().index(line) + 1
+    assert err.value.col == line.rindex("mode") + 1
 
 
 def test_update_outside_block_is_an_error():

@@ -130,3 +130,21 @@ def test_zero_violation_is_exactly_holding(constraints, point):
     assert (worst == smtsolver.MEASURE_ZERO) == all(
         con.holds(point) for con in constraints
     )
+
+
+def test_non_bipartite_products_are_unknown():
+    # a*b, b*c and a*c close an odd cycle, so no two blocks make every row
+    # affine; the linear part (a <= 2) is feasible, so nothing is refuted
+    names = ("a", "b", "c")
+    rows = (
+        le(P("a") * P("b") - const(1)),
+        le(P("b") * P("c") - const(1)),
+        le(const(1) - P("a") * P("c")),
+        le(P("a") - const(2)),
+    )
+    system = ConstraintSystem(
+        tuple(Param(n, ParamKind.CERT) for n in names), rows
+    )
+    assert smtsolver._product_blocks(list(rows), list(names)) is None
+    assert smtsolver._linear_verdict(rows, names).status == "optimal"
+    assert smtsolver.decide(system) == ("unknown", None)

@@ -19,9 +19,9 @@ from streettsm.vcgen import (
     Implication,
     StrictConsequentError,
     VCSet,
+    _mk,
     build_product_vcs,
     normalize_consequent,
-    normalize_strict,
     promote_disturbance,
 )
 
@@ -106,17 +106,19 @@ def test_initiation_is_premise_free():
     assert not init.consequent.form.variables()
 
 
-def test_strict_premises_are_relaxed_and_logged():
+def test_strict_atoms_stay_strict_in_premises():
+    # the edge guard x >= -1 and x < 1 of q0 -> q1 keeps its `<` atom
     vcs = _vcs("example2", eps=F(1, 2))
-    logged = [i for i in vcs.implications if i.strictness_log]
-    assert logged
     impl = next(
         i
         for i in vcs.implications
         if i.family == "consec" and "->q1" in i.note
     )
-    assert any("relaxed" in entry for entry in impl.strictness_log)
-    assert all(a.rel == Rel.LE for a in impl.premise)
+    x_below_1 = Atom(LinForm.var("x") - LinForm.constant(1), Rel.LT)
+    assert x_below_1 in impl.premise
+    assert all(
+        a.rel in (Rel.LE, Rel.LT) for i in vcs.implications for a in i.premise
+    )
 
 
 def test_strict_consequent_is_an_error():
@@ -219,7 +221,8 @@ def test_dump_is_readable():
     text = vcs.dump()
     assert "consec at ('q0', '_')" in text
     assert "side: -M0 <= 0" in text
-    assert "(relaxed:" in text
+    # strict premise atoms print as written
+    assert "      x - 1 < 0\n" in text
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -234,16 +237,20 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     rationals,
 )
 def test_relaxation_only_weakens_premises(rows, x):
+    # a premise keeps its meaning, strict atoms included; the relaxation
+    # the Farkas dual reads (each atom's form, as `<=`) only weakens it
     atoms = [
         Atom(LinForm.var("x").scale(a) + LinForm.constant(b), rel)
         for a, b, rel in rows
     ]
-    relaxed, strict = normalize_strict(atoms)
+    impl = _mk("consec", None, ("x",), atoms, Atom(LinForm.constant(0), Rel.LE))
     env = {"x": x}
-    orig_holds = all(a.holds({}, env) for a in atoms)
-    if orig_holds:
-        assert all(a.holds({}, env) for a in relaxed)
-    assert all(a.rel == Rel.LE for a in relaxed)
-    les = [le for a in atoms for le in a.normalized_le()]
-    assert len(strict) == len(relaxed) == len(les)
-    assert list(strict) == [le.rel == Rel.LT for le in les]
+    assert all(a.rel in (Rel.LE, Rel.LT) for a in impl.premise)
+    holds = all(a.holds({}, env) for a in impl.premise)
+    assert holds == all(a.holds({}, env) for a in atoms)
+    if holds:
+        assert all(Atom(a.form, Rel.LE).holds({}, env) for a in impl.premise)
+    # one `<` atom per strict input atom: nothing is relaxed
+    assert sum(a.rel == Rel.LT for a in impl.premise) == sum(
+        a.strict() for a in atoms
+    )
