@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .expr import Atom, LinForm
 from .lp import atoms_feasible
-from .model import guards_cover_space
+from .model import DEFAULT_MODE, guards_cover_space
 from .syntax import (
     ModeTest,
     SourceError,
@@ -192,7 +192,7 @@ def parse_dsa(
         )
 
     dsa = GuardedDSA(states, init, tuple(transitions), tuple(pairs))
-    validate_dsa(dsa, tuple(variables), modes or ("_",))
+    validate_dsa(dsa, tuple(variables), modes or (DEFAULT_MODE,))
     return dsa
 
 

@@ -62,9 +62,6 @@ class Param:
     name: str
     kind: ParamKind
 
-    def __repr__(self) -> str:
-        return self.name
-
 
 # A monomial is a sorted tuple of parameter names, with multiplicity.
 Monomial = tuple[str, ...]

@@ -482,7 +482,22 @@ def _finish(b: _ModelBuilder) -> StochModel:
         if not blk["guard"].at_end():
             raise blk["guard"].error("trailing input")
         assert not tests
+        start = blk["update"].peek()
         update = _parse_updates(blk["update"], state_vars, resolve_update)
+        # Post V substitutes the box mean, which is exact for affine V
+        # only when each monomial carries at most one disturbance factor
+        if dist.kind == "box" and any(
+            sum(n in wnames for n in mono) > 1
+            for form in update.values()
+            for poly in (*form.coeffs.values(), form.const)
+            for mono in poly.terms
+        ):
+            raise SourceError(
+                "box disturbance with a quadratic disturbance monomial "
+                "in an update",
+                start.line,
+                start.col,
+            )
         branches.append(
             Branch(blk["from"], blk["to"], tuple(atoms), update, blk["line"])
         )

@@ -207,7 +207,7 @@ def _product_blocks(constraints, names) -> tuple[list[list[str]], list[str]] | N
         blocks = [b0] if b0 else []
     else:
         blocks = sorted((b for b in (b0, b1) if b), key=len, reverse=True)
-    return blocks, sorted(sampled)
+    return blocks, [n for n in names if n in sampled]
 
 
 def _harvest_pool(constraints) -> list[Fraction]:
@@ -381,16 +381,18 @@ def _block_lp(active, group, point):
 
     Rows not mentioning the group keep their violation either way and
     are left out.  Returns the moved values, or None when no row
-    involves the group."""
-    group_set = set(group)
-    fixed = {n: v for n, v in point.items() if n not in group_set}
+    involves the group.  Columns and components follow the order of
+    `group`, never the names, so renaming the parameters does not move
+    the vertex an LP lands on."""
+    rank = {n: i for i, n in enumerate(group)}
+    fixed = {n: v for n, v in point.items() if n not in rank}
     touched = []
     for con in active:
         names = con.poly.params()
-        vs = names & group_set
+        vs = sorted((n for n in names if n in rank), key=rank.__getitem__)
         if vs:
-            local = names <= group_set
-            touched.append((sorted(vs), con.poly.substitute(fixed), con.rel, local))
+            local = len(vs) == len(names)
+            touched.append((vs, con.poly.substitute(fixed), con.rel, local))
     if not touched:
         return None
 
@@ -411,10 +413,10 @@ def _block_lp(active, group, point):
         root = find(vs[0])
         comp_vars.setdefault(root, set()).update(vs)
         comp_rows.setdefault(root, []).append((residual, rel, local))
+    subs = {r: sorted(vs, key=rank.__getitem__) for r, vs in comp_vars.items()}
     moved: dict[str, Fraction] = {}
-    for root in sorted(comp_rows):
-        sub = sorted(comp_vars[root])
-        moved.update(_component_lp(sub, comp_rows[root], point))
+    for root in sorted(subs, key=lambda r: rank[subs[r][0]]):
+        moved.update(_component_lp(subs[root], comp_rows[root], point))
     return moved
 
 

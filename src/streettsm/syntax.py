@@ -77,22 +77,19 @@ class ModeTest:
         return (mode == self.mode) if self.equal else (mode != self.mode)
 
 
-def tokenize(text: str, line: int = 1, col_base: int = 1) -> list[Token]:
+def tokenize(text: str, line: int = 1) -> list[Token]:
+    """The tokens of one logical line, numbered `line`, then an eof token."""
     tokens: list[Token] = []
-    cur_line, cur_col = line, col_base
+    col = 1
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         s = m.group()
         if kind == "bad":
-            raise SourceError(f"unexpected character {s!r}", cur_line, cur_col)
+            raise SourceError(f"unexpected character {s!r}", line, col)
         if kind != "ws":
-            tokens.append(Token(kind, s, cur_line, cur_col))
-        if "\n" in s:
-            cur_line += s.count("\n")
-            cur_col = len(s) - s.rfind("\n")
-        else:
-            cur_col += len(s)
-    tokens.append(Token("eof", "", cur_line, cur_col))
+            tokens.append(Token(kind, s, line, col))
+        col += len(s)
+    tokens.append(Token("eof", "", line, col))
     return tokens
 
 

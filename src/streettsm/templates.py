@@ -9,15 +9,17 @@ eta . x <= eta' with fresh parameters (R configurable, default 2).  A
 infeasible row such as 0 <= -1.
 
 The post-expectation of V at location (q, m) is computed piecewise, one
-piece per automaton edge from q times model branch from m:
+piece per product transition: an automaton edge from q times a model
+branch from m, whose joint guard (branch guard and edge guard) is
+satisfiable.  On that guard
 
     Post V(x) = sum_w p(w) . V(f(x, w), (edge target, branch target mode))
 
-on the conjunction of the branch guard and the edge guard.  The automaton
-target depends only on the current observation, never on w.  For finitely
-supported disturbances the sum is exact; for box-supported disturbances
-the mean is substituted, which is exact for affine V provided no update
-monomial carries two disturbance factors.
+The automaton target depends only on the current observation, never on w.
+One loop sums over (value, probability) pairs: the finite support, where
+the sum is exact, or the single pair (mean, 1) of a box, which is exact
+for affine V because no update monomial carries two disturbance factors
+(model parsing rejects any that does).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from .automata import GuardedDSA, Transition
 from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from .lp import atoms_feasible
-from .model import StochModel
+from .model import Branch, StochModel
 from .syntax import (
     SourceError,
     TokenStream,
@@ -126,15 +128,22 @@ class InvTemplate:
 
 @dataclass(frozen=True)
 class PostPiece:
+    """Post V on one product transition: from `location`, along `edge`
+    and `branch`."""
+
     location: Location
     edge: Transition
+    branch: Branch
     guard: tuple[Atom, ...]  # branch guard && edge guard
     form: LinForm  # symbolic Post V piece over x
-    source_line: int = 0
 
 
 @dataclass(frozen=True)
 class PostTable:
+    """Post V of one pair's V.  Which transitions get a piece depends only
+    on the model and the automaton, so every table of one product has the
+    same (location, edge, branch) steps, in the same order."""
+
     pair_index: int
     pieces: tuple[PostPiece, ...]
 
@@ -169,21 +178,15 @@ def _joint_guard_feasible(
 def post_table(
     V: CertTemplate, model: StochModel, dsa: GuardedDSA
 ) -> PostTable:
-    """Symbolic Post V, one piece per (location, automaton edge, branch)."""
+    """Symbolic Post V, one piece per product transition, save those whose
+    joint guard is parameter-free and LP-infeasible."""
     dist = model.disturbance
     wnames = dist.component_names()
-    if dist.kind == "box":
-        # mean substitution demands at most one disturbance factor per
-        # monomial, otherwise E[V(f)] is not V(f) at the mean
-        for br in model.branches:
-            for form in br.update.values():
-                for poly in list(form.coeffs.values()) + [form.const]:
-                    for mono in poly.terms:
-                        if sum(1 for n in mono if n in wnames) > 1:
-                            raise ValueError(
-                                "box disturbance with a quadratic "
-                                "disturbance monomial in an update"
-                            )
+    cases = (
+        dist.support
+        if dist.kind == "finite"
+        else ((dist.mean_vector(), Fraction(1)),)
+    )
     pieces: list[PostPiece] = []
     screens: dict[tuple[Atom, ...], bool] = {}
     for q, m in locations(model, dsa):
@@ -196,22 +199,12 @@ def post_table(
                     guard, model.state_vars, screens
                 ):
                     continue
-                target = (edge.target, br.mode_to)
-                vnext = V.pieces[target]
-                if dist.kind == "finite":
-                    assert dist.support is not None
-                    form = LinForm()
-                    for value, prob in dist.support:
-                        image = _image_with_sample(br.update, wnames, value)
-                        form = form + vnext.substitute_state(image).scale(prob)
-                else:
-                    image = _image_with_sample(
-                        br.update, wnames, dist.mean_vector()
-                    )
-                    form = vnext.substitute_state(image)
-                pieces.append(
-                    PostPiece((q, m), edge, guard, form, br.line)
-                )
+                vnext = V.pieces[(edge.target, br.mode_to)]
+                form = LinForm()
+                for value, prob in cases:
+                    image = _image_with_sample(br.update, wnames, value)
+                    form = form + vnext.substitute_state(image).scale(prob)
+                pieces.append(PostPiece((q, m), edge, br, guard, form))
     return PostTable(V.pair_index, tuple(pieces))
 
 

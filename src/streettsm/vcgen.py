@@ -8,6 +8,7 @@ templates witness almost-sure satisfaction of every Streett pair:
 
     init       each invariant row holds at the initial product location
     consec     the invariant is closed under every product transition
+               whose joint guard is satisfiable
     dec        Post V <= V - eps     at locations with q in A \\ B
     inc        Post V <= V + M       at locations with q in B
     noninc     Post V <= V           elsewhere
@@ -17,21 +18,27 @@ Every implication is normalized to `<=` and `<` premise atoms (strict
 atoms stay strict) with a single non-strict consequent.  Farkas' Lemma
 dualizes a strict atom as its relaxation, which is exact whenever the
 strict premise is nonempty: its closure is then the relaxed premise.
-Premises are kept even when they are plainly infeasible; vacuity is
-discharged downstream by the feasibility screen, which decides the
-premise as written.
+
+The product transitions are enumerated once, by the Post V table: its
+pieces, one per (location, automaton edge, model branch) with a
+satisfiable joint guard, carry both the drift conditions and the closure
+of the invariant.  A transition whose parameter-free joint guard is
+LP-infeasible never fires and gets no VC.  Other premises are kept even
+when they are plainly infeasible; vacuity is discharged downstream by
+the feasibility screen, which decides the premise as written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .automata import GuardedDSA
 from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from .model import StochModel
-from .templates import CertTemplate, InvTemplate, Location, PostTable
+from .templates import CertTemplate, InvTemplate, Location, PostPiece, PostTable
 
 
 class StrictConsequentError(ValueError):
@@ -131,6 +138,13 @@ def promote_disturbance(form: LinForm, wnames: tuple[str, ...]) -> LinForm:
     return out
 
 
+def _step(piece: PostPiece) -> str:
+    """A Post V piece's transition as VC notes name it; parallel automaton
+    edges differ in their line."""
+    e, line = piece.edge, piece.branch.line
+    return f"edge {e.source}->{e.target} line {e.line}, branch line {line}"
+
+
 def _mk(
     family: str,
     location: Location | None,
@@ -188,56 +202,34 @@ def build_product_vcs(
             )
         )
 
-    # consecution: closure under every (edge, branch) product transition
-    for q, m in inv.rows:
-        src_rows = inv.rows[(q, m)]
-        for edge in dsa.outgoing(q):
-            if not edge.applies_in_mode(m):
-                continue
-            for br in model.branches_for_mode(m):
-                target = (edge.target, br.mode_to)
-                base = list(src_rows) + list(edge.atoms) + list(br.guard)
-                note = f"edge {q}->{edge.target}, branch line {br.line}"
-                if dist.kind == "finite":
-                    assert dist.support is not None
-                    for value, _prob in dist.support:
-                        wsub = dict(zip(wnames, value))
-                        image = {
-                            v: f.substitute_params(wsub)
-                            for v, f in br.update.items()
-                        }
-                        for i, row in enumerate(inv.rows[target]):
-                            implications.append(
-                                _mk(
-                                    "consec",
-                                    (q, m),
-                                    xs,
-                                    base,
-                                    Atom(
-                                        row.form.substitute_state(image),
-                                        row.rel,
-                                    ),
-                                    note=f"{note}, w={tuple(value)}, row {i}",
-                                )
-                            )
-                else:
-                    image = {
-                        v: promote_disturbance(f, wnames)
-                        for v, f in br.update.items()
-                    }
-                    for i, row in enumerate(inv.rows[target]):
-                        implications.append(
-                            _mk(
-                                "consec",
-                                (q, m),
-                                tuple(xs) + wnames,
-                                base + dist.box_atoms(),
-                                Atom(
-                                    row.form.substitute_state(image), row.rel
-                                ),
-                                note=f"{note}, row {i}",
-                            )
-                        )
+    # consecution: closure under every product transition of the Post V
+    # table.  A finite disturbance gives one case per support value; a box
+    # gives one case, promoted to universal columns bounded by the box.
+    if dist.kind == "finite":
+        cases = [
+            (xs, [], w, partial(LinForm.substitute_params, valuation=w))
+            for w in (dict(zip(wnames, v)) for v, _prob in dist.support)
+        ]
+    else:
+        lift = partial(promote_disturbance, wnames=wnames)
+        cases = [(xs + wnames, dist.box_atoms(), {}, lift)]
+    for piece in tables[0].pieces:
+        edge, br = piece.edge, piece.branch
+        base = [*inv.rows[piece.location], *edge.atoms, *br.guard]
+        for variables, extra, w, lift in cases:
+            image = {v: lift(f) for v, f in br.update.items()}
+            sample = "".join(f", {n}={c}" for n, c in w.items())
+            for i, row in enumerate(inv.rows[(edge.target, br.mode_to)]):
+                implications.append(
+                    _mk(
+                        "consec",
+                        piece.location,
+                        variables,
+                        base + extra,
+                        Atom(row.form.substitute_state(image), row.rel),
+                        note=f"{_step(piece)}{sample}, row {i}",
+                    )
+                )
 
     # drift: one implication per PostTable piece, dispatched on the pair
     params: list[Param] = []
@@ -257,8 +249,7 @@ def build_product_vcs(
             raise ValueError("PostTable/CertTemplate pair mismatch")
         pair = dsa.pairs[k]
         for piece in table.pieces:
-            q, m = piece.location
-            family = pair.classify(q)
+            family = pair.classify(piece.location[0])
             gap = {
                 "dec": LinForm.constant(eps),
                 "inc": -LinForm.from_poly(m_polys[k]),
@@ -271,8 +262,7 @@ def build_product_vcs(
                     xs,
                     list(inv.rows[piece.location]) + list(piece.guard),
                     Atom(piece.form - V.pieces[piece.location] + gap, Rel.LE),
-                    note=f"pair {k}, edge {q}->{piece.edge.target}, "
-                    f"piece line {piece.source_line}",
+                    note=f"pair {k}, {_step(piece)}",
                 )
             )
 

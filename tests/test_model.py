@@ -292,6 +292,19 @@ def test_box_disturbance_validation():
         parse_model(bad)
 
 
+def test_box_quadratic_disturbance_rejected():
+    # the box mean stands in for w in Post V, which is exact for affine V
+    # only when no update monomial carries two disturbance factors
+    box = WALK.replace(
+        "w finite { (1): 1/2, (0): 1/2 }",
+        "w box { lo = -1, hi = 1, mean = 0 }",
+    )
+    parse_model(box.replace("x' = x - 1", "x' = w*x - 1"))
+    with pytest.raises(SourceError, match="quadratic disturbance") as e:
+        parse_model(box.replace("x' = x - 1", "x' = x + w*w"))
+    assert (e.value.line, e.value.col) == (10, 11)
+
+
 def test_missing_declarations():
     with pytest.raises(SourceError, match="missing disturbance"):
         parse_model("state_dim: 1\ninit: x = 0\nbranch _ -> _:\n"

@@ -1,4 +1,5 @@
-"""The bundled solver: disjunction pruning under equality pins."""
+"""The bundled solver: disjunction pruning under equality pins, honest
+`unknown`, and a descent that does not depend on parameter names."""
 
 from fractions import Fraction
 
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from streettsm import smtsolver
+from streettsm import backends, farkas, smtsolver
 from streettsm.backends import simplex_solve
+from streettsm.benchmarks import load_benchmark
 from streettsm.expr import Param, ParamKind, Poly, Rel
 from streettsm.farkas import ConstraintSystem, Disjunction, PolyConstraint
+from streettsm.templates import CertTemplate, post_table
+from streettsm.vcgen import build_product_vcs
 
 P = Poly.param
 F = Fraction
@@ -148,3 +152,53 @@ def test_non_bipartite_products_are_unknown():
     assert smtsolver._product_blocks(list(rows), list(names)) is None
     assert smtsolver._linear_verdict(rows, names).status == "optimal"
     assert smtsolver.decide(system) == ("unknown", None)
+
+
+def test_contradictory_bilinear_rows_are_an_honest_unknown():
+    # a*b >= 1 and a*b <= -1 pass the linear screen (there is no linear
+    # row) and have no model: the descent gives up and says so
+    rows = (
+        le(const(1) - P("a") * P("b")),
+        le(const(1) + P("a") * P("b")),
+    )
+    system = ConstraintSystem(
+        tuple(Param(n, ParamKind.CERT) for n in ("a", "b")), rows
+    )
+    assert smtsolver._linear_verdict(rows, ["a", "b"]).status == "optimal"
+    assert smtsolver.decide(system) == ("unknown", None)
+    assert backends.decide(backends.SolverJob(system)).status == "unknown"
+
+
+def _assembled(name):
+    b = load_benchmark(name)
+    V = CertTemplate.fresh(b.model, b.dsa, 0)
+    vcs = build_product_vcs(
+        b.model, b.dsa, [V], b.invariant, [post_table(V, b.model, b.dsa)]
+    )
+    return farkas.assemble(vcs, farkas.transform(vcs))
+
+
+@pytest.mark.parametrize("name", ["example2", "Temperature4"])
+def test_descent_does_not_depend_on_parameter_names(name):
+    # the same system with its parameters renamed so that their name order
+    # reverses: the descent walks the same points and returns the same model
+    system = _assembled(name)
+    assert not system.has_disjunction()
+    ranked = sorted(p.name for p in system.params)
+    new = {n: f"v{len(ranked) - i:04d}" for i, n in enumerate(ranked)}
+
+    def rename(poly):
+        return Poly(
+            {tuple(new[n] for n in mono): c for mono, c in poly.terms.items()}
+        )
+
+    renamed = ConstraintSystem(
+        tuple(Param(new[p.name], p.kind) for p in system.params),
+        tuple(PolyConstraint(rename(c.poly), c.rel) for c in system.constraints),
+    )
+    status, model = smtsolver.decide(system)
+    assert status == "sat"
+    assert smtsolver.decide(renamed) == (
+        "sat",
+        {new[n]: v for n, v in model.items()},
+    )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Poly, Rel
-from streettsm.model import parse_model
 from streettsm.templates import (
     FALSE_ATOM,
     CertTemplate,
@@ -81,25 +80,6 @@ def test_piece_count_prunes_infeasible_guards():
     V = CertTemplate.fresh(model, dsa, 0)
     # 7 automaton edges, one branch, no infeasible joint guards
     assert len(post_table(V, model, dsa).pieces) == 7
-
-
-def test_box_quadratic_disturbance_rejected():
-    text = """
-state_dim: 1
-init: x = 0
-disturbance: w box { lo = -1, hi = 1, mean = 0 }
-branch _ -> _:
-  guard: true
-  update: x' = x + w*w
-"""
-    dsa_text = "states: a\ninit: a\ntrans a -> a: true\npair: A { } B { }\n"
-    model = parse_model(text)
-    from streettsm.automata import parse_dsa
-
-    dsa = parse_dsa(dsa_text, variables=("x",))
-    V = CertTemplate.fresh(model, dsa, 0)
-    with pytest.raises(ValueError, match="quadratic disturbance"):
-        post_table(V, model, dsa)
 
 
 def test_finite_support_post_is_the_exact_mixture():
@@ -204,7 +184,7 @@ def test_post_table_matches_the_exact_one_step_expectation(name, data):
             if p.location == loc
             and all(a.holds(control, env) for a in p.guard)
         ]
-        assert len(hits) == 1, (loc, x, [p.source_line for p in hits])
+        assert len(hits) == 1, (loc, x, [p.branch.line for p in hits])
         assert hits[0].form.eval(control, env) == _expected_post(
             b, V, control, loc, x
         )

@@ -1,13 +1,16 @@
 """Tests for verification-condition generation."""
 
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streettsm.benchmarks import load_benchmark
+from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import Atom, LinForm, Poly, Rel
+from streettsm.lp import atoms_feasible
 from streettsm.templates import (
     CertTemplate,
     InvTemplate,
@@ -52,6 +55,61 @@ def test_family_counts_match_displayed_system():
         if i.family == "consec"
     }
     assert len(groups) == 7
+
+
+def _corpus_vcs(name):
+    """Every pair's VCs over the entry's `.inv` invariant, else a fresh
+    one-row template."""
+    b = load_benchmark(name)
+    inv = b.invariant or InvTemplate.fresh(b.model, b.dsa, nrows=1)
+    Vs = [CertTemplate.fresh(b.model, b.dsa, k) for k in range(len(b.dsa.pairs))]
+    tables = [post_table(V, b.model, b.dsa) for V in Vs]
+    return b, inv, build_product_vcs(b.model, b.dsa, Vs, inv, tables)
+
+
+CORPUS = benchmark_names(include_extras=True)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_one_consecution_vc_per_firing_transition_sample_and_row(name):
+    # the product transitions written out: a transition whose joint guard
+    # is parameter-free and LP-infeasible never fires and has no VC
+    b, inv, vcs = _corpus_vcs(name)
+    model, dsa = b.model, b.dsa
+    dist = model.disturbance
+    samples = len(dist.support) if dist.kind == "finite" else 1
+    want, never = Counter(), set()
+    for q, m in locations(model, dsa):
+        for edge in dsa.outgoing(q):
+            if not edge.applies_in_mode(m):
+                continue
+            for br in model.branches_for_mode(m):
+                key = ((q, m), edge.line, br.line)
+                guard = list(br.guard + edge.atoms)
+                if all(a.form.is_param_free() for a in guard) and (
+                    atoms_feasible(guard, model.state_vars).status
+                    != "optimal"
+                ):
+                    never.add(key)
+                    continue
+                target_rows = inv.rows[(edge.target, br.mode_to)]
+                want[key] = samples * len(target_rows)
+    got = Counter()
+    for impl in vcs.implications:
+        if impl.family == "consec":
+            lines = re.search(r" line (\d+), branch line (\d+)", impl.note)
+            got[(impl.location, int(lines[1]), int(lines[2]))] += 1
+    assert got == +want
+    assert not never & set(got)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_every_vc_tag_is_unique_and_readable(name):
+    # parallel automaton edges differ in their line; w prints as rationals
+    _, _, vcs = _corpus_vcs(name)
+    tags = [impl.tag for impl in vcs.implications]
+    assert len(set(tags)) == len(tags)
+    assert not any("Fraction" in tag for tag in tags)
 
 
 def test_consecution_implication_exact_shape():
