@@ -24,20 +24,19 @@ File format (# comments):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .expr import Atom, LinForm
-from .lp import atoms_feasible
-from .model import DEFAULT_MODE, guards_cover_space
+from .model import DEFAULT_MODE, partition_fault
 from .syntax import (
     ModeTest,
     SourceError,
     TokenStream,
     logical_lines,
     parse_conjunction,
+    parse_names,
     tokenize,
 )
 
@@ -113,6 +112,9 @@ def parse_dsa(
     init: str | None = None
     raw_trans: list[tuple[str, str, TokenStream, int]] = []
     pairs: list[StreettPair] = []
+    # the line of the states: and init: declarations and of each pair:
+    states_line = init_line = 1
+    pair_lines: list[int] = []
 
     for lineno, line in logical_lines(text):
         ts = TokenStream(tokenize(line, line=lineno))
@@ -121,17 +123,12 @@ def parse_dsa(
             ts.expect(":")
             if states is not None:
                 raise ts.error("duplicate states declaration")
-            names = [ts.expect_ident("state name").text]
-            while not ts.at_end():
-                names.append(ts.expect_ident("state name").text)
-            if len(set(names)) != len(names):
-                raise ts.error("duplicate state name")
-            states = tuple(names)
+            states, states_line = parse_names(ts, "state"), lineno
         elif key.text == "init":
             ts.expect(":")
             if init is not None:
                 raise ts.error("duplicate init")
-            init = ts.expect_ident("state name").text
+            init, init_line = ts.expect_ident("state name").text, lineno
         elif key.text == "trans":
             src = ts.expect_ident("state name").text
             ts.expect("->")
@@ -155,6 +152,7 @@ def parse_dsa(
             a = parse_set("A")
             b = parse_set("B")
             pairs.append(StreettPair(a, b))
+            pair_lines.append(lineno)
         else:
             raise SourceError(
                 f"unknown statement {key.text!r}", key.line, key.col
@@ -165,14 +163,16 @@ def parse_dsa(
     if init is None:
         raise SourceError("missing init declaration", 1, 1)
     if init not in states:
-        raise SourceError(f"init state {init!r} not declared", 1, 1)
+        raise SourceError(f"init state {init!r} not declared", init_line, 1)
     if not pairs:
         raise SourceError("missing acceptance pairs", 1, 1)
-    for p in pairs:
+    for p, line in zip(pairs, pair_lines):
         stray = (p.a | p.b) - set(states)
         if stray:
             raise SourceError(
-                f"acceptance set mentions unknown states {sorted(stray)}", 1, 1
+                f"acceptance set mentions unknown states {sorted(stray)}",
+                line,
+                1,
             )
 
     known_vars = set(variables)
@@ -192,7 +192,7 @@ def parse_dsa(
         )
 
     dsa = GuardedDSA(states, init, tuple(transitions), tuple(pairs))
-    validate_dsa(dsa, tuple(variables), modes or (DEFAULT_MODE,))
+    validate_dsa(dsa, tuple(variables), modes or (DEFAULT_MODE,), states_line)
     return dsa
 
 
@@ -200,11 +200,12 @@ def validate_dsa(
     dsa: GuardedDSA,
     variables: tuple[str, ...],
     modes: tuple[str, ...],
+    states_line: int = 1,
 ) -> None:
-    """LP proof of determinism and totality per source state and mode."""
-    for atom in (a for t in dsa.transitions for a in t.atoms):
-        if not atom.form.is_param_free():
-            raise SourceError("automaton guards must be parameter-free", 1, 1)
+    """LP proof of determinism and totality per source state and mode.
+
+    An incomplete state is reported at its first outgoing transition, or
+    at `states_line` when it has none."""
     # modes in which the same transitions are live share their guard set:
     # screen each distinct set once (a repeated one has already passed)
     screened: set[tuple[tuple[Atom, ...], ...]] = set()
@@ -216,23 +217,23 @@ def validate_dsa(
             if guards in screened:
                 continue
             screened.add(guards)
-            for t1, t2 in itertools.combinations(live, 2):
-                res = atoms_feasible(list(t1.atoms + t2.atoms), variables)
-                if res.status == "optimal":
-                    pt = {v: res.assignment[v] for v in variables}
-                    raise SourceError(
-                        f"nondeterminism from {q!r} in mode {mode!r}: "
-                        f"transitions at lines {t1.line} and {t2.line} "
-                        f"both fire at {pt}",
-                        t2.line,
-                        1,
-                    )
-            ok, region, point = guards_cover_space(list(guards), variables)
-            if not ok:
-                desc = " and ".join(str(a) for a in region) or "true"
+            fault = partition_fault(list(guards), variables)
+            if fault is None:
+                continue
+            kind, where, point = fault
+            if kind == "overlap":
+                t1, t2 = live[where[0]], live[where[1]]
                 raise SourceError(
-                    f"automaton incomplete from {q!r} in mode {mode!r}: "
-                    f"no transition on {{{desc}}}, e.g. {point}",
-                    1,
+                    f"nondeterminism from {q!r} in mode {mode!r}: "
+                    f"transitions at lines {t1.line} and {t2.line} "
+                    f"both fire at {point}",
+                    t2.line,
                     1,
                 )
+            desc = " and ".join(str(a) for a in where) or "true"
+            raise SourceError(
+                f"automaton incomplete from {q!r} in mode {mode!r}: "
+                f"no transition on {{{desc}}}, e.g. {point}",
+                outgoing[0].line if outgoing else states_line,
+                1,
+            )

@@ -424,34 +424,28 @@ class LinForm:
 
 
 class Rel(Enum):
-    """Relation of a constraint atom, normalized to 'lhs REL 0' downstream."""
+    """Relation of a constraint `lhs REL 0`.  Atoms are `<=` or `<`; `==`
+    occurs only in the Farkas equalities of `farkas.PolyConstraint`."""
 
     LE = "<="
     LT = "<"
-    GE = ">="
-    GT = ">"
     EQ = "=="
 
 
 @dataclass(frozen=True)
 class Atom:
-    """A single constraint `form rel 0` over variables and parameters."""
+    """A single constraint `form rel 0` over variables and parameters.
+
+    Atoms are in the normal form Farkas' Lemma reads: `rel` is `<=` or
+    `<`.  The parser rewrites `>=`, `>` and `=` into it (`syntax.parse_atom`),
+    so every layer downstream takes atoms as they are."""
 
     form: LinForm
     rel: Rel
 
-    def normalized_le(self) -> list["Atom"]:
-        """Rewrite to <=/< atoms only (>= flips sign; == splits in two)."""
-        if self.rel in (Rel.LE, Rel.LT):
-            return [self]
-        if self.rel is Rel.GE:
-            return [Atom(-self.form, Rel.LE)]
-        if self.rel is Rel.GT:
-            return [Atom(-self.form, Rel.LT)]
-        return [Atom(self.form, Rel.LE), Atom(-self.form, Rel.LE)]
-
-    def strict(self) -> bool:
-        return self.rel in (Rel.LT, Rel.GT)
+    def __post_init__(self) -> None:
+        if self.rel is Rel.EQ:
+            raise ValueError("an atom is <= or <; write == as two <= atoms")
 
     def holds(
         self,
@@ -459,13 +453,7 @@ class Atom:
         state: Mapping[str, Fraction],
     ) -> bool:
         v = self.form.eval(params, state)
-        return {
-            Rel.LE: v <= 0,
-            Rel.LT: v < 0,
-            Rel.GE: v >= 0,
-            Rel.GT: v > 0,
-            Rel.EQ: v == 0,
-        }[self.rel]
+        return v < 0 if self.rel is Rel.LT else v <= 0
 
     def __repr__(self) -> str:
         return f"{self.form} {self.rel.value} 0"

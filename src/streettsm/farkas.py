@@ -1,7 +1,8 @@
 """Farkas' Lemma: universally quantified implications to existential duals.
 
-A normalized implication  forall y: Ay <= b  =>  c^T y <= d  (entries
-polynomial in the existential parameters) is valid iff
+An implication  forall y: Ay <= b  =>  c^T y <= d  (entries polynomial
+in the existential parameters; each premise row is one `<=` or `<` atom,
+as parsed) is valid iff
 
     exists z >= 0: (A^T z = c and b^T z <= d)
                 or (A^T z = 0 and b^T z < 0)          (general form)
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import lp
-from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
+from .expr import Param, ParamKind, Poly, Rel, _accumulate
 from .lp import atoms_feasible, check_implication, system_from_atoms
 from .vcgen import Implication, VCSet
 
@@ -108,16 +109,20 @@ class ConstraintSystem:
     def dump(self) -> str:
         lines = [f"params: {', '.join(p.name for p in self.params)}"]
         lines.append(f"max degree: {self.degree()}")
-        for item in self.constraints:
-            if isinstance(item, Disjunction):
-                lines.append("or:")
-                for c in item.left:
-                    lines.append(f"  | {c}")
-                for c in item.right:
-                    lines.append(f"  / {c}")
-            else:
-                lines.append(f"  {item}")
+        lines.extend(_item_lines(self.constraints, ""))
         return "\n".join(lines) + "\n"
+
+
+def _item_lines(items, or_indent: str):
+    """One line per constraint, indented two spaces; a disjunction is an
+    `or:` line at `or_indent` over its `|` left and `/` right rows."""
+    for item in items:
+        if isinstance(item, Disjunction):
+            yield f"{or_indent}or:"
+            yield from (f"{or_indent}  | {c}" for c in item.left)
+            yield from (f"{or_indent}  / {c}" for c in item.right)
+        else:
+            yield f"  {item}"
 
 
 def premise_feasible(impl: Implication) -> str:
@@ -223,15 +228,6 @@ def transform(vcset: VCSet) -> list[DualConstraint]:
     return duals
 
 
-def _atom_constraints(atom: Atom) -> list[PolyConstraint]:
-    out = []
-    for le in atom.normalized_le():
-        if le.form.variables():
-            raise ValueError(f"side constraint {atom} mentions variables")
-        out.append(PolyConstraint(le.form.const, le.rel))
-    return out
-
-
 def assemble(
     vcset: VCSet, duals: Sequence[DualConstraint]
 ) -> ConstraintSystem:
@@ -239,7 +235,9 @@ def assemble(
     params = list(vcset.params)
     constraints: list[PolyConstraint | Disjunction] = []
     for atom in vcset.side_atoms:
-        constraints.extend(_atom_constraints(atom))
+        if atom.form.variables():
+            raise ValueError(f"side constraint {atom} mentions variables")
+        constraints.append(PolyConstraint(atom.form.const, atom.rel))
     for dual in duals:
         params.extend(dual.zs)
         constraints.extend(dual.items())
@@ -282,13 +280,5 @@ def dump_duals(duals: Sequence[DualConstraint]) -> str:
     lines = []
     for dual in duals:
         lines.append(f"[{dual.tag}] {dual.mode}")
-        for item in dual.items():
-            if isinstance(item, Disjunction):
-                lines.append("  or:")
-                for c in item.left:
-                    lines.append(f"    | {c}")
-                for c in item.right:
-                    lines.append(f"    / {c}")
-            else:
-                lines.append(f"  {item}")
+        lines.extend(_item_lines(dual.items(), "  "))
     return "\n".join(lines) + "\n"

@@ -93,8 +93,8 @@ from .expr import Atom, Poly, Rel
 # sparse coefficients: (column, coeff) pairs, ascending, no zero coeff
 Row = tuple[tuple[int, Fraction], ...]
 
-# the LP relation of each normalized constraint relation (`Rel.EQ.value`
-# is "==", which `LinearSystem` does not accept)
+# the LP relation of each constraint relation (`Rel.EQ.value` is "==",
+# which `LinearSystem` does not accept)
 REL = {Rel.LE: "<=", Rel.LT: "<", Rel.EQ: "="}
 
 _ZERO = Fraction(0)
@@ -542,36 +542,31 @@ def _strict_tableau(system: LinearSystem) -> LPResult:
 def system_from_atoms(
     atoms: Sequence[Atom], variables: Sequence[str]
 ) -> LinearSystem:
-    """Parameter-free comparison atoms as LP rows (strictness preserved).
+    """Parameter-free `<=`/`<` atoms as LP rows, one row per atom.
 
     Each constant is read straight from the canonical `Poly` terms (a
     parameter-free `Poly` has at most the key `()`, and no zero value)."""
     out = LinearSystem(list(variables))
     column = {v: j for j, v in enumerate(variables)}
     for atom in atoms:
-        for le in atom.normalized_le():
-            form = le.form
-            coeffs = []
-            for v, p in form.coeffs.items():
-                j = column.get(v)
-                if j is None:
-                    extra = set(form.coeffs) - set(variables)
-                    raise ValueError(
-                        f"atom mentions undeclared variables {extra}"
-                    )
-                terms = p.terms
-                if len(terms) > 1 or (terms and () not in terms):
-                    raise ValueError(f"parameter-bearing coefficient on {v}")
-                if terms:
-                    coeffs.append((j, terms[()]))
-            const = form.const.terms
-            if len(const) > 1 or (const and () not in const):
-                raise ValueError("parameter-bearing constant term")
-            rhs = -const[()] if const else _ZERO
-            coeffs.sort()
-            out.rows.append(
-                (tuple(coeffs), "<" if le.strict() else "<=", rhs)
-            )
+        form = atom.form
+        coeffs = []
+        for v, p in form.coeffs.items():
+            j = column.get(v)
+            if j is None:
+                extra = set(form.coeffs) - set(variables)
+                raise ValueError(f"atom mentions undeclared variables {extra}")
+            terms = p.terms
+            if len(terms) > 1 or (terms and () not in terms):
+                raise ValueError(f"parameter-bearing coefficient on {v}")
+            if terms:
+                coeffs.append((j, terms[()]))
+        const = form.const.terms
+        if len(const) > 1 or (const and () not in const):
+            raise ValueError("parameter-bearing constant term")
+        rhs = -const[()] if const else _ZERO
+        coeffs.sort()
+        out.rows.append((tuple(coeffs), REL[atom.rel], rhs))
     return out
 
 

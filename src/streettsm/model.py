@@ -46,6 +46,7 @@ from .syntax import (
     logical_lines,
     parse_conjunction,
     parse_expression,
+    parse_names,
     parse_number,
     tokenize,
 )
@@ -229,22 +230,12 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         ts.expect(":")
         if b.vars is not None:
             raise ts.error("duplicate vars declaration")
-        names = [ts.expect_ident("variable name").text]
-        while not ts.at_end():
-            names.append(ts.expect_ident("variable name").text)
-        if len(set(names)) != len(names):
-            raise ts.error("duplicate variable name")
-        b.vars = tuple(names)
+        b.vars = parse_names(ts, "variable")
     elif key.text == "modes":
         ts.expect(":")
         if b.modes is not None:
             raise ts.error("duplicate modes declaration")
-        names = [ts.expect_ident("mode name").text]
-        while not ts.at_end():
-            names.append(ts.expect_ident("mode name").text)
-        if len(set(names)) != len(names):
-            raise ts.error("duplicate mode name")
-        b.modes = tuple(names)
+        b.modes = parse_names(ts, "mode")
     elif key.text == "init":
         ts.expect(":")
         if b.init_env is not None:
@@ -531,11 +522,8 @@ def _finish(b: _ModelBuilder) -> StochModel:
 
 
 def negate_atom(atom: Atom) -> Atom:
-    """Logical complement of a normalized (LE/LT) atom."""
-    le = atom.normalized_le()
-    assert len(le) == 1, "negation of equality atoms is not a single atom"
-    a = le[0]
-    return Atom(-a.form, Rel.LT if a.rel == Rel.LE else Rel.LE)
+    """Logical complement of an atom."""
+    return Atom(-atom.form, Rel.LT if atom.rel == Rel.LE else Rel.LE)
 
 
 def guards_cover_space(
@@ -543,10 +531,7 @@ def guards_cover_space(
 ) -> tuple[bool, list[Atom], dict | None]:
     """Do the guards jointly cover R^n?  If not, return an uncovered
     region (conjunction of negated atoms) and a sample point in it."""
-    negated = [
-        [negate_atom(a) for atom in g for a in atom.normalized_le()]
-        for g in guards
-    ]
+    negated = [[negate_atom(a) for a in g] for g in guards]
 
     def extend(region: list[Atom]):
         # depth-first over one negated atom per guard, in product order;
@@ -569,10 +554,18 @@ def guards_cover_space(
     return False, region, point
 
 
-def _guard_system_ok(guard: tuple[Atom, ...]) -> bool:
-    return all(
-        atom.form.is_param_free() for atom in guard
-    )
+def partition_fault(
+    guards: list[tuple[Atom, ...]], variables: tuple[str, ...]
+) -> tuple[str, object, dict] | None:
+    """None when the guards partition R^n.  Otherwise the first fault with
+    a point of it: ('overlap', (i, j), point) for guards i < j that both
+    hold there, or ('gap', region, point) for a region no guard covers."""
+    for i, j in itertools.combinations(range(len(guards)), 2):
+        res = atoms_feasible(list(guards[i] + guards[j]), variables)
+        if res.status == "optimal":
+            return "overlap", (i, j), {v: res.assignment[v] for v in variables}
+    ok, region, point = guards_cover_space(guards, variables)
+    return None if ok else ("gap", region, point)
 
 
 def _check_guard_cover(
@@ -587,29 +580,27 @@ def _check_guard_cover(
         group = [br for br in branches if br.mode_from == mode]
         if not group:
             raise SourceError(f"mode {mode!r} has no branches", 1, 1)
-        if not all(_guard_system_ok(br.guard) for br in group):
+        if not all(a.form.is_param_free() for br in group for a in br.guard):
             flagged = True
             continue
-        for b1, b2 in itertools.combinations(group, 2):
-            res = atoms_feasible(list(b1.guard + b2.guard), state_vars)
-            if res.status == "optimal":
-                pt = tuple(res.assignment[v] for v in state_vars)
-                raise SourceError(
-                    f"branch guards overlap in mode {mode!r} at state {pt} "
-                    f"(lines {b1.line} and {b2.line})",
-                    b2.line,
-                    1,
-                )
-        ok, region, point = guards_cover_space(
-            [br.guard for br in group], state_vars
-        )
-        if not ok:
-            desc = " and ".join(str(a) for a in region)
+        fault = partition_fault([br.guard for br in group], state_vars)
+        if fault is None:
+            continue
+        kind, where, point = fault
+        if kind == "overlap":
+            b1, b2 = group[where[0]], group[where[1]]
+            pt = tuple(point[v] for v in state_vars)
             raise SourceError(
-                f"branch guards do not cover mode {mode!r}: "
-                f"uncovered region {{{desc}}}, e.g. state {point}",
-                group[0].line,
+                f"branch guards overlap in mode {mode!r} at state {pt} "
+                f"(lines {b1.line} and {b2.line})",
+                b2.line,
                 1,
             )
+        desc = " and ".join(str(a) for a in where)
+        raise SourceError(
+            f"branch guards do not cover mode {mode!r}: "
+            f"uncovered region {{{desc}}}, e.g. state {point}",
+            group[0].line,
+            1,
+        )
     return flagged
-

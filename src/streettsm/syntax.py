@@ -10,6 +10,15 @@ little language of affine expressions and comparison atoms:
             | 'mode' ('==' | '!=') IDENT
     conj  :=  'true' | atom ('and' atom)*
 
+The parser is the only place that knows the normal form every later
+stage reads: an atom is `form <= 0` or `form < 0`.  With d = lhs - rhs,
+
+    lhs <= rhs   reads as   d <= 0
+    lhs <  rhs   reads as   d < 0
+    lhs >= rhs   reads as   -d <= 0
+    lhs >  rhs   reads as   -d < 0
+    lhs =  rhs   reads as   d <= 0 and -d <= 0      (and so does ==)
+
 Expressions must stay affine in variables: products are allowed only when
 at most one factor mentions a variable (parameters may multiply freely),
 and division only by a nonzero numeric constant.  Numerals, including
@@ -38,13 +47,14 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_REL_OF = {
-    "<=": Rel.LE,
-    "<": Rel.LT,
-    ">=": Rel.GE,
-    ">": Rel.GT,
-    "=": Rel.EQ,
-    "==": Rel.EQ,
+# each relation as the (sign of lhs - rhs, relation) pairs it reads as
+_READ = {
+    "<=": ((1, Rel.LE),),
+    "<": ((1, Rel.LT),),
+    ">=": ((-1, Rel.LE),),
+    ">": ((-1, Rel.LT),),
+    "=": ((1, Rel.LE), (-1, Rel.LE)),
+    "==": ((1, Rel.LE), (-1, Rel.LE)),
 }
 
 
@@ -228,8 +238,9 @@ def parse_expression(ts: TokenStream, resolve: Resolver) -> LinForm:
 
 def parse_atom(
     ts: TokenStream, resolve: Resolver, modes: tuple[str, ...] | None = None
-) -> Atom | ModeTest:
-    """One comparison atom; 'mode ==/!= name' when modes are given."""
+) -> tuple[Atom, ...] | ModeTest:
+    """One comparison as its `<=`/`<` atoms (see the module docstring), or
+    'mode ==/!= name' when modes are given."""
     tok = ts.peek()
     if modes is not None and tok.kind == "ident" and tok.text == "mode":
         ts.advance()
@@ -242,13 +253,12 @@ def parse_atom(
             raise SourceError(f"unknown mode {name.text!r}", name.line, name.col)
         return ModeTest(name.text, equal=op.text != "!=")
     lhs = parse_expression(ts, resolve)
-    op = ts.peek()
-    rel = _REL_OF.get(op.text)
-    if rel is None:
+    read = _READ.get(ts.peek().text)
+    if read is None:
         raise ts.error("expected comparison operator")
     ts.advance()
-    rhs = parse_expression(ts, resolve)
-    return Atom(lhs - rhs, rel)
+    diff = lhs - parse_expression(ts, resolve)
+    return tuple(Atom(diff if sign > 0 else -diff, rel) for sign, rel in read)
 
 
 def parse_conjunction(
@@ -266,10 +276,20 @@ def parse_conjunction(
         if isinstance(item, ModeTest):
             tests.append(item)
         else:
-            atoms.append(item)
+            atoms.extend(item)
         if not (ts.peek().kind == "ident" and ts.peek().text == "and"):
             return atoms, tests
         ts.advance()
+
+
+def parse_names(ts: TokenStream, what: str) -> tuple[str, ...]:
+    """The rest of the line as one or more distinct `what` names."""
+    names = [ts.expect_ident(f"{what} name").text]
+    while not ts.at_end():
+        names.append(ts.expect_ident(f"{what} name").text)
+    if len(set(names)) != len(names):
+        raise ts.error(f"duplicate {what} name")
+    return tuple(names)
 
 
 def strip_comment(line: str) -> str:

@@ -257,8 +257,7 @@ def parse_invariant(
         else:
             atoms, tests = parse_conjunction(ts, resolve)
             assert not tests
-            # keep rows in the same <= / < normal form fresh templates use
-            rows[loc] = tuple(a for atom in atoms for a in atom.normalized_le())
+            rows[loc] = tuple(atoms)
         if not ts.at_end():
             raise ts.error("trailing input")
     return InvTemplate.concrete(rows)

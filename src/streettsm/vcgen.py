@@ -14,10 +14,11 @@ templates witness almost-sure satisfaction of every Streett pair:
     noninc     Post V <= V           elsewhere
     nonneg     V >= 0                on the invariant
 
-Every implication is normalized to `<=` and `<` premise atoms (strict
-atoms stay strict) with a single non-strict consequent.  Farkas' Lemma
-dualizes a strict atom as its relaxation, which is exact whenever the
-strict premise is nonempty: its closure is then the relaxed premise.
+Every implication has `<=` and `<` premise atoms, the normal form the
+parser gives every atom, kept as they are, and a single non-strict
+consequent; a strict consequent is an error.  Farkas' Lemma dualizes a
+strict atom as its relaxation, which is exact whenever the strict premise
+is nonempty: its closure is then the relaxed premise.
 
 The product transitions are enumerated once, by the Post V table: its
 pieces, one per (location, automaton edge, model branch) with a
@@ -92,18 +93,13 @@ class VCSet:
 
 
 def normalize_consequent(atom: Atom) -> Atom:
-    """A single non-strict consequent; strictness is an error, not a
-    relaxation (weakening a consequent would be unsound)."""
-    les = atom.normalized_le()
-    if len(les) != 1:
-        raise StrictConsequentError(
-            f"consequent {atom} is not a single inequality"
-        )
-    if les[0].rel == Rel.LT:
+    """The consequent as given when non-strict; strictness is an error,
+    not a relaxation (weakening a consequent would be unsound)."""
+    if atom.rel is Rel.LT:
         raise StrictConsequentError(
             f"strict consequent {atom} is unsupported"
         )
-    return les[0]
+    return atom
 
 
 def promote_disturbance(form: LinForm, wnames: tuple[str, ...]) -> LinForm:
@@ -157,7 +153,7 @@ def _mk(
         family,
         location,
         tuple(variables),
-        tuple(le for atom in premise for le in atom.normalized_le()),
+        tuple(premise),
         normalize_consequent(consequent),
         note,
     )

@@ -60,6 +60,21 @@ def test_missing_sections_rejected():
         )
 
 
+def test_errors_point_at_their_line():
+    # BAND's lines: 2 states, 3 init, 4-6 trans, 7 pair
+    def line_of(text):
+        with pytest.raises(SourceError) as e:
+            parse_dsa(text, variables=("x",))
+        return e.value.line
+
+    assert line_of(BAND.replace("init: q0", "init: qq")) == 3
+    assert line_of(BAND.replace("A { q1 }", "A { q7 }")) == 7
+    # incomplete from q0: reported at q0's first transition
+    assert line_of(BAND.replace("q0: x >= 1", "q0: x > 1")) == 4
+    # q1 has no transition at all: reported at the states line
+    assert line_of(BAND.replace("trans q1 -> q1: true", "")) == 2
+
+
 def test_mode_tests_route_by_mode():
     text = """
 states: a b

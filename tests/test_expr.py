@@ -91,20 +91,11 @@ def test_linform_param_coefficients():
 
 
 def test_atom_normalization():
+    # atoms are <= or <; an equality is two atoms, never one
     x = LinForm.var("x")
-    ge = Atom(x - LinForm.constant(3), Rel.GE).normalized_le()
-    assert len(ge) == 1 and ge[0].rel == Rel.LE
-    assert ge[0].form.coeff("x") == Poly.const(-1)
-    assert ge[0].form.const == Poly.const(3)
-
-    gt = Atom(x, Rel.GT).normalized_le()
-    assert len(gt) == 1 and gt[0].rel == Rel.LT
-
-    eq = Atom(x - LinForm.constant(1), Rel.EQ).normalized_le()
-    assert len(eq) == 2 and {a.rel for a in eq} == {Rel.LE}
-
-    le = Atom(x, Rel.LE).normalized_le()
-    assert list(le) == [Atom(x, Rel.LE)]
+    assert Atom(x, Rel.LE).rel == Rel.LE and Atom(x, Rel.LT).rel == Rel.LT
+    with pytest.raises(ValueError, match="two <= atoms"):
+        Atom(x - LinForm.constant(1), Rel.EQ)
 
 
 def test_atom_holds():

@@ -174,10 +174,12 @@ def test_add_stores_fractions():
 
 def test_system_from_atoms_builds_fraction_rows():
     x, y = LinForm.var("x"), LinForm.var("y")
+    half = LinForm.constant(F(1, 2))
     atoms = [
         Atom(x.scale(2) - LinForm.constant(3), Rel.LE),
-        Atom(y - x, Rel.GT),  # strict, flipped to x - y < 0
-        Atom(y + LinForm.constant(F(1, 2)), Rel.EQ),
+        Atom(x - y, Rel.LT),  # strictness kept
+        Atom(y + half, Rel.LE),  # y = -1/2 as two rows
+        Atom(-(y + half), Rel.LE),
     ]
     s = system_from_atoms(atoms, ["x", "y", "w"])
     assert s.variables == ["x", "y", "w"]

@@ -194,8 +194,11 @@ def _named_state(message, names):
 
 
 def _atom(v, op, c):
-    rel = {"<": Rel.LT, "<=": Rel.LE, ">": Rel.GT, ">=": Rel.GE}[op]
-    return Atom(LinForm.var(v) - LinForm.constant(c), rel)
+    # v > c and v >= c flip to c - v < 0 and c - v <= 0
+    form = LinForm.var(v) - LinForm.constant(c)
+    if op in (">", ">="):
+        form = -form
+    return Atom(form, Rel.LT if op in ("<", ">") else Rel.LE)
 
 
 points = st.fixed_dictionaries(

@@ -1,11 +1,13 @@
 """Tests for the shared tokenizer and expression/atom parsing."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import LinForm, Poly, Rel
 from streettsm.syntax import (
     ModeTest,
@@ -15,6 +17,7 @@ from streettsm.syntax import (
     parse_atom,
     parse_conjunction,
     parse_expression,
+    parse_names,
     parse_number,
     strip_comment,
     tokenize,
@@ -93,10 +96,15 @@ def test_expression_unknown_name_position():
 
 
 def test_atom_relations():
-    a = parse_atom(_ts("x + 1 >= 2*y"), _resolver())
-    assert a.rel == Rel.GE
-    # lhs - rhs is stored
-    assert a.form.coeff("y") == Poly.const(-2)
+    (a,) = parse_atom(_ts("x + 1 >= 2*y"), _resolver())
+    assert a.rel == Rel.LE
+    # rhs - lhs is stored: 2*y - x - 1 <= 0
+    assert a.form.coeff("y") == Poly.const(2)
+    assert a.form.coeff("x") == Poly.const(-1)
+    assert a.form.const == Poly.const(-1)
+
+    le, ge = parse_atom(_ts("x = 1"), _resolver())
+    assert le.rel == ge.rel == Rel.LE and ge.form == -le.form
 
     with pytest.raises(SourceError):
         parse_atom(_ts("x + 1"), _resolver())
@@ -164,3 +172,60 @@ def test_parse_expression_matches_direct_meaning(case):
     for v, c in coeff.items():
         assert form.coeff(v) == Poly.const(c)
     assert form.const == Poly.const(const)
+
+
+COMPARE = {
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "=": operator.eq,
+    "==": operator.eq,
+}
+
+
+@given(
+    st.sampled_from(sorted(COMPARE)),
+    linear_texts(),
+    st.fixed_dictionaries(
+        {v: st.fractions(-2, 2, max_denominator=2) for v in "xy"}
+    ),
+    st.data(),
+)
+def test_parsed_atoms_are_le_or_lt_and_mean_the_comparison(op, lhs, point, data):
+    # the rhs is sometimes the lhs itself, so equality and the strict
+    # boundaries are met, not only drawn past
+    rhs = data.draw(st.one_of(linear_texts(), st.just(lhs)))
+    atoms = parse_atom(_ts(f"{lhs[0]} {op} {rhs[0]}"), _resolver())
+    assert len(atoms) == (2 if op in ("=", "==") else 1)
+    assert all(a.rel in (Rel.LE, Rel.LT) for a in atoms)
+
+    def value(case):
+        _text, coeff, const = case
+        return sum(c * point[v] for v, c in coeff.items()) + const
+
+    expected = COMPARE[op](value(lhs), value(rhs))
+    assert all(a.holds({}, point) for a in atoms) == expected
+
+
+def test_corpus_atoms_are_le_or_lt():
+    # guards, edges, invariant rows and side constraints, as parsed
+    names = benchmark_names(include_extras=True)
+    assert len(names) == 13
+    for name in names:
+        b = load_benchmark(name)
+        atoms = [a for br in b.model.branches for a in br.guard]
+        atoms += [a for t in b.dsa.transitions for a in t.atoms]
+        atoms += b.model.side_constraints
+        if b.invariant is not None:
+            atoms += [a for rows in b.invariant.rows.values() for a in rows]
+        assert atoms, name
+        assert {a.rel for a in atoms} <= {Rel.LE, Rel.LT}, name
+
+
+def test_parse_names_rejects_duplicates_at_the_line_end():
+    assert parse_names(_ts("x y z"), "variable") == ("x", "y", "z")
+    with pytest.raises(SourceError, match="^line 3, col 9: duplicate mode name$"):
+        parse_names(_ts("ev od ev", line=3), "mode")
+    with pytest.raises(SourceError, match="expected state name, found '1'"):
+        parse_names(_ts("q0 1"), "state")
