@@ -180,9 +180,13 @@ class _ModelBuilder:
         self.init_mode: str | None = None
         self.disturbance: Disturbance | None = None
         self.controls: list[ControlParam] = []
+        self.control_lines: list[int] = []  # the line of each control
         self.side_constraints: list[TokenStream] = []  # parsed in _finish
         self.branches: list[dict] = []
         self.current: dict | None = None  # open branch block
+        # the line of the first statement of each keyword, for the errors
+        # _finish finds once every statement is read
+        self.lines: dict[str, int] = {}
 
 
 def _parse_vector(ts: TokenStream, dim: int | None = None) -> tuple[Fraction, ...]:
@@ -218,6 +222,7 @@ def parse_model(text: str) -> StochModel:
 
 def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
     key = ts.advance()
+    b.lines.setdefault(key.text, key.line)
     if key.text == "state_dim":
         ts.expect(":")
         if b.state_dim is not None:
@@ -322,6 +327,7 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         if any(c.name == name for c in b.controls):
             raise ts.error(f"duplicate control {name!r}")
         b.controls.append(ControlParam(name, lo, hi))
+        b.control_lines.append(key.line)
     elif key.text == "constraint":
         ts.expect(":")
         b.side_constraints.append(ts)
@@ -405,7 +411,9 @@ def _finish(b: _ModelBuilder) -> StochModel:
         )
     if b.state_dim is not None and len(b.vars) != b.state_dim:
         raise SourceError(
-            f"state_dim {b.state_dim} != {len(b.vars)} declared vars", 1, 1
+            f"state_dim {b.state_dim} != {len(b.vars)} declared vars",
+            max(b.lines["state_dim"], b.lines["vars"]),
+            1,
         )
     state_vars = b.vars
     modes = b.modes or (DEFAULT_MODE,)
@@ -414,24 +422,34 @@ def _finish(b: _ModelBuilder) -> StochModel:
     dist = b.disturbance
     if b.init_env is None:
         raise SourceError("missing init declaration", 1, 1)
+    init_line = b.lines["init"]
     if set(b.init_env) != set(state_vars):
         raise SourceError(
-            f"init must assign exactly the state variables {state_vars}", 1, 1
+            f"init must assign exactly the state variables {state_vars}",
+            init_line,
+            1,
         )
     init_state = tuple(b.init_env[v] for v in state_vars)
     if b.init_mode is None:
         if len(modes) > 1:
-            raise SourceError("init must name a mode (several declared)", 1, 1)
+            raise SourceError(
+                "init must name a mode (several declared)", init_line, 1
+            )
         b.init_mode = modes[0]
     if b.init_mode not in modes:
-        raise SourceError(f"unknown init mode {b.init_mode!r}", 1, 1)
+        raise SourceError(f"unknown init mode {b.init_mode!r}", init_line, 1)
 
-    name_clash = (
-        set(state_vars)
-        & ({dist.name} | set(dist.component_names()))
-    ) | ({c.name for c in b.controls} & set(state_vars))
-    if name_clash:
-        raise SourceError(f"name used twice: {sorted(name_clash)}", 1, 1)
+    # the disturbance and each control add names; the first of them that
+    # reuses a state variable is where the clash is reported
+    state = set(state_vars)
+    adders = [(b.lines["disturbance"], {dist.name, *dist.component_names()})]
+    adders += [(ln, {c.name}) for c, ln in zip(b.controls, b.control_lines)]
+    clash_lines = [line for line, added in adders if added & state]
+    if clash_lines:
+        name_clash = set().union(*(added & state for _, added in adders))
+        raise SourceError(
+            f"name used twice: {sorted(name_clash)}", min(clash_lines), 1
+        )
 
     control_names = {c.name for c in b.controls}
 

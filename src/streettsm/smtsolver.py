@@ -18,8 +18,9 @@ Decision strategy:
     solved exactly, one connected component at a time, feasibility
     first and worst-violation minimization as fallback.  Disjunction
     branches are re-chosen greedily per round; squared variables are
-    varied by sampling.  Deterministic restarts draw fresh starting
-    points from constants harvested off the problem.  A model is reported
+    varied by sampling.  Restart 0 starts at the linear screen's exact
+    point; later deterministic restarts draw their starting points from
+    constants harvested off the problem.  A model is reported
     only after exact re-substitution, so "sat" answers are sound; descent
     that fails to converge, or a product graph that is not bipartite, is
     "unknown".
@@ -447,7 +448,9 @@ def decide(system: ConstraintSystem):
         assert system.holds(model)
         return "sat", model
 
-    # sound unsat screen: the linear disjunction-free subset alone
+    # sound unsat screen: the linear disjunction-free subset alone.  Its
+    # exact point is also restart 0's start: every linear row holds there,
+    # strict rows with margin, so the descent only has the rest to repair
     res = _linear_verdict(work, names)
     if res.status == "infeasible":
         return "unsat", None
@@ -456,20 +459,22 @@ def decide(system: ConstraintSystem):
     if split is None:
         return "unknown", None
     blocks, sampled = split
-    pool = _harvest_pool(work)
-    lo, hi = _variable_bounds(work, names)
+    pool = None  # harvested when a restart first draws from it
 
     for restart in range(RESTARTS):
         rng = random.Random(restart)
-        point: dict[str, Fraction] = {}
-        for i, n in enumerate(names):
-            if restart == 0:
-                value = F0
-            else:
+        if pool is None and (restart or sampled):
+            pool = _harvest_pool(work)
+            lo, hi = _variable_bounds(work, names)
+        if restart == 0:
+            point = dict(res.assignment)
+        else:
+            point = {}
+            for i, n in enumerate(names):
                 value = pool[(i * 7 + restart * 13) % len(pool)]
                 if restart % 3 == 2:
                     value += Fraction(rng.randrange(-8, 9), 4)
-            point[n] = _clamp(value, lo[n], hi[n])
+                point[n] = _clamp(value, lo[n], hi[n])
         best = _measure(work, point)
         for _ in range(ROUNDS):
             if best == MEASURE_ZERO:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import operator
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -396,3 +397,41 @@ def test_side_constraints_parse_over_controls_only():
     assert not m.side_constraints[0].holds({"kappa": F(1)}, {})
     with pytest.raises(SourceError, match="unknown name"):
         parse_model(WALK + "constraint: x <= 1\n")
+
+
+def test_errors_point_at_their_statement_line():
+    # errors found once every statement is read name the statement's line
+    def line_of(text, match):
+        with pytest.raises(SourceError, match=match) as e:
+            parse_model(text)
+        return e.value.line
+
+    def line_in(text, statement):
+        return text.splitlines().index(statement) + 1
+
+    corpus = resources.files("streettsm.benchmarks")
+    line = "init: mode = zz, x = 50"
+    bad = (corpus / "RecurRW.model").read_text().replace("init: x = 50", line)
+    assert line_of(bad, "unknown init mode 'zz'") == line_in(bad, line) == 4
+
+    two = WALK.replace("state_dim: 1", "vars: x y")
+    assert line_of(two, "init must assign") == line_in(two, "init: x = 0")
+    modes = WALK.replace("state_dim: 1", "state_dim: 1\nmodes: a b")
+    assert line_of(modes, "init must name a mode") == line_in(
+        modes, "init: x = 0"
+    )
+
+    dist = WALK.replace("disturbance: w", "disturbance: x")
+    assert line_of(dist, "name used twice") == line_in(
+        dist, "disturbance: x finite { (1): 1/2, (0): 1/2 }"
+    )
+    control = WALK + "control: k in [0, 1]\ncontrol: x in [0, 1]\n"
+    assert line_of(control, "name used twice") == line_in(
+        control, "control: x in [0, 1]"
+    )
+
+    # the later of the two declarations that disagree
+    for header in ("state_dim: 2\nvars: x", "vars: x\nstate_dim: 2"):
+        text = WALK.replace("state_dim: 1", header)
+        later = line_in(text, header.splitlines()[1])
+        assert line_of(text, "state_dim 2 != 1") == later

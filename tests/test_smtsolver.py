@@ -1,6 +1,9 @@
 """The bundled solver: disjunction pruning under equality pins, honest
-`unknown`, and a descent that does not depend on parameter names."""
+`unknown`, and a descent that starts at the linear screen's point and
+does not depend on parameter names."""
 
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,13 @@ from streettsm.expr import Param, ParamKind, Poly, Rel
 from streettsm.farkas import ConstraintSystem, Disjunction, PolyConstraint
 from streettsm.templates import CertTemplate, post_table
 from streettsm.vcgen import build_product_vcs
+
+BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+sys.path[:0] = [BENCH]
+
+import pipeline  # noqa: E402
 
 P = Poly.param
 F = Fraction
@@ -169,11 +179,17 @@ def test_contradictory_bilinear_rows_are_an_honest_unknown():
     assert backends.decide(backends.SolverJob(system)).status == "unknown"
 
 
-def _assembled(name):
+def _assembled(name, inv_source="inv"):
+    # as the benchmark's synthesis operation assembles it: a fresh V over
+    # the .inv file's invariant or the fixture's
     b = load_benchmark(name)
+    if inv_source == "inv":
+        inv = b.invariant
+    else:
+        inv = pipeline.fixture_invariant(b.cert, b.model, b.dsa)
     V = CertTemplate.fresh(b.model, b.dsa, 0)
     vcs = build_product_vcs(
-        b.model, b.dsa, [V], b.invariant, [post_table(V, b.model, b.dsa)]
+        b.model, b.dsa, [V], inv, [post_table(V, b.model, b.dsa)]
     )
     return farkas.assemble(vcs, farkas.transform(vcs))
 
@@ -202,3 +218,49 @@ def test_descent_does_not_depend_on_parameter_names(name):
         "sat",
         {new[n]: v for n, v in model.items()},
     )
+
+
+@pytest.mark.parametrize(
+    "name, inv_source, block_lps",
+    [
+        ("SafeRWalk1", "fixture", 0),
+        ("SafeRWalk2", "fixture", 0),
+        ("Temperature4", "inv", 1),
+    ],
+)
+def test_restart_zero_starts_at_the_linear_screen_point(
+    monkeypatch, name, inv_source, block_lps
+):
+    # every linear row already holds at the screen's exact point, so the
+    # random walks are models there and Temperature4 needs one block LP;
+    # restart 0 reads no harvested constants, so none are harvested
+    calls = {"_block_lp": 0, "_harvest_pool": 0}
+    for fn in calls:
+        original = getattr(smtsolver, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(smtsolver, fn, counted)
+    system = _assembled(name, inv_source)
+    status, model = smtsolver.decide(system)
+    assert status == "sat" and system.holds(model)
+    assert calls["_block_lp"] <= block_lps
+    assert calls["_harvest_pool"] == 0
+
+
+def test_squared_variables_are_sampled_in_restart_zero():
+    # a*a = 4 makes `a` a sampled variable, which restart 0 varies by
+    # drawing from the harvested constants (a = -2, b = 0, c = -1 is a model)
+    rows = (
+        PolyConstraint(P("a") * P("a") - const(4), Rel.EQ),
+        le(P("a") * P("b") + P("c") + const(1)),
+        le(P("b") - const(1)),
+    )
+    system = ConstraintSystem(
+        tuple(Param(n, ParamKind.CERT) for n in ("a", "b", "c")), rows
+    )
+    assert smtsolver._product_blocks(list(rows), ["a", "b", "c"])[1] == ["a"]
+    status, model = smtsolver.decide(system)
+    assert status == "sat" and system.holds(model)
