@@ -19,6 +19,12 @@ arithmetic, `Poly.const`, `Poly.param` and `substitute` build their result
 maps canonical from canonical operands, adding terms in place with
 `_accumulate`, and wrap them unchecked with `Poly._wrap`.  Outside this
 module only `farkas._dual_parts` uses those two, on canonical operands.
+
+Immutability.  Nothing writes to a `Poly`'s `terms` or a `LinForm`'s
+`coeffs` and `const` after construction.  So `Poly.substitute` and
+`LinForm.substitute_params` may return their operand itself when no
+parameter of it is bound, and a `LinForm` keeps its hash and its
+parameter set once computed.
 """
 
 from __future__ import annotations
@@ -190,7 +196,10 @@ class Poly:
         return Fraction(num, den)
 
     def substitute(self, valuation: Mapping[str, Fraction]) -> "Poly":
-        """Replace any bound parameters by rationals; others stay symbolic."""
+        """Replace any bound parameters by rationals; others stay symbolic.
+        Returns `self` when no monomial names a bound parameter."""
+        if not any(name in valuation for mono in self.terms for name in mono):
+            return self
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             remaining: list[str] = []
@@ -273,10 +282,10 @@ class LinForm:
     Evaluating under any full parameter valuation yields an affine function
     of the variables; addition, scaling and variable substitution are closed.
     Nothing writes to `coeffs` or `const` after construction, so the hash
-    is computed once, on first use.
+    and the parameter set are computed once, on first use.
     """
 
-    __slots__ = ("coeffs", "const", "_hash")
+    __slots__ = ("coeffs", "const", "_hash", "_params")
 
     def __init__(
         self,
@@ -307,11 +316,15 @@ class LinForm:
     def variables(self) -> set[str]:
         return set(self.coeffs)
 
-    def params(self) -> set[str]:
-        names = set(self.const.params())
-        for p in self.coeffs.values():
-            names |= p.params()
-        return names
+    def params(self) -> frozenset[str]:
+        try:
+            return self._params
+        except AttributeError:
+            names = self.const.params()
+            for p in self.coeffs.values():
+                names |= p.params()
+            self._params = out = frozenset(names)
+            return out
 
     def degree(self) -> int:
         d = self.const.degree()
@@ -323,7 +336,7 @@ class LinForm:
         return not self.coeffs and self.const.is_zero()
 
     def is_param_free(self) -> bool:
-        return self.degree() == 0
+        return not self.params()
 
     def coeff(self, var: str) -> Poly:
         return self.coeffs.get(var, ZERO)
@@ -375,6 +388,9 @@ class LinForm:
         return acc
 
     def substitute_params(self, valuation: Mapping[str, Fraction]) -> "LinForm":
+        """Replace bound parameters by rationals; `self` when none is bound."""
+        if self.params().isdisjoint(valuation):
+            return self
         return LinForm(
             {v: p.substitute(valuation) for v, p in self.coeffs.items()},
             self.const.substitute(valuation),

@@ -55,10 +55,11 @@ other one at the point of its interval nearest 0, and the value is c.x
 there.  The Farkas ray of an empty interval puts 1/|a| on its two rows
 a x (<= | =) b, with the sign flipped on an `=` row read against its
 sense; an empty row that fails on its own (0 <= b < 0, 0 = b != 0)
-carries the ray alone.  An unbounded box returns a feasible point and an
-improving unit ray.  Every corpus guard,
-automaton edge and premise atom bounds one variable, so every screen the
-pipeline runs is a box.
+carries the ray alone.  An end keeps its row's coefficient a, and the
+multipliers are computed only for the clash that is returned.  An
+unbounded box returns a feasible point and an improving unit ray.  Every
+corpus guard, automaton edge and premise atom bounds one variable, so
+every screen the pipeline runs is a box.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
@@ -236,9 +237,9 @@ def solve(
     return LPResult(status="optimal", assignment=point, value=value)
 
 
-# One end of a variable's interval in a box system: (bound, strict, row,
-# multiplier), the multiplier being the row's Farkas multiplier when the
-# row is read as this bound.
+# One end of a variable's interval in a box system: (bound, strict, row, a),
+# a being the row's coefficient; the row's Farkas multiplier when it is
+# read as this end is 1/a at an upper end and -1/a at a lower end.
 _End = tuple[Fraction, bool, int, Fraction]
 # the nonzero entries of a Farkas ray, as (row, multiplier) pairs
 _Clash = tuple[tuple[int, Fraction], ...]
@@ -265,17 +266,25 @@ def _box(
         if len(coeffs) > 1:
             return None
         ((j, a),) = coeffs
-        bound = rhs / a
+        bound = rhs if a == 1 else -rhs if a == -1 else rhs / a
         strict = rel == "<"
         # the tighter end wins; at one bound, a strict end is tighter
         if rel == "=" or a > 0:  # x <= bound: (1/a) row
             cur = hi[j]
-            if cur is None or (bound, not strict) < (cur[0], not cur[1]):
-                hi[j] = (bound, strict, i, 1 / a)
+            if (
+                cur is None
+                or bound < cur[0]
+                or (bound == cur[0] and strict and not cur[1])
+            ):
+                hi[j] = (bound, strict, i, a)
         if rel == "=" or a < 0:  # x >= bound: (-1/a) row
             cur = lo[j]
-            if cur is None or (bound, strict) > (cur[0], cur[1]):
-                lo[j] = (bound, strict, i, -1 / a)
+            if (
+                cur is None
+                or bound > cur[0]
+                or (bound == cur[0] and strict and not cur[1])
+            ):
+                lo[j] = (bound, strict, i, a)
     if empty is not None:
         return lo, hi, empty
     for low, high in zip(lo, hi):
@@ -288,7 +297,7 @@ def _box(
             )
         ):
             # x <= high and -x <= -low add up to 0 <= high - low, false here
-            return lo, hi, ((low[2], low[3]), (high[2], high[3]))
+            return lo, hi, ((low[2], -1 / low[3]), (high[2], 1 / high[3]))
     return lo, hi, None
 
 

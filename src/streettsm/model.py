@@ -440,13 +440,18 @@ def _finish(b: _ModelBuilder) -> StochModel:
         raise SourceError(f"unknown init mode {b.init_mode!r}", init_line, 1)
 
     # the disturbance and each control add names; the first of them that
-    # reuses a state variable is where the clash is reported
+    # reuses a state variable, or (a control) a disturbance name, is where
+    # the clash is reported
     state = set(state_vars)
-    adders = [(b.lines["disturbance"], {dist.name, *dist.component_names()})]
-    adders += [(ln, {c.name}) for c, ln in zip(b.controls, b.control_lines)]
-    clash_lines = [line for line, added in adders if added & state]
+    dist_names = {dist.name, *dist.component_names()}
+    clashes = [(b.lines["disturbance"], dist_names & state)]
+    clashes += [
+        (ln, {c.name} & (state | dist_names))
+        for c, ln in zip(b.controls, b.control_lines)
+    ]
+    clash_lines = [line for line, names in clashes if names]
     if clash_lines:
-        name_clash = set().union(*(added & state for _, added in adders))
+        name_clash = set().union(*(names for _, names in clashes))
         raise SourceError(
             f"name used twice: {sorted(name_clash)}", min(clash_lines), 1
         )

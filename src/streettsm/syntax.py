@@ -68,7 +68,7 @@ class SourceError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # num | ident | op | eof
     text: str

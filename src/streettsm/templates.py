@@ -189,6 +189,9 @@ def post_table(
     )
     pieces: list[PostPiece] = []
     screens: dict[tuple[Atom, ...], bool] = {}
+    # a piece's form depends only on its target location and its branch,
+    # so each (target, branch) is composed once per call
+    forms: dict[tuple[Location, int], LinForm] = {}
     for q, m in locations(model, dsa):
         for edge in dsa.outgoing(q):
             if not edge.applies_in_mode(m):
@@ -199,12 +202,16 @@ def post_table(
                     guard, model.state_vars, screens
                 ):
                     continue
-                vnext = V.pieces[(edge.target, br.mode_to)]
-                form = LinForm()
-                for value, prob in cases:
-                    image = _image_with_sample(br.update, wnames, value)
-                    form = form + vnext.substitute_state(image).scale(prob)
-                pieces.append(PostPiece((q, m), edge, br, guard, form))
+                target = (edge.target, br.mode_to)
+                key = (target, id(br))
+                if key not in forms:
+                    vnext = V.pieces[target]
+                    form = LinForm()
+                    for value, prob in cases:
+                        image = _image_with_sample(br.update, wnames, value)
+                        form = form + vnext.substitute_state(image).scale(prob)
+                    forms[key] = form
+                pieces.append(PostPiece((q, m), edge, br, guard, forms[key]))
     return PostTable(V.pair_index, tuple(pieces))
 
 

@@ -203,26 +203,44 @@ def build_product_vcs(
     # gives one case, promoted to universal columns bounded by the box.
     if dist.kind == "finite":
         cases = [
-            (xs, [], w, partial(LinForm.substitute_params, valuation=w))
+            (
+                xs,
+                [],
+                "".join(f", {n}={c}" for n, c in w.items()),
+                partial(LinForm.substitute_params, valuation=w),
+            )
             for w in (dict(zip(wnames, v)) for v, _prob in dist.support)
         ]
     else:
         lift = partial(promote_disturbance, wnames=wnames)
-        cases = [(xs + wnames, dist.box_atoms(), {}, lift)]
+        cases = [(xs + wnames, dist.box_atoms(), "", lift)]
+    # the successor rows depend only on the branch and the edge's target,
+    # so each (branch, target) is substituted once per call, for every case
+    successors: dict[tuple[int, str], list[list[Atom]]] = {}
     for piece in tables[0].pieces:
         edge, br = piece.edge, piece.branch
         base = [*inv.rows[piece.location], *edge.atoms, *br.guard]
-        for variables, extra, w, lift in cases:
-            image = {v: lift(f) for v, f in br.update.items()}
-            sample = "".join(f", {n}={c}" for n, c in w.items())
-            for i, row in enumerate(inv.rows[(edge.target, br.mode_to)]):
+        key = (id(br), edge.target)
+        if key not in successors:
+            rows = inv.rows[(edge.target, br.mode_to)]
+            images = [
+                {v: lift(f) for v, f in br.update.items()}
+                for *_, lift in cases
+            ]
+            successors[key] = [
+                [Atom(row.form.substitute_state(im), row.rel) for row in rows]
+                for im in images
+            ]
+        for case, atoms in zip(cases, successors[key]):
+            variables, extra, sample, _ = case
+            for i, atom in enumerate(atoms):
                 implications.append(
                     _mk(
                         "consec",
                         piece.location,
                         variables,
                         base + extra,
-                        Atom(row.form.substitute_state(image), row.rel),
+                        atom,
                         note=f"{_step(piece)}{sample}, row {i}",
                     )
                 )

@@ -166,6 +166,45 @@ def test_operations_keep_canonical_form(p, q, f, n, partial, total):
     assert p.substitute(total).is_constant()
 
 
+def _substituted(p, valuation):
+    """p with its bound parameters replaced, term by term, through the
+    checking constructor."""
+    terms = {}
+    for mono, coeff in p.terms.items():
+        rest = tuple(n for n in mono if n not in valuation)
+        for n in mono:
+            if n in valuation:
+                coeff *= valuation[n]
+        terms[rest] = terms.get(rest, F(0)) + coeff
+    return Poly(terms)
+
+
+@given(polys(), polys(), partial_valuations)
+def test_substitution_returns_its_operand_when_nothing_is_bound(p, q, val):
+    f = LinForm({"x": p, "y": q}, p * q)
+    for poly in (p, q, p * q):
+        unbound = {n: v for n, v in val.items() if n not in poly.params()}
+        assert poly.substitute(unbound) is poly
+        assert poly.substitute(val) == _substituted(poly, val)
+    unbound = {n: v for n, v in val.items() if n not in f.params()}
+    assert f.substitute_params(unbound) is f
+    assert f.substitute_params({"d": F(1)}) is f
+    want = LinForm(
+        {"x": _substituted(p, val), "y": _substituted(q, val)},
+        _substituted(p * q, val),
+    )
+    assert f.substitute_params(val) == want
+
+
+@given(polys(), polys(), polys())
+def test_linform_params_are_its_polys_params(p, q, r):
+    f = LinForm({"x": p, "y": q}, r)
+    names = f.params()
+    assert names == p.params() | q.params() | r.params()
+    assert isinstance(names, frozenset) and f.params() is names
+    assert f.is_param_free() == (f.degree() == 0)
+
+
 @given(polys(), polys())
 def test_cached_hashes_stay_structural(p, q):
     first = hash(p)  # fills the cache

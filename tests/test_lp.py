@@ -532,6 +532,16 @@ def test_equality_against_its_sense_gets_a_negative_multiplier():
     assert r.farkas == [1, F(-1, 2)]
 
 
+def test_box_clash_with_non_unit_coefficients_gets_reciprocal_multipliers():
+    # 2x <= 1 and -3x <= -2, i.e. x <= 1/2 and x >= 2/3
+    s = _sys(["x"], [([2], "<=", 1), ([-3], "<=", -2)])
+    r = solve(s)
+    assert r.status == "infeasible"
+    _assert_farkas(s, r.farkas)
+    assert r.farkas == [F(1, 2), F(1, 3)]
+    assert all(type(y) is F for y in r.farkas)
+
+
 def test_strict_box_points_leave_strict_ends():
     # nearest 0 is a strict end: the midpoint, or one unit in
     cases = [

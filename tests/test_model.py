@@ -435,3 +435,25 @@ def test_errors_point_at_their_statement_line():
         text = WALK.replace("state_dim: 1", header)
         later = line_in(text, header.splitlines()[1])
         assert line_of(text, "state_dim 2 != 1") == later
+
+
+def test_a_control_may_not_reuse_a_disturbance_name():
+    # the control would become the disturbance's parameter in the updates,
+    # and Post V would substitute the disturbance for it
+    def clash_line(text, name):
+        with pytest.raises(SourceError, match=f"twice: \\['{name}'\\]") as e:
+            parse_model(text)
+        return e.value.line
+
+    decl = "disturbance: w finite { (1): 1/2, (0): 1/2 }"
+    ctl = "control: w in [0, 1]"
+    after = WALK + f"control: k in [0, 1]\n{ctl}\n"
+    assert clash_line(after, "w") == after.splitlines().index(ctl) + 1
+    before = WALK.replace(decl, f"{ctl}\n{decl}")
+    assert clash_line(before, "w") == before.splitlines().index(ctl) + 1
+    # a component of a vector disturbance, and its base name
+    pair = "disturbance: w finite { (1, 0): 1/2, (0, 1): 1/2 }"
+    vector = WALK.replace(decl, pair).replace("2*w", "2*w0")
+    for name in ("w1", "w"):
+        text = vector + f"control: {name} in [0, 1]\n"
+        assert clash_line(text, name) == len(text.splitlines())

@@ -1,0 +1,95 @@
+"""Post V and the consecution VCs compose each (target, branch) once per
+call and reuse it for every product transition that shares it.  Every
+piece and every consecution consequent must still equal the composition
+made directly for that transition."""
+
+import os
+import sys
+from functools import partial
+
+import pytest
+
+from streettsm.benchmarks import benchmark_names, load_benchmark
+from streettsm.expr import Atom, LinForm
+from streettsm.templates import (
+    CertTemplate,
+    InvTemplate,
+    _image_with_sample,
+    locations,
+    post_table,
+)
+from streettsm.vcgen import build_product_vcs, promote_disturbance
+
+BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+sys.path[:0] = [BENCH]
+
+import pipeline  # noqa: E402
+
+
+def _invariant(b):
+    """The `.inv` file, else the fixture's invariant, else all-true rows."""
+    if b.invariant is not None:
+        return b.invariant
+    if b.cert is not None:
+        return pipeline.fixture_invariant(b.cert, b.model, b.dsa)
+    return InvTemplate.concrete({loc: () for loc in locations(b.model, b.dsa)})
+
+
+def _direct_post(V, model, piece):
+    """The piece's Post V form composed for this transition alone."""
+    dist = model.disturbance
+    cases = (
+        dist.support
+        if dist.kind == "finite"
+        else ((dist.mean_vector(), 1),)
+    )
+    br = piece.branch
+    vnext = V.pieces[(piece.edge.target, br.mode_to)]
+    form = LinForm()
+    for value, prob in cases:
+        image = _image_with_sample(br.update, dist.component_names(), value)
+        form = form + vnext.substitute_state(image).scale(prob)
+    return form
+
+
+def _direct_consequents(model, inv, piece):
+    """The consecution consequents of one piece, in VC order: per case,
+    per target row."""
+    dist = model.disturbance
+    wnames = dist.component_names()
+    if dist.kind == "finite":
+        lifts = [
+            partial(LinForm.substitute_params, valuation=dict(zip(wnames, v)))
+            for v, _prob in dist.support
+        ]
+    else:
+        lifts = [partial(promote_disturbance, wnames=wnames)]
+    br = piece.branch
+    out = []
+    for lift in lifts:
+        image = {v: lift(f) for v, f in br.update.items()}
+        for row in inv.rows[(piece.edge.target, br.mode_to)]:
+            out.append(Atom(row.form.substitute_state(image), row.rel))
+    return out
+
+
+@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+def test_shared_compositions_equal_the_direct_ones(name):
+    b = load_benchmark(name)
+    model, dsa = b.model, b.dsa
+    inv = _invariant(b)
+    Vs = [CertTemplate.fresh(model, dsa, k) for k in range(len(dsa.pairs))]
+    tables = [post_table(V, model, dsa) for V in Vs]
+    for V, table in zip(Vs, tables):
+        for piece in table.pieces:
+            assert piece.form == _direct_post(V, model, piece)
+    vcs = build_product_vcs(model, dsa, Vs, inv, tables)
+    got = [i.consequent for i in vcs.implications if i.family == "consec"]
+    want = [
+        atom
+        for piece in tables[0].pieces
+        for atom in _direct_consequents(model, inv, piece)
+    ]
+    assert got == want

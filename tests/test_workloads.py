@@ -4,13 +4,19 @@ passes the independent output checks.
 The ten operations of `verify-lp` and `control-descent` run through the
 benchmark's own composition (`perfbench/pipeline.py`), and each sat
 certificate goes through `perfbench/checks.py`: control bounds and side
-constraints, pointwise sampling and the per-VC LP re-check.
+constraints, pointwise sampling and the per-VC LP re-check.  The same
+route also runs on an automaton with two Streett pairs.
 """
 
+import dataclasses
 import os
 import sys
 
 import pytest
+
+from streettsm import benchmarks, templates
+from streettsm.automata import parse_dsa
+from streettsm.templates import parse_invariant
 
 BENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
@@ -38,3 +44,30 @@ def test_synthesis_is_sat_and_checks(entry):
     out = pipeline.synthesize(entry)
     assert out.verdict == "sat"
     assert checks.output_faults(out, 1) == []
+
+
+def test_two_streett_pairs_synthesize_and_share_their_steps(monkeypatch):
+    # Temperature4 with a second pair: q3 (the unsafe latch) finitely often
+    b = benchmarks.load_benchmark("Temperature4")
+    text = benchmarks.read_corpus_text("Temperature4.dsa")
+    dsa = parse_dsa(
+        text + "pair: A { q3 } B { }\n",
+        variables=b.model.state_vars,
+        modes=b.model.modes,
+    )
+    assert len(dsa.pairs) == 2
+    inv = parse_invariant(
+        benchmarks.read_corpus_text("Temperature4.inv"), b.model, dsa
+    )
+    two = dataclasses.replace(b, dsa=dsa, invariant=inv)
+    monkeypatch.setattr(benchmarks, "load_benchmark", lambda name: two)
+    out = pipeline.synthesize(pipeline.Entry("Temperature4", "inv", "sat"))
+    assert out.verdict == "sat"
+    assert len(out.Vs) == len(out.M) == 2
+    assert pipeline.failing_vcs(out) == []
+    tables = [templates.post_table(V, b.model, dsa) for V in out.Vs]
+    steps = [
+        [(p.location, p.edge, p.branch) for p in table.pieces]
+        for table in tables
+    ]
+    assert steps[0] and steps[0] == steps[1]
