@@ -19,15 +19,26 @@ d are affine in the parameters).  Parameter-dependent premises always take
 the general form.  The dual reads each premise atom's form only, so a
 strict atom  a.y + a0 < 0  is dualized as its relaxation; on a nonempty
 strict premise that is exact, the relaxed premise being its closure.
+
+Binding atoms.  A feasible premise whose atoms each bound at most one
+variable is a box, and the premise-sat dual is taken over only the atoms
+that define it: per variable the tightest upper and the tightest lower
+atom, chosen by `lp.box_rows`.  The other atoms, constant ones among
+them, get no multiplier.  This is exact: the kept atoms define the same
+nonempty set as the whole premise, so the implication holds under
+exactly the same parameter values, and Farkas' lemma is exact on either
+premise.  The assembled system's projection on the non-multiplier
+parameters does not change.  A premise with a multi-variable atom is
+dualized whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import lp
-from .expr import Param, ParamKind, Poly, Rel, _accumulate
+from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
 from .lp import atoms_feasible, check_implication, system_from_atoms
 from .vcgen import Implication, VCSet
 
@@ -184,17 +195,35 @@ def farkas_general(impl: Implication, prefix: str = "z") -> DualConstraint:
 
 
 def farkas_premise_sat(impl: Implication, prefix: str = "z") -> DualConstraint:
-    """Conjunction-only dual; requires a feasible parameter-free premise."""
-    status = premise_feasible(impl)
+    """Conjunction-only dual over the binding atoms; requires a feasible
+    parameter-free premise."""
+    status, premise = _screen(impl)
     if status != "feasible":
         raise ValueError(
             f"premise-sat Farkas on a {status} premise ({impl.tag})"
         )
-    return _premise_sat_dual(impl, prefix)
+    return _premise_sat_dual(impl, premise, prefix)
 
 
-def _premise_sat_dual(impl: Implication, prefix: str) -> DualConstraint:
-    """The premise-sat dual of a premise already screened feasible."""
+def _screen(impl: Implication) -> tuple[str, tuple[Atom, ...]]:
+    """`premise_feasible`'s verdict and the premise a premise-sat dual is
+    taken over: the binding atoms of a feasible box premise, else the
+    whole premise (see the module docstring)."""
+    status = premise_feasible(impl)
+    if status == "feasible":
+        rows = lp.box_rows(system_from_atoms(impl.premise, impl.variables))
+        if rows is not None:
+            return status, tuple(impl.premise[i] for i in rows)
+    return status, impl.premise
+
+
+def _premise_sat_dual(
+    impl: Implication, premise: tuple[Atom, ...], prefix: str
+) -> DualConstraint:
+    """The premise-sat dual of `impl` over `premise`, the binding atoms of
+    its premise, already screened feasible."""
+    if premise != impl.premise:
+        impl = replace(impl, premise=premise)
     zs = _fresh_zs(impl, prefix)
     nonneg = tuple(
         PolyConstraint(Poly() - Poly.param(z.name), Rel.LE) for z in zs
@@ -212,17 +241,18 @@ def transform(vcset: VCSet) -> list[DualConstraint]:
     """Route every implication: vacuous / premise-sat / general."""
     duals = []
     # implications at one location share their premise: screen each once
-    screens: dict[tuple, str] = {}
+    screens: dict[tuple, tuple[str, tuple[Atom, ...]]] = {}
     for idx, impl in enumerate(vcset.implications):
         prefix = f"z{idx}"
         key = (impl.variables, impl.premise)
-        status = screens.get(key)
-        if status is None:
-            status = screens[key] = premise_feasible(impl)
+        screen = screens.get(key)
+        if screen is None:
+            screen = screens[key] = _screen(impl)
+        status, premise = screen
         if status == "infeasible":
             duals.append(DualConstraint(impl.tag, "vacuous", (), ()))
         elif status == "feasible":
-            duals.append(_premise_sat_dual(impl, prefix))
+            duals.append(_premise_sat_dual(impl, premise, prefix))
         else:
             duals.append(farkas_general(impl, prefix))
     return duals

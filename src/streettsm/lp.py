@@ -59,7 +59,9 @@ carries the ray alone.  An end keeps its row's coefficient a, and the
 multipliers are computed only for the clash that is returned.  An
 unbounded box returns a feasible point and an improving unit ray.  Every
 corpus guard, automaton edge and premise atom bounds one variable, so
-every screen the pipeline runs is a box.
+every screen the pipeline runs is a box.  `box_rows` names the rows that
+define the ends, by the same rule; Farkas dualizes a feasible box
+premise over those rows only.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
@@ -299,6 +301,19 @@ def _box(
             # x <= high and -x <= -low add up to 0 <= high - low, false here
             return lo, hi, ((low[2], -1 / low[3]), (high[2], 1 / high[3]))
     return lo, hi, None
+
+
+def box_rows(system: LinearSystem) -> list[int] | None:
+    """The rows that define a box system's ends, ascending, or None if the
+    system is no box.  Per variable that is the row of its upper end and
+    the row of its lower end, by `solve`'s rule (the tighter bound wins; at
+    one bound a strict end beats a non-strict one, else the first row
+    wins).  On a nonempty box they define the same set as all the rows."""
+    box = _box(system.rows, len(system.variables))
+    if box is None:
+        return None
+    lo, hi, _ = box
+    return sorted({end[2] for end in lo + hi if end is not None})
 
 
 def _nearest_zero(lo: _End | None, hi: _End | None) -> Fraction:

@@ -10,7 +10,8 @@ plus a mean vector).  Updates are affine in the state with coefficients
 polynomial in the control parameters and the disturbance components, so
 bilinear state-times-disturbance dynamics are representable.  Guards may
 carry control parameters (synthesized switching logic); such models are
-flagged and exempted from the static cover checks.
+flagged and exempted from the static cover checks, which
+`StochModel.with_control` runs once the control has a value.
 
 Branch guards within each mode must be pairwise disjoint and jointly
 exhaustive over R^n; both properties are decided exactly by the strict
@@ -34,7 +35,7 @@ The file format is line-oriented (# comments):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -166,6 +167,69 @@ class StochModel:
             branch.update[v].eval(params, env) for v in self.state_vars
         )
         return nxt, branch.mode_to
+
+    def with_control(self, values: Mapping[str, Fraction]) -> "StochModel":
+        """The model at one control: `values` substituted into every guard
+        and update, with no controls, no side constraints and no
+        parameter-bearing guard.
+
+        Raises ValueError unless `values` names exactly the controls, each
+        within its declared interval and all side constraints holding, and
+        unless the guards of every mode then partition the state space.
+        Only modes whose guards carried a control are checked: the others
+        passed the same check at parse time.  A fault is reported with a
+        state where it occurs."""
+        values = {n: Fraction(v) for n, v in values.items()}
+        declared = {c.name for c in self.controls}
+        if set(values) != declared:
+            raise ValueError(
+                f"control values for {sorted(values)}, but the model "
+                f"declares {sorted(declared)}"
+            )
+        for c in self.controls:
+            if not c.lo <= values[c.name] <= c.hi:
+                raise ValueError(
+                    f"control {c.name} = {values[c.name]} lies outside "
+                    f"[{c.lo}, {c.hi}]"
+                )
+        for atom in self.side_constraints:
+            if not atom.holds(values, {}):
+                raise ValueError(f"control breaks side constraint {atom}")
+        branches = tuple(
+            replace(
+                br,
+                guard=tuple(
+                    Atom(a.form.substitute_params(values), a.rel)
+                    for a in br.guard
+                ),
+                update={
+                    v: f.substitute_params(values)
+                    for v, f in br.update.items()
+                },
+            )
+            for br in self.branches
+        )
+        for mode in self.modes:
+            old = [br for br in self.branches if br.mode_from == mode]
+            if all(a.form.is_param_free() for br in old for a in br.guard):
+                continue
+            group = [br.guard for br in branches if br.mode_from == mode]
+            fault = partition_fault(group, self.state_vars)
+            if fault is not None:
+                kind, _, point = fault
+                at = ", ".join(f"{v} = {point[v]}" for v in self.state_vars)
+                what = "overlap" if kind == "overlap" else "leave a gap"
+                raise ValueError(
+                    f"at this control the branch guards {what} in mode "
+                    f"{mode!r}, at state {at}"
+                )
+        return replace(
+            self,
+            branches=branches,
+            controls=(),
+            side_constraints=(),
+            guards_parameter_bearing=False,
+        )
 
 
 # -- parsing -----------------------------------------------------------------
@@ -526,7 +590,9 @@ def _finish(b: _ModelBuilder) -> StochModel:
         assert not tests
         side.extend(atoms)
 
-    flagged = _check_guard_cover(state_vars, modes, branches)
+    flagged = _check_guard_cover(
+        state_vars, modes, branches, b.lines.get("modes", 1)
+    )
 
     return StochModel(
         state_vars=state_vars,
@@ -595,14 +661,18 @@ def _check_guard_cover(
     state_vars: tuple[str, ...],
     modes: tuple[str, ...],
     branches: list[Branch],
+    modes_line: int,
 ) -> bool:
     """Disjointness and exhaustiveness per mode; parameter-bearing modes
-    are exempted from the check and flagged."""
+    are exempted from the check and flagged.  A mode with no branch is
+    reported at `modes_line`, where the modes are declared."""
     flagged = False
     for mode in modes:
         group = [br for br in branches if br.mode_from == mode]
         if not group:
-            raise SourceError(f"mode {mode!r} has no branches", 1, 1)
+            raise SourceError(
+                f"mode {mode!r} has no branches", modes_line, 1
+            )
         if not all(a.form.is_param_free() for br in group for a in br.guard):
             flagged = True
             continue

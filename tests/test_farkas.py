@@ -242,8 +242,10 @@ def test_fixed_control_concrete_invariant_assembles_to_pure_lp():
     assert system.degree() == 1
     assert not system.has_disjunction()
     assert system.all_linear()
-    assert len(system.params) == 45
-    assert len(system.constraints) == 66
+    # every premise is a box: its redundant atoms (a second bound on one
+    # side of a variable, or a constant atom) get no multiplier
+    assert len(system.params) == 34
+    assert len(system.constraints) == 55
 
 
 def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
@@ -487,6 +489,64 @@ def test_routing_preserves_dual_satisfiability(impl):
     vcs = VCSet((impl,), (), ())
     routed = transform(vcs)[0]
     assert dual_sat_by_lp(routed) == dual_sat_by_lp(farkas_general(impl, "z"))
+
+
+@st.composite
+def box_implications(draw):
+    """Premises of one-variable atoms over a few shared bounds, so that
+    bounds repeat (also scaled), strict and non-strict atoms tie at one
+    bound, and constant atoms, true or false, ride along."""
+    nvars = draw(st.integers(1, 3))
+    names = tuple(f"y{i}" for i in range(nvars))
+    bounds = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), ONE])
+    scales = st.sampled_from([ONE, Fraction(2), -ONE, Fraction(-1, 2), Fraction(-3)])
+    rels = st.sampled_from([Rel.LE, Rel.LT])
+
+    def atom():
+        rel = draw(rels)
+        if draw(st.integers(0, 5)) == 0:
+            return Atom(LinForm.constant(draw(bounds)), rel)
+        v, a, b = draw(st.sampled_from(names)), draw(scales), draw(bounds)
+        # a (v - b) REL 0: v <= b or v < b when a > 0, a lower bound else
+        return Atom(LinForm({v: Poly.const(a)}, Poly.const(-a * b)), rel)
+
+    premise = tuple(atom() for _ in range(draw(st.integers(0, 6))))
+    consequent = const_atom({v: draw(fracs) for v in names}, draw(fracs))
+    return Implication("consec", None, names, premise, consequent)
+
+
+@given(box_implications())
+@settings(deadline=None, max_examples=150)
+def test_box_premise_dual_sat_iff_implication_valid(impl):
+    (routed,) = transform(VCSet((impl,), (), ()))
+    assert dual_sat_by_lp(routed) == implication_valid_bruteforce(impl)
+    if routed.mode == "premise-sat":
+        # only the binding atoms get a multiplier: one upper, one lower
+        assert len(routed.zs) <= 2 * len(impl.variables)
+        assert routed == farkas_premise_sat(impl, "z0")
+
+
+def test_premise_sat_dual_keeps_the_binding_atoms_only():
+    # y <= 2, 2y < 2, y <= 1, -y <= 0, 0 <= 1 and -y < 1: y < 1 beats the
+    # non-strict y <= 1 at their tie, and -y <= 0 is the tightest lower end
+    y = LinForm.var("y")
+    premise = (
+        const_atom({"y": ONE}, Fraction(2)),
+        Atom(y.scale(2) - LinForm.constant(2), Rel.LT),
+        const_atom({"y": ONE}, ONE),
+        const_atom({"y": -ONE}, Fraction(0)),
+        const_atom({}, ONE),
+        Atom(-y - LinForm.constant(ONE), Rel.LT),
+    )
+    impl = Implication(
+        "consec", None, ("y",), premise, const_atom({"y": ONE}, Fraction(2))
+    )
+    dual = farkas_premise_sat(impl, "z0")
+    assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
+    # 2 z0 - z1 = 1 and 2 z0 <= 2
+    assert dual.shared[2].poly == P("z0_0").scale(2) - P("z0_1") - Poly.const(ONE)
+    assert dual.shared[3].poly == P("z0_0").scale(2) - Poly.const(Fraction(2))
+    assert transform(VCSet((impl,), (), ()))[0] == dual
 
 
 def test_bruteforce_oracle_rejects_parameters():

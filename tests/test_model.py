@@ -420,6 +420,12 @@ def test_errors_point_at_their_statement_line():
     assert line_of(modes, "init must name a mode") == line_in(
         modes, "init: x = 0"
     )
+    idle = modes.replace("init: x = 0", "init: x = 0, mode = a").replace(
+        "branch _ -> _", "branch a -> a"
+    )
+    assert line_of(idle, "mode 'b' has no branches") == line_in(
+        idle, "modes: a b"
+    )
 
     dist = WALK.replace("disturbance: w", "disturbance: x")
     assert line_of(dist, "name used twice") == line_in(
@@ -457,3 +463,73 @@ def test_a_control_may_not_reuse_a_disturbance_name():
     for name in ("w1", "w"):
         text = vector + f"control: {name} in [0, 1]\n"
         assert clash_line(text, name) == len(text.splitlines())
+
+
+# guards `x <= l` and `x > m` partition the line only when l = m, and
+# then x never decreases
+GAPPED = """
+state_dim: 1
+init: x = 5
+disturbance: w finite { (0): 1/2, (1): 1/2 }
+control: l in [0, 10]
+control: m in [0, 10]
+branch _ -> _:
+  guard: x <= l
+  update: x' = x + w
+branch _ -> _:
+  guard: x > m
+  update: x' = x + w
+"""
+
+
+def test_with_control_rejects_a_control_that_leaves_a_gap():
+    model = parse_model(GAPPED)
+    assert model.guards_parameter_bearing
+    with pytest.raises(ValueError, match="leave a gap") as e:
+        model.with_control({"l": 0, "m": 10})
+    x = F(re.search(r"x = (\S+)", str(e.value)).group(1))
+    assert 0 < x <= 10  # no guard holds there at l = 0, m = 10
+    with pytest.raises(ValueError, match="overlap"):
+        model.with_control({"l": 6, "m": 4})
+
+
+def test_with_control_gives_a_controlless_model_that_steps():
+    fixed = parse_model(GAPPED).with_control({"l": 5, "m": F(5)})
+    assert fixed.controls == () and fixed.side_constraints == ()
+    assert not fixed.guards_parameter_bearing
+    assert all(
+        a.form.is_param_free() for br in fixed.branches for a in br.guard
+    )
+    for x in (F(5), F(6)):
+        assert fixed.step((x,), DEFAULT_MODE, (F(1),)) == ((x + 1,), DEFAULT_MODE)
+
+
+def test_with_control_checks_the_declared_box_and_side_constraints():
+    model = parse_model(GAPPED + "constraint: l + m <= 12\n")
+    with pytest.raises(ValueError, match="outside"):
+        model.with_control({"l": 11, "m": 11})
+    with pytest.raises(ValueError, match="side constraint"):
+        model.with_control({"l": 7, "m": 7})
+    with pytest.raises(ValueError, match="declares"):
+        model.with_control({"l": 5})
+    assert model.with_control({"l": 6, "m": 6}).controls == ()
+
+
+def test_every_fixture_control_gives_a_well_defined_model():
+    fixed = 0
+    for name in benchmark_names():
+        bench = load_benchmark(name)
+        control = (bench.cert or {}).get("control")
+        if control:
+            model = bench.model.with_control(
+                {k: F(v) for k, v in control.items()}
+            )
+            assert model.controls == () and model.side_constraints == ()
+            # the control is gone from the updates, the disturbance stays
+            noise = set(model.disturbance.component_names())
+            for br in model.branches:
+                for form in br.update.values():
+                    assert form.params() <= noise
+                assert all(a.form.is_param_free() for a in br.guard)
+            fixed += 1
+    assert fixed == 4  # FinMemoryControl's guards carry its control
