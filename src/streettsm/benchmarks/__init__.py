@@ -25,12 +25,12 @@ __all__ = [
 ]
 
 
-def _root():
-    return resources.files(__name__)
+# resolved once; the files themselves are read on every call
+_ROOT = resources.files(__name__)
 
 
 def read_corpus_text(filename: str) -> str:
-    return (_root() / filename).read_text()
+    return (_ROOT / filename).read_text()
 
 
 def manifest() -> dict:

@@ -39,7 +39,7 @@ from typing import Sequence
 
 from . import lp
 from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
-from .lp import atoms_feasible, check_implication, system_from_atoms
+from .lp import check_implication, system_from_atoms
 from .vcgen import Implication, VCSet
 
 
@@ -137,14 +137,9 @@ def _item_lines(items, or_indent: str):
 
 
 def premise_feasible(impl: Implication) -> str:
-    """'feasible' / 'infeasible' by exact LP, or 'parameter-dependent'.
-
-    The premise is decided with its strict atoms: their relaxation can be
-    feasible (x < -1/2 and -1/2 < x admits x = -1/2 once relaxed)."""
-    if any(not a.form.is_param_free() for a in impl.premise):
-        return "parameter-dependent"
-    res = atoms_feasible(list(impl.premise), list(impl.variables))
-    return "feasible" if res.status == "optimal" else "infeasible"
+    """'feasible' / 'infeasible' by exact LP, or 'parameter-dependent':
+    the verdict of `_screen`."""
+    return _screen(impl)[0]
 
 
 def _fresh_zs(impl: Implication, prefix: str) -> tuple[Param, ...]:
@@ -206,15 +201,23 @@ def farkas_premise_sat(impl: Implication, prefix: str = "z") -> DualConstraint:
 
 
 def _screen(impl: Implication) -> tuple[str, tuple[Atom, ...]]:
-    """`premise_feasible`'s verdict and the premise a premise-sat dual is
-    taken over: the binding atoms of a feasible box premise, else the
-    whole premise (see the module docstring)."""
-    status = premise_feasible(impl)
-    if status == "feasible":
-        rows = lp.box_rows(system_from_atoms(impl.premise, impl.variables))
-        if rows is not None:
-            return status, tuple(impl.premise[i] for i in rows)
-    return status, impl.premise
+    """The premise's verdict and the premise a premise-sat dual is taken
+    over: the binding atoms of a feasible box premise, else the whole
+    premise (see the module docstring).
+
+    The verdict is 'parameter-dependent', or 'feasible' / 'infeasible' by
+    one `lp.solve` on the premise's rows, strict atoms honored: their
+    relaxation can be feasible (x < -1/2 and -1/2 < x admits x = -1/2
+    once relaxed).  The binding atoms are read off the same rows."""
+    if any(not a.form.is_param_free() for a in impl.premise):
+        return "parameter-dependent", impl.premise
+    system = system_from_atoms(impl.premise, impl.variables)
+    if lp.solve(system).status != "optimal":
+        return "infeasible", impl.premise
+    rows = lp.box_rows(system)
+    if rows is None:
+        return "feasible", impl.premise
+    return "feasible", tuple(impl.premise[i] for i in rows)
 
 
 def _premise_sat_dual(

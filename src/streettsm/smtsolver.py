@@ -15,15 +15,16 @@ Decision strategy:
   * otherwise: alternating block descent.  The variable product graph of
     a bilinear system is bipartite, so its two sides alternate: fixing
     one side makes every constraint affine in the other, which is then
-    solved exactly, one connected component at a time, feasibility
-    first and worst-violation minimization as fallback.  Disjunction
-    branches are re-chosen greedily per round; squared variables are
-    varied by sampling.  Restart 0 starts at the linear screen's exact
-    point; later deterministic restarts draw their starting points from
-    constants harvested off the problem.  A model is reported
-    only after exact re-substitution, so "sat" answers are sound; descent
-    that fails to converge, or a product graph that is not bipartite, is
-    "unknown".
+    solved exactly, one connected component at a time.  A component
+    whose rows all hold already is skipped; a violated one is solved as
+    a plain feasibility LP first, with worst-violation minimization as
+    fallback.  Disjunction branches are re-chosen greedily per round;
+    squared variables are varied by sampling.  Restart 0 starts at the
+    linear screen's exact point; later deterministic restarts draw their
+    starting points from constants harvested off the problem.  A model
+    is reported only after exact re-substitution, so "sat" answers are
+    sound; descent that fails to converge, or a product graph that is
+    not bipartite, is "unknown".
 
 All arithmetic is over fractions.Fraction; no floating point anywhere.
 """
@@ -270,7 +271,9 @@ def _snap(work, point, best):
 
     Exact LP vertices accumulate huge rationals round over round, which
     makes later pivots crawl.  Intermediate points carry no certificate
-    meaning, so round them whenever that does not regress the measure."""
+    meaning, so round them whenever that does not regress the measure.
+    `decide` never snaps a point at measure zero: that point is final
+    and goes straight to the exact re-check."""
     if all(v.denominator <= SNAP_DENOMINATOR for v in point.values()):
         return point, best
     snapped = {
@@ -322,16 +325,17 @@ MEASURE_ZERO = F0
 
 
 def _component_lp(sub, rows, point):
-    """Solve one connected component of a block round exactly.
+    """Solve one violated connected component of a block round exactly.
 
-    Rows local to the block (no other free variables anywhere in them)
-    are hard constraints: they are satisfiable regardless of the rest,
-    so trading them against coupling rows only smears violation onto
-    constraints the other block can never repair.  Coupling rows get
-    their worst violation minimized.  If the optimum
-    reaches zero and strict rows are present, re-solve for an interior
-    point so they hold with margin.  Keeps the old values when nothing
-    improves.
+    The rows are tried first as they are: a plain feasibility LP, strict
+    rows held with margin, whose point is returned when there is one.
+    Only when they are infeasible as written is the worst violation
+    minimized.  There, rows local to the block (no other free variables
+    anywhere in them) are hard constraints: they are satisfiable
+    regardless of the rest, so trading them against coupling rows only
+    smears violation onto constraints the other block can never repair.
+    If the local rows clash among themselves, every row is soft.  Keeps
+    the old values when neither LP has an optimum.
 
     The block construction makes every residual affine over `sub`;
     `lp.linear_row` raises on anything else."""
@@ -340,6 +344,13 @@ def _component_lp(sub, rows, point):
     for residual, rel, local in rows:
         row, rhs = lp.linear_row(residual, column)
         linear.append((row, lp.REL[rel], rhs, local))
+
+    plain = lp.LinearSystem(list(sub))
+    plain.rows.extend((row, rel, rhs) for row, rel, rhs, _ in linear)
+    res = lp.solve(plain)
+    if res.status == "optimal":
+        return {n: res.assignment.get(n, F0) for n in sub}
+
     worst = ((len(sub), -F1),)  # the column of "__worst", negated
 
     def build(hard_local: bool):
@@ -366,14 +377,7 @@ def _component_lp(sub, rows, point):
         res = build(hard_local=False)  # the local rows clash among themselves
         if res.status != "optimal":
             return {n: point[n] for n in sub}
-    moved = {n: res.assignment.get(n, F0) for n in sub}
-    if res.value == 0 and any(rel == "<" for _, rel, _, _ in linear):
-        system = lp.LinearSystem(list(sub))
-        system.rows.extend((row, rel, rhs) for row, rel, rhs, _ in linear)
-        strict = lp.solve(system)
-        if strict.status == "optimal":
-            moved = {n: strict.assignment.get(n, F0) for n in sub}
-    return moved
+    return {n: res.assignment.get(n, F0) for n in sub}
 
 
 def _block_lp(active, group, point):
@@ -381,21 +385,20 @@ def _block_lp(active, group, point):
     affine rows into connected components solved independently.
 
     Rows not mentioning the group keep their violation either way and
-    are left out.  Returns the moved values, or None when no row
-    involves the group.  Columns and components follow the order of
-    `group`, never the names, so renaming the parameters does not move
-    the vertex an LP lands on."""
+    are left out.  A component whose rows all hold at `point` (violation
+    zero, so strict rows with margin) is skipped before its rows are
+    substituted: its values already reach its worst-violation optimum,
+    zero, so they stay.  Returns the moved values of the violated
+    components, or None when no row involving the group is violated.
+    Columns and components follow the order of `group`, never the names,
+    so renaming the parameters does not move the vertex an LP lands on."""
     rank = {n: i for i, n in enumerate(group)}
-    fixed = {n: v for n, v in point.items() if n not in rank}
     touched = []
     for con in active:
         names = con.poly.params()
         vs = sorted((n for n in names if n in rank), key=rank.__getitem__)
         if vs:
-            local = len(vs) == len(names)
-            touched.append((vs, con.poly.substitute(fixed), con.rel, local))
-    if not touched:
-        return None
+            touched.append((vs, con, len(vs) == len(names)))
 
     parent: dict[str, str] = {}
 
@@ -405,19 +408,30 @@ def _block_lp(active, group, point):
             x = parent[x]
         return x
 
-    for vs, _, _, _ in touched:
+    for vs, _, _ in touched:
         for other in vs[1:]:
             parent[find(vs[0])] = find(other)
     comp_vars: dict[str, set[str]] = {}
     comp_rows: dict[str, list] = {}
-    for vs, residual, rel, local in touched:
+    violated: set[str] = set()
+    for vs, con, local in touched:
         root = find(vs[0])
         comp_vars.setdefault(root, set()).update(vs)
-        comp_rows.setdefault(root, []).append((residual, rel, local))
-    subs = {r: sorted(vs, key=rank.__getitem__) for r, vs in comp_vars.items()}
+        comp_rows.setdefault(root, []).append((con, local))
+        if root not in violated and _violation(con, point) > 0:
+            violated.add(root)
+    if not violated:
+        return None
+
+    fixed = {n: v for n, v in point.items() if n not in rank}
+    subs = {r: sorted(comp_vars[r], key=rank.__getitem__) for r in violated}
     moved: dict[str, Fraction] = {}
     for root in sorted(subs, key=lambda r: rank[subs[r][0]]):
-        moved.update(_component_lp(subs[root], comp_rows[root], point))
+        rows = [
+            (con.poly.substitute(fixed), con.rel, local)
+            for con, local in comp_rows[root]
+        ]
+        moved.update(_component_lp(subs[root], rows, point))
     return moved
 
 
@@ -490,7 +504,9 @@ def decide(system: ConstraintSystem):
                 value = _measure(work, candidate)
                 if value <= best:
                     improved = improved or value < best
-                    point, best = _snap(work, candidate, value)
+                    point, best = candidate, value
+                    if best > MEASURE_ZERO:
+                        point, best = _snap(work, point, best)
                 if best == MEASURE_ZERO:
                     break
             if sampled and best > MEASURE_ZERO:

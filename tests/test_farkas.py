@@ -264,13 +264,16 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
 
 
 def test_transform_screens_each_premise_once(monkeypatch):
+    # every LP that transform makes is a screen: one `lp.solve` on the
+    # premise's rows, which also give the binding atoms
     calls = []
+    solve = lp.solve
 
-    def counting(atoms, variables):
-        calls.append((tuple(variables), tuple(atoms)))
-        return lp.atoms_feasible(atoms, variables)
+    def counting(system, *args, **kwargs):
+        calls.append((tuple(system.variables), tuple(system.rows)))
+        return solve(system, *args, **kwargs)
 
-    monkeypatch.setattr(farkas, "atoms_feasible", counting)
+    monkeypatch.setattr(lp, "solve", counting)
     model, dsa, inv, Vs, tables = example2_pieces("example2.model")
     for invariant in (inv, InvTemplate.fresh(model, dsa, nrows=2)):
         vcs = build_product_vcs(
@@ -286,7 +289,10 @@ def test_transform_screens_each_premise_once(monkeypatch):
             (impl.variables, impl.premise) for impl in param_free
         }
         assert len(calls) == len(distinct)
-        assert set(calls) == distinct
+        assert set(calls) == {
+            (variables, tuple(lp.system_from_atoms(premise, variables).rows))
+            for variables, premise in distinct
+        }
         assert sum(d.mode != "general" for d in duals) == len(param_free)
         if invariant is inv:
             # implications at one location share their premise

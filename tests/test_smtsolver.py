@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from streettsm import backends, farkas, smtsolver
+from streettsm import backends, farkas, lp, smtsolver
 from streettsm.backends import simplex_solve
 from streettsm.benchmarks import load_benchmark
 from streettsm.expr import Param, ParamKind, Poly, Rel
@@ -264,3 +264,76 @@ def test_squared_variables_are_sampled_in_restart_zero():
     assert smtsolver._product_blocks(list(rows), ["a", "b", "c"])[1] == ["a"]
     status, model = smtsolver.decide(system)
     assert status == "sat" and system.holds(model)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The systems passed to `lp.solve`, with whether each had an
+    objective, in call order."""
+    calls = []
+    solve = lp.solve
+
+    def counting(system, objective=None, maximize=True):
+        calls.append((system, objective is not None))
+        return solve(system, objective, maximize)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return calls
+
+
+def test_block_round_solves_only_the_violated_component(lp_calls):
+    # group (a, b) splits into {a} and {b}; c is fixed by the other block.
+    # a = 3/2 holds inside 0 <= a <= c = 4 and is no vertex, so a solve of
+    # its component would move it; b = 0 breaks b >= 2
+    rows = [
+        le(Poly() - P("a")),
+        le(P("a") - P("c")),
+        le(const(2) - P("b")),
+    ]
+    point = {"a": F(3, 2), "b": F(0), "c": F(4)}
+    moved = smtsolver._block_lp(rows, ["a", "b"], point)
+    assert set(moved) == {"b"} and moved["b"] >= 2
+    # one plain feasibility LP, over b alone
+    assert [(s.variables, obj) for s, obj in lp_calls] == [(["b"], False)]
+    # with b repaired, no row of the group is violated: no LP at all
+    lp_calls.clear()
+    assert smtsolver._block_lp(rows, ["a", "b"], {**point, **moved}) is None
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("name", ["example2", "Temperature4"])
+def test_descent_makes_one_component_lp(lp_calls, name):
+    # the linear screen, then one block round in which a single component
+    # has a violated row and its plain feasibility LP is feasible
+    system = _assembled(name)
+    lp_calls.clear()  # the Farkas screens
+    status, model = smtsolver.decide(system)
+    assert status == "sat" and system.holds(model)
+    assert [obj for _, obj in lp_calls] == [False, False]
+
+
+@pytest.mark.parametrize(
+    "local, objectives",
+    [
+        # both coupling rows are soft: the worst-violation LP runs once
+        (False, [False, True]),
+        # both rows are local and clash, so the hard-local LP is
+        # infeasible and the all-soft one runs
+        (True, [False, True, True]),
+    ],
+)
+def test_component_lp_falls_back_to_the_worst_violation(
+    lp_calls, local, objectives
+):
+    # a - 1 <= 0 against 2 - a <= 0 is infeasible as written; the least
+    # worst violation is 1/2, at a = 3/2
+    rows = [
+        (P("a") - const(1), Rel.LE, local),
+        (const(2) - P("a"), Rel.LE, local),
+    ]
+    moved = smtsolver._component_lp(["a"], rows, {"a": F(0)})
+    assert moved == {"a": F(3, 2)}
+    worst = smtsolver._measure([PolyConstraint(p, r) for p, r, _ in rows], moved)
+    assert worst == F(1, 2)
+    assert [obj for _, obj in lp_calls] == objectives
+    assert lp_calls[0][0].variables == ["a"]  # the plain LP has no __worst
