@@ -19,11 +19,14 @@ d are affine in the parameters).  Parameter-dependent premises always take
 the general form.  The dual reads each premise atom's form only, so a
 strict atom  a.y + a0 < 0  is dualized as its relaxation; on a nonempty
 strict premise that is exact, the relaxed premise being its closure.
+`vcgen.build_product_vcs` builds no implication whose parameter-free
+premise is empty, so its VC sets never take the vacuous route; the route
+stays for VC sets built otherwise.
 
 Binding atoms.  A feasible premise whose atoms each bound at most one
 variable is a box, and the premise-sat dual is taken over only the atoms
 that define it: per variable the tightest upper and the tightest lower
-atom, chosen by `lp.box_rows`.  The other atoms, constant ones among
+atom, by the rule of `lp.box`.  The other atoms, constant ones among
 them, get no multiplier.  This is exact: the kept atoms define the same
 nonempty set as the whole premise, so the implication holds under
 exactly the same parameter values, and Farkas' lemma is exact on either
@@ -39,7 +42,7 @@ from typing import Sequence
 
 from . import lp
 from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
-from .lp import check_implication, system_from_atoms
+from .lp import check_implication
 from .vcgen import Implication, VCSet
 
 
@@ -206,17 +209,22 @@ def _screen(impl: Implication) -> tuple[str, tuple[Atom, ...]]:
     premise (see the module docstring).
 
     The verdict is 'parameter-dependent', or 'feasible' / 'infeasible' by
-    one `lp.solve` on the premise's rows, strict atoms honored: their
-    relaxation can be feasible (x < -1/2 and -1/2 < x admits x = -1/2
-    once relaxed).  The binding atoms are read off the same rows."""
+    exact LP on the premise's rows, strict atoms honored: their relaxation
+    can be feasible (x < -1/2 and -1/2 < x admits x = -1/2 once relaxed).
+    A box premise takes its verdict and its binding atoms from one
+    `lp.box` pass, any other premise its verdict from `lp.solve`."""
     if any(not a.form.is_param_free() for a in impl.premise):
         return "parameter-dependent", impl.premise
-    system = system_from_atoms(impl.premise, impl.variables)
-    if lp.solve(system).status != "optimal":
-        return "infeasible", impl.premise
-    rows = lp.box_rows(system)
-    if rows is None:
+    system = lp.system_from_atoms(impl.premise, impl.variables)
+    ends = lp.box(system.rows, len(system.variables))
+    if ends is None:
+        if lp.solve(system).status != "optimal":
+            return "infeasible", impl.premise
         return "feasible", impl.premise
+    lo, hi, clash = ends
+    if clash is not None:
+        return "infeasible", impl.premise
+    rows = sorted({end[2] for end in lo + hi if end is not None})
     return "feasible", tuple(impl.premise[i] for i in rows)
 
 
@@ -289,7 +297,7 @@ def implication_valid_bruteforce(impl: Implication) -> bool:
     validity unless the strict premise is empty."""
     if impl.params():
         raise ValueError("brute-force oracle needs a parameter-free implication")
-    sysm = system_from_atoms(list(impl.premise), list(impl.variables))
+    sysm = lp.system_from_atoms(list(impl.premise), list(impl.variables))
     strict = any(rel == "<" for _, rel, _ in sysm.rows)
     closure = sysm
     if strict:

@@ -47,7 +47,11 @@ multiplier of its removed bound row  -a x_j <= 0  is
 
 Boxes.  A system whose rows each mention at most one variable is a box:
 per variable, an interval whose ends are the tightest bounds its rows
-give (a strict end beats a non-strict one at the same bound).  `solve`
+give (a strict end beats a non-strict one at the same bound).  A row
+a x (<= | < | =) b bounds x by b/a, held as the integer pair
+(num b * den a, den b * num a), negated when the second entry is
+negative; two bounds n/d and n'/d' compare as n d' against n' d, and
+`box` builds a Fraction only for each end it returns.  `solve`
 decides a box by intersecting the intervals, with no tableau.  With no
 strict row it returns what the tableau returns on 'optimal' and
 'infeasible': a coordinate with a cost sits at its optimizing end, every
@@ -59,9 +63,9 @@ carries the ray alone.  An end keeps its row's coefficient a, and the
 multipliers are computed only for the clash that is returned.  An
 unbounded box returns a feasible point and an improving unit ray.  Every
 corpus guard, automaton edge and premise atom bounds one variable, so
-every screen the pipeline runs is a box.  `box_rows` names the rows that
-define the ends, by the same rule; Farkas dualizes a feasible box
-premise over those rows only.
+every screen the pipeline runs is a box.  `box` returns each end with
+its row; Farkas reads a premise's verdict and the rows it dualizes over
+from one such call.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
@@ -201,12 +205,12 @@ def solve(
     strict = any(rel == "<" for _, rel, _ in system.rows)
     if strict and objective is not None:
         raise ValueError("strict rows admit no objective")
-    box = _box(system.rows, len(system.variables))
-    if box is None:
+    ends = box(system.rows, len(system.variables))
+    if ends is None:
         if strict:
             return _strict_tableau(system)
         return _tableau(system, objective, maximize)
-    lo, hi, clash = box
+    lo, hi, clash = ends
     if clash is not None:
         if strict:
             return LPResult(status="infeasible")
@@ -247,15 +251,22 @@ _End = tuple[Fraction, bool, int, Fraction]
 _Clash = tuple[tuple[int, Fraction], ...]
 
 
-def _box(
+def box(
     rows: list[tuple[Row, str, Fraction]], nvars: int
 ) -> tuple[list[_End | None], list[_End | None], _Clash | None] | None:
     """The per-variable lower and upper ends of a box system, and a clash:
     None, or the (row, multiplier) pairs of a Farkas ray, from the first
     empty row that fails on its own or else the first empty interval.
-    None if some row mentions two or more variables."""
-    lo: list[_End | None] = [None] * nvars
-    hi: list[_End | None] = [None] * nvars
+    None if some row mentions two or more variables.
+
+    The tighter bound wins; at one bound a strict end beats a non-strict
+    one, else the first row wins.  On a nonempty box the rows of the ends
+    define the same set as all the rows.  Bounds are compared as integer
+    pairs (see the module docstring); only the ends returned become
+    Fractions."""
+    # ends as (n, d, strict, row, a) while the rows are read: bound n/d, d > 0
+    lo: list = [None] * nvars
+    hi: list = [None] * nvars
     empty = None
     for i, (coeffs, rel, rhs) in enumerate(rows):
         if not coeffs:
@@ -268,52 +279,44 @@ def _box(
         if len(coeffs) > 1:
             return None
         ((j, a),) = coeffs
-        bound = rhs if a == 1 else -rhs if a == -1 else rhs / a
+        n, d = rhs.numerator * a.denominator, rhs.denominator * a.numerator
+        if d < 0:
+            n, d = -n, -d
         strict = rel == "<"
-        # the tighter end wins; at one bound, a strict end is tighter
-        if rel == "=" or a > 0:  # x <= bound: (1/a) row
+        upper = a.numerator > 0
+        # n/d < n'/d' iff n d' < n' d, the denominators being positive
+        if rel == "=" or upper:  # x <= n/d: (1/a) row
             cur = hi[j]
-            if (
-                cur is None
-                or bound < cur[0]
-                or (bound == cur[0] and strict and not cur[1])
+            if cur is None or (
+                (gap := cur[0] * d - n * cur[1]) > 0
+                or (gap == 0 and strict and not cur[2])
             ):
-                hi[j] = (bound, strict, i, a)
-        if rel == "=" or a < 0:  # x >= bound: (-1/a) row
+                hi[j] = (n, d, strict, i, a)
+        if rel == "=" or not upper:  # x >= n/d: (-1/a) row
             cur = lo[j]
-            if (
-                cur is None
-                or bound > cur[0]
-                or (bound == cur[0] and strict and not cur[1])
+            if cur is None or (
+                (gap := n * cur[1] - cur[0] * d) > 0
+                or (gap == 0 and strict and not cur[2])
             ):
-                lo[j] = (bound, strict, i, a)
-    if empty is not None:
-        return lo, hi, empty
-    for low, high in zip(lo, hi):
-        if (
-            low is not None
-            and high is not None
-            and (
-                low[0] > high[0]
-                or (low[0] == high[0] and (low[1] or high[1]))
-            )
-        ):
-            # x <= high and -x <= -low add up to 0 <= high - low, false here
-            return lo, hi, ((low[2], -1 / low[3]), (high[2], 1 / high[3]))
-    return lo, hi, None
-
-
-def box_rows(system: LinearSystem) -> list[int] | None:
-    """The rows that define a box system's ends, ascending, or None if the
-    system is no box.  Per variable that is the row of its upper end and
-    the row of its lower end, by `solve`'s rule (the tighter bound wins; at
-    one bound a strict end beats a non-strict one, else the first row
-    wins).  On a nonempty box they define the same set as all the rows."""
-    box = _box(system.rows, len(system.variables))
-    if box is None:
-        return None
-    lo, hi, _ = box
-    return sorted({end[2] for end in lo + hi if end is not None})
+                lo[j] = (n, d, strict, i, a)
+    clash = empty
+    if clash is None:
+        for low, high in zip(lo, hi):
+            if low is None or high is None:
+                continue
+            gap = high[0] * low[1] - low[0] * high[1]
+            if gap < 0 or (gap == 0 and (low[2] or high[2])):
+                # x <= high and -x <= -low add up to 0 <= high - low, false
+                clash = ((low[3], -1 / low[4]), (high[3], 1 / high[4]))
+                break
+    lo, hi = (
+        [
+            None if e is None else (Fraction(e[0], e[1]), e[2], e[3], e[4])
+            for e in side
+        ]
+        for side in (lo, hi)
+    )
+    return lo, hi, clash
 
 
 def _nearest_zero(lo: _End | None, hi: _End | None) -> Fraction:

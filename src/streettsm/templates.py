@@ -157,21 +157,23 @@ def _image_with_sample(
     return {v: f.substitute_params(val) for v, f in update.items()}
 
 
-def _joint_guard_feasible(
-    guard: tuple[Atom, ...],
+def maybe_feasible(
+    atoms: tuple[Atom, ...],
     variables: tuple[str, ...],
     screens: dict[tuple[Atom, ...], bool],
 ) -> bool:
-    """False only when the guard is parameter-free and LP-infeasible.
+    """False only when the conjunction is parameter-free and LP-infeasible,
+    strict atoms honored.
 
-    Locations share their edges and branches, so each distinct guard is
-    decided once per call, its answer kept in `screens`."""
-    ok = screens.get(guard)
+    Joint guards and VC premises repeat across locations, edges and
+    branches, so the caller keeps one `screens` memo per call and each
+    distinct conjunction is decided once."""
+    ok = screens.get(atoms)
     if ok is None:
-        ok = not all(a.form.is_param_free() for a in guard) or (
-            atoms_feasible(list(guard), variables).status == "optimal"
+        ok = not all(a.form.is_param_free() for a in atoms) or (
+            atoms_feasible(atoms, variables).status == "optimal"
         )
-        screens[guard] = ok
+        screens[atoms] = ok
     return ok
 
 
@@ -193,14 +195,16 @@ def post_table(
     # so each (target, branch) is composed once per call
     forms: dict[tuple[Location, int], LinForm] = {}
     for q, m in locations(model, dsa):
+        if (q, m) not in V.pieces:
+            raise ValueError(
+                f"V of pair {V.pair_index} has no piece at location {(q, m)}"
+            )
         for edge in dsa.outgoing(q):
             if not edge.applies_in_mode(m):
                 continue
             for br in model.branches_for_mode(m):
                 guard = br.guard + edge.atoms
-                if not _joint_guard_feasible(
-                    guard, model.state_vars, screens
-                ):
+                if not maybe_feasible(guard, model.state_vars, screens):
                     continue
                 target = (edge.target, br.mode_to)
                 key = (target, id(br))

@@ -24,9 +24,14 @@ The product transitions are enumerated once, by the Post V table: its
 pieces, one per (location, automaton edge, model branch) with a
 satisfiable joint guard, carry both the drift conditions and the closure
 of the invariant.  A transition whose parameter-free joint guard is
-LP-infeasible never fires and gets no VC.  Other premises are kept even
-when they are plainly infeasible; vacuity is discharged downstream by
-the feasibility screen, which decides the premise as written.
+LP-infeasible never fires and gets no VC.  Each piece has one premise,
+the invariant rows at its location and then its joint guard, shared by
+its consecution VCs (with the box atoms of a box disturbance) and its
+drift VCs.  A VC whose premise is empty holds for every certificate, so
+a piece whose premise is parameter-free and LP-infeasible, strict atoms
+honored, gets no VC, and neither does `nonneg` at a location whose
+invariant is.  Each distinct premise is screened once per call; a
+parameter-dependent premise is kept.
 """
 
 from __future__ import annotations
@@ -39,7 +44,15 @@ from typing import Sequence
 from .automata import GuardedDSA
 from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from .model import StochModel
-from .templates import CertTemplate, InvTemplate, Location, PostPiece, PostTable
+from .templates import (
+    CertTemplate,
+    InvTemplate,
+    Location,
+    PostPiece,
+    PostTable,
+    locations,
+    maybe_feasible,
+)
 
 
 class StrictConsequentError(ValueError):
@@ -179,9 +192,21 @@ def build_product_vcs(
     if eps <= 0:
         raise ValueError("eps must be positive")
     xs = model.state_vars
+    for loc in locations(model, dsa):
+        if loc not in inv.rows:
+            raise ValueError(f"invariant has no rows at location {loc}")
     dist = model.disturbance
     wnames = dist.component_names()
     implications: list[Implication] = []
+    # each piece's premise, shared by its consecution and drift VCs, or
+    # None when it is parameter-free and empty: such a piece gets no VC
+    screens: dict[tuple[Atom, ...], bool] = {}
+    premises = [
+        premise if maybe_feasible(premise, xs, screens) else None
+        for premise in (
+            inv.rows[piece.location] + piece.guard for piece in tables[0].pieces
+        )
+    ]
 
     # initiation: every invariant row at the initial product location
     init_loc = (dsa.init, model.init_mode)
@@ -205,7 +230,7 @@ def build_product_vcs(
         cases = [
             (
                 xs,
-                [],
+                (),
                 "".join(f", {n}={c}" for n, c in w.items()),
                 partial(LinForm.substitute_params, valuation=w),
             )
@@ -213,13 +238,14 @@ def build_product_vcs(
         ]
     else:
         lift = partial(promote_disturbance, wnames=wnames)
-        cases = [(xs + wnames, dist.box_atoms(), "", lift)]
+        cases = [(xs + wnames, tuple(dist.box_atoms()), "", lift)]
     # the successor rows depend only on the branch and the edge's target,
     # so each (branch, target) is substituted once per call, for every case
     successors: dict[tuple[int, str], list[list[Atom]]] = {}
-    for piece in tables[0].pieces:
+    for piece, premise in zip(tables[0].pieces, premises):
+        if premise is None:
+            continue
         edge, br = piece.edge, piece.branch
-        base = [*inv.rows[piece.location], *edge.atoms, *br.guard]
         key = (id(br), edge.target)
         if key not in successors:
             rows = inv.rows[(edge.target, br.mode_to)]
@@ -233,13 +259,14 @@ def build_product_vcs(
             ]
         for case, atoms in zip(cases, successors[key]):
             variables, extra, sample, _ = case
+            full = premise + extra
             for i, atom in enumerate(atoms):
                 implications.append(
                     _mk(
                         "consec",
                         piece.location,
                         variables,
-                        base + extra,
+                        full,
                         atom,
                         note=f"{_step(piece)}{sample}, row {i}",
                     )
@@ -262,7 +289,9 @@ def build_product_vcs(
         if table.pair_index != V.pair_index:
             raise ValueError("PostTable/CertTemplate pair mismatch")
         pair = dsa.pairs[k]
-        for piece in table.pieces:
+        for piece, premise in zip(table.pieces, premises, strict=True):
+            if premise is None:
+                continue
             family = pair.classify(piece.location[0])
             gap = {
                 "dec": LinForm.constant(eps),
@@ -274,20 +303,22 @@ def build_product_vcs(
                     family,
                     piece.location,
                     xs,
-                    list(inv.rows[piece.location]) + list(piece.guard),
+                    premise,
                     Atom(piece.form - V.pieces[piece.location] + gap, Rel.LE),
                     note=f"pair {k}, {_step(piece)}",
                 )
             )
 
-        # nonnegativity on the invariant
-        for loc in inv.rows:
+        # nonnegativity on the invariant, where it is not empty
+        for loc, rows in inv.rows.items():
+            if not maybe_feasible(rows, xs, screens):
+                continue
             implications.append(
                 _mk(
                     "nonneg",
                     loc,
                     xs,
-                    list(inv.rows[loc]),
+                    rows,
                     Atom(LinForm() - V.pieces[loc], Rel.LE),
                     note=f"pair {k}",
                 )

@@ -237,7 +237,7 @@ def test_fixed_control_concrete_invariant_assembles_to_pure_lp():
     model, dsa, inv, Vs, tables = example2_pieces("example2-fixed.model")
     vcs = build_product_vcs(model, dsa, Vs, inv, tables, eps=Fraction(1, 2))
     duals = transform(vcs)
-    assert Counter(d.mode for d in duals) == {"premise-sat": 11, "vacuous": 9}
+    assert Counter(d.mode for d in duals) == {"premise-sat": 11}
     system = assemble(vcs, duals)
     assert system.degree() == 1
     assert not system.has_disjunction()
@@ -253,7 +253,7 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
     vcs = build_product_vcs(model, dsa, Vs, inv, tables, eps=Fraction(1, 2))
     duals = transform(vcs)
     # same routing as the fixed model: premises never mention the control
-    assert Counter(d.mode for d in duals) == {"premise-sat": 11, "vacuous": 9}
+    assert Counter(d.mode for d in duals) == {"premise-sat": 11}
     system = assemble(vcs, duals)
     assert system.degree() == 2  # theta * kappa products in A^T z = c rows
     assert not system.has_disjunction()
@@ -264,16 +264,17 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
 
 
 def test_transform_screens_each_premise_once(monkeypatch):
-    # every LP that transform makes is a screen: one `lp.solve` on the
-    # premise's rows, which also give the binding atoms
+    # every LP system that transform builds is a screen: the premise's
+    # rows, which give both the verdict and the binding atoms
     calls = []
-    solve = lp.solve
+    build = lp.system_from_atoms
 
-    def counting(system, *args, **kwargs):
+    def counting(atoms, variables):
+        system = build(atoms, variables)
         calls.append((tuple(system.variables), tuple(system.rows)))
-        return solve(system, *args, **kwargs)
+        return system
 
-    monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp, "system_from_atoms", counting)
     model, dsa, inv, Vs, tables = example2_pieces("example2.model")
     for invariant in (inv, InvTemplate.fresh(model, dsa, nrows=2)):
         vcs = build_product_vcs(

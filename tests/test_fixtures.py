@@ -6,6 +6,7 @@ The fixture reader and the mutants are the benchmark's own
 (`perfbench/pipeline.py`, `perfbench/checks.py`).
 """
 
+import copy
 import os
 import sys
 from importlib import resources
@@ -49,3 +50,12 @@ def test_mutated_fixture_is_rejected(mutant):
     faults, out = checks.run_mutant(mutant)
     assert out.verdict == "invalid"
     assert faults  # the pointwise check sees it at the mutant's state too
+
+
+def test_a_certificate_missing_a_location_is_named():
+    # V of pair 0 has no piece at q0: a ValueError that names both
+    cert = copy.deepcopy(benchmarks.load_benchmark("example2").cert)
+    del cert["pairs"][0]["V"]["q0"]
+    entry = pipeline.Entry("example2", "fixture", "valid")
+    with pytest.raises(ValueError, match=r"pair 0 .*\('q0', '_'\)"):
+        pipeline.check_fixture(entry, cert)

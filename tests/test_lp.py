@@ -3,6 +3,7 @@
 import os
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -440,7 +441,7 @@ def box_systems(draw, strict):
     st.booleans(),
 )
 def test_box_path_matches_the_tableau(s, obj, maximize):
-    assert lp._box(s.rows, len(s.variables)) is not None
+    assert lp.box(s.rows, len(s.variables)) is not None
     c = None if obj is None else obj[: len(s.variables)]
     got = solve(s, objective=c, maximize=maximize)
     want = lp._tableau(s, c, maximize)
@@ -554,6 +555,129 @@ def test_strict_box_points_leave_strict_ends():
     for rows, x in cases:
         r = solve(_sys(["x"], rows))
         assert r.status == "optimal" and r.assignment == {"x": x}
+
+
+# -- integer box ends against the Fraction oracle --------------------------------
+
+Fraction, _ONE = F, F(1)
+Row, _End, _Clash = lp.Row, lp._End, lp._Clash
+
+
+def _box(
+    rows: list[tuple[Row, str, Fraction]], nvars: int
+) -> tuple[list[_End | None], list[_End | None], _Clash | None] | None:
+    """The per-variable lower and upper ends of a box system, and a clash:
+    None, or the (row, multiplier) pairs of a Farkas ray, from the first
+    empty row that fails on its own or else the first empty interval.
+    None if some row mentions two or more variables."""
+    lo: list[_End | None] = [None] * nvars
+    hi: list[_End | None] = [None] * nvars
+    empty = None
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        if not coeffs:
+            # 0 rel rhs; an `=` row with rhs > 0 is used against its sense
+            if empty is None and (
+                rhs < 0 or (rhs == 0 and rel == "<") or (rhs > 0 and rel == "=")
+            ):
+                empty = ((i, -_ONE if rhs > 0 else _ONE),)
+            continue
+        if len(coeffs) > 1:
+            return None
+        ((j, a),) = coeffs
+        bound = rhs if a == 1 else -rhs if a == -1 else rhs / a
+        strict = rel == "<"
+        # the tighter end wins; at one bound, a strict end is tighter
+        if rel == "=" or a > 0:  # x <= bound: (1/a) row
+            cur = hi[j]
+            if (
+                cur is None
+                or bound < cur[0]
+                or (bound == cur[0] and strict and not cur[1])
+            ):
+                hi[j] = (bound, strict, i, a)
+        if rel == "=" or a < 0:  # x >= bound: (-1/a) row
+            cur = lo[j]
+            if (
+                cur is None
+                or bound > cur[0]
+                or (bound == cur[0] and strict and not cur[1])
+            ):
+                lo[j] = (bound, strict, i, a)
+    if empty is not None:
+        return lo, hi, empty
+    for low, high in zip(lo, hi):
+        if (
+            low is not None
+            and high is not None
+            and (
+                low[0] > high[0]
+                or (low[0] == high[0] and (low[1] or high[1]))
+            )
+        ):
+            # x <= high and -x <= -low add up to 0 <= high - low, false here
+            return lo, hi, ((low[2], -1 / low[3]), (high[2], 1 / high[3]))
+    return lo, hi, None
+
+
+# few bounds, reached through coefficients of either sign and any size, so
+# that rows often tie on a bound with mixed strictness
+tie_bound = st.sampled_from([F(-3, 2), F(-1), F(0), F(1, 3), F(2)])
+row_coef = st.sampled_from(
+    [F(1), F(-1), F(2), F(-3), F(1, 3), F(-2, 5), F(7, 4)]
+)
+
+
+@st.composite
+def tie_boxes(draw):
+    """Bounds a x rel a b, empty rows, and now and then a row over two
+    variables (no box); rel in `<=`, `<` and `=`."""
+    nv = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        coeffs = [F(0)] * nv
+        rel = draw(st.sampled_from(["<=", "<", "="]))
+        kind = draw(st.sampled_from(["bound"] * 5 + ["empty", "two"]))
+        if kind == "empty":
+            rows.append((coeffs, rel, draw(tie_bound)))
+            continue
+        j = draw(st.integers(0, nv - 1))
+        a = draw(row_coef)
+        coeffs[j] = a
+        if kind == "two" and nv > 1:
+            coeffs[1 - j] = draw(row_coef)
+        rows.append((coeffs, rel, a * draw(tie_bound)))
+    return _sys([f"x{i}" for i in range(nv)], rows)
+
+
+def _solve_or_error(s, c, maximize):
+    try:
+        return solve(s, objective=c, maximize=maximize)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    tie_boxes(),
+    st.one_of(st.none(), st.lists(coef, min_size=2, max_size=2)),
+    st.booleans(),
+)
+def test_integer_box_ends_match_the_fraction_oracle(s, obj, maximize):
+    # the same ends (bound, strictness, row, coefficient), the same clash
+    # multipliers and so the same `solve` results, objective or not
+    got = lp.box(s.rows, len(s.variables))
+    want = _box(s.rows, len(s.variables))
+    assert got == want
+    if got is not None:
+        lo, hi, _ = got
+        assert all(type(e[0]) is F for e in lo + hi if e is not None)
+    c = None if obj is None else obj[: len(s.variables)]
+    results = []
+    for box in (lp.box, _box):
+        with mock.patch.object(lp, "box", box):
+            results.append(_solve_or_error(s, c, maximize))
+            results.append(_solve_or_error(s, None, maximize))
+    assert results[:2] == results[2:]
 
 
 # -- the sparse row layout -------------------------------------------------------

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.lp import atoms_feasible
+from streettsm.farkas import implication_valid_bruteforce
 from streettsm.templates import (
+    FALSE_ATOM,
     CertTemplate,
     InvTemplate,
     locations,
@@ -42,19 +44,21 @@ def _vcs(name, eps=F(1), M=None, fresh_inv=False, nrows=2):
 
 
 def test_family_counts_match_displayed_system():
-    # three locations, 3/3/1 edges, one branch, box disturbance:
-    # 7 consecution groups (1+2+1 / 1+2+1 / 1 target rows = 9 row-level)
+    # three locations, 3/3/1 edges, one branch, box disturbance: of the 7
+    # transitions only q0->q0, q0->q1 and q1->q1 have a nonempty premise
+    # (1+2 / 2 target rows = 5 row-level); q2's invariant is false, and
+    # q1's (x <= 9/10) meets neither x >= 1 nor x < -1
     vcs = _vcs("example2", eps=F(1, 2))
     fams = {}
     for impl in vcs.implications:
         fams[impl.family] = fams.get(impl.family, 0) + 1
-    assert fams == {"init": 1, "consec": 9, "dec": 4, "noninc": 3, "nonneg": 3}
+    assert fams == {"init": 1, "consec": 5, "dec": 2, "noninc": 1, "nonneg": 2}
     groups = {
         (i.location, i.note.split(", row")[0])
         for i in vcs.implications
         if i.family == "consec"
     }
-    assert len(groups) == 7
+    assert len(groups) == 3
 
 
 def _corpus_vcs(name):
@@ -73,34 +77,64 @@ CORPUS = benchmark_names(include_extras=True)
 @pytest.mark.parametrize("name", CORPUS)
 def test_one_consecution_vc_per_firing_transition_sample_and_row(name):
     # the product transitions written out: a transition whose joint guard
-    # is parameter-free and LP-infeasible never fires and has no VC
+    # or premise (the invariant at its source, then the joint guard) is
+    # parameter-free and LP-infeasible has no VC, and neither has `nonneg` where the invariant
+    # is; every other transition has its consecution VCs and one drift VC
+    # per pair, and every other location one `nonneg` VC per pair
     b, inv, vcs = _corpus_vcs(name)
     model, dsa = b.model, b.dsa
+    xs = model.state_vars
     dist = model.disturbance
     samples = len(dist.support) if dist.kind == "finite" else 1
-    want, never = Counter(), set()
+    pairs = len(dsa.pairs)
+
+    def empty(premise):
+        return all(a.form.is_param_free() for a in premise) and (
+            atoms_feasible(premise, xs).status != "optimal"
+        )
+
+    want, want_drift, never, excluded = Counter(), Counter(), set(), []
     for q, m in locations(model, dsa):
         for edge in dsa.outgoing(q):
             if not edge.applies_in_mode(m):
                 continue
             for br in model.branches_for_mode(m):
                 key = ((q, m), edge.line, br.line)
-                guard = list(br.guard + edge.atoms)
-                if all(a.form.is_param_free() for a in guard) and (
-                    atoms_feasible(guard, model.state_vars).status
-                    != "optimal"
-                ):
+                guard = [*br.guard, *edge.atoms]
+                premise = [*inv.rows[(q, m)], *guard]
+                # a plainly empty joint guard takes a templated invariant's
+                # transition out too
+                dead = [atoms for atoms in (guard, premise) if empty(atoms)]
+                if dead:
                     never.add(key)
+                    excluded.append(dead[0])
                     continue
                 target_rows = inv.rows[(edge.target, br.mode_to)]
                 want[key] = samples * len(target_rows)
-    got = Counter()
+                want_drift[key] = pairs
+    want_nonneg = Counter()
+    for loc, rows in inv.rows.items():
+        if empty(rows):
+            excluded.append(list(rows))
+        else:
+            want_nonneg[loc] = pairs
+    got, got_drift, got_nonneg = Counter(), Counter(), Counter()
     for impl in vcs.implications:
-        if impl.family == "consec":
+        if impl.family == "nonneg":
+            got_nonneg[impl.location] += 1
+        elif impl.family != "init":
             lines = re.search(r" line (\d+), branch line (\d+)", impl.note)
-            got[(impl.location, int(lines[1]), int(lines[2]))] += 1
+            key = (impl.location, int(lines[1]), int(lines[2]))
+            (got if impl.family == "consec" else got_drift)[key] += 1
     assert got == +want
-    assert not never & set(got)
+    assert got_drift == want_drift
+    assert got_nonneg == want_nonneg
+    assert not never & (set(got) | set(got_drift))
+    # every premise left out is empty: it implies 1 <= 0
+    for premise in excluded:
+        assert implication_valid_bruteforce(
+            _mk("consec", None, xs, premise, FALSE_ATOM)
+        )
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -243,6 +277,21 @@ def test_undeclared_parameters_rejected():
     with pytest.raises(ValueError, match="undeclared"):
         build_product_vcs(
             b.model, b.dsa, [V], inv, [post_table(V, b.model, b.dsa)]
+        )
+
+
+def test_an_invariant_missing_a_location_is_named():
+    b = load_benchmark("example2")
+    V = CertTemplate.fresh(b.model, b.dsa, 0)
+    rows = dict(b.invariant.rows)
+    del rows[("q1", "_")]
+    with pytest.raises(ValueError, match=r"invariant .*\('q1', '_'\)"):
+        build_product_vcs(
+            b.model,
+            b.dsa,
+            [V],
+            InvTemplate.concrete(rows),
+            [post_table(V, b.model, b.dsa)],
         )
 
 
