@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .expr import Atom, LinForm
-from .model import DEFAULT_MODE, partition_fault
+from .model import DEFAULT_MODE, format_state, partition_fault
 from .syntax import (
     ModeTest,
     SourceError,
@@ -221,19 +221,20 @@ def validate_dsa(
             if fault is None:
                 continue
             kind, where, point = fault
+            at = format_state(point, variables)
             if kind == "overlap":
                 t1, t2 = live[where[0]], live[where[1]]
                 raise SourceError(
                     f"nondeterminism from {q!r} in mode {mode!r}: "
                     f"transitions at lines {t1.line} and {t2.line} "
-                    f"both fire at {point}",
+                    f"both fire at {at}",
                     t2.line,
                     1,
                 )
             desc = " and ".join(str(a) for a in where) or "true"
             raise SourceError(
                 f"automaton incomplete from {q!r} in mode {mode!r}: "
-                f"no transition on {{{desc}}}, e.g. {point}",
+                f"no transition on {{{desc}}}, e.g. {at}",
                 outgoing[0].line if outgoing else states_line,
                 1,
             )

@@ -23,8 +23,9 @@ module only `farkas._dual_parts` uses those two, on canonical operands.
 Immutability.  Nothing writes to a `Poly`'s `terms` or a `LinForm`'s
 `coeffs` and `const` after construction.  So `Poly.substitute` and
 `LinForm.substitute_params` may return their operand itself when no
-parameter of it is bound, and a `LinForm` keeps its hash and its
-parameter set once computed.
+parameter of it is bound, and a `LinForm` keeps its hash, its parameter
+set and its bound (`LinForm.bound`) once computed.  A form returned
+unchanged keeps them; `-form` and every other new form compute their own.
 """
 
 from __future__ import annotations
@@ -275,17 +276,27 @@ def _accumulate(
 ZERO = Poly()
 ONE = Poly.const(1)
 
+# `LinForm.bound`: (variable, upper, n, d, coefficient, rhs), the variable
+# None on a constant form
+Bound = tuple[Union[str, None], bool, int, int, Fraction, Fraction]
+
+
+def ratio(rhs: Fraction, a: Fraction) -> tuple[int, int]:
+    """rhs/a as an integer pair (n, d) with d > 0, no Fraction built."""
+    n, d = rhs.numerator * a.denominator, rhs.denominator * a.numerator
+    return (-n, -d) if d < 0 else (n, d)
+
 
 class LinForm:
     """Affine form over named variables with Poly coefficients.
 
     Evaluating under any full parameter valuation yields an affine function
     of the variables; addition, scaling and variable substitution are closed.
-    Nothing writes to `coeffs` or `const` after construction, so the hash
-    and the parameter set are computed once, on first use.
+    Nothing writes to `coeffs` or `const` after construction, so the hash,
+    the parameter set and the bound are computed once, on first use.
     """
 
-    __slots__ = ("coeffs", "const", "_hash", "_params")
+    __slots__ = ("coeffs", "const", "_hash", "_params", "_bound")
 
     def __init__(
         self,
@@ -325,6 +336,32 @@ class LinForm:
                 names |= p.params()
             self._params = out = frozenset(names)
             return out
+
+    def bound(self) -> "Bound | None":
+        """The parameter-free reading of the atom `self <= 0` (or `< 0`),
+        computed once: for a form a*v + c, a one-variable bound
+        (v, upper, n, d, a, rhs), the atom being a*v <= rhs with rhs = -c,
+        so v <= n/d when upper (a > 0) and v >= n/d otherwise, n/d = rhs/a
+        with d > 0 (`ratio`); for a constant form c,
+        (None, False, 0, 1, 0, rhs), the atom being 0 <= rhs; None when the
+        form has two or more variables or a parameter."""
+        try:
+            return self._bound
+        except AttributeError:
+            pass
+        out = None
+        if len(self.coeffs) <= 1 and not self.params():
+            const = self.const.terms
+            rhs = -const[_ONE] if const else _F0
+            if self.coeffs:
+                ((v, p),) = self.coeffs.items()
+                a = p.terms[_ONE]
+                n, d = ratio(rhs, a)
+                out = (v, a > 0, n, d, a, rhs)
+            else:
+                out = (None, False, 0, 1, _F0, rhs)
+        self._bound = out
+        return out
 
     def degree(self) -> int:
         d = self.const.degree()

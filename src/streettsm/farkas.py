@@ -26,8 +26,10 @@ stays for VC sets built otherwise.
 Binding atoms.  A feasible premise whose atoms each bound at most one
 variable is a box, and the premise-sat dual is taken over only the atoms
 that define it: per variable the tightest upper and the tightest lower
-atom, by the rule of `lp.box`.  The other atoms, constant ones among
-them, get no multiplier.  This is exact: the kept atoms define the same
+atom, by the rule of `lp.box`.  One `lp.atom_box` call on the atoms'
+cached bounds (`LinForm.bound`) gives both the verdict and these atoms,
+with no LP row built.  The other atoms, constant ones among them, get no
+multiplier.  This is exact: the kept atoms define the same
 nonempty set as the whole premise, so the implication holds under
 exactly the same parameter values, and Farkas' lemma is exact on either
 premise.  The assembled system's projection on the non-multiplier
@@ -209,22 +211,23 @@ def _screen(impl: Implication) -> tuple[str, tuple[Atom, ...]]:
     premise (see the module docstring).
 
     The verdict is 'parameter-dependent', or 'feasible' / 'infeasible' by
-    exact LP on the premise's rows, strict atoms honored: their relaxation
-    can be feasible (x < -1/2 and -1/2 < x admits x = -1/2 once relaxed).
-    A box premise takes its verdict and its binding atoms from one
-    `lp.box` pass, any other premise its verdict from `lp.solve`."""
+    exact LP on the premise, strict atoms honored: their relaxation can be
+    feasible (x < -1/2 and -1/2 < x admits x = -1/2 once relaxed).  A box
+    premise takes its verdict and its binding atoms from one `lp.atom_box`
+    call on its atoms' cached bounds, any other premise its verdict from
+    `lp.solve`."""
     if any(not a.form.is_param_free() for a in impl.premise):
         return "parameter-dependent", impl.premise
-    system = lp.system_from_atoms(impl.premise, impl.variables)
-    ends = lp.box(system.rows, len(system.variables))
+    ends = lp.atom_box(impl.premise, impl.variables)
     if ends is None:
+        system = lp.system_from_atoms(impl.premise, impl.variables)
         if lp.solve(system).status != "optimal":
             return "infeasible", impl.premise
         return "feasible", impl.premise
     lo, hi, clash = ends
     if clash is not None:
         return "infeasible", impl.premise
-    rows = sorted({end[2] for end in lo + hi if end is not None})
+    rows = sorted({end[3] for side in (lo, hi) for end in side.values()})
     return "feasible", tuple(impl.premise[i] for i in rows)
 
 

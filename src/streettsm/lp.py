@@ -47,13 +47,15 @@ multiplier of its removed bound row  -a x_j <= 0  is
 
 Boxes.  A system whose rows each mention at most one variable is a box:
 per variable, an interval whose ends are the tightest bounds its rows
-give (a strict end beats a non-strict one at the same bound).  A row
-a x (<= | < | =) b bounds x by b/a, held as the integer pair
-(num b * den a, den b * num a), negated when the second entry is
-negative; two bounds n/d and n'/d' compare as n d' against n' d, and
-`box` builds a Fraction only for each end it returns.  `solve`
-decides a box by intersecting the intervals, with no tableau.  With no
-strict row it returns what the tableau returns on 'optimal' and
+give.  A row a x (<= | < | =) b bounds x by b/a, held as the integer
+pair (num b * den a, den b * num a), negated when the second entry is
+negative (`expr.ratio`); two bounds n/d and n'/d' compare as n d'
+against n' d.  One rule (`_wins`) picks each end, over the bounds of
+LP rows (`box`) and over the bounds that atoms' forms cache
+(`LinForm.bound`; `atom_box`) alike: the tighter bound wins, at one
+bound a strict end beats a non-strict one, else the first row wins.
+`solve` decides a box by intersecting the intervals, with no tableau.
+With no strict row it returns what the tableau returns on 'optimal' and
 'infeasible': a coordinate with a cost sits at its optimizing end, every
 other one at the point of its interval nearest 0, and the value is c.x
 there.  The Farkas ray of an empty interval puts 1/|a| on its two rows
@@ -63,9 +65,12 @@ carries the ray alone.  An end keeps its row's coefficient a, and the
 multipliers are computed only for the clash that is returned.  An
 unbounded box returns a feasible point and an improving unit ray.  Every
 corpus guard, automaton edge and premise atom bounds one variable, so
-every screen the pipeline runs is a box.  `box` returns each end with
-its row; Farkas reads a premise's verdict and the rows it dualizes over
-from one such call.
+every screen the pipeline runs is a box of atoms, decided from their
+cached bounds with no `LinearSystem` and no per-atom Fraction work:
+`atoms_satisfiable` gives the verdict only, and no screen builds a point;
+`atoms_feasible` builds one for the callers that read it;
+Farkas reads a premise's verdict and the atoms it dualizes over from
+one `atom_box` call.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
@@ -95,7 +100,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Literal, Mapping, Sequence
 
-from .expr import Atom, Poly, Rel
+from .expr import Atom, Bound, Poly, Rel, ratio
 
 # sparse coefficients: (column, coeff) pairs, ascending, no zero coeff
 Row = tuple[tuple[int, Fraction], ...]
@@ -210,15 +215,30 @@ def solve(
         if strict:
             return _strict_tableau(system)
         return _tableau(system, objective, maximize)
-    lo, hi, clash = ends
+    return _box_solve(
+        system.variables, *ends, strict, len(system.rows), objective, maximize
+    )
+
+
+def _box_solve(
+    names: Sequence[str],
+    lo: list[_End | None],
+    hi: list[_End | None],
+    clash: _Clash | None,
+    strict: bool,
+    nrows: int,
+    objective: Sequence[Fraction] | None = None,
+    maximize: bool = True,
+) -> LPResult:
+    """`solve` of a box of `nrows` rows over `names`, from its ends and
+    clash (see the module docstring)."""
     if clash is not None:
         if strict:
             return LPResult(status="infeasible")
-        farkas = [_ZERO] * len(system.rows)
+        farkas = [_ZERO] * nrows
         for i, y in clash:
             farkas[i] = y
         return LPResult(status="infeasible", farkas=farkas)
-    names = system.variables
     if objective is None:
         point = {v: _interior(lo[j], hi[j]) for j, v in enumerate(names)}
         return LPResult(status="optimal", assignment=point, value=_ZERO)
@@ -247,8 +267,70 @@ def solve(
 # a being the row's coefficient; the row's Farkas multiplier when it is
 # read as this end is 1/a at an upper end and -1/a at a lower end.
 _End = tuple[Fraction, bool, int, Fraction]
+# the same end while bounds are read: (n, d, strict, row, a), bound n/d
+_IntEnd = tuple[int, int, bool, int, Fraction]
 # the nonzero entries of a Farkas ray, as (row, multiplier) pairs
 _Clash = tuple[tuple[int, Fraction], ...]
+
+
+def _wins(
+    cur: _IntEnd | None, n: int, d: int, strict: bool, upper: bool
+) -> bool:
+    """Does the bound n/d, strict or not, replace the end `cur` on its side?
+    The tighter bound wins; at one bound a strict end beats a non-strict
+    one, else `cur`, the earlier, stays."""
+    if cur is None:
+        return True
+    # n/d < n'/d' iff n d' < n' d, the denominators being positive
+    gap = cur[0] * d - n * cur[1] if upper else n * cur[1] - cur[0] * d
+    return gap > 0 or (gap == 0 and strict and not cur[2])
+
+
+def _empty(low: _IntEnd | None, high: _IntEnd | None) -> bool:
+    """Is the interval between two ends empty?"""
+    if low is None or high is None:
+        return False
+    gap = high[0] * low[1] - low[0] * high[1]
+    return gap < 0 or (gap == 0 and (low[2] or high[2]))
+
+
+def _fold(
+    bounds: Sequence[Bound], rels: Sequence[str], keys: Sequence
+) -> tuple[dict, dict, _Clash | None]:
+    """The lower and upper ends of a box, per key, from the bounds of its
+    rows in order (`LinForm.bound`'s layout, keyed by column or by name)
+    and their relations, as integer ends (n, d, strict, row, a); and the
+    clash, from the first empty row that fails on its own or else the
+    first empty interval in the order of `keys`."""
+    lo: dict = {}
+    hi: dict = {}
+    empty = None
+    for i, ((key, upper, n, d, a, rhs), rel) in enumerate(zip(bounds, rels)):
+        if key is None:
+            # 0 rel rhs; an `=` row with rhs > 0 is used against its sense
+            if empty is None and (
+                rhs < 0 or (rhs == 0 and rel == "<") or (rhs > 0 and rel == "=")
+            ):
+                empty = ((i, -_ONE if rhs > 0 else _ONE),)
+            continue
+        strict = rel == "<"
+        eq = rel == "="
+        if (eq or upper) and _wins(hi.get(key), n, d, strict, True):
+            hi[key] = (n, d, strict, i, a)  # x <= n/d: (1/a) row
+        if (eq or not upper) and _wins(lo.get(key), n, d, strict, False):
+            lo[key] = (n, d, strict, i, a)  # x >= n/d: (-1/a) row
+    if empty is not None:
+        return lo, hi, empty
+    for key in keys:
+        low, high = lo.get(key), hi.get(key)
+        if _empty(low, high):
+            # x <= high and -x <= -low add up to 0 <= high - low, false
+            return lo, hi, ((low[3], -1 / low[4]), (high[3], 1 / high[4]))
+    return lo, hi, None
+
+
+def _end(e: _IntEnd | None) -> _End | None:
+    return None if e is None else (Fraction(e[0], e[1]), e[2], e[3], e[4])
 
 
 def box(
@@ -259,64 +341,44 @@ def box(
     empty row that fails on its own or else the first empty interval.
     None if some row mentions two or more variables.
 
-    The tighter bound wins; at one bound a strict end beats a non-strict
-    one, else the first row wins.  On a nonempty box the rows of the ends
-    define the same set as all the rows.  Bounds are compared as integer
-    pairs (see the module docstring); only the ends returned become
-    Fractions."""
-    # ends as (n, d, strict, row, a) while the rows are read: bound n/d, d > 0
-    lo: list = [None] * nvars
-    hi: list = [None] * nvars
-    empty = None
-    for i, (coeffs, rel, rhs) in enumerate(rows):
+    The ends are picked by `_wins` (see the module docstring).  On a
+    nonempty box the rows of the ends define the same set as all the
+    rows.  Only the ends returned become Fractions."""
+    bounds = []
+    for coeffs, _, rhs in rows:
         if not coeffs:
-            # 0 rel rhs; an `=` row with rhs > 0 is used against its sense
-            if empty is None and (
-                rhs < 0 or (rhs == 0 and rel == "<") or (rhs > 0 and rel == "=")
-            ):
-                empty = ((i, -_ONE if rhs > 0 else _ONE),)
+            bounds.append((None, False, 0, 1, _ZERO, rhs))
             continue
         if len(coeffs) > 1:
             return None
         ((j, a),) = coeffs
-        n, d = rhs.numerator * a.denominator, rhs.denominator * a.numerator
-        if d < 0:
-            n, d = -n, -d
-        strict = rel == "<"
-        upper = a.numerator > 0
-        # n/d < n'/d' iff n d' < n' d, the denominators being positive
-        if rel == "=" or upper:  # x <= n/d: (1/a) row
-            cur = hi[j]
-            if cur is None or (
-                (gap := cur[0] * d - n * cur[1]) > 0
-                or (gap == 0 and strict and not cur[2])
-            ):
-                hi[j] = (n, d, strict, i, a)
-        if rel == "=" or not upper:  # x >= n/d: (-1/a) row
-            cur = lo[j]
-            if cur is None or (
-                (gap := n * cur[1] - cur[0] * d) > 0
-                or (gap == 0 and strict and not cur[2])
-            ):
-                lo[j] = (n, d, strict, i, a)
-    clash = empty
-    if clash is None:
-        for low, high in zip(lo, hi):
-            if low is None or high is None:
-                continue
-            gap = high[0] * low[1] - low[0] * high[1]
-            if gap < 0 or (gap == 0 and (low[2] or high[2])):
-                # x <= high and -x <= -low add up to 0 <= high - low, false
-                clash = ((low[3], -1 / low[4]), (high[3], 1 / high[4]))
-                break
-    lo, hi = (
-        [
-            None if e is None else (Fraction(e[0], e[1]), e[2], e[3], e[4])
-            for e in side
-        ]
-        for side in (lo, hi)
+        bounds.append((j, a > 0, *ratio(rhs, a), a, rhs))
+    lo, hi, clash = _fold(bounds, [rel for _, rel, _ in rows], range(nvars))
+    return (
+        [_end(lo.get(j)) for j in range(nvars)],
+        [_end(hi.get(j)) for j in range(nvars)],
+        clash,
     )
-    return lo, hi, clash
+
+
+def atom_box(
+    atoms: Sequence[Atom], variables: Sequence[str]
+) -> tuple[dict[str, _IntEnd], dict[str, _IntEnd], _Clash | None] | None:
+    """`box` of a conjunction of atoms, read off their cached bounds
+    (`LinForm.bound`), with no row built: the lower and upper integer ends
+    (n, d, strict, atom index, a) by variable name, and the clash, as
+    `box(system_from_atoms(atoms, variables).rows, len(variables))` gives
+    them.  None if some atom has two or more variables, a parameter, or a
+    variable not in `variables`."""
+    bounds = []
+    rels = []
+    for atom in atoms:
+        b = atom.form.bound()
+        if b is None or (b[0] is not None and b[0] not in variables):
+            return None
+        bounds.append(b)
+        rels.append(REL[atom.rel])
+    return _fold(bounds, rels, variables)
 
 
 def _nearest_zero(lo: _End | None, hi: _End | None) -> Fraction:
@@ -571,12 +633,19 @@ def system_from_atoms(
 ) -> LinearSystem:
     """Parameter-free `<=`/`<` atoms as LP rows, one row per atom.
 
-    Each constant is read straight from the canonical `Poly` terms (a
-    parameter-free `Poly` has at most the key `()`, and no zero value)."""
+    An atom with at most one variable gives its row from its cached bound
+    (`LinForm.bound`); any other has its constants read straight from the
+    canonical `Poly` terms (a parameter-free `Poly` has at most the key
+    `()`, and no zero value)."""
     out = LinearSystem(list(variables))
     column = {v: j for j, v in enumerate(variables)}
     for atom in atoms:
         form = atom.form
+        b = form.bound()
+        if b is not None and (b[0] is None or b[0] in column):
+            row = () if b[0] is None else ((column[b[0]], b[4]),)
+            out.rows.append((row, REL[atom.rel], b[5]))
+            continue
         coeffs = []
         for v, p in form.coeffs.items():
             j = column.get(v)
@@ -621,10 +690,32 @@ def linear_row(poly: Poly, column: Mapping[str, int]) -> tuple[Row, Fraction]:
 def atoms_feasible(
     atoms: Sequence[Atom], variables: Sequence[str]
 ) -> LPResult:
-    """Exact satisfiability of a conjunction, strict atoms honored, by
-    `solve`: interval intersection when every atom bounds one variable, as
-    every corpus guard and premise atom does."""
-    return solve(system_from_atoms(atoms, variables))
+    """Exact satisfiability of a conjunction, strict atoms honored: what
+    `solve(system_from_atoms(atoms, variables))` returns.  A box of atoms
+    (`atom_box`), as every corpus guard and premise is, is decided from
+    the atoms' cached bounds with no system built; any other conjunction
+    by `solve`."""
+    ends = atom_box(atoms, variables)
+    if ends is None:
+        return solve(system_from_atoms(atoms, variables))
+    lo, hi, clash = ends
+    return _box_solve(
+        variables,
+        [_end(lo.get(v)) for v in variables],
+        [_end(hi.get(v)) for v in variables],
+        clash,
+        any(a.rel is Rel.LT for a in atoms),
+        len(atoms),
+    )
+
+
+def atoms_satisfiable(atoms: Sequence[Atom], variables: Sequence[str]) -> bool:
+    """The verdict of `atoms_feasible`, with no point built: a box of atoms
+    is decided on the integer ends of their cached bounds."""
+    ends = atom_box(atoms, variables)
+    if ends is None:
+        return solve(system_from_atoms(atoms, variables)).status == "optimal"
+    return ends[2] is None
 
 
 def check_implication(

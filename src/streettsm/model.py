@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .expr import Atom, LinForm, Poly, Rel
-from .lp import atoms_feasible
+from .lp import atoms_feasible, atoms_satisfiable
 from .syntax import (
     SourceError,
     TokenStream,
@@ -217,7 +217,7 @@ class StochModel:
             fault = partition_fault(group, self.state_vars)
             if fault is not None:
                 kind, _, point = fault
-                at = ", ".join(f"{v} = {point[v]}" for v in self.state_vars)
+                at = format_state(point, self.state_vars)
                 what = "overlap" if kind == "overlap" else "leave a gap"
                 raise ValueError(
                     f"at this control the branch guards {what} in mode "
@@ -610,6 +610,13 @@ def _finish(b: _ModelBuilder) -> StochModel:
 # -- guard cover -------------------------------------------------------------
 
 
+def format_state(
+    point: Mapping[str, Fraction], variables: Iterable[str]
+) -> str:
+    """A state as `x = 1/2, y = 3`, in the order of `variables`."""
+    return ", ".join(f"{v} = {point[v]}" for v in variables)
+
+
 def negate_atom(atom: Atom) -> Atom:
     """Logical complement of an atom."""
     return Atom(-atom.form, Rel.LT if atom.rel == Rel.LE else Rel.LE)
@@ -619,28 +626,37 @@ def guards_cover_space(
     guards: list[tuple[Atom, ...]], variables: tuple[str, ...]
 ) -> tuple[bool, list[Atom], dict | None]:
     """Do the guards jointly cover R^n?  If not, return an uncovered
-    region (conjunction of negated atoms) and a sample point in it."""
+    region (conjunction of negated atoms, one per guard) and a point of it.
+
+    The search is depth-first over one negated atom per guard, in product
+    order; an empty partial region prunes every completion of it.  Each
+    partial region is screened for a verdict only (`lp.atoms_satisfiable`:
+    a box of atoms, as every corpus guard gives, is decided from the
+    atoms' cached bounds with no LP built), and `lp.atoms_feasible` gives
+    a point of the region found."""
     negated = [[negate_atom(a) for a in g] for g in guards]
 
-    def extend(region: list[Atom]):
-        # depth-first over one negated atom per guard, in product order;
-        # an infeasible partial region prunes every completion of it
-        res = atoms_feasible(region, variables)
-        if res.status != "optimal":
-            return None
+    def extend(region: list[Atom]) -> list[Atom] | None:
         if len(region) == len(negated):
-            return region, {v: res.assignment[v] for v in variables}
+            return region
         for atom in negated[len(region)]:
-            found = extend(region + [atom])
-            if found is not None:
-                return found
+            narrowed = region + [atom]
+            if atoms_satisfiable(narrowed, variables):
+                found = extend(narrowed)
+                if found is not None:
+                    return found
         return None
 
-    found = extend([])
-    if found is None:
+    region = extend([])
+    if region is None:
         return True, [], None
-    region, point = found
-    return False, region, point
+    return False, region, _point(region, variables)
+
+
+def _point(atoms: list[Atom], variables: tuple[str, ...]) -> dict:
+    """The point `lp.atoms_feasible` gives a satisfiable conjunction."""
+    res = atoms_feasible(atoms, variables)
+    return {v: res.assignment[v] for v in variables}
 
 
 def partition_fault(
@@ -648,11 +664,13 @@ def partition_fault(
 ) -> tuple[str, object, dict] | None:
     """None when the guards partition R^n.  Otherwise the first fault with
     a point of it: ('overlap', (i, j), point) for guards i < j that both
-    hold there, or ('gap', region, point) for a region no guard covers."""
+    hold there, or ('gap', region, point) for a region no guard covers.
+    Each pair is screened for a verdict only (`lp.atoms_satisfiable`);
+    a point is built for the overlap found."""
     for i, j in itertools.combinations(range(len(guards)), 2):
-        res = atoms_feasible(list(guards[i] + guards[j]), variables)
-        if res.status == "optimal":
-            return "overlap", (i, j), {v: res.assignment[v] for v in variables}
+        both = list(guards[i] + guards[j])
+        if atoms_satisfiable(both, variables):
+            return "overlap", (i, j), _point(both, variables)
     ok, region, point = guards_cover_space(guards, variables)
     return None if ok else ("gap", region, point)
 
@@ -680,11 +698,11 @@ def _check_guard_cover(
         if fault is None:
             continue
         kind, where, point = fault
+        at = format_state(point, state_vars)
         if kind == "overlap":
             b1, b2 = group[where[0]], group[where[1]]
-            pt = tuple(point[v] for v in state_vars)
             raise SourceError(
-                f"branch guards overlap in mode {mode!r} at state {pt} "
+                f"branch guards overlap in mode {mode!r} at state {at} "
                 f"(lines {b1.line} and {b2.line})",
                 b2.line,
                 1,
@@ -692,7 +710,7 @@ def _check_guard_cover(
         desc = " and ".join(str(a) for a in where)
         raise SourceError(
             f"branch guards do not cover mode {mode!r}: "
-            f"uncovered region {{{desc}}}, e.g. state {point}",
+            f"uncovered region {{{desc}}}, e.g. state {at}",
             group[0].line,
             1,
         )

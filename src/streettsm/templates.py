@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .automata import GuardedDSA, Transition
 from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
-from .lp import atoms_feasible
+from .lp import atoms_satisfiable
 from .model import Branch, StochModel
 from .syntax import (
     SourceError,
@@ -157,24 +157,13 @@ def _image_with_sample(
     return {v: f.substitute_params(val) for v, f in update.items()}
 
 
-def maybe_feasible(
-    atoms: tuple[Atom, ...],
-    variables: tuple[str, ...],
-    screens: dict[tuple[Atom, ...], bool],
-) -> bool:
+def maybe_feasible(atoms: tuple[Atom, ...], variables: tuple[str, ...]) -> bool:
     """False only when the conjunction is parameter-free and LP-infeasible,
-    strict atoms honored.
-
-    Joint guards and VC premises repeat across locations, edges and
-    branches, so the caller keeps one `screens` memo per call and each
-    distinct conjunction is decided once."""
-    ok = screens.get(atoms)
-    if ok is None:
-        ok = not all(a.form.is_param_free() for a in atoms) or (
-            atoms_feasible(atoms, variables).status == "optimal"
-        )
-        screens[atoms] = ok
-    return ok
+    strict atoms honored (`lp.atoms_satisfiable`: a box of atoms is decided
+    from their cached bounds, with no LP built)."""
+    return not all(
+        a.form.is_param_free() for a in atoms
+    ) or atoms_satisfiable(atoms, variables)
 
 
 def post_table(
@@ -190,7 +179,6 @@ def post_table(
         else ((dist.mean_vector(), Fraction(1)),)
     )
     pieces: list[PostPiece] = []
-    screens: dict[tuple[Atom, ...], bool] = {}
     # a piece's form depends only on its target location and its branch,
     # so each (target, branch) is composed once per call
     forms: dict[tuple[Location, int], LinForm] = {}
@@ -204,7 +192,7 @@ def post_table(
                 continue
             for br in model.branches_for_mode(m):
                 guard = br.guard + edge.atoms
-                if not maybe_feasible(guard, model.state_vars, screens):
+                if not maybe_feasible(guard, model.state_vars):
                     continue
                 target = (edge.target, br.mode_to)
                 key = (target, id(br))

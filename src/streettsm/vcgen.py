@@ -30,8 +30,9 @@ its consecution VCs (with the box atoms of a box disturbance) and its
 drift VCs.  A VC whose premise is empty holds for every certificate, so
 a piece whose premise is parameter-free and LP-infeasible, strict atoms
 honored, gets no VC, and neither does `nonneg` at a location whose
-invariant is.  Each distinct premise is screened once per call; a
-parameter-dependent premise is kept.
+invariant is.  Each piece's premise is screened once, on its atoms'
+cached bounds (`templates.maybe_feasible`); a parameter-dependent
+premise is kept.
 """
 
 from __future__ import annotations
@@ -200,9 +201,8 @@ def build_product_vcs(
     implications: list[Implication] = []
     # each piece's premise, shared by its consecution and drift VCs, or
     # None when it is parameter-free and empty: such a piece gets no VC
-    screens: dict[tuple[Atom, ...], bool] = {}
     premises = [
-        premise if maybe_feasible(premise, xs, screens) else None
+        premise if maybe_feasible(premise, xs) else None
         for premise in (
             inv.rows[piece.location] + piece.guard for piece in tables[0].pieces
         )
@@ -311,7 +311,7 @@ def build_product_vcs(
 
         # nonnegativity on the invariant, where it is not empty
         for loc, rows in inv.rows.items():
-            if not maybe_feasible(rows, xs, screens):
+            if not maybe_feasible(rows, xs):
                 continue
             implications.append(
                 _mk(

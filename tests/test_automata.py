@@ -71,6 +71,9 @@ def test_errors_point_at_their_line():
     assert line_of(BAND.replace("A { q1 }", "A { q7 }")) == 7
     # incomplete from q0: reported at q0's first transition
     assert line_of(BAND.replace("q0: x >= 1", "q0: x > 1")) == 4
+    with pytest.raises(SourceError) as e:
+        parse_dsa(BAND.replace("q0: x >= 1", "q0: x > 1"), variables=("x",))
+    assert str(e.value).endswith("e.g. x = 1")
     # q1 has no transition at all: reported at the states line
     assert line_of(BAND.replace("trans q1 -> q1: true", "")) == 2
 
@@ -182,11 +185,10 @@ pair: A { q0 } B { }
     with pytest.raises(SourceError, match="nondeterminism") as e:
         parse_dsa(text, variables=("x", "y"))
     named = re.search(
-        r"\{'x': Fraction\((-?\d+), (\d+)\), 'y': Fraction\((-?\d+), (\d+)\)\}",
+        r"both fire at x = (-?\d+(?:/\d+)?), y = (-?\d+(?:/\d+)?)$",
         str(e.value),
     )
     assert named is not None
-    n1, d1, n2, d2 = map(int, named.groups())
-    x, y = F(n1, d1), F(n2, d2)
+    x, y = map(F, named.groups())
     assert 0 < x < 2 and 1 < y <= 3
     assert x >= 1 and y > 2

@@ -680,6 +680,105 @@ def test_integer_box_ends_match_the_fraction_oracle(s, obj, maximize):
     assert results[:2] == results[2:]
 
 
+# -- a box of atoms from the bounds their forms cache ---------------------------
+
+
+@st.composite
+def atom_conjunctions(draw):
+    """(atoms, variables): bounds a (v - b) rel 0 over declared variables,
+    constant atoms, and now and then an atom over two variables, with a
+    parameter, or over an undeclared variable; rel `<=` or `<`, with few
+    bounds so that ends often tie."""
+    variables = draw(st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+    atoms = []
+    for _ in range(draw(st.integers(0, 6))):
+        rel = draw(st.sampled_from([Rel.LE, Rel.LT]))
+        kind = draw(
+            st.sampled_from(
+                ["bound"] * 6 + ["constant", "two", "param", "undeclared"]
+            )
+        )
+        a, b = draw(row_coef), draw(tie_bound)
+        if kind == "constant":
+            form = LinForm.constant(b)
+        elif kind == "two":
+            form = LinForm.var("x") + LinForm.var("y").scale(a)
+        elif kind == "param":
+            form = LinForm.var("x").mul_poly(Poly.param("p")) - LinForm.constant(b)
+        else:
+            v = "z" if kind == "undeclared" else draw(st.sampled_from(variables))
+            form = (LinForm.var(v) - LinForm.constant(b)).scale(a)
+        atoms.append(Atom(form, rel))
+    return tuple(atoms), variables
+
+
+def _verdict_by_tableau(s):
+    """The verdict of a system by the tableau alone, no box path."""
+    if any(rel == "<" for _, rel, _ in s.rows):
+        return _augmented_status(s)
+    return lp._tableau(s, None, True).status
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(atom_conjunctions())
+def test_atom_box_matches_the_row_box_and_solve(drawn):
+    atoms, variables = drawn
+    error = _raises(system_from_atoms, atoms, variables)
+    if error is not None:
+        # a parameter or an undeclared variable: no box, and the same error
+        # from every entry point
+        assert lp.atom_box(atoms, variables) is None
+        assert _raises(lp.atoms_feasible, atoms, variables) == error
+        assert _raises(lp.atoms_satisfiable, atoms, variables) == error
+        return
+    s = system_from_atoms(atoms, variables)
+    rows = lp.box(s.rows, len(variables))
+    assert rows == _box(s.rows, len(variables))
+    got = lp.atom_box(atoms, variables)
+    want = solve(s)
+    assert lp.atoms_feasible(atoms, variables) == want
+    assert lp.atoms_satisfiable(atoms, variables) == (want.status == "optimal")
+    assert want.status == _verdict_by_tableau(s)
+    if want.status == "optimal":
+        assert all(atom.holds({}, want.assignment) for atom in atoms)
+    if rows is None:
+        assert got is None
+        return
+    lo, hi, clash = got
+    assert [lp._end(lo.get(v)) for v in variables] == rows[0]
+    assert [lp._end(hi.get(v)) for v in variables] == rows[1]
+    assert clash == rows[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_conjunctions())
+def test_a_form_keeps_its_bound_and_its_negation_gets_its_own(drawn):
+    for atom in drawn[0]:
+        form = atom.form
+        bound = form.bound()
+        assert form.bound() is bound
+        # unchanged by a substitution that binds none of its parameters
+        same = form.substitute_params({"q": F(1)})
+        assert same is form and same.bound() is bound
+        fresh = LinForm(dict(form.coeffs), form.const)
+        assert fresh.bound() == bound
+        neg = -form
+        assert neg.bound() == LinForm(dict(neg.coeffs), neg.const).bound()
+        if bound is not None:
+            v, upper, n, d, a, rhs = bound
+            flipped = (v, v is not None and not upper, n, d, -a, -rhs)
+            assert neg.bound() == flipped
+        assert form.bound() is bound
+
+
 # -- the sparse row layout -------------------------------------------------------
 
 

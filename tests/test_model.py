@@ -2,18 +2,26 @@
 
 from fractions import Fraction as F
 
+import itertools
 import operator
 import re
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streettsm import lp
 from streettsm.automata import parse_dsa
 from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import Atom, LinForm, Rel
-from streettsm.model import DEFAULT_MODE, guards_cover_space, parse_model
+from streettsm.model import (
+    DEFAULT_MODE,
+    guards_cover_space,
+    negate_atom,
+    parse_model,
+    partition_fault,
+)
 from streettsm.syntax import SourceError
 
 WALK = """
@@ -110,7 +118,7 @@ def test_guard_overlap_is_rejected_with_witness():
     bad = WALK.replace("guard: x < 0", "guard: x <= 0")
     with pytest.raises(SourceError) as e:
         parse_model(bad)
-    assert "overlap" in str(e.value) and "(Fraction(0, 1),)" in str(e.value)
+    assert "overlap" in str(e.value) and "at state x = 0 " in str(e.value)
 
 
 def test_guard_gap_is_rejected_with_region():
@@ -118,6 +126,7 @@ def test_guard_gap_is_rejected_with_region():
     with pytest.raises(SourceError) as e:
         parse_model(bad)
     assert "do not cover" in str(e.value)
+    assert str(e.value).endswith("e.g. state x = 0")
 
 
 def test_strict_boundaries_partition_exactly():
@@ -189,9 +198,12 @@ def _holds(guard, state):
 
 
 def _named_state(message, names):
-    values = re.findall(r"Fraction\((-?\d+), (\d+)\)", message)
-    assert len(values) == len(names)
-    return {v: F(int(n), int(d)) for v, (n, d) in zip(names, values)}
+    # the state is printed as `x = 1/2, y = 3`
+    values = re.search(
+        ", ".join(rf"{v} = (-?\d+(?:/\d+)?)" for v in names), message
+    )
+    assert values is not None
+    return {v: F(text) for v, text in zip(names, values.groups())}
 
 
 def _atom(v, op, c):
@@ -254,6 +266,97 @@ def test_uncovered_point_is_in_its_region_and_in_no_guard(drawn):
         return
     assert all(a.holds({}, point) for a in region)
     assert not any(_holds(g, point) for g in drawn)
+
+
+# -- the cover check against the LP walk ---------------------------------------
+
+
+def _atoms_feasible(atoms, variables):
+    return lp.solve(lp.system_from_atoms(atoms, variables))
+
+
+def _lp_cover(guards, variables):
+    """The cover check as an LP per partial region (the oracle)."""
+    negated = [[negate_atom(a) for a in g] for g in guards]
+
+    def extend(region):
+        # depth-first over one negated atom per guard, in product order;
+        # an infeasible partial region prunes every completion of it
+        res = _atoms_feasible(region, variables)
+        if res.status != "optimal":
+            return None
+        if len(region) == len(negated):
+            return region, {v: res.assignment[v] for v in variables}
+        for atom in negated[len(region)]:
+            found = extend(region + [atom])
+            if found is not None:
+                return found
+        return None
+
+    found = extend([])
+    if found is None:
+        return True, [], None
+    region, point = found
+    return False, region, point
+
+
+def _lp_partition_fault(guards, variables):
+    """`partition_fault` with every pair decided by LP (the oracle)."""
+    for i, j in itertools.combinations(range(len(guards)), 2):
+        res = _atoms_feasible(list(guards[i] + guards[j]), variables)
+        if res.status == "optimal":
+            return "overlap", (i, j), {v: res.assignment[v] for v in variables}
+    ok, region, point = _lp_cover(guards, variables)
+    return None if ok else ("gap", region, point)
+
+
+cover_atoms = st.one_of(
+    st.builds(
+        lambda v, a, c, rel: Atom(
+            (LinForm.var(v) - LinForm.constant(c)).scale(a), rel
+        ),
+        st.sampled_from("xy"),
+        st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 3)]),
+        st.sampled_from([F(-1), F(0), F(1, 2), F(1)]),
+        st.sampled_from([Rel.LE, Rel.LT]),
+    ),
+    st.builds(
+        lambda c, rel: Atom(LinForm.constant(c), rel),
+        st.sampled_from([F(-1), F(0), F(1)]),
+        st.sampled_from([Rel.LE, Rel.LT]),
+    ),
+)
+# 1-4 guards of 0-2 atoms each; an empty guard holds everywhere
+guard_sets = st.lists(
+    st.lists(cover_atoms, max_size=2).map(tuple), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(guard_sets)
+def test_cover_check_matches_the_lp_walk(guards):
+    variables = ("x", "y")
+    assert guards_cover_space(guards, variables) == _lp_cover(guards, variables)
+    assert partition_fault(guards, variables) == _lp_partition_fault(
+        guards, variables
+    )
+
+
+def test_a_guard_over_two_variables_is_decided_by_lp():
+    # x + y < 1 or x >= 1 or y >= 2 leaves {x + y >= 1, x < 1, y < 2}
+    x, y = LinForm.var("x"), LinForm.var("y")
+    one = LinForm.constant(1)
+    guards = [
+        (Atom(x + y - one, Rel.LT),),
+        (Atom(one - x, Rel.LE),),
+        (Atom(LinForm.constant(2) - y, Rel.LE),),
+    ]
+    want = _lp_cover(guards, ("x", "y"))
+    assert not want[0]
+    assert guards_cover_space(guards, ("x", "y")) == want
+    assert partition_fault(guards, ("x", "y")) == _lp_partition_fault(
+        guards, ("x", "y")
+    )
 
 
 @given(st.fractions(min_value=-4, max_value=4, max_denominator=8))

@@ -1,0 +1,77 @@
+"""Every feasibility screen of the pipeline is a box of atoms, decided from
+the atoms' cached bounds with no LP built.
+
+Over every manifest entry, loading, Post V, VC generation and the Farkas
+routing make no `lp.solve` and no `lp.system_from_atoms` call, and the
+fixture check makes exactly one `lp.solve` per implication: its own LP
+maximisation.  The counts are deterministic.
+"""
+
+import os
+import sys
+from collections import Counter
+
+import pytest
+
+from streettsm import benchmarks, farkas, lp, templates, vcgen
+from streettsm.templates import CertTemplate, InvTemplate
+
+BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+sys.path[:0] = [BENCH]
+
+import pipeline  # noqa: E402
+
+ROWS = benchmarks.manifest()["benchmarks"] + benchmarks.manifest()["extras"]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of calls to `lp.solve` and `lp.system_from_atoms`, by name."""
+    counts = Counter()
+    for name in ("solve", "system_from_atoms"):
+        fn = getattr(lp, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(lp, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", [row["name"] for row in ROWS])
+def test_the_stages_build_and_solve_no_lp(name, calls):
+    bench = benchmarks.load_benchmark(name)
+    model, dsa = bench.model, bench.dsa
+    invariants = [InvTemplate.fresh(model, dsa, nrows=2)]
+    if bench.invariant is not None:
+        invariants.append(bench.invariant)
+    if bench.cert is not None:
+        invariants.append(pipeline.fixture_invariant(bench.cert, model, dsa))
+    Vs = [CertTemplate.fresh(model, dsa, k) for k in range(len(dsa.pairs))]
+    tables = [templates.post_table(V, model, dsa) for V in Vs]
+    for inv in invariants:
+        vcs = vcgen.build_product_vcs(model, dsa, Vs, inv, tables)
+        farkas.transform(vcs)
+    assert calls == {}
+
+
+@pytest.mark.parametrize(
+    "name", [row["name"] for row in ROWS if row["cert"]]
+)
+def test_the_check_route_solves_one_lp_per_implication(
+    name, calls, monkeypatch
+):
+    checked = []
+    check = farkas.implication_valid_bruteforce
+
+    def counting(impl):
+        checked.append(impl.tag)
+        return check(impl)
+
+    monkeypatch.setattr(farkas, "implication_valid_bruteforce", counting)
+    out = pipeline.check_fixture(pipeline.Entry(name, "fixture", "valid"))
+    assert out.verdict == "valid", out.detail
+    assert checked and calls["solve"] == len(checked)
