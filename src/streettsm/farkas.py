@@ -7,44 +7,32 @@ as parsed) is valid iff
     exists z >= 0: (A^T z = c and b^T z <= d)
                 or (A^T z = 0 and b^T z < 0)          (general form)
 
-where the second disjunct certifies an infeasible premise.  When A and b
-are parameter-free, premise feasibility is decided up front by exact LP,
-strict atoms honored: infeasible premises make the implication vacuous,
-feasible ones admit the conjunction-only specialization
+where the second disjunct certifies an infeasible premise.  On a
+nonempty premise it cannot hold, which leaves the conjunction-only
 
     exists z >= 0: A^T z = c and b^T z <= d           (premise-sat form)
 
-which keeps the assembled system disjunction-free (and all-linear when c,
-d are affine in the parameters).  Parameter-dependent premises always take
-the general form.  The dual reads each premise atom's form only, so a
+that keeps the assembled system disjunction-free (and all-linear when c,
+d are affine in the parameters).  `transform` routes on the premise
+alone: a parameter-free premise takes the premise-sat form over its
+atoms as they are, a parameter-dependent one the general form.
+
+Precondition: a parameter-free premise is nonempty.  The VC sets of
+`vcgen.build_product_vcs` meet it, because `vcgen` screens every premise
+and builds no VC whose parameter-free premise is empty.  On any premise
+the premise-sat form stays sound: a solution is a Farkas certificate of
+the implication.  The dual reads each premise atom's form only, so a
 strict atom  a.y + a0 < 0  is dualized as its relaxation; on a nonempty
 strict premise that is exact, the relaxed premise being its closure.
-`vcgen.build_product_vcs` builds no implication whose parameter-free
-premise is empty, so its VC sets never take the vacuous route; the route
-stays for VC sets built otherwise.
-
-Binding atoms.  A feasible premise whose atoms each bound at most one
-variable is a box, and the premise-sat dual is taken over only the atoms
-that define it: per variable the tightest upper and the tightest lower
-atom, by the rule of `lp.box`.  One `lp.atom_box` call on the atoms'
-cached bounds (`LinForm.bound`) gives both the verdict and these atoms,
-with no LP row built.  The other atoms, constant ones among them, get no
-multiplier.  This is exact: the kept atoms define the same
-nonempty set as the whole premise, so the implication holds under
-exactly the same parameter values, and Farkas' lemma is exact on either
-premise.  The assembled system's projection on the non-multiplier
-parameters does not change.  A premise with a multi-variable atom is
-dualized whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import lp
-from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
-from .lp import check_implication
+from .expr import Param, ParamKind, Poly, Rel, _accumulate
 from .vcgen import Implication, VCSet
 
 
@@ -83,7 +71,7 @@ class Disjunction:
 @dataclass(frozen=True)
 class DualConstraint:
     tag: str
-    mode: str  # general | premise-sat | vacuous
+    mode: str  # general | premise-sat
     zs: tuple[Param, ...]
     shared: tuple[PolyConstraint, ...]  # z >= 0 (and the whole premise-sat body)
     left: tuple[PolyConstraint, ...] = ()
@@ -141,12 +129,6 @@ def _item_lines(items, or_indent: str):
             yield f"  {item}"
 
 
-def premise_feasible(impl: Implication) -> str:
-    """'feasible' / 'infeasible' by exact LP, or 'parameter-dependent':
-    the verdict of `_screen`."""
-    return _screen(impl)[0]
-
-
 def _fresh_zs(impl: Implication, prefix: str) -> tuple[Param, ...]:
     return tuple(
         Param(f"{prefix}_{i}", ParamKind.MULTIPLIER)
@@ -195,49 +177,8 @@ def farkas_general(impl: Implication, prefix: str = "z") -> DualConstraint:
 
 
 def farkas_premise_sat(impl: Implication, prefix: str = "z") -> DualConstraint:
-    """Conjunction-only dual over the binding atoms; requires a feasible
-    parameter-free premise."""
-    status, premise = _screen(impl)
-    if status != "feasible":
-        raise ValueError(
-            f"premise-sat Farkas on a {status} premise ({impl.tag})"
-        )
-    return _premise_sat_dual(impl, premise, prefix)
-
-
-def _screen(impl: Implication) -> tuple[str, tuple[Atom, ...]]:
-    """The premise's verdict and the premise a premise-sat dual is taken
-    over: the binding atoms of a feasible box premise, else the whole
-    premise (see the module docstring).
-
-    The verdict is 'parameter-dependent', or 'feasible' / 'infeasible' by
-    exact LP on the premise, strict atoms honored: their relaxation can be
-    feasible (x < -1/2 and -1/2 < x admits x = -1/2 once relaxed).  A box
-    premise takes its verdict and its binding atoms from one `lp.atom_box`
-    call on its atoms' cached bounds, any other premise its verdict from
-    `lp.solve`."""
-    if any(not a.form.is_param_free() for a in impl.premise):
-        return "parameter-dependent", impl.premise
-    ends = lp.atom_box(impl.premise, impl.variables)
-    if ends is None:
-        system = lp.system_from_atoms(impl.premise, impl.variables)
-        if lp.solve(system).status != "optimal":
-            return "infeasible", impl.premise
-        return "feasible", impl.premise
-    lo, hi, clash = ends
-    if clash is not None:
-        return "infeasible", impl.premise
-    rows = sorted({end[3] for side in (lo, hi) for end in side.values()})
-    return "feasible", tuple(impl.premise[i] for i in rows)
-
-
-def _premise_sat_dual(
-    impl: Implication, premise: tuple[Atom, ...], prefix: str
-) -> DualConstraint:
-    """The premise-sat dual of `impl` over `premise`, the binding atoms of
-    its premise, already screened feasible."""
-    if premise != impl.premise:
-        impl = replace(impl, premise=premise)
+    """Conjunction-only dual over the whole premise; exact when the premise
+    is nonempty (see the module docstring)."""
     zs = _fresh_zs(impl, prefix)
     nonneg = tuple(
         PolyConstraint(Poly() - Poly.param(z.name), Rel.LE) for z in zs
@@ -252,23 +193,14 @@ def _premise_sat_dual(
 
 
 def transform(vcset: VCSet) -> list[DualConstraint]:
-    """Route every implication: vacuous / premise-sat / general."""
+    """Route every implication: premise-sat when its premise is
+    parameter-free, else general."""
     duals = []
-    # implications at one location share their premise: screen each once
-    screens: dict[tuple, tuple[str, tuple[Atom, ...]]] = {}
     for idx, impl in enumerate(vcset.implications):
-        prefix = f"z{idx}"
-        key = (impl.variables, impl.premise)
-        screen = screens.get(key)
-        if screen is None:
-            screen = screens[key] = _screen(impl)
-        status, premise = screen
-        if status == "infeasible":
-            duals.append(DualConstraint(impl.tag, "vacuous", (), ()))
-        elif status == "feasible":
-            duals.append(_premise_sat_dual(impl, premise, prefix))
+        if all(a.form.is_param_free() for a in impl.premise):
+            duals.append(farkas_premise_sat(impl, f"z{idx}"))
         else:
-            duals.append(farkas_general(impl, prefix))
+            duals.append(farkas_general(impl, f"z{idx}"))
     return duals
 
 
@@ -313,7 +245,10 @@ def implication_valid_bruteforce(impl: Implication) -> bool:
         for v in impl.variables
     ]
     rhs = -impl.consequent.form.const.constant_value()
-    ok, _ = check_implication(closure, coeffs, rhs)
+    res = lp.solve(closure, objective=coeffs, maximize=True)
+    ok = res.status == "infeasible" or (
+        res.status == "optimal" and res.value <= rhs
+    )
     if ok or not strict:
         return ok
     return lp.solve(sysm).status == "infeasible"

@@ -69,8 +69,8 @@ every screen the pipeline runs is a box of atoms, decided from their
 cached bounds with no `LinearSystem` and no per-atom Fraction work:
 `atoms_satisfiable` gives the verdict only, and no screen builds a point;
 `atoms_feasible` builds one for the callers that read it;
-Farkas reads a premise's verdict and the atoms it dualizes over from
-one `atom_box` call.
+`templates.screen` reads a premise's verdict and its binding atoms, the
+rows of its ends, from one `atom_box` call.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
@@ -716,44 +716,3 @@ def atoms_satisfiable(atoms: Sequence[Atom], variables: Sequence[str]) -> bool:
     if ends is None:
         return solve(system_from_atoms(atoms, variables)).status == "optimal"
     return ends[2] is None
-
-
-def check_implication(
-    premise: LinearSystem,
-    conclusion_coeffs: Sequence[Fraction],
-    conclusion_rhs: Fraction,
-) -> tuple[bool, dict[str, Fraction] | None]:
-    """Decide `forall y: premise(y) => c^T y <= d` over concrete rationals.
-
-    Maximize c^T y over the premise polyhedron: valid iff the premise is
-    infeasible or the maximum is <= d.  When invalid, the returned witness
-    satisfies the premise and violates the conclusion.
-    """
-    res = solve(premise, objective=conclusion_coeffs, maximize=True)
-    if res.status == "infeasible":
-        return True, None
-    if res.status == "optimal":
-        assert res.value is not None
-        if res.value <= conclusion_rhs:
-            return True, None
-        return False, res.assignment
-    # unbounded: the least k >= 0 with c.(base + k ray) > d
-    base = res.assignment or {}
-    ray = res.ray or {}
-    names = premise.variables
-    cval = sum(
-        (_frac(conclusion_coeffs[j]) * base.get(v, _ZERO)
-         for j, v in enumerate(names)),
-        _ZERO,
-    )
-    cray = sum(
-        (_frac(conclusion_coeffs[j]) * ray.get(v, _ZERO)
-         for j, v in enumerate(names)),
-        _ZERO,
-    )
-    assert cray > 0
-    k = max(0, (conclusion_rhs - cval) // cray + 1)
-    witness = {
-        v: base.get(v, _ZERO) + k * ray.get(v, _ZERO) for v in names
-    }
-    return False, witness

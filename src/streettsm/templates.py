@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .automata import GuardedDSA, Transition
 from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
-from .lp import atoms_satisfiable
+from .lp import atom_box, atoms_satisfiable
 from .model import Branch, StochModel
 from .syntax import (
     SourceError,
@@ -157,13 +157,28 @@ def _image_with_sample(
     return {v: f.substitute_params(val) for v, f in update.items()}
 
 
-def maybe_feasible(atoms: tuple[Atom, ...], variables: tuple[str, ...]) -> bool:
-    """False only when the conjunction is parameter-free and LP-infeasible,
-    strict atoms honored (`lp.atoms_satisfiable`: a box of atoms is decided
-    from their cached bounds, with no LP built)."""
-    return not all(
-        a.form.is_param_free() for a in atoms
-    ) or atoms_satisfiable(atoms, variables)
+def screen(
+    atoms: tuple[Atom, ...], variables: tuple[str, ...]
+) -> tuple[Atom, ...] | None:
+    """The atoms that define a conjunction, or None when it is
+    parameter-free and empty, strict atoms honored.
+
+    A parameter-free box of atoms keeps its binding atoms only, in their
+    order: per variable the tightest upper and the tightest lower atom, as
+    one `lp.atom_box` call on their cached bounds picks them.  A
+    parameter-free conjunction that is no box is decided by
+    `lp.atoms_satisfiable` and kept whole, and one with a parameter is
+    kept whole."""
+    if not all(a.form.is_param_free() for a in atoms):
+        return atoms
+    ends = atom_box(atoms, variables)
+    if ends is None:
+        return atoms if atoms_satisfiable(atoms, variables) else None
+    lo, hi, clash = ends
+    if clash is not None:
+        return None
+    rows = sorted({end[3] for side in (lo, hi) for end in side.values()})
+    return tuple(atoms[i] for i in rows)
 
 
 def post_table(
@@ -192,7 +207,7 @@ def post_table(
                 continue
             for br in model.branches_for_mode(m):
                 guard = br.guard + edge.atoms
-                if not maybe_feasible(guard, model.state_vars):
+                if screen(guard, model.state_vars) is None:
                     continue
                 target = (edge.target, br.mode_to)
                 key = (target, id(br))

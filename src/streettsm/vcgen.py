@@ -28,11 +28,19 @@ LP-infeasible never fires and gets no VC.  Each piece has one premise,
 the invariant rows at its location and then its joint guard, shared by
 its consecution VCs (with the box atoms of a box disturbance) and its
 drift VCs.  A VC whose premise is empty holds for every certificate, so
-a piece whose premise is parameter-free and LP-infeasible, strict atoms
-honored, gets no VC, and neither does `nonneg` at a location whose
-invariant is.  Each piece's premise is screened once, on its atoms'
-cached bounds (`templates.maybe_feasible`); a parameter-dependent
-premise is kept.
+a piece whose premise is parameter-free and empty, strict atoms honored,
+gets no VC, and neither does `nonneg` at a location whose invariant is.
+
+Each piece's premise and each location's invariant is screened once
+(`templates.screen`), and its VCs are built over what the screen keeps:
+of a parameter-free box, only the binding atoms, per variable the
+tightest upper and the tightest lower one; of any other premise, every
+atom.  This is exact: the binding atoms define the same nonempty set as
+the whole premise, so an implication holds under exactly the same
+parameter values, and Farkas' lemma is exact on either premise.  So
+every parameter-free premise of a VC set built here is nonempty, which
+the premise-sat form of `farkas.transform` requires; the box atoms a
+consecution VC appends for a box disturbance keep it so.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from .templates import (
     PostPiece,
     PostTable,
     locations,
-    maybe_feasible,
+    screen,
 )
 
 
@@ -199,14 +207,14 @@ def build_product_vcs(
     dist = model.disturbance
     wnames = dist.component_names()
     implications: list[Implication] = []
-    # each piece's premise, shared by its consecution and drift VCs, or
-    # None when it is parameter-free and empty: such a piece gets no VC
+    # each piece's premise, shared by its consecution and drift VCs, and
+    # each location's invariant, the `nonneg` premise of every pair, as
+    # screened: None when parameter-free and empty, which gets no VC
     premises = [
-        premise if maybe_feasible(premise, xs) else None
-        for premise in (
-            inv.rows[piece.location] + piece.guard for piece in tables[0].pieces
-        )
+        screen(inv.rows[piece.location] + piece.guard, xs)
+        for piece in tables[0].pieces
     ]
+    invariants = {loc: screen(rows, xs) for loc, rows in inv.rows.items()}
 
     # initiation: every invariant row at the initial product location
     init_loc = (dsa.init, model.init_mode)
@@ -310,8 +318,8 @@ def build_product_vcs(
             )
 
         # nonnegativity on the invariant, where it is not empty
-        for loc, rows in inv.rows.items():
-            if not maybe_feasible(rows, xs):
+        for loc, rows in invariants.items():
+            if rows is None:
                 continue
             implications.append(
                 _mk(

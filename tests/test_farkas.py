@@ -22,11 +22,17 @@ from streettsm.farkas import (
     farkas_general,
     farkas_premise_sat,
     implication_valid_bruteforce,
-    premise_feasible,
     transform,
 )
 from streettsm.model import parse_model
-from streettsm.templates import CertTemplate, InvTemplate, parse_invariant, post_table
+from streettsm.templates import (
+    FALSE_ATOM,
+    CertTemplate,
+    InvTemplate,
+    parse_invariant,
+    post_table,
+    screen,
+)
 from streettsm.vcgen import Implication, VCSet, build_product_vcs
 
 P = Poly.param
@@ -54,7 +60,7 @@ def toy_implication() -> Implication:
 
 def test_toy_dual_shape_and_witness():
     impl = toy_implication()
-    assert premise_feasible(impl) == "feasible"
+    assert screen(impl.premise, impl.variables) == impl.premise
     dual = farkas_general(impl, "z0")
     assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
     assert all(z.kind == ParamKind.MULTIPLIER for z in dual.zs)
@@ -104,7 +110,8 @@ def templated_control_implication() -> Implication:
 
 def test_templated_premise_takes_general_form_with_exact_dual():
     impl = templated_control_implication()
-    assert premise_feasible(impl) == "parameter-dependent"
+    assert screen(impl.premise, impl.variables) == impl.premise
+    assert transform(VCSet((impl,), (), ())) == [farkas_general(impl, "z0")]
     dual = farkas_general(impl, "z")
     assert dual.mode == "general"
     # A^T z = c: z0*eta1 + z1*eta3 - z2 = alpha0*kappa - alpha1
@@ -133,52 +140,6 @@ def test_templated_premise_takes_general_form_with_exact_dual():
     assert dual.right[1].rel == Rel.LT
 
 
-def test_infeasible_concrete_premise_routes_vacuous():
-    # the same consequent under a concrete invariant whose rows contradict
-    # the guard: x <= 9/10 and x >= -1/5 and x >= 1 has no solution
-    x = "x"
-    premise = (
-        const_atom({x: ONE}, Fraction(9, 10)),
-        const_atom({x: -ONE}, Fraction(1, 5)),
-        const_atom({x: -ONE}, -ONE),
-    )
-    impl = Implication(
-        "noninc", ("q1", "_"), (x,), premise,
-        templated_control_implication().consequent,
-    )
-    assert premise_feasible(impl) == "infeasible"
-    params = tuple(
-        Param(n, ParamKind.CERT)
-        for n in ("alpha0", "alpha1", "beta0", "beta1", "kappa")
-    )
-    duals = transform(VCSet((impl,), params, ()))
-    assert duals[0].mode == "vacuous"
-    assert duals[0].zs == () and duals[0].items() == []
-    with pytest.raises(ValueError, match="infeasible premise"):
-        farkas_premise_sat(impl)
-
-
-def test_premise_sat_rejects_parameter_dependent_premises():
-    with pytest.raises(ValueError, match="parameter-dependent"):
-        farkas_premise_sat(templated_control_implication())
-
-
-def test_contradictory_strict_atoms_route_vacuous():
-    # x < -1/2 and -1/2 < x: empty, though its relaxation admits x = -1/2;
-    # a `false` target (1 <= 0) reached only there is vacuously valid
-    x = LinForm.var("x")
-    half = LinForm.constant(Fraction(1, 2))
-    premise = (Atom(x + half, Rel.LT), Atom(-x - half, Rel.LT))
-    false = Atom(LinForm.constant(ONE), Rel.LE)
-    impl = Implication("consec", None, ("x",), premise, false)
-    assert premise_feasible(impl) == "infeasible"
-    assert transform(VCSet((impl,), (), ()))[0].mode == "vacuous"
-    assert implication_valid_bruteforce(impl)
-    relaxed = relax(impl)
-    assert premise_feasible(relaxed) == "feasible"
-    assert not implication_valid_bruteforce(relaxed)
-
-
 def relax(impl: Implication) -> Implication:
     """The implication with every strict premise atom read as `<=`."""
     premise = tuple(Atom(a.form, Rel.LE) for a in impl.premise)
@@ -201,8 +162,6 @@ def test_dual_of_strict_atoms_is_the_relaxed_dual():
     checked = 0
     for impl in impls:
         (dual,) = transform(VCSet((impl,), (), ()))
-        if dual.mode == "vacuous":
-            continue
         (want,) = transform(VCSet((relax(impl),), (), ()))
         assert dual.mode == want.mode and dual.zs == want.zs
         assert dual.items() == want.items()
@@ -261,55 +220,6 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
     # deterministic multiplier naming: dual i prefixes its z's with z<i>
     for i, dual in enumerate(duals):
         assert all(z.name.startswith(f"z{i}_") for z in dual.zs)
-
-
-def test_transform_screens_each_premise_once(monkeypatch):
-    # a box premise's screen reads its atoms' cached bounds: one `_screen`
-    # call gives both the verdict and the binding atoms, and no LP row is
-    # built for it
-    calls = []
-    screen = farkas._screen
-
-    def counting(impl):
-        calls.append((impl.variables, impl.premise))
-        return screen(impl)
-
-    def no_build(atoms, variables):
-        raise AssertionError("a box premise built LP rows")
-
-    monkeypatch.setattr(farkas, "_screen", counting)
-    monkeypatch.setattr(lp, "system_from_atoms", no_build)
-    model, dsa, inv, Vs, tables = example2_pieces("example2.model")
-    for invariant in (inv, InvTemplate.fresh(model, dsa, nrows=2)):
-        vcs = build_product_vcs(
-            model, dsa, Vs, invariant, tables, eps=Fraction(1, 2)
-        )
-        calls.clear()
-        duals = transform(vcs)
-        param_free = [
-            impl for impl in vcs.implications
-            if all(a.form.is_param_free() for a in impl.premise)
-        ]
-        distinct = {
-            (impl.variables, impl.premise) for impl in param_free
-        }
-
-        def free_screens():
-            return [
-                (variables, premise) for variables, premise in calls
-                if all(a.form.is_param_free() for a in premise)
-            ]
-
-        assert len(free_screens()) == len(distinct)
-        assert set(free_screens()) == distinct
-        assert sum(d.mode != "general" for d in duals) == len(param_free)
-        if invariant is inv:
-            # implications at one location share their premise
-            assert len(distinct) < len(param_free)
-        # the memo lives for one call: a second pass screens again
-        calls.clear()
-        transform(vcs)
-        assert len(free_screens()) == len(distinct)
 
 
 def _dual_parts_by_repeated_add(impl, zs, homogeneous):
@@ -463,8 +373,6 @@ def branch_feasible(constraints, names: list[str]) -> bool:
 def dual_sat_by_lp(dual) -> bool:
     """Exact satisfiability of one parameter-free dual, branch by branch."""
     names = [z.name for z in dual.zs]
-    if dual.mode == "vacuous":
-        return True
     if dual.mode == "premise-sat":
         return branch_feasible(dual.shared, names)
     return branch_feasible(dual.shared + dual.left, names) or branch_feasible(
@@ -500,10 +408,19 @@ def test_general_dual_sat_iff_implication_valid(impl):
 @given(constant_implications())
 @settings(deadline=None, max_examples=60)
 def test_routing_preserves_dual_satisfiability(impl):
-    # premise-sat / vacuous routing agrees with the general form
-    vcs = VCSet((impl,), (), ())
-    routed = transform(vcs)[0]
-    assert dual_sat_by_lp(routed) == dual_sat_by_lp(farkas_general(impl, "z"))
+    # the screen, then the premise-sat route, agrees with the general form:
+    # a premise the screen finds empty implies anything
+    general = dual_sat_by_lp(farkas_general(impl, "z"))
+    premise = screen(impl.premise, impl.variables)
+    if premise is None:
+        assert general
+        return
+    (routed,) = transform(VCSet((screened(impl, premise),), (), ()))
+    assert dual_sat_by_lp(routed) == general
+
+
+def screened(impl: Implication, premise) -> Implication:
+    return dataclasses.replace(impl, premise=premise)
 
 
 @st.composite
@@ -533,35 +450,19 @@ def box_implications(draw):
 @given(box_implications())
 @settings(deadline=None, max_examples=150)
 def test_box_premise_dual_sat_iff_implication_valid(impl):
-    (routed,) = transform(VCSet((impl,), (), ()))
+    # the screen finds the premise empty exactly when it implies 1 <= 0
+    premise = screen(impl.premise, impl.variables)
+    empty = implication_valid_bruteforce(
+        dataclasses.replace(impl, consequent=FALSE_ATOM)
+    )
+    assert (premise is None) == empty
+    if premise is None:
+        return
+    (routed,) = transform(VCSet((screened(impl, premise),), (), ()))
+    assert routed.mode == "premise-sat"
     assert dual_sat_by_lp(routed) == implication_valid_bruteforce(impl)
-    if routed.mode == "premise-sat":
-        # only the binding atoms get a multiplier: one upper, one lower
-        assert len(routed.zs) <= 2 * len(impl.variables)
-        assert routed == farkas_premise_sat(impl, "z0")
-
-
-def test_premise_sat_dual_keeps_the_binding_atoms_only():
-    # y <= 2, 2y < 2, y <= 1, -y <= 0, 0 <= 1 and -y < 1: y < 1 beats the
-    # non-strict y <= 1 at their tie, and -y <= 0 is the tightest lower end
-    y = LinForm.var("y")
-    premise = (
-        const_atom({"y": ONE}, Fraction(2)),
-        Atom(y.scale(2) - LinForm.constant(2), Rel.LT),
-        const_atom({"y": ONE}, ONE),
-        const_atom({"y": -ONE}, Fraction(0)),
-        const_atom({}, ONE),
-        Atom(-y - LinForm.constant(ONE), Rel.LT),
-    )
-    impl = Implication(
-        "consec", None, ("y",), premise, const_atom({"y": ONE}, Fraction(2))
-    )
-    dual = farkas_premise_sat(impl, "z0")
-    assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
-    # 2 z0 - z1 = 1 and 2 z0 <= 2
-    assert dual.shared[2].poly == P("z0_0").scale(2) - P("z0_1") - Poly.const(ONE)
-    assert dual.shared[3].poly == P("z0_0").scale(2) - Poly.const(Fraction(2))
-    assert transform(VCSet((impl,), (), ()))[0] == dual
+    # only the binding atoms get a multiplier: one upper, one lower
+    assert len(routed.zs) <= 2 * len(impl.variables)
 
 
 def test_bruteforce_oracle_rejects_parameters():

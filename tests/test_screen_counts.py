@@ -1,10 +1,13 @@
 """Every feasibility screen of the pipeline is a box of atoms, decided from
-the atoms' cached bounds with no LP built.
+the atoms' cached bounds with no LP built, and VC generation is the only
+stage that screens a premise.
 
 Over every manifest entry, loading, Post V, VC generation and the Farkas
-routing make no `lp.solve` and no `lp.system_from_atoms` call, and the
-fixture check makes exactly one `lp.solve` per implication: its own LP
-maximisation.  The counts are deterministic.
+routing make no `lp.solve` and no `lp.system_from_atoms` call; every
+parameter-free premise VC generation emits is already screened, and the
+Farkas routing makes no `lp.atom_box` call.  The fixture check makes
+exactly one `lp.solve` per implication: its own LP maximisation.  The
+counts are deterministic.
 """
 
 import os
@@ -41,8 +44,9 @@ def calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("name", [row["name"] for row in ROWS])
-def test_the_stages_build_and_solve_no_lp(name, calls):
+def _vc_sets(name):
+    """The VC sets of one entry over a fresh two-row invariant, its `.inv`
+    invariant and its fixture's, where it has them."""
     bench = benchmarks.load_benchmark(name)
     model, dsa = bench.model, bench.dsa
     invariants = [InvTemplate.fresh(model, dsa, nrows=2)]
@@ -52,10 +56,37 @@ def test_the_stages_build_and_solve_no_lp(name, calls):
         invariants.append(pipeline.fixture_invariant(bench.cert, model, dsa))
     Vs = [CertTemplate.fresh(model, dsa, k) for k in range(len(dsa.pairs))]
     tables = [templates.post_table(V, model, dsa) for V in Vs]
-    for inv in invariants:
-        vcs = vcgen.build_product_vcs(model, dsa, Vs, inv, tables)
+    return [
+        vcgen.build_product_vcs(model, dsa, Vs, inv, tables)
+        for inv in invariants
+    ]
+
+
+@pytest.mark.parametrize("name", [row["name"] for row in ROWS])
+def test_the_stages_build_and_solve_no_lp(name, calls):
+    for vcs in _vc_sets(name):
         farkas.transform(vcs)
     assert calls == {}
+
+
+@pytest.mark.parametrize("name", [row["name"] for row in ROWS])
+def test_only_vc_generation_screens_premises(name, monkeypatch):
+    boxes = []
+    atom_box = lp.atom_box
+
+    def counting(*args):
+        boxes.append(args)
+        return atom_box(*args)
+
+    for vcs in _vc_sets(name):
+        for impl in vcs.implications:
+            if all(a.form.is_param_free() for a in impl.premise):
+                again = templates.screen(impl.premise, impl.variables)
+                assert again == impl.premise, impl.tag
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "atom_box", counting)
+            farkas.transform(vcs)
+    assert boxes == []
 
 
 @pytest.mark.parametrize(

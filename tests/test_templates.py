@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Poly, Rel
+from streettsm.farkas import farkas_premise_sat
 from streettsm.templates import (
     FALSE_ATOM,
     CertTemplate,
@@ -16,7 +17,9 @@ from streettsm.templates import (
     locations,
     parse_invariant,
     post_table,
+    screen,
 )
+from streettsm.vcgen import Implication
 
 
 def _e2():
@@ -80,6 +83,32 @@ def test_piece_count_prunes_infeasible_guards():
     V = CertTemplate.fresh(model, dsa, 0)
     # 7 automaton edges, one branch, no infeasible joint guards
     assert len(post_table(V, model, dsa).pieces) == 7
+
+
+def test_screen_keeps_the_binding_atoms_only():
+    # y <= 2, 2y < 2, y <= 1, -y <= 0, 0 <= 1 and -y < 1: y < 1 beats the
+    # non-strict y <= 1 at their tie, and -y <= 0 is the tightest lower end
+    y = LinForm.var("y")
+    one = LinForm.constant(1)
+    premise = (
+        Atom(y - one.scale(2), Rel.LE),
+        Atom(y.scale(2) - one.scale(2), Rel.LT),
+        Atom(y - one, Rel.LE),
+        Atom(-y, Rel.LE),
+        Atom(-one, Rel.LE),
+        Atom(-y - one, Rel.LT),
+    )
+    kept = screen(premise, ("y",))
+    assert kept == (premise[1], premise[3])
+    # the premise-sat dual over them: 2 z0 - z1 = 1 and 2 z0 <= 2
+    impl = Implication(
+        "consec", None, ("y",), kept, Atom(y - one.scale(2), Rel.LE)
+    )
+    dual = farkas_premise_sat(impl, "z0")
+    assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
+    z0, z1 = Poly.param("z0_0"), Poly.param("z0_1")
+    assert dual.shared[2].poly == z0.scale(2) - z1 - Poly.const(1)
+    assert dual.shared[3].poly == z0.scale(2) - Poly.const(2)
 
 
 def test_finite_support_post_is_the_exact_mixture():

@@ -19,6 +19,7 @@ from streettsm.templates import (
     locations,
     parse_invariant,
     post_table,
+    screen,
 )
 from streettsm.vcgen import (
     Implication,
@@ -147,8 +148,9 @@ def test_every_vc_tag_is_unique_and_readable(name):
 
 
 def test_consecution_implication_exact_shape():
-    # self-loop consecution: {x >= -1/5, x >= 1, -1/10 <= w <= 1/10}
-    # implies x/2 + w >= -1/5, with w promoted to a universal column
+    # self-loop consecution: {x >= 1, -1/10 <= w <= 1/10} implies
+    # x/2 + w >= -1/5, with w promoted to a universal column; the
+    # invariant's x >= -1/5 is dropped, x >= 1 making it redundant
     b = load_benchmark("example2-fixed")
     V = CertTemplate.fresh(b.model, b.dsa, 0)
     inv = parse_invariant(
@@ -168,7 +170,6 @@ def test_consecution_implication_exact_shape():
     )
     assert impl.variables == ("x", "w")
     want_premise = {
-        (F(-1), F(0), F(-1, 5)),  # x >= -1/5
         (F(-1), F(0), F(1)),  # x >= 1
         (F(0), F(-1), F(-1, 10)),  # w >= -1/10
         (F(0), F(1), F(-1, 10)),  # w <= 1/10
@@ -181,12 +182,71 @@ def test_consecution_implication_exact_shape():
         )
         for a in impl.premise
     }
+    assert len(impl.premise) == len(want_premise)
     assert got == want_premise
     c = impl.consequent
     assert c.rel == Rel.LE
     assert c.form.coeff("x") == Poly.const(F(-1, 2))
     assert c.form.coeff("w") == Poly.const(-1)
     assert c.form.const == Poly.const(F(-1, 5))
+
+
+def test_infeasible_concrete_premise_gets_no_vc():
+    # q1's invariant x >= -1/5 and x <= 9/10 meets the guard x >= 1 of
+    # q1 -> q0 nowhere: the screen finds the premise empty, so that
+    # transition gets no VC, though its guard alone is satisfiable
+    x = LinForm.var("x")
+    premise = (
+        Atom(x - LinForm.constant(F(9, 10)), Rel.LE),
+        Atom(-x - LinForm.constant(F(1, 5)), Rel.LE),
+        Atom(LinForm.constant(1) - x, Rel.LE),
+    )
+    assert screen(premise, ("x",)) is None
+    b = load_benchmark("example2")
+    V = CertTemplate.fresh(b.model, b.dsa, 0)
+    table = post_table(V, b.model, b.dsa)
+    assert any(
+        p.location == ("q1", "_") and p.edge.target == "q0"
+        for p in table.pieces
+    )
+    vcs = build_product_vcs(b.model, b.dsa, [V], b.invariant, [table])
+    assert vcs.implications
+    assert not [i for i in vcs.implications if "edge q1->q0" in i.note]
+
+
+def test_contradictory_strict_atoms_get_no_vc():
+    # x < -1/2 and -1/2 < x is empty, though its closure admits x = -1/2
+    x = LinForm.var("x")
+    half = LinForm.constant(F(1, 2))
+    premise = (Atom(x + half, Rel.LT), Atom(-x - half, Rel.LT))
+    closure = tuple(Atom(a.form, Rel.LE) for a in premise)
+    assert screen(premise, ("x",)) is None
+    assert screen(closure, ("x",)) == closure
+    assert implication_valid_bruteforce(
+        _mk("consec", None, ("x",), premise, FALSE_ATOM)
+    )
+    assert not implication_valid_bruteforce(
+        _mk("consec", None, ("x",), closure, FALSE_ATOM)
+    )
+    # so are q1's x >= -1 with the guard x < -1 of q1 -> q2, and q2's
+    # invariant, which gets no `nonneg` VC and no transition out; no other
+    # transition leads into q2, so its strict rows are no consequent either
+    b = load_benchmark("example2")
+    inv = parse_invariant(
+        "at q0: x >= -1/5\n"
+        "at q1: x >= -1 and x <= 9/10\n"
+        "at q2: x < -1/2 and x > -1/2\n",
+        b.model,
+        b.dsa,
+    )
+    V = CertTemplate.fresh(b.model, b.dsa, 0)
+    table = post_table(V, b.model, b.dsa)
+    vcs = build_product_vcs(b.model, b.dsa, [V], inv, [table])
+    assert [i for i in vcs.implications if i.location == ("q1", "_")]
+    assert not [
+        i for i in vcs.implications
+        if "edge q1->q2" in i.note or i.location == ("q2", "_")
+    ]
 
 
 def test_initiation_is_premise_free():
