@@ -8,23 +8,23 @@ as it is, with its ``PolyConstraint`` rows and two-branch
 Decision strategy:
   * single-variable equalities pin their variable; pins propagate, and
     disjunction branches refuted by constants are pruned;
-  * purely linear, disjunction-free problems go to the exact simplex
-    (complete: answers sat or unsat);
-  * if the linear disjunction-free subset is already infeasible, the
-    whole problem is unsat;
+  * if the linear disjunction-free subset is infeasible, the whole
+    problem is unsat;
   * otherwise: alternating block descent.  The variable product graph of
     a bilinear system is bipartite, so its two sides alternate: fixing
     one side makes every constraint affine in the other, which is then
     solved exactly, one connected component at a time.  A component
     whose rows all hold already is skipped; a violated one is solved as
-    a plain feasibility LP first, with worst-violation minimization as
-    fallback.  Disjunction branches are re-chosen greedily per round;
-    squared variables are varied by sampling.  Restart 0 starts at the
-    linear screen's exact point; later deterministic restarts draw their
-    starting points from constants harvested off the problem.  A model
-    is reported only after exact re-substitution, so "sat" answers are
-    sound; descent that fails to converge, or a product graph that is
-    not bipartite, is "unknown".
+    a plain feasibility LP first, then by minimizing its worst violation
+    with the rows local to the block held hard.  Disjunction branches
+    are re-chosen greedily per round.  Restart 0 starts at the linear
+    screen's exact point, where every linear row holds (so a linear
+    system is decided there); later restarts draw their starting points
+    deterministically from constants harvested off the problem, clamped
+    to single-variable bounds.  A model is reported only after exact
+    re-substitution, so "sat" answers are sound; descent that fails to
+    converge, or a product graph that is not bipartite (a squared
+    variable included), is "unknown".
 
 All arithmetic is over fractions.Fraction; no floating point anywhere.
 """
@@ -32,7 +32,6 @@ All arithmetic is over fractions.Fraction; no floating point anywhere.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from . import lp
@@ -155,28 +154,23 @@ def _linear_verdict(constraints, names):
     return lp.solve(system)
 
 
-def _product_blocks(constraints, names) -> tuple[list[list[str]], list[str]] | None:
-    """Two-color the variable product graph, or None if not bipartite.
+def _product_blocks(constraints, names) -> list[list[str]] | None:
+    """Two-color the variable product graph into descent blocks, or None
+    if it is not bipartite.
 
     Farkas duals of certificate synthesis problems are bilinear: every
     product pairs a multiplier with an invariant coefficient or a
     certificate coefficient with a control parameter.  The product graph
     is then bipartite and the two sides alternate as descent blocks, each
-    exactly solvable with the other fixed.  Squared variables go to the
-    sampled set; variables in no product join both blocks (they stay
-    affine either way, so every round may move them)."""
+    exactly solvable with the other fixed.  A repeated factor is a
+    self-loop, so a squared variable makes the graph non-bipartite.
+    Variables in no product join both blocks (they stay affine either
+    way, so every round may move them)."""
     adjacent: dict[str, set[str]] = {n: set() for n in names}
-    sampled: set[str] = set()
 
     def see(poly: Poly):
         for mono in poly.terms:
-            if len(mono) < 2:
-                continue
-            distinct = sorted(set(mono))
-            for n in distinct:
-                if mono.count(n) > 1:
-                    sampled.add(n)
-            for a, b in itertools.combinations(distinct, 2):
+            for a, b in itertools.combinations(mono, 2):
                 adjacent[a].add(b)
                 adjacent[b].add(a)
 
@@ -189,27 +183,23 @@ def _product_blocks(constraints, names) -> tuple[list[list[str]], list[str]] | N
 
     side: dict[str, int] = {}
     for start in names:
-        if start in sampled or start in side or not (adjacent[start] - sampled):
+        if start in side or not adjacent[start]:
             continue
         side[start] = 0
         queue = [start]
         while queue:
             u = queue.pop()
             for v in adjacent[u]:
-                if v in sampled:
-                    continue
                 if v not in side:
                     side[v] = 1 - side[u]
                     queue.append(v)
                 elif side[v] == side[u]:
                     return None
-    b0 = [n for n in names if n not in sampled and side.get(n, 0) == 0]
-    b1 = [n for n in names if n not in sampled and side.get(n, 1) == 1]
+    b0 = [n for n in names if side.get(n, 0) == 0]
+    b1 = [n for n in names if side.get(n, 1) == 1]
     if set(b0) == set(b1):
-        blocks = [b0] if b0 else []
-    else:
-        blocks = sorted((b for b in (b0, b1) if b), key=len, reverse=True)
-    return blocks, [n for n in names if n in sampled]
+        return [b0] if b0 else []
+    return sorted((b for b in (b0, b1) if b), key=len, reverse=True)
 
 
 def _harvest_pool(constraints) -> list[Fraction]:
@@ -233,7 +223,11 @@ def _harvest_pool(constraints) -> list[Fraction]:
 
 
 def _variable_bounds(constraints, names):
-    """Cheap per-variable bounds from single-variable non-strict rows."""
+    """Per-variable bounds `lo`, `hi` (None where there is none) from the
+    inequality rows outside disjunctions that are affine in one variable:
+    `a*x + c <= 0` gives `x <= -c/a` for `a > 0` and `x >= -c/a` for
+    `a < 0`.  A `<` row gives the same closed bound as `<=`, so a start
+    clamped to it may sit on the row's boundary."""
     lo = {n: None for n in names}
     hi = {n: None for n in names}
     for con in constraints:
@@ -261,29 +255,6 @@ def _clamp(value, lo, hi):
     if hi is not None and value > hi:
         value = hi
     return value
-
-
-SNAP_DENOMINATOR = 1 << 12
-
-
-def _snap(work, point, best):
-    """Bounded-denominator rounding of a descent point.
-
-    Exact LP vertices accumulate huge rationals round over round, which
-    makes later pivots crawl.  Intermediate points carry no certificate
-    meaning, so round them whenever that does not regress the measure.
-    `decide` never snaps a point at measure zero: that point is final
-    and goes straight to the exact re-check."""
-    if all(v.denominator <= SNAP_DENOMINATOR for v in point.values()):
-        return point, best
-    snapped = {
-        n: v.limit_denominator(SNAP_DENOMINATOR) if v.denominator > SNAP_DENOMINATOR else v
-        for n, v in point.items()
-    }
-    value = _measure(work, snapped)
-    if value <= best:
-        return snapped, value
-    return point, best
 
 
 def _branch_key(branch, point) -> Fraction:
@@ -334,8 +305,8 @@ def _component_lp(sub, rows, point):
     anywhere in them) are hard constraints: they are satisfiable
     regardless of the rest, so trading them against coupling rows only
     smears violation onto constraints the other block can never repair.
-    If the local rows clash among themselves, every row is soft.  Keeps
-    the old values when neither LP has an optimum.
+    Keeps the old values when that LP has no optimum either (the local
+    rows clash among themselves).
 
     The block construction makes every residual affine over `sub`;
     `lp.linear_row` raises on anything else."""
@@ -352,31 +323,19 @@ def _component_lp(sub, rows, point):
         return {n: res.assignment.get(n, F0) for n in sub}
 
     worst = ((len(sub), -F1),)  # the column of "__worst", negated
-
-    def build(hard_local: bool):
-        system = lp.LinearSystem(list(sub) + ["__worst"])
-        out = system.rows
-        for row, rel, rhs, local in linear:
-            if hard_local and local:
-                out.append((row, rel if rel != "<" else "<=", rhs))
-                continue
-            out.append((row + worst, "<=", rhs))  # expr <= worst
-            if rel == "=":
-                out.append(
-                    (tuple((j, -c) for j, c in row) + worst, "<=", -rhs)
-                )
-        out.append((worst, "<=", F0))  # worst >= 0
-        return lp.solve(
-            system,
-            objective=[F0] * len(sub) + [-F1],
-            maximize=True,
-        )
-
-    res = build(hard_local=True)
+    system = lp.LinearSystem(list(sub) + ["__worst"])
+    out = system.rows
+    for row, rel, rhs, local in linear:
+        if local:
+            out.append((row, rel if rel != "<" else "<=", rhs))
+            continue
+        out.append((row + worst, "<=", rhs))  # expr <= worst
+        if rel == "=":
+            out.append((tuple((j, -c) for j, c in row) + worst, "<=", -rhs))
+    out.append((worst, "<=", F0))  # worst >= 0
+    res = lp.solve(system, objective=[F0] * len(sub) + [-F1], maximize=True)
     if res.status != "optimal":
-        res = build(hard_local=False)  # the local rows clash among themselves
-        if res.status != "optimal":
-            return {n: point[n] for n in sub}
+        return {n: point[n] for n in sub}
     return {n: res.assignment.get(n, F0) for n in sub}
 
 
@@ -451,43 +410,28 @@ def decide(system: ConstraintSystem):
             model.setdefault(n, F0)
         return model
 
-    nonlinear = any(
-        isinstance(c, Disjunction) or c.poly.degree() > 1 for c in work
-    )
-    if not nonlinear:
-        res = _linear_verdict(work, names)
-        if res.status == "infeasible":
-            return "unsat", None
-        model = total({n: res.assignment.get(n, F0) for n in names})
-        assert system.holds(model)
-        return "sat", model
-
     # sound unsat screen: the linear disjunction-free subset alone.  Its
     # exact point is also restart 0's start: every linear row holds there,
     # strict rows with margin, so the descent only has the rest to repair
+    # (and a linear system is a model there already)
     res = _linear_verdict(work, names)
     if res.status == "infeasible":
         return "unsat", None
 
-    split = _product_blocks(work, names)
-    if split is None:
+    blocks = _product_blocks(work, names)
+    if blocks is None:
         return "unknown", None
-    blocks, sampled = split
-    pool = None  # harvested when a restart first draws from it
 
     for restart in range(RESTARTS):
-        rng = random.Random(restart)
-        if pool is None and (restart or sampled):
-            pool = _harvest_pool(work)
-            lo, hi = _variable_bounds(work, names)
         if restart == 0:
             point = dict(res.assignment)
         else:
+            if restart == 1:
+                pool = _harvest_pool(work)
+                lo, hi = _variable_bounds(work, names)
             point = {}
             for i, n in enumerate(names):
                 value = pool[(i * 7 + restart * 13) % len(pool)]
-                if restart % 3 == 2:
-                    value += Fraction(rng.randrange(-8, 9), 4)
                 point[n] = _clamp(value, lo[n], hi[n])
         best = _measure(work, point)
         for _ in range(ROUNDS):
@@ -505,18 +449,8 @@ def decide(system: ConstraintSystem):
                 if value <= best:
                     improved = improved or value < best
                     point, best = candidate, value
-                    if best > MEASURE_ZERO:
-                        point, best = _snap(work, point, best)
                 if best == MEASURE_ZERO:
                     break
-            if sampled and best > MEASURE_ZERO:
-                for n in sampled:
-                    candidate = dict(point)
-                    candidate[n] = pool[rng.randrange(len(pool))]
-                    value = _measure(work, candidate)
-                    if value < best:
-                        point, best = candidate, value
-                        improved = True
             if not improved:
                 break
         if best == MEASURE_ZERO:

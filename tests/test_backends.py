@@ -300,13 +300,13 @@ def test_decide_routes_lp_only_for_all_linear(monkeypatch):
             return original(system)
 
         monkeypatch.setattr(backends, name, spy)
-    a = Param("a", CERT)
+    a, b = Param("a", CERT), Param("b", CERT)
     linear = system_of([a], [le(P("a") - Poly.const(F(1)))])
-    quad = system_of([a], [le(P("a") * P("a") - Poly.const(F(1)))])
+    bilinear = system_of([a, b], [le(P("a") * P("b") - Poly.const(F(1)))])
     disj = system_of([a], [Disjunction((le(P("a")),), (le(Poly() - P("a")),))])
     for system, route in [
         (linear, "simplex_solve"),
-        (quad, "bundled_solve"),
+        (bilinear, "bundled_solve"),
         (disj, "bundled_solve"),
     ]:
         routes.clear()
@@ -346,9 +346,11 @@ def test_default_smt_route_runs_in_process():
     assert system.holds(verdict.witness)
 
 
-def test_bundled_solver_answers_quadratic_sat_and_unsat():
+def test_bundled_solver_answers_quadratic_unknown_and_unsat():
+    # a squared variable has no descent move: a = 2 is a model, but the
+    # answer is an honest unknown
     a = Param("a", CERT)
-    sat_sys = system_of(
+    squared = system_of(
         [a],
         [
             le(Poly.const(F(4)) - P("a") * P("a")),  # a*a >= 4
@@ -356,9 +358,8 @@ def test_bundled_solver_answers_quadratic_sat_and_unsat():
             le(Poly.const(F(-10)) - P("a")),
         ],
     )
-    verdict = bundled_solve(sat_sys)
-    assert verdict.status == "sat"
-    assert sat_sys.holds(verdict.witness)
+    assert squared.holds({"a": F(2)})
+    assert bundled_solve(squared).status == "unknown"
     unsat_sys = system_of([a], [le(P("a")), le(Poly.const(F(1)) - P("a"))])
     assert bundled_solve(unsat_sys).status == "unsat"
 

@@ -1,6 +1,7 @@
 """The bundled solver: disjunction pruning under equality pins, honest
-`unknown`, and a descent that starts at the linear screen's point and
-does not depend on parameter names."""
+`unknown` (a squared variable included), a corpus whose systems are all
+bilinear with a bipartite product graph, and a descent that starts at
+the linear screen's point and does not depend on parameter names."""
 
 import os
 import sys
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from streettsm import backends, farkas, lp, smtsolver
 from streettsm.backends import simplex_solve
-from streettsm.benchmarks import load_benchmark
+from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import Param, ParamKind, Poly, Rel
 from streettsm.farkas import ConstraintSystem, Disjunction, PolyConstraint
-from streettsm.templates import CertTemplate, post_table
+from streettsm.templates import CertTemplate, InvTemplate, post_table
 from streettsm.vcgen import build_product_vcs
 
 BENCH = os.path.join(
@@ -181,12 +182,14 @@ def test_contradictory_bilinear_rows_are_an_honest_unknown():
 
 def _assembled(name, inv_source="inv"):
     # as the benchmark's synthesis operation assembles it: a fresh V over
-    # the .inv file's invariant or the fixture's
+    # the .inv file's invariant, the fixture's or a two-row template
     b = load_benchmark(name)
     if inv_source == "inv":
         inv = b.invariant
-    else:
+    elif inv_source == "fixture":
         inv = pipeline.fixture_invariant(b.cert, b.model, b.dsa)
+    else:
+        inv = InvTemplate.fresh(b.model, b.dsa, nrows=2)
     V = CertTemplate.fresh(b.model, b.dsa, 0)
     vcs = build_product_vcs(
         b.model, b.dsa, [V], inv, [post_table(V, b.model, b.dsa)]
@@ -194,23 +197,76 @@ def _assembled(name, inv_source="inv"):
     return farkas.assemble(vcs, farkas.transform(vcs))
 
 
-@pytest.mark.parametrize("name", ["example2", "Temperature4"])
-def test_descent_does_not_depend_on_parameter_names(name):
+def _corpus_systems():
+    # every corpus entry over each invariant it has: its .inv file, its
+    # fixture's and a fresh two-row template
+    for name in benchmark_names(include_extras=True):
+        b = load_benchmark(name)
+        sources = ["inv"] if b.invariant is not None else []
+        sources += ["fixture"] if b.cert is not None else []
+        for source in sources + ["fresh"]:
+            yield f"{name}/{source}", _assembled(name, source)
+
+
+def _rows(constraints):
+    for con in constraints:
+        if isinstance(con, Disjunction):
+            yield from con.left + con.right
+        else:
+            yield con
+
+
+def test_corpus_systems_are_bilinear_with_no_squared_variable():
+    # the descent has no move for a squared variable (a self-loop makes the
+    # product graph non-bipartite, so `decide` says unknown); no corpus
+    # system needs one
+    seen = []
+    for label, system in _corpus_systems():
+        seen.append(label)
+        rows = list(_rows(system.constraints))
+        assert max(c.poly.degree() for c in rows) <= 2, label
+        for c in rows:
+            for mono in c.poly.terms:
+                assert len(set(mono)) == len(mono), (label, mono)
+        names = [p.name for p in system.params]
+        blocks = smtsolver._product_blocks(system.constraints, names)
+        assert blocks is not None, label
+    assert len(seen) == 27
+
+
+@pytest.mark.parametrize(
+    "name, inv_source",
+    [
+        pytest.param("example2", "inv", id="example2"),
+        pytest.param("Temperature4", "inv", id="Temperature4"),
+        # disjunctive, sat at restart 1 after a greedy choice of branches
+        pytest.param("FinMemoryControl", "fixture", id="FinMemoryControl"),
+    ],
+)
+def test_descent_does_not_depend_on_parameter_names(name, inv_source):
     # the same system with its parameters renamed so that their name order
     # reverses: the descent walks the same points and returns the same model
-    system = _assembled(name)
-    assert not system.has_disjunction()
+    system = _assembled(name, inv_source)
+    assert system.has_disjunction() == (name == "FinMemoryControl")
     ranked = sorted(p.name for p in system.params)
     new = {n: f"v{len(ranked) - i:04d}" for i, n in enumerate(ranked)}
 
-    def rename(poly):
-        return Poly(
-            {tuple(new[n] for n in mono): c for mono, c in poly.terms.items()}
-        )
+    def rename_row(c):
+        terms = c.poly.terms.items()
+        poly = Poly({tuple(new[n] for n in mono): k for mono, k in terms})
+        return PolyConstraint(poly, c.rel)
+
+    def rename(con):
+        if isinstance(con, Disjunction):
+            return Disjunction(
+                tuple(map(rename_row, con.left)),
+                tuple(map(rename_row, con.right)),
+            )
+        return rename_row(con)
 
     renamed = ConstraintSystem(
         tuple(Param(new[p.name], p.kind) for p in system.params),
-        tuple(PolyConstraint(rename(c.poly), c.rel) for c in system.constraints),
+        tuple(map(rename, system.constraints)),
     )
     status, model = smtsolver.decide(system)
     assert status == "sat"
@@ -250,9 +306,10 @@ def test_restart_zero_starts_at_the_linear_screen_point(
     assert calls["_harvest_pool"] == 0
 
 
-def test_squared_variables_are_sampled_in_restart_zero():
-    # a*a = 4 makes `a` a sampled variable, which restart 0 varies by
-    # drawing from the harvested constants (a = -2, b = 0, c = -1 is a model)
+def test_squared_variables_are_unknown():
+    # a*a is a self-loop of the product graph, so no two blocks make every
+    # row affine; a = -2, b = 0, c = -1 is a model, but the descent has no
+    # move for `a`, and the linear part (b <= 1) refutes nothing
     rows = (
         PolyConstraint(P("a") * P("a") - const(4), Rel.EQ),
         le(P("a") * P("b") + P("c") + const(1)),
@@ -261,9 +318,9 @@ def test_squared_variables_are_sampled_in_restart_zero():
     system = ConstraintSystem(
         tuple(Param(n, ParamKind.CERT) for n in ("a", "b", "c")), rows
     )
-    assert smtsolver._product_blocks(list(rows), ["a", "b", "c"])[1] == ["a"]
-    status, model = smtsolver.decide(system)
-    assert status == "sat" and system.holds(model)
+    assert system.holds({"a": F(-2), "b": F(0), "c": F(-1)})
+    assert smtsolver._product_blocks(list(rows), ["a", "b", "c"]) is None
+    assert smtsolver.decide(system) == ("unknown", None)
 
 
 @pytest.fixture
@@ -313,27 +370,27 @@ def test_descent_makes_one_component_lp(lp_calls, name):
 
 
 @pytest.mark.parametrize(
-    "local, objectives",
+    "local, a",
     [
-        # both coupling rows are soft: the worst-violation LP runs once
-        (False, [False, True]),
+        # both coupling rows are soft: the least worst violation is 1/2,
+        # at a = 3/2
+        (False, F(3, 2)),
         # both rows are local and clash, so the hard-local LP is
-        # infeasible and the all-soft one runs
-        (True, [False, True, True]),
+        # infeasible too and `a` keeps its old value
+        (True, F(0)),
     ],
 )
-def test_component_lp_falls_back_to_the_worst_violation(
-    lp_calls, local, objectives
-):
-    # a - 1 <= 0 against 2 - a <= 0 is infeasible as written; the least
-    # worst violation is 1/2, at a = 3/2
+def test_component_lp_falls_back_to_the_worst_violation(lp_calls, local, a):
+    # a - 1 <= 0 against 2 - a <= 0 is infeasible as written
     rows = [
         (P("a") - const(1), Rel.LE, local),
         (const(2) - P("a"), Rel.LE, local),
     ]
     moved = smtsolver._component_lp(["a"], rows, {"a": F(0)})
-    assert moved == {"a": F(3, 2)}
-    worst = smtsolver._measure([PolyConstraint(p, r) for p, r, _ in rows], moved)
-    assert worst == F(1, 2)
-    assert [obj for _, obj in lp_calls] == objectives
+    assert moved == {"a": a}
+    if not local:
+        cons = [PolyConstraint(p, r) for p, r, _ in rows]
+        assert smtsolver._measure(cons, moved) == F(1, 2)
+    # the plain LP, then one worst-violation LP
+    assert [obj for _, obj in lp_calls] == [False, True]
     assert lp_calls[0][0].variables == ["a"]  # the plain LP has no __worst

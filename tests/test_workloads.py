@@ -5,7 +5,9 @@ The ten operations of `verify-lp` and `control-descent` run through the
 benchmark's own composition (`perfbench/pipeline.py`), and each sat
 certificate goes through `perfbench/checks.py`: control bounds and side
 constraints, pointwise sampling and the per-VC LP re-check.  The same
-route also runs on an automaton with two Streett pairs.
+route also runs on an automaton with two Streett pairs, and on
+`FinMemoryControl` over its fixture invariant, the one corpus row whose
+descent needs a restart past the first.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import sys
 
 import pytest
 
-from streettsm import benchmarks, templates
+from streettsm import benchmarks, smtsolver, templates
 from streettsm.automata import parse_dsa
 from streettsm.templates import parse_invariant
 
@@ -44,6 +46,27 @@ def test_synthesis_is_sat_and_checks(entry):
     out = pipeline.synthesize(entry)
     assert out.verdict == "sat"
     assert checks.output_faults(out, 1) == []
+
+
+def test_fin_memory_control_needs_a_restart(monkeypatch):
+    # its guards carry the control, so its system is disjunctive; restart 0
+    # at the linear screen's point does not converge, and restart 1, from
+    # harvested constants clamped to the one-variable bounds, does
+    harvests = []
+    harvest = smtsolver._harvest_pool
+
+    def counted(constraints):
+        harvests.append(1)
+        return harvest(constraints)
+
+    monkeypatch.setattr(smtsolver, "_harvest_pool", counted)
+    entry = pipeline.Entry("FinMemoryControl", "fixture", "sat")
+    out = pipeline.synthesize(entry)
+    assert out.verdict == "sat"
+    assert checks.output_faults(out, 1) == []
+    assert pipeline.failing_vcs(out) == []
+    out.bench.model.with_control(out.control)  # raises on a bad control
+    assert len(harvests) == 1
 
 
 def test_two_streett_pairs_synthesize_and_share_their_steps(monkeypatch):
