@@ -7,6 +7,12 @@ are proved at parse time by exact LP checks: for every source state and
 mode, the outgoing guards must be pairwise unsatisfiable together and
 their complements must have no common solution.
 
+Every state reads the same alphabet, so transition labels repeat.
+`parse_dsa` tokenizes and parses each distinct label text once per
+automaton, at its first transition, and every transition with that text
+shares its atom tuple (the atoms are immutable), so later stages reuse
+each atom's cached form data (`expr.LinForm.bound`, the hash).
+
 Acceptance is state-based: a list of pairs (A, B) of state sets, read as
 "visit A finitely often or visit B infinitely often".  For each pair the
 states partition into the epsilon-decrease region A minus B, the
@@ -33,6 +39,7 @@ from .model import DEFAULT_MODE, format_state, partition_fault
 from .syntax import (
     ModeTest,
     SourceError,
+    Token,
     TokenStream,
     logical_lines,
     parse_conjunction,
@@ -110,14 +117,25 @@ def parse_dsa(
     state variables and modes (a single unnamed mode when omitted)."""
     states: tuple[str, ...] | None = None
     init: str | None = None
-    raw_trans: list[tuple[str, str, TokenStream, int]] = []
+    # (source, target, label text, line) per transition, and the tokens of
+    # each distinct label text, read at its first transition
+    raw_trans: list[tuple[str, str, str, int]] = []
+    label_tokens: dict[str, list[Token]] = {}
     pairs: list[StreettPair] = []
     # the line of the states: and init: declarations and of each pair:
     states_line = init_line = 1
     pair_lines: list[int] = []
 
     for lineno, line in logical_lines(text):
-        ts = TokenStream(tokenize(line, line=lineno))
+        # a transition line is tokenized as its header, through the first
+        # ':', and its label; together they are the tokens of the line
+        head, colon, label = line.partition(":")
+        if colon and head.split(None, 1)[:1] == ["trans"]:
+            ts = TokenStream(tokenize(head + colon, line=lineno))
+            if label not in label_tokens:
+                label_tokens[label] = tokenize(label, lineno, len(head) + 2)
+        else:
+            ts = TokenStream(tokenize(line, line=lineno))
         key = ts.expect_ident("statement keyword")
         if key.text == "states":
             ts.expect(":")
@@ -134,7 +152,7 @@ def parse_dsa(
             ts.expect("->")
             dst = ts.expect_ident("state name").text
             ts.expect(":")
-            raw_trans.append((src, dst, ts, lineno))
+            raw_trans.append((src, dst, label, lineno))
         elif key.text == "pair":
             ts.expect(":")
             def parse_set(label: str) -> frozenset[str]:
@@ -175,21 +193,22 @@ def parse_dsa(
                 1,
             )
 
-    known_vars = set(variables)
-
-    def resolve(name: str) -> LinForm | None:
-        return LinForm.var(name) if name in known_vars else None
-
+    forms = {v: LinForm.var(v) for v in variables}
+    # each distinct label is parsed once, at its first transition (where a
+    # malformed one is reported), and its transitions share its atoms
+    guards: dict[str, tuple[tuple[Atom, ...], tuple[ModeTest, ...]]] = {}
     transitions: list[Transition] = []
-    for src, dst, ts, lineno in raw_trans:
+    for src, dst, label, lineno in raw_trans:
         if src not in states or dst not in states:
             raise SourceError("transition names unknown state", lineno, 1)
-        atoms, tests = parse_conjunction(ts, resolve, modes or ())
-        if not ts.at_end():
-            raise ts.error("trailing input")
-        transitions.append(
-            Transition(src, dst, tuple(atoms), tuple(tests), lineno)
-        )
+        guard = guards.get(label)
+        if guard is None:
+            ts = TokenStream(label_tokens[label])
+            atoms, tests = parse_conjunction(ts, forms.get, modes or ())
+            if not ts.at_end():
+                raise ts.error("trailing input")
+            guard = guards[label] = (tuple(atoms), tuple(tests))
+        transitions.append(Transition(src, dst, *guard, lineno))
 
     dsa = GuardedDSA(states, init, tuple(transitions), tuple(pairs))
     validate_dsa(dsa, tuple(variables), modes or (DEFAULT_MODE,), states_line)

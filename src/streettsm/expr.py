@@ -17,7 +17,8 @@ nonzero `Fraction`s as values.  The public `Poly(terms)` constructor checks
 its input and brings it to this form.  Everything else trusts it: the
 arithmetic, `Poly.const`, `Poly.param` and `substitute` build their result
 maps canonical from canonical operands, adding terms in place with
-`_accumulate`, and wrap them unchecked with `Poly._wrap`.  Outside this
+`_accumulate`, and wrap them unchecked with `Poly._wrap`; so does
+`FormSum`, which the parser sums each expression into.  Outside this
 module only `farkas._dual_parts` uses those two, on canonical operands.
 
 Immutability.  Nothing writes to a `Poly`'s `terms` or a `LinForm`'s
@@ -132,7 +133,7 @@ class Poly:
         """The value of a constant polynomial (0 if empty)."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(_ONE, _F0)
 
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
@@ -474,6 +475,61 @@ class LinForm:
         if not self.const.is_zero() or not parts:
             parts.append(str(self.const))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class FormSum:
+    """A sum of scaled forms, kept as one canonical coefficient map that
+    each term is added into in place; `form` wraps it as one `LinForm`.
+
+    A coefficient that cancels is deleted at once, so the map keeps the
+    key order that a left-to-right fold of `LinForm` additions gives."""
+
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self) -> None:
+        self.coeffs: dict[str, dict[Monomial, Fraction]] = {}
+        self.const: dict[Monomial, Fraction] = {}
+
+    def add(self, factor: Fraction, form: "LinForm | None") -> None:
+        """Add factor * form, or the number factor when form is None."""
+        if not factor:
+            return
+        if form is None:
+            _add_term(self.const, _ONE, factor)
+            return
+        one = factor == 1  # most terms: a name with no number in front
+        coeffs = self.coeffs
+        for v, p in form.coeffs.items():
+            terms = coeffs.get(v)
+            if terms is None:
+                coeffs[v] = (
+                    dict(p.terms)
+                    if one
+                    else {m: c * factor for m, c in p.terms.items()}
+                )
+                continue
+            for mono, c in p.terms.items():
+                _add_term(terms, mono, c if one else c * factor)
+            if not terms:
+                del coeffs[v]
+        for mono, c in form.const.terms.items():
+            _add_term(self.const, mono, c if one else c * factor)
+
+    def form(self, sign: int = 1) -> "LinForm":
+        """The sum as a form, negated when sign is -1.  With sign 1 the form
+        wraps the maps themselves, so nothing is added after."""
+        if sign > 0:
+            return LinForm(
+                {v: Poly._wrap(t) for v, t in self.coeffs.items()},
+                Poly._wrap(self.const),
+            )
+        return LinForm(
+            {
+                v: Poly._wrap({m: -c for m, c in t.items()})
+                for v, t in self.coeffs.items()
+            },
+            Poly._wrap({m: -c for m, c in self.const.items()}),
+        )
 
 
 class Rel(Enum):

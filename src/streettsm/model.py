@@ -520,31 +520,20 @@ def _finish(b: _ModelBuilder) -> StochModel:
             f"name used twice: {sorted(name_clash)}", min(clash_lines), 1
         )
 
-    control_names = {c.name for c in b.controls}
-
-    def resolve_guard(name: str) -> LinForm | None:
-        # guards range over state vars; control params may appear in them
-        if name in state_vars:
-            return LinForm.var(name)
-        if name in control_names:
-            return LinForm.from_poly(Poly.param(name))
-        return None
-
+    # each name's form, built once: guards range over the state variables
+    # and may carry control parameters; updates also read the disturbance
+    # components, which ride along as parameters that the post-expectation
+    # later substitutes or re-linearizes; side constraints read controls
+    state_forms = {v: LinForm.var(v) for v in state_vars}
+    control_forms = {
+        c.name: LinForm.from_poly(Poly.param(c.name)) for c in b.controls
+    }
     wnames = set(dist.component_names())
-
-    def resolve_update(name: str) -> LinForm | None:
-        if name in state_vars:
-            return LinForm.var(name)
-        if name in control_names or name in wnames:
-            # disturbance components ride along as parameters; the
-            # post-expectation later substitutes or re-linearizes them
-            return LinForm.from_poly(Poly.param(name))
-        return None
-
-    def resolve_controls_only(name: str) -> LinForm | None:
-        if name in control_names:
-            return LinForm.from_poly(Poly.param(name))
-        return None
+    guard_forms = {**state_forms, **control_forms}
+    update_forms = {
+        **guard_forms,
+        **{w: LinForm.from_poly(Poly.param(w)) for w in dist.component_names()},
+    }
 
     branches: list[Branch] = []
     for blk in b.branches:
@@ -556,12 +545,12 @@ def _finish(b: _ModelBuilder) -> StochModel:
             raise SourceError("branch missing guard", blk["line"], 1)
         if blk["update"] is None:
             raise SourceError("branch missing update", blk["line"], 1)
-        atoms, tests = parse_conjunction(blk["guard"], resolve_guard)
+        atoms, tests = parse_conjunction(blk["guard"], guard_forms.get)
         if not blk["guard"].at_end():
             raise blk["guard"].error("trailing input")
         assert not tests
         start = blk["update"].peek()
-        update = _parse_updates(blk["update"], state_vars, resolve_update)
+        update = _parse_updates(blk["update"], state_vars, update_forms.get)
         # Post V substitutes the box mean, which is exact for affine V
         # only when each monomial carries at most one disturbance factor
         if dist.kind == "box" and any(
@@ -584,7 +573,7 @@ def _finish(b: _ModelBuilder) -> StochModel:
 
     side: list[Atom] = []
     for ts in b.side_constraints:
-        atoms, tests = parse_conjunction(ts, resolve_controls_only)
+        atoms, tests = parse_conjunction(ts, control_forms.get)
         if not ts.at_end():
             raise ts.error("trailing input")
         assert not tests

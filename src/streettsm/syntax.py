@@ -19,10 +19,16 @@ stage reads: an atom is `form <= 0` or `form < 0`.  With d = lhs - rhs,
     lhs >  rhs   reads as   -d < 0
     lhs =  rhs   reads as   d <= 0 and -d <= 0      (and so does ==)
 
+Each atom gets one form per relation it reads as: both sides are summed
+into one coefficient map (`expr.FormSum`), the lhs with +1 and the rhs
+with -1, term by term and in place, and each form is built from that map.
+A name's form comes from the resolver, which builds it once per document.
+
 Expressions must stay affine in variables: products are allowed only when
 at most one factor mentions a variable (parameters may multiply freely),
 and division only by a nonzero numeric constant.  Numerals, including
-decimals like 0.1, are read as exact rationals.
+decimals like 0.1, are read as exact rationals from their digits as
+integers: n.m is the integer nm over a power of ten (`numeral`).
 
 Errors carry line and column positions pointing into the source file.
 """
@@ -34,15 +40,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .expr import Atom, LinForm, Rel, rat
+from .expr import Atom, FormSum, LinForm, Rel
 
+_F1 = Fraction(1)
+
+# whitespace separates tokens and is skipped; every other character is a
+# token or starts one (`bad` when none fits)
 _TOKEN_RE = re.compile(
     r"""
       (?P<num>\d+(?:\.\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|>=|==|!=|->|[+\-*/()<>=,:;{}\[\]'|])
-    | (?P<ws>[ \t]+)
-    | (?P<bad>.)
+    | (?P<bad>[^ \t])
     """,
     re.VERBOSE,
 )
@@ -87,20 +96,27 @@ class ModeTest:
         return (mode == self.mode) if self.equal else (mode != self.mode)
 
 
-def tokenize(text: str, line: int = 1) -> list[Token]:
-    """The tokens of one logical line, numbered `line`, then an eof token."""
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of one logical line, numbered `line`, then an eof token.
+    `text` starts at column `col` of the line."""
     tokens: list[Token] = []
-    col = 1
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        s = m.group()
         if kind == "bad":
-            raise SourceError(f"unexpected character {s!r}", line, col)
-        if kind != "ws":
-            tokens.append(Token(kind, s, line, col))
-        col += len(s)
-    tokens.append(Token("eof", "", line, col))
+            raise SourceError(
+                f"unexpected character {m.group()!r}", line, col + m.start()
+            )
+        tokens.append(Token(kind, m.group(), line, col + m.start()))
+    tokens.append(Token("eof", "", line, col + len(text)))
     return tokens
+
+
+def numeral(text: str) -> Fraction:
+    """The exact value of a NUMBER token, `n` or `n.m`, read as integers."""
+    whole, _, frac = text.partition(".")
+    if not frac:
+        return Fraction(int(whole))
+    return Fraction(int(whole + frac), 10 ** len(frac))
 
 
 class TokenStream:
@@ -121,7 +137,8 @@ class TokenStream:
         return self.peek().kind == "eof"
 
     def match(self, text: str) -> bool:
-        if self.peek().text == text and self.peek().kind != "eof":
+        tok = self._tokens[self._pos]
+        if tok.text == text and tok.kind != "eof":
             self._pos += 1
             return True
         return False
@@ -146,13 +163,14 @@ class TokenStream:
 
 
 # resolve(name) maps an identifier to its LinForm meaning (a variable or a
-# parameter), or returns None for unknown names.
+# parameter), or returns None for unknown names.  Each loader passes the
+# `get` of a table it builds once per document.
 Resolver = Callable[[str], "LinForm | None"]
 
 
 def parse_number(ts: TokenStream) -> Fraction:
     """A signed numeric literal, allowing n, n.m and n/m."""
-    sign = Fraction(1)
+    sign = 1
     while ts.peek().text == "-":
         ts.advance()
         sign = -sign
@@ -160,87 +178,114 @@ def parse_number(ts: TokenStream) -> Fraction:
     if tok.kind != "num":
         raise ts.error(f"expected number, found {tok.text!r}")
     ts.advance()
-    value = rat(tok.text)
+    value = numeral(tok.text)
     if ts.match("/"):
         den = ts.peek()
         if den.kind != "num":
             raise ts.error("expected denominator")
         ts.advance()
-        value /= rat(den.text)
-    return sign * value
+        d = numeral(den.text)
+        if not d:
+            raise SourceError("division by zero", den.line, den.col)
+        value /= d
+    return value if sign > 0 else -value
 
 
-def parse_expression(ts: TokenStream, resolve: Resolver) -> LinForm:
-    def parse_unary() -> LinForm:
+# A product read so far: factor * form, the form None for a number.
+_Product = tuple[Fraction, "LinForm | None"]
+
+
+def _unary(ts: TokenStream, resolve: Resolver) -> _Product:
+    tok = ts.peek()
+    if tok.kind == "ident":
+        meaning = resolve(tok.text)
+        if meaning is None:
+            raise SourceError(f"unknown name {tok.text!r}", tok.line, tok.col)
+        ts.advance()
+        return _F1, meaning
+    if tok.kind == "num":
+        ts.advance()
+        return numeral(tok.text), None
+    if tok.text == "-":
+        ts.advance()
+        factor, form = _unary(ts, resolve)
+        return -factor, form
+    if tok.text == "(":
+        ts.advance()
+        inner = FormSum()
+        _add_sum(ts, resolve, inner, 1)
+        ts.expect(")")
+        return _F1, inner.form()
+    raise ts.error(f"expected expression, found {tok.text or 'end of input'!r}")
+
+
+def _product(ts: TokenStream, resolve: Resolver) -> _Product:
+    factor, form = _unary(ts, resolve)
+    while True:
         tok = ts.peek()
-        if tok.text == "-":
+        if tok.text == "*":
             ts.advance()
-            return -parse_unary()
-        if tok.text == "(":
-            ts.advance()
-            inner = parse_sum()
-            ts.expect(")")
-            return inner
-        if tok.kind == "num":
-            ts.advance()
-            return LinForm.constant(rat(tok.text))
-        if tok.kind == "ident":
-            meaning = resolve(tok.text)
-            if meaning is None:
-                raise SourceError(f"unknown name {tok.text!r}", tok.line, tok.col)
-            ts.advance()
-            return meaning
-        raise ts.error(f"expected expression, found {tok.text or 'end of input'!r}")
-
-    def parse_term() -> LinForm:
-        acc = parse_unary()
-        while True:
-            tok = ts.peek()
-            if tok.text == "*":
-                ts.advance()
-                rhs = parse_unary()
-                if not acc.variables():
-                    acc = rhs.mul_poly(acc.const)
-                elif not rhs.variables():
-                    acc = acc.mul_poly(rhs.const)
+            f, g = _unary(ts, resolve)
+            factor *= f
+            if not factor:
+                form = None  # a zero product: a later factor may be anything
+            elif form is None:
+                form = g
+            elif g is not None:
+                if not form.coeffs:
+                    form = g.mul_poly(form.const)
+                elif not g.coeffs:
+                    form = form.mul_poly(g.const)
                 else:
                     raise SourceError(
                         "product of two variable-dependent expressions is not affine",
                         tok.line,
                         tok.col,
                     )
-            elif tok.text == "/":
-                ts.advance()
-                rhs = parse_unary()
-                if rhs.variables() or not rhs.const.is_constant():
+        elif tok.text == "/":
+            ts.advance()
+            f, g = _unary(ts, resolve)
+            if g is not None:
+                if g.coeffs or not g.const.is_constant():
                     raise SourceError(
                         "division only by numeric constants", tok.line, tok.col
                     )
-                c = rhs.const.constant_value()
-                if c == 0:
-                    raise SourceError("division by zero", tok.line, tok.col)
-                acc = acc.scale(Fraction(1) / c)
-            else:
-                return acc
+                f *= g.const.constant_value()
+            if not f:
+                raise SourceError("division by zero", tok.line, tok.col)
+            factor /= f
+        else:
+            return factor, form
 
-    def parse_sum() -> LinForm:
-        acc = parse_term()
-        while True:
-            if ts.match("+"):
-                acc = acc + parse_term()
-            elif ts.match("-"):
-                acc = acc - parse_term()
-            else:
-                return acc
 
-    return parse_sum()
+def _add_sum(ts: TokenStream, resolve: Resolver, acc: FormSum, sign: int) -> None:
+    """Add sign * (the sum at the stream) into acc, term by term."""
+    term_sign = sign
+    while True:
+        factor, form = _product(ts, resolve)
+        acc.add(factor if term_sign > 0 else -factor, form)
+        op = ts.peek().text
+        if op == "+":
+            term_sign = sign
+        elif op == "-":
+            term_sign = -sign
+        else:
+            return
+        ts.advance()
+
+
+def parse_expression(ts: TokenStream, resolve: Resolver) -> LinForm:
+    acc = FormSum()
+    _add_sum(ts, resolve, acc, 1)
+    return acc.form()
 
 
 def parse_atom(
     ts: TokenStream, resolve: Resolver, modes: tuple[str, ...] | None = None
 ) -> tuple[Atom, ...] | ModeTest:
     """One comparison as its `<=`/`<` atoms (see the module docstring), or
-    'mode ==/!= name' when modes are given."""
+    'mode ==/!= name' when modes are given.  Both sides are summed into one
+    map, lhs - rhs, and each atom's form is built from it once."""
     tok = ts.peek()
     if modes is not None and tok.kind == "ident" and tok.text == "mode":
         ts.advance()
@@ -252,13 +297,14 @@ def parse_atom(
         if name.text not in modes:
             raise SourceError(f"unknown mode {name.text!r}", name.line, name.col)
         return ModeTest(name.text, equal=op.text != "!=")
-    lhs = parse_expression(ts, resolve)
+    diff = FormSum()
+    _add_sum(ts, resolve, diff, 1)
     read = _READ.get(ts.peek().text)
     if read is None:
         raise ts.error("expected comparison operator")
     ts.advance()
-    diff = lhs - parse_expression(ts, resolve)
-    return tuple(Atom(diff if sign > 0 else -diff, rel) for sign, rel in read)
+    _add_sum(ts, resolve, diff, -1)
+    return tuple(Atom(diff.form(sign), rel) for sign, rel in read)
 
 
 def parse_conjunction(
@@ -277,7 +323,8 @@ def parse_conjunction(
             tests.append(item)
         else:
             atoms.extend(item)
-        if not (ts.peek().kind == "ident" and ts.peek().text == "and"):
+        tok = ts.peek()
+        if not (tok.kind == "ident" and tok.text == "and"):
             return atoms, tests
         ts.advance()
 

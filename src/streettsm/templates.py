@@ -237,10 +237,7 @@ def parse_invariant(
         loc: () for loc in locations(model, dsa)
     }
     seen: set[Location] = set()
-
-    def resolve(name: str) -> LinForm | None:
-        return LinForm.var(name) if name in model.state_vars else None
-
+    forms = {v: LinForm.var(v) for v in model.state_vars}
     for lineno, line in logical_lines(text):
         ts = TokenStream(tokenize(line, line=lineno))
         key = ts.expect_ident("'at'")
@@ -269,7 +266,7 @@ def parse_invariant(
             ts.advance()
             rows[loc] = (FALSE_ATOM,)
         else:
-            atoms, tests = parse_conjunction(ts, resolve)
+            atoms, tests = parse_conjunction(ts, forms.get)
             assert not tests
             rows[loc] = tuple(atoms)
         if not ts.at_end():

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from streettsm.automata import StreettPair, parse_dsa
 from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
-from streettsm.syntax import SourceError
+from streettsm.expr import LinForm
+from streettsm.syntax import (
+    SourceError,
+    TokenStream,
+    logical_lines,
+    parse_conjunction,
+    tokenize,
+)
 
 BAND = """
 states: q0 q1
@@ -192,3 +199,41 @@ pair: A { q0 } B { }
     x, y = map(F, named.groups())
     assert 0 < x < 2 and 1 < y <= 3
     assert x >= 1 and y > 2
+
+
+def _labels(text):
+    """Each transition line's label text (after its first ':'), by line."""
+    return {
+        lineno: line.partition(":")[2]
+        for lineno, line in logical_lines(text)
+        if line.split(None, 1)[0] == "trans"
+    }
+
+
+@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+def test_equal_labels_share_one_parse(name):
+    b = load_benchmark(name)
+    labels = _labels(read_corpus_text(b.files["dsa"]))
+    forms = {v: LinForm.var(v) for v in b.model.state_vars}
+    first = {}
+    for t in b.dsa.transitions:
+        label = labels[t.line]
+        if label in first:
+            shared = first[label]
+            assert t.atoms is shared.atoms and t.mode_tests is shared.mode_tests
+            continue
+        first[label] = t
+        ts = TokenStream(tokenize(label))
+        atoms, tests = parse_conjunction(ts, forms.get, b.model.modes)
+        assert ts.at_end()
+        assert (t.atoms, t.mode_tests) == (tuple(atoms), tuple(tests))
+
+
+def test_a_repeated_malformed_label_is_reported_at_its_first_line():
+    # the label is parsed once, at line 4, and line 6 shares that parse
+    text = BAND.replace("q0 -> q0: x >= 1", "q0 -> q0: x >= *").replace(
+        "q1 -> q1: true", "q1 -> q1: x >= *"
+    )
+    with pytest.raises(SourceError, match="expected expression, found '[*]'") as e:
+        parse_dsa(text, variables=("x",))
+    assert (e.value.line, e.value.col) == (4, 22)

@@ -399,6 +399,31 @@ def test_box_disturbance_validation():
         parse_model(bad)
 
 
+FINITE = "disturbance: w finite { (1): 1/2, (0): 1/2 }"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("init: x = 0", "init: x = 1/0"),
+        (FINITE, "disturbance: w finite { (1/0): 1/2, (0): 1/2 }"),
+        (FINITE, "disturbance: w finite { (1): 1/2, (0): 1/0 }"),
+        (FINITE, "disturbance: w box { lo = -1, hi = 1/0, mean = 0 }"),
+        ("init: x = 0", "init: x = 0\ncontrol: k in [-1/0, 1]"),
+    ],
+    ids=["init", "support-value", "probability", "box-field", "control-bound"],
+)
+def test_a_zero_denominator_is_reported_at_it(old, new):
+    text = WALK.replace(old, new)
+    statement = new.splitlines()[-1]
+    line = text.splitlines().index(statement) + 1
+    col = statement.index("/0") + 2
+    with pytest.raises(
+        SourceError, match=f"^line {line}, col {col}: division by zero$"
+    ):
+        parse_model(text)
+
+
 def test_box_quadratic_disturbance_rejected():
     # the box mean stands in for w in Post V, which is exact for affine V
     # only when no update monomial carries two disturbance factors

@@ -6,7 +6,8 @@ Over every manifest entry, loading, Post V, VC generation and the Farkas
 routing make no `lp.solve` and no `lp.system_from_atoms` call; every
 parameter-free premise VC generation emits is already screened, and the
 Farkas routing makes no `lp.atom_box` call.  The fixture check makes
-exactly one `lp.solve` per implication: its own LP maximisation.  The
+exactly one `lp.solve` per implication: its own LP maximisation.  Loading
+parses each distinct automaton label once (`automata.parse_dsa`).  The
 counts are deterministic.
 """
 
@@ -16,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from streettsm import benchmarks, farkas, lp, templates, vcgen
+from streettsm import automata, benchmarks, farkas, lp, templates, vcgen
 from streettsm.templates import CertTemplate, InvTemplate
 
 BENCH = os.path.join(
@@ -106,3 +107,20 @@ def test_the_check_route_solves_one_lp_per_implication(
     out = pipeline.check_fixture(pipeline.Entry(name, "fixture", "valid"))
     assert out.verdict == "valid", out.detail
     assert checked and calls["solve"] == len(checked)
+
+
+def test_loading_parses_each_distinct_label_once(monkeypatch):
+    # the automata of the check workload's entries have 73 transitions
+    # over 37 distinct label texts, and each text is parsed once
+    parsed = []
+    parse = automata.parse_conjunction
+
+    def counting(ts, *args):
+        parsed.append(ts)
+        return parse(ts, *args)
+
+    monkeypatch.setattr(automata, "parse_conjunction", counting)
+    transitions = 0
+    for entry in pipeline.WORKLOADS["check"][1]:
+        transitions += len(benchmarks.load_benchmark(entry.name).dsa.transitions)
+    assert (len(parsed), transitions) == (37, 73)

@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streettsm.benchmarks import benchmark_names, load_benchmark
+from streettsm.automata import parse_dsa
+from streettsm.benchmarks import (
+    benchmark_names,
+    load_benchmark,
+    manifest,
+    read_corpus_text,
+)
 from streettsm.expr import LinForm, Poly, Rel
 from streettsm.syntax import (
     ModeTest,
     SourceError,
     TokenStream,
     logical_lines,
+    numeral,
     parse_atom,
     parse_conjunction,
     parse_expression,
@@ -49,6 +56,17 @@ def test_token_positions():
     ]
     assert toks[0].line == 7 and toks[0].col == 1
     assert toks[2].col == 6
+    # a tab is one column, like a space; eof sits just past the text
+    toks = tokenize("x\t<=  10", line=7)
+    assert [(t.text, t.col) for t in toks] == [
+        ("x", 1), ("<=", 3), ("10", 7), ("", 9)
+    ]
+    # a bad character inside a transition label is reported at its column
+    # in the whole line, although the label is tokenized on its own
+    text = "states: q0\ninit: q0\ntrans q0 -> q0: x >= 0 and x @ 1\n"
+    with pytest.raises(SourceError, match="unexpected character '@'") as e:
+        parse_dsa(text + "pair: A { q0 } B { }\n", variables=("x",))
+    assert (e.value.line, e.value.col) == (3, 30)
 
 
 def test_tokenize_rejects_stray_characters():
@@ -64,6 +82,36 @@ def test_parse_number_forms():
     assert parse_number(_ts("--5")) == 5  # signs compose
     with pytest.raises(SourceError):
         parse_number(_ts("x"))
+    # a zero denominator is reported at the denominator
+    with pytest.raises(SourceError, match="^line 1, col 6: division by zero$"):
+        parse_number(_ts("-1 / 0.0"))
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=12)
+
+
+@given(DIGITS, st.one_of(st.none(), DIGITS))
+def test_numerals_read_as_integers_equal_their_fraction(whole, frac):
+    # leading and trailing zeros included: "007", "0.500", "0.000"
+    text = whole if frac is None else f"{whole}.{frac}"
+    (tok, _eof) = tokenize(text)
+    assert tok.kind == "num" and tok.text == text
+    assert numeral(text) == F(text)
+    assert type(numeral(text)) is F
+
+
+def test_every_corpus_numeral_reads_as_its_fraction():
+    seen = 0
+    for row in manifest()["benchmarks"] + manifest()["extras"]:
+        for key in ("model", "dsa", "invariant"):
+            if not row[key]:
+                continue
+            for lineno, line in logical_lines(read_corpus_text(row[key])):
+                for tok in tokenize(line, lineno):
+                    if tok.kind == "num":
+                        assert numeral(tok.text) == F(tok.text), tok
+                        seen += 1
+    assert seen > 100
 
 
 def test_expression_affine_arithmetic():
