@@ -3,9 +3,11 @@
 An automaton reads the current model state through transition guards:
 conjunctions of linear inequalities over the state variables, optionally
 constrained to a model mode (``mode == name``).  Determinism and totality
-are proved at parse time by exact LP checks: for every source state and
-mode, the outgoing guards must be pairwise unsatisfiable together and
-their complements must have no common solution.
+are proved exactly at parse time (`model.partition_fault`): for every
+source state and mode, the outgoing guards must be pairwise
+unsatisfiable together and their complements must have no common
+solution.  Box guards, as every corpus automaton has, are decided from
+the bounds their atoms cache, with no LP built.
 
 Every state reads the same alphabet, so transition labels repeat.
 `parse_dsa` tokenizes and parses each distinct label text once per
@@ -175,6 +177,8 @@ def parse_dsa(
             raise SourceError(
                 f"unknown statement {key.text!r}", key.line, key.col
             )
+        if not ts.at_end():
+            raise ts.error("trailing input")
 
     if states is None:
         raise SourceError("missing states declaration", 1, 1)
@@ -221,7 +225,7 @@ def validate_dsa(
     modes: tuple[str, ...],
     states_line: int = 1,
 ) -> None:
-    """LP proof of determinism and totality per source state and mode.
+    """Exact proof of determinism and totality per source state and mode.
 
     An incomplete state is reported at its first outgoing transition, or
     at `states_line` when it has none."""

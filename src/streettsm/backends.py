@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, smtsolver
-from .expr import ParamKind, Poly
+from .expr import ParamKind, Poly, Rel
 from .farkas import ConstraintSystem, Disjunction, PolyConstraint
 
 
@@ -69,8 +69,12 @@ def smt_poly(p: Poly) -> str:
     return f"(+ {' '.join(parts)})"
 
 
+# the SMT-LIB operator of each constraint relation
+_SMT_OPERATOR = {Rel.LE: "<=", Rel.LT: "<", Rel.EQ: "="}
+
+
 def smt_constraint(c: PolyConstraint) -> str:
-    return f"({lp.REL[c.rel]} {smt_poly(c.poly)} 0)"
+    return f"({_SMT_OPERATOR[c.rel]} {smt_poly(c.poly)} 0)"
 
 
 def _smt_branch(constraints: tuple[PolyConstraint, ...]) -> str:
@@ -136,12 +140,9 @@ def simplex_solve(system: ConstraintSystem) -> Verdict:
         return Verdict(status="sat" if ok else "unsat",
                        valuation={} if ok else None,
                        witness={} if ok else None)
-    column = {n: j for j, n in enumerate(names)}
-    linear = lp.LinearSystem(names)
-    for item in system.constraints:
-        coeffs, rhs = lp.linear_row(item.poly, column)
-        linear.rows.append((coeffs, lp.REL[item.rel], rhs))
-    res = lp.solve(linear)
+    res = lp.solve(
+        lp.linear_system(((c.poly, c.rel) for c in system.constraints), names)
+    )
     if res.status == "infeasible":
         return Verdict(status="unsat", ray=res.farkas)
     witness = {n: res.assignment.get(n, Fraction(0)) for n in names}

@@ -3,7 +3,9 @@
 Each entry ships a model file, an observer automaton, optionally a
 provided supporting invariant, and optionally a known-valid certificate
 fixture.  ``manifest.json`` lists the eleven synthesis benchmarks (in
-table order) plus the worked example under ``extras``.
+table order) and, under ``extras``, two forms of the worked example:
+``example2``, with its control, and ``example2-fixed``, with the control
+fixed to its golden value.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ class Benchmark:
 
 
 def load_benchmark(name: str) -> Benchmark:
-    try:
-        row = _entries()[name]
-    except KeyError:
-        known = ", ".join(sorted(_entries()))
+    entries = _entries()
+    if name not in entries:
+        known = ", ".join(sorted(entries))
         raise KeyError(f"unknown benchmark {name!r}; corpus has: {known}")
+    row = entries[name]
     model = parse_model(read_corpus_text(row["model"]))
     dsa = parse_dsa(
         read_corpus_text(row["dsa"]),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import lp
-from .expr import Param, ParamKind, Poly, Rel, _accumulate
+from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
 from .vcgen import Implication, VCSet
 
 
@@ -226,32 +226,29 @@ def assemble(
 def implication_valid_bruteforce(impl: Implication) -> bool:
     """Exact validity of a parameter-free implication, independently of
     Farkas: LP maximization of the consequent over the premise's closure,
-    its `<` rows read as `<=`.
+    its `<` atoms read as `<=`.
 
     A non-empty strict premise has that closure, so the maximum decides
-    validity unless the strict premise is empty."""
+    validity unless the strict premise is empty, which
+    `lp.atoms_satisfiable` decides."""
     if impl.params():
         raise ValueError("brute-force oracle needs a parameter-free implication")
-    sysm = lp.system_from_atoms(list(impl.premise), list(impl.variables))
-    strict = any(rel == "<" for _, rel, _ in sysm.rows)
-    closure = sysm
-    if strict:
-        closure = lp.LinearSystem(
-            sysm.variables,
-            [(coeffs, "<=", rhs) for coeffs, _, rhs in sysm.rows],
-        )
+    premise, variables = impl.premise, impl.variables
+    strict = any(a.rel is Rel.LT for a in premise)
+    closure = [Atom(a.form, Rel.LE) for a in premise] if strict else premise
     coeffs = [
-        impl.consequent.form.coeff(v).constant_value()
-        for v in impl.variables
+        impl.consequent.form.coeff(v).constant_value() for v in variables
     ]
     rhs = -impl.consequent.form.const.constant_value()
-    res = lp.solve(closure, objective=coeffs, maximize=True)
+    res = lp.solve(
+        lp.system_from_atoms(closure, variables), objective=coeffs, maximize=True
+    )
     ok = res.status == "infeasible" or (
         res.status == "optimal" and res.value <= rhs
     )
     if ok or not strict:
         return ok
-    return lp.solve(sysm).status == "infeasible"
+    return not lp.atoms_satisfiable(premise, variables)
 
 
 def dump_duals(duals: Sequence[DualConstraint]) -> str:

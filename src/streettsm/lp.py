@@ -50,27 +50,27 @@ per variable, an interval whose ends are the tightest bounds its rows
 give.  A row a x (<= | < | =) b bounds x by b/a, held as the integer
 pair (num b * den a, den b * num a), negated when the second entry is
 negative (`expr.ratio`); two bounds n/d and n'/d' compare as n d'
-against n' d.  One rule (`_wins`) picks each end, over the bounds of
-LP rows (`box`) and over the bounds that atoms' forms cache
-(`LinForm.bound`; `atom_box`) alike: the tighter bound wins, at one
-bound a strict end beats a non-strict one, else the first row wins.
-`solve` decides a box by intersecting the intervals, with no tableau.
+against n' d.  An end has one format, the tuple (n, d, strict, row, a),
+a being the row's coefficient, and `_fold` picks the ends of both
+readers: `_box` keys them by column, over the bounds of LP rows, and
+`_atom_box` by variable name, over the bounds that atoms' forms cache
+(`LinForm.bound`).  One rule (`_wins`) picks each end: the tighter
+bound wins, at one bound a strict end beats a non-strict one, else the
+first row wins.  `solve` decides a box by intersecting the intervals,
+with no tableau, and builds a Fraction only for an end it reads.
 With no strict row it returns what the tableau returns on 'optimal' and
 'infeasible': a coordinate with a cost sits at its optimizing end, every
 other one at the point of its interval nearest 0, and the value is c.x
 there.  The Farkas ray of an empty interval puts 1/|a| on its two rows
 a x (<= | =) b, with the sign flipped on an `=` row read against its
 sense; an empty row that fails on its own (0 <= b < 0, 0 = b != 0)
-carries the ray alone.  An end keeps its row's coefficient a, and the
-multipliers are computed only for the clash that is returned.  An
-unbounded box returns a feasible point and an improving unit ray.  Every
-corpus guard, automaton edge and premise atom bounds one variable, so
-every screen the pipeline runs is a box of atoms, decided from their
-cached bounds with no `LinearSystem` and no per-atom Fraction work:
-`atoms_satisfiable` gives the verdict only, and no screen builds a point;
-`atoms_feasible` builds one for the callers that read it;
-`templates.screen` reads a premise's verdict and its binding atoms, the
-rows of its ends, from one `atom_box` call.
+carries the ray alone.  The multipliers are computed only for the clash
+that is returned.  An unbounded box returns a feasible point and an
+improving unit ray.  Every corpus guard, automaton edge and premise
+atom bounds one variable, so every screen the pipeline runs is a box of
+atoms, decided from their cached bounds with no `LinearSystem`, no
+point and no per-atom Fraction work: `atoms_satisfiable` gives the
+verdict, and `defining_atoms` the binding atoms, the rows of its ends.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
@@ -83,12 +83,14 @@ other system goes through a slack-maximization transform: max t subject
 to strict rows tightened by t and t <= 1, by the tableau; the strict
 system is feasible iff the optimum is positive.
 
-Row layout.  A row's coefficients are a sparse `Row`: a tuple of
-(column, Fraction) pairs in ascending column order, with no zero
-coefficient, so equal rows are equal tuples.  Columns and row order are
-those of the dense layout, so Bland's rule takes the same pivots.  The
-producers (`LinearSystem.add`, `system_from_atoms`, `linear_row`) emit
-this form; objectives stay dense lists aligned with the variables.
+Row layout.  A row is (coeffs, rel, rhs): `coeffs` a sparse `Row`, a
+tuple of (column, Fraction) pairs in ascending column order with no
+zero coefficient, so equal rows are equal tuples; `rel` an `expr.Rel`
+(LE, LT or EQ); `rhs` a Fraction.  Columns and row order are those of
+the dense layout, so Bland's rule takes the same pivots.  Only this
+module builds rows: `linear_system` lowers affine polynomials
+`poly rel 0`, and `system_from_atoms` lowers atoms.  Objectives stay
+dense lists aligned with the variables.
 
 Everything is deterministic; Bland's rule guarantees termination.
 """
@@ -98,19 +100,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Literal, Mapping, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .expr import Atom, Bound, Poly, Rel, ratio
 
 # sparse coefficients: (column, coeff) pairs, ascending, no zero coeff
 Row = tuple[tuple[int, Fraction], ...]
 
-# the LP relation of each constraint relation (`Rel.EQ.value` is "==",
-# which `LinearSystem` does not accept)
-REL = {Rel.LE: "<=", Rel.LT: "<", Rel.EQ: "="}
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# the relations, bound once for the loops that test every row
+_LE, _LT, _EQ = Rel.LE, Rel.LT, Rel.EQ
 
 
 def _frac(x) -> Fraction:
@@ -123,24 +123,10 @@ class LinearSystem:
 
     Each row is (coeffs, rel, rhs): `coeffs` a sparse `Row` of
     (column, Fraction) pairs, ascending and zero-free, over the indices of
-    `variables`; rel in {"<=", "<", "="}; rhs a `Fraction`."""
+    `variables`; `rel` a `Rel`; `rhs` a `Fraction`."""
 
     variables: list[str]
-    rows: list[tuple[Row, str, Fraction]] = field(default_factory=list)
-
-    def add(self, coeffs: Sequence[Fraction], rel: str, rhs) -> None:
-        """Append one dense row, checked, converted to `Fraction` and
-        stored sparse.
-
-        The checked entry point for callers that hold plain numbers.
-        Rows built by `linear_row` or `system_from_atoms` are already
-        sparse `Fraction` rows and go straight into `rows`."""
-        if len(coeffs) != len(self.variables):
-            raise ValueError("coefficient/variable length mismatch")
-        if rel not in ("<=", "<", "="):
-            raise ValueError(f"unsupported relation {rel!r}")
-        row = tuple((j, _frac(c)) for j, c in enumerate(coeffs) if c)
-        self.rows.append((row, rel, _frac(rhs)))
+    rows: list[tuple[Row, Rel, Fraction]] = field(default_factory=list)
 
 
 @dataclass
@@ -152,11 +138,11 @@ class LPResult:
     farkas: list[Fraction] | None = None
 
 
-def _sign_bounds(rows: list[tuple[Row, str, Fraction]]) -> dict[int, int]:
+def _sign_bounds(rows: list[tuple[Row, Rel, Fraction]]) -> dict[int, int]:
     """Variable index -> the first input row  -a x_j <= 0  (a > 0)."""
     bound_row: dict[int, int] = {}
     for i, (coeffs, rel, rhs) in enumerate(rows):
-        if len(coeffs) != 1 or rel != "<=" or rhs != 0:
+        if len(coeffs) != 1 or rel is not _LE or rhs != 0:
             continue
         ((j, cf),) = coeffs
         if cf < 0 and j not in bound_row:
@@ -207,40 +193,40 @@ def solve(
     docstring).  Raises ValueError on strict rows with an objective: the
     supremum over an open set need not be attained.
     """
-    strict = any(rel == "<" for _, rel, _ in system.rows)
+    strict = any(rel is _LT for _, rel, _ in system.rows)
     if strict and objective is not None:
         raise ValueError("strict rows admit no objective")
-    ends = box(system.rows, len(system.variables))
+    ends = _box(system.rows, len(system.variables))
     if ends is None:
         if strict:
             return _strict_tableau(system)
         return _tableau(system, objective, maximize)
-    return _box_solve(
-        system.variables, *ends, strict, len(system.rows), objective, maximize
-    )
+    return _box_solve(system, *ends, strict, objective, maximize)
 
 
 def _box_solve(
-    names: Sequence[str],
-    lo: list[_End | None],
-    hi: list[_End | None],
+    system: LinearSystem,
+    lo: dict[int, _IntEnd],
+    hi: dict[int, _IntEnd],
     clash: _Clash | None,
     strict: bool,
-    nrows: int,
-    objective: Sequence[Fraction] | None = None,
-    maximize: bool = True,
+    objective: Sequence[Fraction] | None,
+    maximize: bool,
 ) -> LPResult:
-    """`solve` of a box of `nrows` rows over `names`, from its ends and
-    clash (see the module docstring)."""
+    """`solve` of a box system from its ends by column and its clash (see
+    the module docstring)."""
+    names = system.variables
     if clash is not None:
         if strict:
             return LPResult(status="infeasible")
-        farkas = [_ZERO] * nrows
+        farkas = [_ZERO] * len(system.rows)
         for i, y in clash:
             farkas[i] = y
         return LPResult(status="infeasible", farkas=farkas)
     if objective is None:
-        point = {v: _interior(lo[j], hi[j]) for j, v in enumerate(names)}
+        point = {
+            v: _interior(lo.get(j), hi.get(j)) for j, v in enumerate(names)
+        }
         return LPResult(status="optimal", assignment=point, value=_ZERO)
     # each coordinate with a cost sits at its optimizing end, if it has one,
     # every other one at the point of its interval nearest 0
@@ -249,11 +235,11 @@ def _box_solve(
     ray = None
     for j, (cf, v) in enumerate(zip(costs, names)):
         gain = cf if maximize else -cf
-        end = hi[j] if gain > 0 else lo[j] if gain < 0 else None
+        end = hi.get(j) if gain > 0 else lo.get(j) if gain < 0 else None
         if end is not None:
-            point[v] = end[0]
+            point[v] = _value(end)
             continue
-        point[v] = _nearest_zero(lo[j], hi[j])
+        point[v] = _nearest_zero(lo.get(j), hi.get(j))
         if gain and ray is None:
             ray = dict.fromkeys(names, _ZERO)
             ray[v] = _ONE if gain > 0 else -_ONE
@@ -263,14 +249,18 @@ def _box_solve(
     return LPResult(status="optimal", assignment=point, value=value)
 
 
-# One end of a variable's interval in a box system: (bound, strict, row, a),
-# a being the row's coefficient; the row's Farkas multiplier when it is
-# read as this end is 1/a at an upper end and -1/a at a lower end.
-_End = tuple[Fraction, bool, int, Fraction]
-# the same end while bounds are read: (n, d, strict, row, a), bound n/d
+# One end of a variable's interval in a box: (n, d, strict, row, a), the
+# bound being n/d with d > 0 and a the row's coefficient; the row's Farkas
+# multiplier when it is read as this end is 1/a at an upper end and -1/a at
+# a lower end.
 _IntEnd = tuple[int, int, bool, int, Fraction]
 # the nonzero entries of a Farkas ray, as (row, multiplier) pairs
 _Clash = tuple[tuple[int, Fraction], ...]
+
+
+def _value(end: _IntEnd) -> Fraction:
+    """The bound of an end."""
+    return Fraction(end[0], end[1])
 
 
 def _wins(
@@ -295,13 +285,13 @@ def _empty(low: _IntEnd | None, high: _IntEnd | None) -> bool:
 
 
 def _fold(
-    bounds: Sequence[Bound], rels: Sequence[str], keys: Sequence
+    bounds: Sequence[Bound], rels: Sequence[Rel], keys: Iterable
 ) -> tuple[dict, dict, _Clash | None]:
     """The lower and upper ends of a box, per key, from the bounds of its
     rows in order (`LinForm.bound`'s layout, keyed by column or by name)
-    and their relations, as integer ends (n, d, strict, row, a); and the
-    clash, from the first empty row that fails on its own or else the
-    first empty interval in the order of `keys`."""
+    and their relations; and the clash, from the first empty row that
+    fails on its own or else the first empty interval in the order of
+    `keys`."""
     lo: dict = {}
     hi: dict = {}
     empty = None
@@ -309,12 +299,14 @@ def _fold(
         if key is None:
             # 0 rel rhs; an `=` row with rhs > 0 is used against its sense
             if empty is None and (
-                rhs < 0 or (rhs == 0 and rel == "<") or (rhs > 0 and rel == "=")
+                rhs < 0
+                or (rhs == 0 and rel is _LT)
+                or (rhs > 0 and rel is _EQ)
             ):
                 empty = ((i, -_ONE if rhs > 0 else _ONE),)
             continue
-        strict = rel == "<"
-        eq = rel == "="
+        strict = rel is _LT
+        eq = rel is _EQ
         if (eq or upper) and _wins(hi.get(key), n, d, strict, True):
             hi[key] = (n, d, strict, i, a)  # x <= n/d: (1/a) row
         if (eq or not upper) and _wins(lo.get(key), n, d, strict, False):
@@ -329,21 +321,17 @@ def _fold(
     return lo, hi, None
 
 
-def _end(e: _IntEnd | None) -> _End | None:
-    return None if e is None else (Fraction(e[0], e[1]), e[2], e[3], e[4])
-
-
-def box(
-    rows: list[tuple[Row, str, Fraction]], nvars: int
-) -> tuple[list[_End | None], list[_End | None], _Clash | None] | None:
-    """The per-variable lower and upper ends of a box system, and a clash:
+def _box(
+    rows: list[tuple[Row, Rel, Fraction]], nvars: int
+) -> tuple[dict[int, _IntEnd], dict[int, _IntEnd], _Clash | None] | None:
+    """The lower and upper ends of a box system by column, and a clash:
     None, or the (row, multiplier) pairs of a Farkas ray, from the first
     empty row that fails on its own or else the first empty interval.
     None if some row mentions two or more variables.
 
     The ends are picked by `_wins` (see the module docstring).  On a
     nonempty box the rows of the ends define the same set as all the
-    rows.  Only the ends returned become Fractions."""
+    rows."""
     bounds = []
     for coeffs, _, rhs in rows:
         if not coeffs:
@@ -353,56 +341,48 @@ def box(
             return None
         ((j, a),) = coeffs
         bounds.append((j, a > 0, *ratio(rhs, a), a, rhs))
-    lo, hi, clash = _fold(bounds, [rel for _, rel, _ in rows], range(nvars))
-    return (
-        [_end(lo.get(j)) for j in range(nvars)],
-        [_end(hi.get(j)) for j in range(nvars)],
-        clash,
-    )
+    return _fold(bounds, [rel for _, rel, _ in rows], range(nvars))
 
 
-def atom_box(
+def _atom_box(
     atoms: Sequence[Atom], variables: Sequence[str]
 ) -> tuple[dict[str, _IntEnd], dict[str, _IntEnd], _Clash | None] | None:
-    """`box` of a conjunction of atoms, read off their cached bounds
-    (`LinForm.bound`), with no row built: the lower and upper integer ends
-    (n, d, strict, atom index, a) by variable name, and the clash, as
-    `box(system_from_atoms(atoms, variables).rows, len(variables))` gives
-    them.  None if some atom has two or more variables, a parameter, or a
-    variable not in `variables`."""
+    """`_box` of a conjunction of atoms, read off their cached bounds
+    (`LinForm.bound`), with no row built: the ends by variable name, and
+    the clash, as `_box(system_from_atoms(atoms, variables).rows,
+    len(variables))` gives them by column.  None if some atom has two or
+    more variables, a parameter, or a variable not in `variables`."""
     bounds = []
-    rels = []
     for atom in atoms:
         b = atom.form.bound()
         if b is None or (b[0] is not None and b[0] not in variables):
             return None
         bounds.append(b)
-        rels.append(REL[atom.rel])
-    return _fold(bounds, rels, variables)
+    return _fold(bounds, [atom.rel for atom in atoms], variables)
 
 
-def _nearest_zero(lo: _End | None, hi: _End | None) -> Fraction:
+def _nearest_zero(lo: _IntEnd | None, hi: _IntEnd | None) -> Fraction:
     """The point of a nonempty interval nearest 0."""
     if lo is not None and lo[0] > 0:
-        return lo[0]
+        return _value(lo)
     if hi is not None and hi[0] < 0:
-        return hi[0]
+        return _value(hi)
     return _ZERO
 
 
-def _interior(lo: _End | None, hi: _End | None) -> Fraction:
+def _interior(lo: _IntEnd | None, hi: _IntEnd | None) -> Fraction:
     """A point of a nonempty interval off its strict ends: the point
     nearest 0, moved to the midpoint, or one unit in from the only end,
     when it sits on a strict end."""
     x = _nearest_zero(lo, hi)
-    if (lo is not None and lo[1] and x == lo[0]) or (
-        hi is not None and hi[1] and x == hi[0]
+    if (lo is not None and lo[2] and x == _value(lo)) or (
+        hi is not None and hi[2] and x == _value(hi)
     ):
         if lo is None:
-            return hi[0] - 1
+            return _value(hi) - 1
         if hi is None:
-            return lo[0] + 1
-        return (lo[0] + hi[0]) / 2
+            return _value(lo) + 1
+        return (_value(lo) + _value(hi)) / 2
     return x
 
 
@@ -427,14 +407,14 @@ def _tableau(
         ncols += 1 if j in bound_row else 2
     slack_of_row: dict[int, int] = {}
     for r, i in enumerate(kept):
-        if rows[i][1] == "<=":
+        if rows[i][1] is _LE:
             slack_of_row[r] = ncols
             ncols += 1
     n_real = ncols
     art_of_row: dict[int, int] = {}
     for r, i in enumerate(kept):
         _, rel, rhs = rows[i]
-        if rel == "=" or rhs < 0:
+        if rel is _EQ or rhs < 0:
             art_of_row[r] = ncols
             ncols += 1
 
@@ -456,7 +436,7 @@ def _tableau(
             row[col_of[j]] = v
             if j not in bound_row:
                 row[col_of[j] + 1] = -v
-        if rel == "<=":
+        if rel is _LE:
             row[slack_of_row[r]] = scale
         if r in art_of_row:
             row[art_of_row[r]] = abs(scale)
@@ -615,11 +595,11 @@ def _strict_tableau(system: LinearSystem) -> LPResult:
     aug = LinearSystem(
         system.variables + ["__t"],
         [
-            (coeffs + t, "<=", rhs) if rel == "<" else (coeffs, rel, rhs)
+            (coeffs + t, _LE, rhs) if rel is _LT else (coeffs, rel, rhs)
             for coeffs, rel, rhs in system.rows
         ],
     )
-    aug.rows.append((t, "<=", _ONE))
+    aug.rows.append((t, _LE, _ONE))
     res = _tableau(aug, [_ZERO] * nv + [_ONE], True)
     if res.status != "optimal" or res.value <= 0:
         return LPResult(status="infeasible")
@@ -644,7 +624,7 @@ def system_from_atoms(
         b = form.bound()
         if b is not None and (b[0] is None or b[0] in column):
             row = () if b[0] is None else ((column[b[0]], b[4]),)
-            out.rows.append((row, REL[atom.rel], b[5]))
+            out.rows.append((row, atom.rel, b[5]))
             continue
         coeffs = []
         for v, p in form.coeffs.items():
@@ -662,57 +642,64 @@ def system_from_atoms(
             raise ValueError("parameter-bearing constant term")
         rhs = -const[()] if const else _ZERO
         coeffs.sort()
-        out.rows.append((tuple(coeffs), REL[atom.rel], rhs))
+        out.rows.append((tuple(coeffs), atom.rel, rhs))
     return out
 
 
-def linear_row(poly: Poly, column: Mapping[str, int]) -> tuple[Row, Fraction]:
-    """The affine `poly REL 0` as the row `coeffs . x REL rhs`: a sparse
-    `Row` over `column` (name -> index) and rhs, both read straight from
-    the canonical terms.  Raises ValueError on a nonlinear monomial or one
-    over a name not in `column`."""
-    coeffs = []
-    rhs = _ZERO
-    for mono, c in poly.terms.items():
-        if not mono:
-            rhs = -c
-            continue
-        j = column.get(mono[0]) if len(mono) == 1 else None
-        if j is None:
-            raise ValueError(
-                f"monomial {mono} is not linear over {list(column)}"
-            )
-        coeffs.append((j, c))
-    coeffs.sort()
-    return tuple(coeffs), rhs
-
-
-def atoms_feasible(
-    atoms: Sequence[Atom], variables: Sequence[str]
-) -> LPResult:
-    """Exact satisfiability of a conjunction, strict atoms honored: what
-    `solve(system_from_atoms(atoms, variables))` returns.  A box of atoms
-    (`atom_box`), as every corpus guard and premise is, is decided from
-    the atoms' cached bounds with no system built; any other conjunction
-    by `solve`."""
-    ends = atom_box(atoms, variables)
-    if ends is None:
-        return solve(system_from_atoms(atoms, variables))
-    lo, hi, clash = ends
-    return _box_solve(
-        variables,
-        [_end(lo.get(v)) for v in variables],
-        [_end(hi.get(v)) for v in variables],
-        clash,
-        any(a.rel is Rel.LT for a in atoms),
-        len(atoms),
-    )
+def linear_system(
+    rows: Iterable[tuple[Poly, Rel]], variables: Sequence[str]
+) -> LinearSystem:
+    """The affine rows `poly rel 0` as a system over `variables`, one LP
+    row each, its coefficients and rhs read straight from the canonical
+    terms.  Raises ValueError on a nonlinear monomial or one over a name
+    not in `variables`."""
+    out = LinearSystem(list(variables))
+    column = {v: j for j, v in enumerate(variables)}
+    for poly, rel in rows:
+        coeffs = []
+        rhs = _ZERO
+        for mono, c in poly.terms.items():
+            if not mono:
+                rhs = -c
+                continue
+            j = column.get(mono[0]) if len(mono) == 1 else None
+            if j is None:
+                raise ValueError(
+                    f"monomial {mono} is not linear over {out.variables}"
+                )
+            coeffs.append((j, c))
+        coeffs.sort()
+        out.rows.append((tuple(coeffs), rel, rhs))
+    return out
 
 
 def atoms_satisfiable(atoms: Sequence[Atom], variables: Sequence[str]) -> bool:
-    """The verdict of `atoms_feasible`, with no point built: a box of atoms
-    is decided on the integer ends of their cached bounds."""
-    ends = atom_box(atoms, variables)
+    """Exact satisfiability of a conjunction, strict atoms honored: whether
+    `solve(system_from_atoms(atoms, variables))` finds a point.  A box of
+    atoms is decided on the integer ends of their cached bounds, with no
+    system built."""
+    ends = _atom_box(atoms, variables)
     if ends is None:
         return solve(system_from_atoms(atoms, variables)).status == "optimal"
     return ends[2] is None
+
+
+def defining_atoms(
+    atoms: Sequence[Atom], variables: Sequence[str]
+) -> Sequence[Atom] | None:
+    """The atoms that define a parameter-free conjunction, or None when it
+    is empty, strict atoms honored.
+
+    A box of atoms gives its binding atoms in their order: per variable
+    the atoms of its tightest upper and lower ends, as one `_atom_box`
+    call on their cached bounds picks them.  Any other conjunction is
+    decided by `solve` and, when nonempty, given whole."""
+    ends = _atom_box(atoms, variables)
+    if ends is None:
+        feasible = solve(system_from_atoms(atoms, variables))
+        return atoms if feasible.status == "optimal" else None
+    lo, hi, clash = ends
+    if clash is not None:
+        return None
+    rows = sorted({end[3] for side in (lo, hi) for end in side.values()})
+    return tuple(atoms[i] for i in rows)

@@ -14,8 +14,10 @@ flagged and exempted from the static cover checks, which
 `StochModel.with_control` runs once the control has a value.
 
 Branch guards within each mode must be pairwise disjoint and jointly
-exhaustive over R^n; both properties are decided exactly by the strict
-LP feasibility transform at parse time.
+exhaustive over R^n; both properties are decided exactly at parse time
+(`partition_fault`).  A conjunction of guard atoms that bounds one
+variable per atom, as every corpus guard does, is decided from the
+bounds the atoms cache (`lp.atoms_satisfiable`), with no LP built.
 
 The file format is line-oriented (# comments):
 
@@ -40,7 +42,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .expr import Atom, LinForm, Poly, Rel
-from .lp import atoms_feasible, atoms_satisfiable
+from .lp import atoms_satisfiable, solve, system_from_atoms
 from .syntax import (
     SourceError,
     TokenStream,
@@ -621,8 +623,8 @@ def guards_cover_space(
     order; an empty partial region prunes every completion of it.  Each
     partial region is screened for a verdict only (`lp.atoms_satisfiable`:
     a box of atoms, as every corpus guard gives, is decided from the
-    atoms' cached bounds with no LP built), and `lp.atoms_feasible` gives
-    a point of the region found."""
+    atoms' cached bounds with no LP built), and `lp.solve` gives a point
+    of the region found."""
     negated = [[negate_atom(a) for a in g] for g in guards]
 
     def extend(region: list[Atom]) -> list[Atom] | None:
@@ -643,8 +645,8 @@ def guards_cover_space(
 
 
 def _point(atoms: list[Atom], variables: tuple[str, ...]) -> dict:
-    """The point `lp.atoms_feasible` gives a satisfiable conjunction."""
-    res = atoms_feasible(atoms, variables)
+    """The point `lp.solve` gives a satisfiable conjunction."""
+    res = solve(system_from_atoms(atoms, variables))
     return {v: res.assignment[v] for v in variables}
 
 

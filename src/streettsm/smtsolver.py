@@ -144,14 +144,12 @@ def _propagate_pins(constraints, pins: dict[str, Fraction]):
 def _linear_verdict(constraints, names):
     """Exact simplex on the linear rows (disjunctions and rows of degree
     above one are left out)."""
-    system = lp.LinearSystem(list(names))
-    column = {n: j for j, n in enumerate(names)}
-    for con in constraints:
-        if isinstance(con, Disjunction) or con.poly.degree() > 1:
-            continue
-        coeffs, rhs = lp.linear_row(con.poly, column)
-        system.rows.append((coeffs, lp.REL[con.rel], rhs))
-    return lp.solve(system)
+    rows = (
+        (con.poly, con.rel)
+        for con in constraints
+        if not isinstance(con, Disjunction) and con.poly.degree() <= 1
+    )
+    return lp.solve(lp.linear_system(rows, names))
 
 
 def _product_blocks(constraints, names) -> list[list[str]] | None:
@@ -309,30 +307,25 @@ def _component_lp(sub, rows, point):
     rows clash among themselves).
 
     The block construction makes every residual affine over `sub`;
-    `lp.linear_row` raises on anything else."""
-    column = {n: j for j, n in enumerate(sub)}
-    linear = []
-    for residual, rel, local in rows:
-        row, rhs = lp.linear_row(residual, column)
-        linear.append((row, lp.REL[rel], rhs, local))
-
-    plain = lp.LinearSystem(list(sub))
-    plain.rows.extend((row, rel, rhs) for row, rel, rhs, _ in linear)
+    `lp.linear_system` raises on anything else."""
+    plain = lp.linear_system(((r, rel) for r, rel, _ in rows), sub)
     res = lp.solve(plain)
     if res.status == "optimal":
         return {n: res.assignment.get(n, F0) for n in sub}
 
-    worst = ((len(sub), -F1),)  # the column of "__worst", negated
-    system = lp.LinearSystem(list(sub) + ["__worst"])
-    out = system.rows
-    for row, rel, rhs, local in linear:
+    # worst, the last column, bounds the violation of every soft row; -worst
+    # is maximized, and worst >= 0 is the last row
+    worst = Poly({("__worst",): F1})
+    relaxed = []
+    for residual, rel, local in rows:
         if local:
-            out.append((row, rel if rel != "<" else "<=", rhs))
+            relaxed.append((residual, Rel.LE if rel is Rel.LT else rel))
             continue
-        out.append((row + worst, "<=", rhs))  # expr <= worst
-        if rel == "=":
-            out.append((tuple((j, -c) for j, c in row) + worst, "<=", -rhs))
-    out.append((worst, "<=", F0))  # worst >= 0
+        relaxed.append((residual - worst, Rel.LE))  # residual <= worst
+        if rel is Rel.EQ:
+            relaxed.append((-residual - worst, Rel.LE))
+    relaxed.append((-worst, Rel.LE))
+    system = lp.linear_system(relaxed, [*sub, "__worst"])
     res = lp.solve(system, objective=[F0] * len(sub) + [-F1], maximize=True)
     if res.status != "optimal":
         return {n: point[n] for n in sub}

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .automata import GuardedDSA, Transition
 from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
-from .lp import atom_box, atoms_satisfiable
+from .lp import defining_atoms
 from .model import Branch, StochModel
 from .syntax import (
     SourceError,
@@ -161,24 +161,12 @@ def screen(
     atoms: tuple[Atom, ...], variables: tuple[str, ...]
 ) -> tuple[Atom, ...] | None:
     """The atoms that define a conjunction, or None when it is
-    parameter-free and empty, strict atoms honored.
-
-    A parameter-free box of atoms keeps its binding atoms only, in their
-    order: per variable the tightest upper and the tightest lower atom, as
-    one `lp.atom_box` call on their cached bounds picks them.  A
-    parameter-free conjunction that is no box is decided by
-    `lp.atoms_satisfiable` and kept whole, and one with a parameter is
-    kept whole."""
+    parameter-free and empty, strict atoms honored: `lp.defining_atoms`
+    of a parameter-free conjunction (the binding atoms of a box, any other
+    kept whole), and a conjunction with a parameter kept whole."""
     if not all(a.form.is_param_free() for a in atoms):
         return atoms
-    ends = atom_box(atoms, variables)
-    if ends is None:
-        return atoms if atoms_satisfiable(atoms, variables) else None
-    lo, hi, clash = ends
-    if clash is not None:
-        return None
-    rows = sorted({end[3] for side in (lo, hi) for end in side.values()})
-    return tuple(atoms[i] for i in rows)
+    return defining_atoms(atoms, variables)
 
 
 def post_table(

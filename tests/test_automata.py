@@ -67,6 +67,27 @@ def test_missing_sections_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "statement, extended, line, col",
+    [
+        pytest.param("init: q0", "init: q0 q1", 3, 10, id="init"),
+        pytest.param(
+            "pair: A { q1 } B { }",
+            "pair: A { q1 } B { } C { q0 }",
+            7,
+            22,
+            id="pair",
+        ),
+    ],
+)
+def test_trailing_input_is_rejected(statement, extended, line, col):
+    # reported at the first token past the statement
+    with pytest.raises(SourceError) as e:
+        parse_dsa(BAND.replace(statement, extended), variables=("x",))
+    assert e.value.message == "trailing input"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_errors_point_at_their_line():
     # BAND's lines: 2 states, 3 init, 4-6 trans, 7 pair
     def line_of(text):

@@ -363,10 +363,10 @@ def linear_parts(poly: Poly, names: list[str]):
 
 def branch_feasible(constraints, names: list[str]) -> bool:
     system = lp.LinearSystem(list(names))
-    rel_map = {Rel.LE: "<=", Rel.LT: "<", Rel.EQ: "="}
     for c in constraints:
         coeffs, const = linear_parts(c.poly, names)
-        system.add([coeffs[n] for n in names], rel_map[c.rel], -const)
+        row = tuple((j, coeffs[n]) for j, n in enumerate(names) if coeffs[n])
+        system.rows.append((row, c.rel, -const))
     return lp.solve(system).status == "optimal"
 
 

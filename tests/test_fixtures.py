@@ -52,6 +52,24 @@ def test_mutated_fixture_is_rejected(mutant):
     assert faults  # the pointwise check sees it at the mutant's state too
 
 
+def test_an_unknown_benchmark_names_the_corpus(monkeypatch):
+    reads = []
+    read = benchmarks.read_corpus_text
+
+    def counting(filename):
+        reads.append(filename)
+        return read(filename)
+
+    monkeypatch.setattr(benchmarks, "read_corpus_text", counting)
+    with pytest.raises(KeyError) as e:
+        benchmarks.load_benchmark("NoSuchEntry")
+    head, known = e.value.args[0].split("; corpus has: ")
+    assert head == "unknown benchmark 'NoSuchEntry'"
+    assert known.split(", ") == sorted(row["name"] for row in ROWS)
+    # the manifest is read once
+    assert reads == ["manifest.json"]
+
+
 def test_a_certificate_missing_a_location_is_named():
     # V of pair 0 has no piece at q0: a ValueError that names both
     cert = copy.deepcopy(benchmarks.load_benchmark("example2").cert)

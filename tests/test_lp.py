@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm import lp
 from streettsm.farkas import implication_valid_bruteforce
-from streettsm.lp import (
-    LinearSystem,
-    linear_row,
-    solve,
-    system_from_atoms,
-)
+from streettsm.lp import LinearSystem, solve, system_from_atoms
 from streettsm.vcgen import Implication
 
 sys.path[:0] = [
@@ -30,21 +25,23 @@ sys.path[:0] = [
 import tracing  # noqa: E402
 
 
+def _row(coeffs, rel, rhs):
+    """A dense row (coeffs, rel, rhs) in the sparse layout, as Fractions."""
+    return tuple((j, F(c)) for j, c in enumerate(coeffs) if c), rel, F(rhs)
+
+
 def _sys(variables, rows):
-    s = LinearSystem(list(variables))
-    for coeffs, rel, rhs in rows:
-        s.add([F(c) for c in coeffs], rel, F(rhs))
-    return s
+    return LinearSystem(list(variables), [_row(*row) for row in rows])
 
 
 def _satisfies(system, point, strict_ok=True):
     for coeffs, rel, rhs in system.rows:
         lhs = sum(c * point[system.variables[j]] for j, c in coeffs)
-        if rel == "<=" and not lhs <= rhs:
+        if rel == Rel.LE and not lhs <= rhs:
             return False
-        if rel == "<" and not (lhs < rhs if strict_ok else lhs <= rhs):
+        if rel == Rel.LT and not (lhs < rhs if strict_ok else lhs <= rhs):
             return False
-        if rel == "=" and lhs != rhs:
+        if rel == Rel.EQ and lhs != rhs:
             return False
     return True
 
@@ -53,7 +50,7 @@ def _assert_farkas(system, y):
     """One multiplier per input row, >= 0 on <= rows, y^T A = 0 and
     y^T b < 0."""
     assert y is not None and len(y) == len(system.rows)
-    assert all(v >= 0 for v, row in zip(y, system.rows) if row[1] == "<=")
+    assert all(v >= 0 for v, row in zip(y, system.rows) if row[1] == Rel.LE)
     combo = [F(0)] * len(system.variables)
     rhs = F(0)
     for yi, (coeffs, _, b) in zip(y, system.rows):
@@ -64,7 +61,7 @@ def _assert_farkas(system, y):
 
 
 def test_infeasible_has_farkas_certificate():
-    s = _sys(["x"], [([1], "<=", 1), ([-1], "<=", -2)])
+    s = _sys(["x"], [([1], Rel.LE, 1), ([-1], Rel.LE, -2)])
     r = solve(s)
     assert r.status == "infeasible"
     y = r.farkas
@@ -80,10 +77,10 @@ def test_sign_bound_rows_get_farkas_multipliers():
     s = _sys(
         ["x", "y"],
         [
-            ([-2, 0], "<=", 0),
-            ([0, -1], "<=", 0),
-            ([-1, 0], "<=", 0),
-            ([1, 1], "<=", -1),
+            ([-2, 0], Rel.LE, 0),
+            ([0, -1], Rel.LE, 0),
+            ([-1, 0], Rel.LE, 0),
+            ([1, 1], Rel.LE, -1),
         ],
     )
     r = solve(s)
@@ -95,7 +92,7 @@ def test_sign_bound_rows_get_farkas_multipliers():
 def test_feasible_point_satisfies_rows():
     s = _sys(
         ["x", "y"],
-        [([1, 1], "<=", 4), ([1, 0], "<=", 2), ([-1, -1], "<=", 10)],
+        [([1, 1], Rel.LE, 4), ([1, 0], Rel.LE, 2), ([-1, -1], Rel.LE, 10)],
     )
     r = solve(s)
     assert r.status == "optimal"
@@ -105,14 +102,14 @@ def test_feasible_point_satisfies_rows():
 def test_optimum_frozen_values():
     s = _sys(
         ["x", "y"],
-        [([1, 0], "<=", 2), ([0, 1], "<=", 3), ([1, 1], "<=", 4)],
+        [([1, 0], Rel.LE, 2), ([0, 1], Rel.LE, 3), ([1, 1], Rel.LE, 4)],
     )
     r = solve(s, objective=[F(1), F(1)], maximize=True)
     assert r.status == "optimal" and r.value == 4
 
     s2 = _sys(
         ["a", "b"],
-        [([1, 1], "<=", 4), ([1, 0], "<=", 2), ([0, 1], "<=", 3)],
+        [([1, 1], Rel.LE, 4), ([1, 0], Rel.LE, 2), ([0, 1], Rel.LE, 3)],
     )
     r2 = solve(s2, objective=[F(1), F(2)], maximize=True)
     assert r2.status == "optimal"
@@ -127,12 +124,12 @@ def test_degenerate_pivoting_terminates():
     s = _sys(
         ["x1", "x2", "x3"],
         [
-            ([F(1, 4), -8, -1], "<=", 0),
-            ([F(1, 2), -12, F(-1, 2)], "<=", 0),
-            ([0, 0, 1], "<=", 1),
-            ([-1, 0, 0], "<=", 0),
-            ([0, -1, 0], "<=", 0),
-            ([0, 0, -1], "<=", 0),
+            ([F(1, 4), -8, -1], Rel.LE, 0),
+            ([F(1, 2), -12, F(-1, 2)], Rel.LE, 0),
+            ([0, 0, 1], Rel.LE, 1),
+            ([-1, 0, 0], Rel.LE, 0),
+            ([0, -1, 0], Rel.LE, 0),
+            ([0, 0, -1], Rel.LE, 0),
         ],
     )
     r = solve(s, objective=[F(3, 4), -20, F(1, 2)], maximize=True)
@@ -144,13 +141,13 @@ def test_beale_cycling_example_terminates_at_its_optimum():
     s = _sys(
         ["x4", "x5", "x6", "x7"],
         [
-            ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-            ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
-            ([-1, 0, 0, 0], "<=", 0),
-            ([0, -1, 0, 0], "<=", 0),
-            ([0, 0, -1, 0], "<=", 0),
-            ([0, 0, 0, -1], "<=", 0),
+            ([F(1, 4), -60, F(-1, 25), 9], Rel.LE, 0),
+            ([F(1, 2), -90, F(-1, 50), 3], Rel.LE, 0),
+            ([0, 0, 1, 0], Rel.LE, 1),
+            ([-1, 0, 0, 0], Rel.LE, 0),
+            ([0, -1, 0, 0], Rel.LE, 0),
+            ([0, 0, -1, 0], Rel.LE, 0),
+            ([0, 0, 0, -1], Rel.LE, 0),
         ],
     )
     c = [F(-3, 4), F(150), F(-1, 50), F(6)]
@@ -158,20 +155,6 @@ def test_beale_cycling_example_terminates_at_its_optimum():
     assert r.status == "optimal" and r.value == F(-1, 20)
     assert _satisfies(s, r.assignment)
     assert sum(ci * r.assignment[v] for ci, v in zip(c, s.variables)) == r.value
-
-
-def test_add_stores_fractions():
-    s = LinearSystem(["x", "y"])
-    s.add([1, F(1, 2)], "<=", 3)
-    s.add([0, -2], "=", F(1, 3))
-    assert s.rows == [
-        (((0, 1), (1, F(1, 2))), "<=", 3),
-        (((1, -2),), "=", F(1, 3)),
-    ]
-    assert all(
-        type(v) is F for coeffs, _, rhs in s.rows
-        for v in [c for _, c in coeffs] + [rhs]
-    )
 
 
 def test_system_from_atoms_builds_fraction_rows():
@@ -186,10 +169,10 @@ def test_system_from_atoms_builds_fraction_rows():
     s = system_from_atoms(atoms, ["x", "y", "w"])
     assert s.variables == ["x", "y", "w"]
     assert s.rows == [
-        (((0, 2),), "<=", 3),
-        (((0, 1), (1, -1)), "<", 0),
-        (((1, 1),), "<=", F(-1, 2)),
-        (((1, -1),), "<=", F(1, 2)),
+        (((0, 2),), Rel.LE, 3),
+        (((0, 1), (1, -1)), Rel.LT, 0),
+        (((1, 1),), Rel.LE, F(-1, 2)),
+        (((1, -1),), Rel.LE, F(1, 2)),
     ]
     assert all(
         type(v) is F for coeffs, _, rhs in s.rows
@@ -214,21 +197,30 @@ def test_system_from_atoms_rejects_parameters_and_undeclared_variables():
         system_from_atoms([undeclared], ["x"])
 
 
+def test_linear_system_rejects_nonlinear_and_unknown_monomials():
+    a, b = Poly.param("a"), Poly.param("b")
+    message = r"^monomial \('a', 'b'\) is not linear over \['a', 'b'\]$"
+    with pytest.raises(ValueError, match=message):
+        lp.linear_system([(a + a * b, Rel.LE)], ["a", "b"])
+    with pytest.raises(ValueError, match=r"^monomial \('b',\) is not linear"):
+        lp.linear_system([(a, Rel.EQ), (b, Rel.LT)], ["a"])
+
+
 def test_equalities_and_negative_rhs():
-    s = _sys(["x", "y"], [([1, 1], "=", -1), ([1, -1], "=", 3)])
+    s = _sys(["x", "y"], [([1, 1], Rel.EQ, -1), ([1, -1], Rel.EQ, 3)])
     r = solve(s)
     assert r.status == "optimal"
     assert r.assignment == {"x": F(1), "y": F(-2)}
 
 
 def test_redundant_rows_are_dropped():
-    s = _sys(["x"], [([1], "=", 1), ([1], "=", 1), ([2], "=", 2)])
+    s = _sys(["x"], [([1], Rel.EQ, 1), ([1], Rel.EQ, 1), ([2], Rel.EQ, 2)])
     r = solve(s, objective=[F(1)], maximize=True)
     assert r.status == "optimal" and r.value == 1
 
 
 def test_unbounded_ray_certificate():
-    s = _sys(["x", "y"], [([-1, 0], "<=", 0), ([0, 1], "<=", 5)])
+    s = _sys(["x", "y"], [([-1, 0], Rel.LE, 0), ([0, 1], Rel.LE, 5)])
     r = solve(s, objective=[F(1), F(0)], maximize=True)
     assert r.status == "unbounded"
     base, ray = r.assignment, r.ray
@@ -240,27 +232,27 @@ def test_unbounded_ray_certificate():
 
 
 def test_strict_feasibility():
-    s = _sys(["x"], [([1], "<", 1), ([-1], "<", 0)])
+    s = _sys(["x"], [([1], Rel.LT, 1), ([-1], Rel.LT, 0)])
     r = solve(s)
     assert r.status == "optimal"
     assert 0 < r.assignment["x"] < 1
 
-    s2 = _sys(["x"], [([1], "<", 0), ([-1], "<", 0)])
+    s2 = _sys(["x"], [([1], Rel.LT, 0), ([-1], Rel.LT, 0)])
     assert solve(s2).status == "infeasible"
 
     # non-strict boundary point exists but no strict one
-    s3 = _sys(["x"], [([1], "<", 1), ([-1], "<=", -1)])
+    s3 = _sys(["x"], [([1], Rel.LT, 1), ([-1], Rel.LE, -1)])
     assert solve(s3).status == "infeasible"
-    s3ns = _sys(["x"], [([1], "<=", 1), ([-1], "<=", -1)])
+    s3ns = _sys(["x"], [([1], Rel.LE, 1), ([-1], Rel.LE, -1)])
     assert solve(s3ns).status == "optimal"
 
 
 def test_strict_sign_row_is_not_a_bound():
     # -x < 0 has the shape of a sign bound but excludes x = 0; next to
     # the non-strict bound -x <= 0 it must still exclude it
-    s = _sys(["x"], [([-1], "<", 0), ([-1], "<=", 0), ([1], "<=", 0)])
+    s = _sys(["x"], [([-1], Rel.LT, 0), ([-1], Rel.LE, 0), ([1], Rel.LE, 0)])
     assert solve(s).status == "infeasible"
-    s2 = _sys(["x"], [([-1], "<", 0), ([1], "<=", F(1, 2))])
+    s2 = _sys(["x"], [([-1], Rel.LT, 0), ([1], Rel.LE, F(1, 2))])
     r = solve(s2)
     assert r.status == "optimal"
     assert 0 < r.assignment["x"] <= F(1, 2)
@@ -268,8 +260,8 @@ def test_strict_sign_row_is_not_a_bound():
 
 def test_strict_rows_rejected_by_solve():
     # the supremum over an open set need not be attained: x < 1 has none
-    box = _sys(["x"], [([1], "<", 1)])
-    general = _sys(["x", "y"], [([1, 1], "<", 1)])
+    box = _sys(["x"], [([1], Rel.LT, 1)])
+    general = _sys(["x", "y"], [([1, 1], Rel.LT, 1)])
     for s in (box, general):
         assert solve(s).status == "optimal"
         for maximize in (True, False):
@@ -315,14 +307,14 @@ def systems(draw, coef=coef, bound=small_bound):
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         coeffs = [draw(coef) for _ in range(nv)]
-        rel = draw(st.sampled_from(["<=", "="]))
+        rel = draw(st.sampled_from([Rel.LE, Rel.EQ]))
         rows.append((coeffs, rel, draw(coef)))
     # sign bounds -a x_j <= 0 anywhere among the rows; with up to nv + 1
     # of them, some variable can be bounded twice
     for j in draw(st.lists(st.integers(0, nv - 1), max_size=nv + 1)):
         coeffs = [F(0)] * nv
         coeffs[j] = -draw(bound)
-        rows.insert(draw(st.integers(0, len(rows))), (coeffs, "<=", F(0)))
+        rows.insert(draw(st.integers(0, len(rows))), (coeffs, Rel.LE, F(0)))
     return _sys(variables, rows)
 
 
@@ -352,8 +344,10 @@ def _check_optimum(s, obj, maximize):
     assert r.status == "optimal"
     assert r.value == sum(ci * r.assignment[v] for ci, v in zip(c, s.variables))
     # sense * c.x >= sense * value + 1e-6, written as a <= row
-    better = LinearSystem(list(s.variables), list(s.rows))
-    better.add([-sense * ci for ci in c], "<=", -sense * r.value - F(1, 10**6))
+    beyond = _row(
+        [-sense * ci for ci in c], Rel.LE, -sense * r.value - F(1, 10**6)
+    )
+    better = LinearSystem(list(s.variables), s.rows + [beyond])
     beaten = solve(better)
     assert beaten.status == "infeasible"
     _assert_farkas(better, beaten.farkas)
@@ -396,7 +390,7 @@ def box_systems(draw, strict):
     -a x <= 0, empty rows, and a pair of equal bounds with drawn relations
     on one variable.  `<` rows only when `strict`."""
     nv = draw(st.integers(1, 3))
-    rels = ["<=", "=", "<"] if strict else ["<=", "="]
+    rels = [Rel.LE, Rel.EQ, Rel.LT] if strict else [Rel.LE, Rel.EQ]
     rhs = st.sampled_from([F(-2), F(-1), F(0), F(1, 2), F(1), F(3)])
     rows = []
     for _ in range(draw(st.integers(0, 6))):
@@ -404,7 +398,7 @@ def box_systems(draw, strict):
         kind = draw(st.sampled_from(["bound", "bound", "sign", "empty"]))
         if kind == "sign":
             coeffs[draw(st.integers(0, nv - 1))] = -draw(small_bound)
-            rows.append((coeffs, "<=", F(0)))
+            rows.append((coeffs, Rel.LE, F(0)))
             continue
         if kind == "bound":
             coeffs[draw(st.integers(0, nv - 1))] = draw(coef.filter(bool))
@@ -432,7 +426,7 @@ def box_systems(draw, strict):
     st.booleans(),
 )
 def test_box_path_matches_the_tableau(s, obj, maximize):
-    assert lp.box(s.rows, len(s.variables)) is not None
+    assert lp._box(s.rows, len(s.variables)) is not None
     c = None if obj is None else obj[: len(s.variables)]
     got = solve(s, objective=c, maximize=maximize)
     want = lp._tableau(s, c, maximize)
@@ -460,8 +454,11 @@ def _augmented_status(s):
     t = ((nv, F(1)),)
     aug = LinearSystem(
         s.variables + ["__t"],
-        [(c + t, "<=", b) if rel == "<" else (c, rel, b) for c, rel, b in s.rows]
-        + [(t, "<=", F(1))],
+        [
+            (c + t, Rel.LE, b) if rel == Rel.LT else (c, rel, b)
+            for c, rel, b in s.rows
+        ]
+        + [(t, Rel.LE, F(1))],
     )
     res = lp._tableau(aug, [F(0)] * nv + [F(1)], True)
     return "optimal" if res.status == "optimal" and res.value > 0 else "infeasible"
@@ -482,7 +479,7 @@ def strict_systems(draw):
     """`systems()` with some of its `<=` rows made strict."""
     s = draw(systems())
     rows = [
-        (c, "<" if rel == "<=" and draw(st.booleans()) else rel, b)
+        (c, Rel.LT if rel == Rel.LE and draw(st.booleans()) else rel, b)
         for c, rel, b in s.rows
     ]
     return LinearSystem(s.variables, rows)
@@ -496,28 +493,28 @@ def test_strict_systems_agree_with_the_slack_transform(s):
     if got.status == "optimal":
         assert _satisfies(s, got.assignment)
         assert got.value == 0
-    elif any(rel == "<" for _, rel, _ in s.rows):
+    elif any(rel == Rel.LT for _, rel, _ in s.rows):
         assert got.farkas is None
     else:
         _assert_farkas(s, got.farkas)
 
 
 def test_empty_rows_decide_a_box_on_their_own():
-    s = _sys(["x"], [([1], "<=", 2), ([0], "=", 1)])
+    s = _sys(["x"], [([1], Rel.LE, 2), ([0], Rel.EQ, 1)])
     r = solve(s)
     assert r.status == "infeasible" and r.farkas == [0, -1]
     _assert_farkas(s, r.farkas)
-    s2 = _sys(["x"], [([0], "<=", -1)])
+    s2 = _sys(["x"], [([0], Rel.LE, -1)])
     r2 = solve(s2, objective=[F(1)])
     assert r2.status == "infeasible"
     _assert_farkas(s2, r2.farkas)
-    assert solve(_sys(["x"], [([0], "<", 0)])).status == "infeasible"
-    assert solve(_sys(["x"], [([0], "<", 1)])).status == "optimal"
+    assert solve(_sys(["x"], [([0], Rel.LT, 0)])).status == "infeasible"
+    assert solve(_sys(["x"], [([0], Rel.LT, 1)])).status == "optimal"
 
 
 def test_equality_against_its_sense_gets_a_negative_multiplier():
     # 2x = 4 read as x >= 2 against x <= 1
-    s = _sys(["x"], [([1], "<=", 1), ([2], "=", 4)])
+    s = _sys(["x"], [([1], Rel.LE, 1), ([2], Rel.EQ, 4)])
     r = solve(s)
     assert r.status == "infeasible"
     _assert_farkas(s, r.farkas)
@@ -526,7 +523,7 @@ def test_equality_against_its_sense_gets_a_negative_multiplier():
 
 def test_box_clash_with_non_unit_coefficients_gets_reciprocal_multipliers():
     # 2x <= 1 and -3x <= -2, i.e. x <= 1/2 and x >= 2/3
-    s = _sys(["x"], [([2], "<=", 1), ([-3], "<=", -2)])
+    s = _sys(["x"], [([2], Rel.LE, 1), ([-3], Rel.LE, -2)])
     r = solve(s)
     assert r.status == "infeasible"
     _assert_farkas(s, r.farkas)
@@ -537,11 +534,11 @@ def test_box_clash_with_non_unit_coefficients_gets_reciprocal_multipliers():
 def test_strict_box_points_leave_strict_ends():
     # nearest 0 is a strict end: the midpoint, or one unit in
     cases = [
-        ([([1], "<", 3), ([-1], "<", 0)], F(3, 2)),
-        ([([-1], "<", -1), ([1], "<=", 2)], F(3, 2)),
-        ([([-1], "<", -2)], F(3)),
-        ([([1], "<", -1)], F(-2)),
-        ([([1], "<", 2), ([-1], "<=", 1)], F(0)),
+        ([([1], Rel.LT, 3), ([-1], Rel.LT, 0)], F(3, 2)),
+        ([([-1], Rel.LT, -1), ([1], Rel.LE, 2)], F(3, 2)),
+        ([([-1], Rel.LT, -2)], F(3)),
+        ([([1], Rel.LT, -1)], F(-2)),
+        ([([1], Rel.LT, 2), ([-1], Rel.LE, 1)], F(0)),
     ]
     for rows, x in cases:
         r = solve(_sys(["x"], rows))
@@ -551,11 +548,13 @@ def test_strict_box_points_leave_strict_ends():
 # -- integer box ends against the Fraction oracle --------------------------------
 
 Fraction, _ONE = F, F(1)
-Row, _End, _Clash = lp.Row, lp._End, lp._Clash
+Row, _Clash = lp.Row, lp._Clash
+# an end as a Fraction: (bound, strict, row, a)
+_End = tuple[Fraction, bool, int, Fraction]
 
 
 def _box(
-    rows: list[tuple[Row, str, Fraction]], nvars: int
+    rows: list[tuple[Row, Rel, Fraction]], nvars: int
 ) -> tuple[list[_End | None], list[_End | None], _Clash | None] | None:
     """The per-variable lower and upper ends of a box system, and a clash:
     None, or the (row, multiplier) pairs of a Farkas ray, from the first
@@ -568,7 +567,9 @@ def _box(
         if not coeffs:
             # 0 rel rhs; an `=` row with rhs > 0 is used against its sense
             if empty is None and (
-                rhs < 0 or (rhs == 0 and rel == "<") or (rhs > 0 and rel == "=")
+                rhs < 0
+                or (rhs == 0 and rel == Rel.LT)
+                or (rhs > 0 and rel == Rel.EQ)
             ):
                 empty = ((i, -_ONE if rhs > 0 else _ONE),)
             continue
@@ -576,9 +577,9 @@ def _box(
             return None
         ((j, a),) = coeffs
         bound = rhs if a == 1 else -rhs if a == -1 else rhs / a
-        strict = rel == "<"
+        strict = rel == Rel.LT
         # the tighter end wins; at one bound, a strict end is tighter
-        if rel == "=" or a > 0:  # x <= bound: (1/a) row
+        if rel == Rel.EQ or a > 0:  # x <= bound: (1/a) row
             cur = hi[j]
             if (
                 cur is None
@@ -586,7 +587,7 @@ def _box(
                 or (bound == cur[0] and strict and not cur[1])
             ):
                 hi[j] = (bound, strict, i, a)
-        if rel == "=" or a < 0:  # x >= bound: (-1/a) row
+        if rel == Rel.EQ or a < 0:  # x >= bound: (-1/a) row
             cur = lo[j]
             if (
                 cur is None
@@ -626,7 +627,7 @@ def tie_boxes(draw):
     rows = []
     for _ in range(draw(st.integers(0, 7))):
         coeffs = [F(0)] * nv
-        rel = draw(st.sampled_from(["<=", "<", "="]))
+        rel = draw(st.sampled_from([Rel.LE, Rel.LT, Rel.EQ]))
         kind = draw(st.sampled_from(["bound"] * 5 + ["empty", "two"]))
         if kind == "empty":
             rows.append((coeffs, rel, draw(tie_bound)))
@@ -638,6 +639,38 @@ def tie_boxes(draw):
             coeffs[1 - j] = draw(row_coef)
         rows.append((coeffs, rel, a * draw(tie_bound)))
     return _sys([f"x{i}" for i in range(nv)], rows)
+
+
+def _fraction_ends(ends, keys):
+    """`lp._box`'s integer ends (n, d, strict, row, a) over `keys` as the
+    oracle's lists of Fraction ends."""
+
+    def fractions(side):
+        return [
+            None if e is None else (F(e[0], e[1]), *e[2:])
+            for e in map(side.get, keys)
+        ]
+
+    lo, hi, clash = ends
+    return fractions(lo), fractions(hi), clash
+
+
+def _integer_box(rows, nvars):
+    """The oracle's box with its ends as `lp._box` keys them, bounds n/d
+    in lowest terms."""
+    ends = _box(rows, nvars)
+    if ends is None:
+        return None
+    lo, hi, clash = ends
+
+    def keyed(side):
+        return {
+            j: (e[0].numerator, e[0].denominator, *e[1:])
+            for j, e in enumerate(side)
+            if e is not None
+        }
+
+    return keyed(lo), keyed(hi), clash
 
 
 def _solve_or_error(s, c, maximize):
@@ -656,16 +689,19 @@ def _solve_or_error(s, c, maximize):
 def test_integer_box_ends_match_the_fraction_oracle(s, obj, maximize):
     # the same ends (bound, strictness, row, coefficient), the same clash
     # multipliers and so the same `solve` results, objective or not
-    got = lp.box(s.rows, len(s.variables))
+    got = lp._box(s.rows, len(s.variables))
     want = _box(s.rows, len(s.variables))
-    assert got == want
-    if got is not None:
+    if got is None:
+        assert want is None
+    else:
+        assert _fraction_ends(got, range(len(s.variables))) == want
         lo, hi, _ = got
-        assert all(type(e[0]) is F for e in lo + hi if e is not None)
+        ends = list(lo.values()) + list(hi.values())
+        assert all(type(e[0]) is type(e[1]) is int and e[1] > 0 for e in ends)
     c = None if obj is None else obj[: len(s.variables)]
     results = []
-    for box in (lp.box, _box):
-        with mock.patch.object(lp, "box", box):
+    for box in (lp._box, _integer_box):
+        with mock.patch.object(lp, "_box", box):
             results.append(_solve_or_error(s, c, maximize))
             results.append(_solve_or_error(s, None, maximize))
     assert results[:2] == results[2:]
@@ -705,7 +741,7 @@ def atom_conjunctions(draw):
 
 def _verdict_by_tableau(s):
     """The verdict of a system by the tableau alone, no box path."""
-    if any(rel == "<" for _, rel, _ in s.rows):
+    if any(rel == Rel.LT for _, rel, _ in s.rows):
         return _augmented_status(s)
     return lp._tableau(s, None, True).status
 
@@ -726,27 +762,44 @@ def test_atom_box_matches_the_row_box_and_solve(drawn):
     if error is not None:
         # a parameter or an undeclared variable: no box, and the same error
         # from every entry point
-        assert lp.atom_box(atoms, variables) is None
-        assert _raises(lp.atoms_feasible, atoms, variables) == error
+        assert lp._atom_box(atoms, variables) is None
         assert _raises(lp.atoms_satisfiable, atoms, variables) == error
+        assert _raises(lp.defining_atoms, atoms, variables) == error
         return
     s = system_from_atoms(atoms, variables)
-    rows = lp.box(s.rows, len(variables))
-    assert rows == _box(s.rows, len(variables))
-    got = lp.atom_box(atoms, variables)
+    rows = lp._box(s.rows, len(variables))
+    got = lp._atom_box(atoms, variables)
     want = solve(s)
-    assert lp.atoms_feasible(atoms, variables) == want
-    assert lp.atoms_satisfiable(atoms, variables) == (want.status == "optimal")
+    feasible = want.status == "optimal"
+    assert lp.atoms_satisfiable(atoms, variables) == feasible
     assert want.status == _verdict_by_tableau(s)
-    if want.status == "optimal":
+    if feasible:
         assert all(atom.holds({}, want.assignment) for atom in atoms)
+    defining = lp.defining_atoms(atoms, variables)
+    assert (defining is None) == (not feasible)
     if rows is None:
         assert got is None
+        assert defining is None or defining == atoms
         return
+    assert _fraction_ends(rows, range(len(variables))) == _box(
+        s.rows, len(variables)
+    )
+    # the same ends, keyed by name instead of by column
     lo, hi, clash = got
-    assert [lp._end(lo.get(v)) for v in variables] == rows[0]
-    assert [lp._end(hi.get(v)) for v in variables] == rows[1]
+    assert lo == {variables[j]: e for j, e in rows[0].items()}
+    assert hi == {variables[j]: e for j, e in rows[1].items()}
     assert clash == rows[2]
+    if feasible:
+        # the binding atoms give the same intervals
+        assert set(defining) <= set(atoms)
+
+        def intervals(ends):
+            return [
+                {v: (F(e[0], e[1]), e[2]) for v, e in side.items()}
+                for side in ends[:2]
+            ]
+
+        assert intervals(lp._atom_box(defining, variables)) == intervals(got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -800,24 +853,19 @@ def dense_rows(draw):
 def test_producers_emit_canonical_sparse_rows(drawn):
     coeffs, order, rhs = drawn
     names = [f"v{i}" for i in range(len(coeffs))]
-    s = LinearSystem(names)
-    s.add(coeffs, "=", rhs)
-    _assert_sparse(s.rows[0][0], coeffs)
-    assert s.rows[0][1:] == ("=", rhs)
-
     # the same row from an atom and from a Poly, terms in drawn order
     form = LinForm.constant(-rhs)
     for j in order:
         form = form + LinForm.var(names[j]).scale(coeffs[j])
     (row,) = system_from_atoms([Atom(form, Rel.LE)], names).rows
     _assert_sparse(row[0], coeffs)
-    assert row[1:] == ("<=", rhs)
+    assert row[1:] == (Rel.LE, rhs)
 
     poly = Poly({(names[j],): coeffs[j] for j in order})
     poly = poly - Poly.const(rhs)
-    got, got_rhs = linear_row(poly, {n: j for j, n in enumerate(names)})
-    _assert_sparse(got, coeffs)
-    assert got_rhs == rhs
+    (row,) = lp.linear_system([(poly, Rel.EQ)], names).rows
+    _assert_sparse(row[0], coeffs)
+    assert row[1:] == (Rel.EQ, rhs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -827,9 +875,7 @@ def test_repeat_key_follows_the_rows(drawn, data):
     names = [f"v{i}" for i in range(len(coeffs))]
 
     def key(cs):
-        s = LinearSystem(names)
-        s.add(cs, "<=", rhs)
-        s.add([F(1)] * len(cs), "=", F(0))
+        s = _sys(names, [(cs, Rel.LE, rhs), ([F(1)] * len(cs), Rel.EQ, F(0))])
         return tracing._lp_key((s, [F(1)] * len(cs)), {})
 
     assert key(coeffs) == key(list(coeffs))

@@ -5,7 +5,7 @@ stage that screens a premise.
 Over every manifest entry, loading, Post V, VC generation and the Farkas
 routing make no `lp.solve` and no `lp.system_from_atoms` call; every
 parameter-free premise VC generation emits is already screened, and the
-Farkas routing makes no `lp.atom_box` call.  The fixture check makes
+Farkas routing makes no `lp._atom_box` call.  The fixture check makes
 exactly one `lp.solve` per implication: its own LP maximisation.  Loading
 parses each distinct automaton label once (`automata.parse_dsa`).  The
 counts are deterministic.
@@ -73,7 +73,7 @@ def test_the_stages_build_and_solve_no_lp(name, calls):
 @pytest.mark.parametrize("name", [row["name"] for row in ROWS])
 def test_only_vc_generation_screens_premises(name, monkeypatch):
     boxes = []
-    atom_box = lp.atom_box
+    atom_box = lp._atom_box
 
     def counting(*args):
         boxes.append(args)
@@ -85,7 +85,7 @@ def test_only_vc_generation_screens_premises(name, monkeypatch):
                 again = templates.screen(impl.premise, impl.variables)
                 assert again == impl.premise, impl.tag
         with monkeypatch.context() as patch:
-            patch.setattr(lp, "atom_box", counting)
+            patch.setattr(lp, "_atom_box", counting)
             farkas.transform(vcs)
     assert boxes == []
 

@@ -11,7 +11,7 @@ import pytest
 
 from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import Atom, LinForm
-from streettsm.lp import atoms_feasible
+from streettsm.lp import atoms_satisfiable
 from streettsm.templates import (
     CertTemplate,
     InvTemplate,
@@ -79,7 +79,7 @@ def _direct_consequents(model, inv, piece):
 def _empty(premise, variables):
     """A piece's premise that gets no VC: parameter-free and LP-infeasible."""
     return all(a.form.is_param_free() for a in premise) and (
-        atoms_feasible(premise, variables).status != "optimal"
+        not atoms_satisfiable(premise, variables)
     )
 
 

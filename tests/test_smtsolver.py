@@ -369,28 +369,55 @@ def test_descent_makes_one_component_lp(lp_calls, name):
     assert [obj for _, obj in lp_calls] == [False, False]
 
 
+A = P("a")
+
+
 @pytest.mark.parametrize(
-    "local, a",
+    "rows, a, worst",
     [
-        # both coupling rows are soft: the least worst violation is 1/2,
-        # at a = 3/2
-        (False, F(3, 2)),
-        # both rows are local and clash, so the hard-local LP is
+        # a - 1 <= 0 against 2 - a <= 0, both coupling rows, so both soft:
+        # the least worst violation is 1/2, at a = 3/2
+        pytest.param(
+            [(A - const(1), Rel.LE, False), (const(2) - A, Rel.LE, False)],
+            F(3, 2),
+            F(1, 2),
+            id="soft",
+        ),
+        # the same rows, both local: they clash, so the hard-local LP is
         # infeasible too and `a` keeps its old value
-        (True, F(0)),
+        pytest.param(
+            [(A - const(1), Rel.LE, True), (const(2) - A, Rel.LE, True)],
+            F(0),
+            None,
+            id="local-clash",
+        ),
+        # an `=` coupling row is violated both ways (a - 2 <= worst and
+        # 2 - a <= worst): max(|a - 2|, a) is least, 1, at a = 1
+        pytest.param(
+            [(A - const(2), Rel.EQ, False), (A, Rel.LE, False)],
+            F(1),
+            F(1),
+            id="equality",
+        ),
+        # a strict local row is held as its closure a <= 1 against the soft
+        # a >= 2: a = 1, where the strict row sits on its boundary
+        pytest.param(
+            [(A - const(1), Rel.LT, True), (const(2) - A, Rel.LE, False)],
+            F(1),
+            F(1),
+            id="strict-local",
+        ),
     ],
 )
-def test_component_lp_falls_back_to_the_worst_violation(lp_calls, local, a):
-    # a - 1 <= 0 against 2 - a <= 0 is infeasible as written
-    rows = [
-        (P("a") - const(1), Rel.LE, local),
-        (const(2) - P("a"), Rel.LE, local),
-    ]
+def test_component_lp_falls_back_to_the_worst_violation(
+    lp_calls, rows, a, worst
+):
+    # every case is infeasible as written
     moved = smtsolver._component_lp(["a"], rows, {"a": F(0)})
     assert moved == {"a": a}
-    if not local:
+    if worst is not None:
         cons = [PolyConstraint(p, r) for p, r, _ in rows]
-        assert smtsolver._measure(cons, moved) == F(1, 2)
+        assert smtsolver._measure(cons, moved) == worst
     # the plain LP, then one worst-violation LP
     assert [obj for _, obj in lp_calls] == [False, True]
     assert lp_calls[0][0].variables == ["a"]  # the plain LP has no __worst
