@@ -128,7 +128,9 @@ def _checked(system: ConstraintSystem, witness, route: str) -> Verdict:
 
 
 def simplex_solve(system: ConstraintSystem) -> Verdict:
-    """Exact LP decision of an all-linear system."""
+    """Exact LP decision of an all-linear system; ValueError on any other.
+    The system reads its rows for that once (`ConstraintSystem.all_linear`),
+    so the check repeats no work after `decide`'s."""
     if not system.all_linear():
         raise ValueError(
             "lp backend needs an all-linear system "

@@ -13,22 +13,60 @@ nonempty premise it cannot hold, which leaves the conjunction-only
     exists z >= 0: A^T z = c and b^T z <= d           (premise-sat form)
 
 that keeps the assembled system disjunction-free (and all-linear when c,
-d are affine in the parameters).  `transform` routes on the premise
-alone: a parameter-free premise takes the premise-sat form over its
-atoms as they are, a parameter-dependent one the general form.
+d are affine in the parameters).
+
+Box premises in closed form.  A box premise has only atoms that bound
+one variable each, at most one from each side: y_v <= u_v and
+y_v >= l_v, either end possibly missing.  Its premise-sat form has one
+multiplier per end and, with each atom scaled to a unit coefficient,
+one column z_hi - z_lo = c_v per variable; Fourier-Motzkin elimination
+of the multipliers leaves, for the consequent  sum_v c_v y_v + c0 <= 0,
+
+    c_v <= 0                     for each c_v != 0 with no upper end
+    -c_v <= 0                    for each c_v != 0 with no lower end
+    sum_v c_v e_v + c0 <= 0      for each choice of a finite end e_v
+                                 (l_v or u_v) of each v with c_v != 0
+
+over the consequent's parameters alone, with no multiplier.  It is
+exact on a nonempty box: the consequent's supremum over the box is
+sum_v max(c_v l_v, c_v u_v) + c0, finite iff each c_v has the sign that
+its missing ends allow, and the largest of the end choices is that sum.
+A strict end is read as its closure, as the premise-sat form reads it,
+which on a nonempty box leaves the supremum where it is.  The ends are
+the integer pairs of the atoms' cached bounds (`LinForm.bound`), so no
+call into `lp` is made.
+
+Routing (`transform`).  The closed form is taken only in a conjunctive
+VC set, one whose every premise is parameter-free: there each box
+premise takes the closed form and any other premise the premise-sat
+form over its atoms as they are.  In a set with a parameter-dependent
+premise every implication keeps its multipliers: the premise-sat form
+for a parameter-free premise, the general form for any other.  Such a
+set is disjunctive and goes to the bundled descent, which draws its
+restart points from the constants of the whole system
+(`smtsolver._harvest_pool`).  The closed form's constants change that
+pool: with it, `FinMemoryControl` over its fixture invariant makes six
+times the LP solves and takes about nine times as long to reach `sat`.
+A conjunctive set is decided by the simplex, or by the descent with no
+disjunction to branch on, and the closed form only shrinks it.
 
 Precondition: a parameter-free premise is nonempty.  The VC sets of
 `vcgen.build_product_vcs` meet it, because `vcgen` screens every premise
 and builds no VC whose parameter-free premise is empty.  On any premise
-the premise-sat form stays sound: a solution is a Farkas certificate of
-the implication.  The dual reads each premise atom's form only, so a
-strict atom  a.y + a0 < 0  is dualized as its relaxation; on a nonempty
-strict premise that is exact, the relaxed premise being its closure.
+both forms stay sound: a solution of the premise-sat form is a Farkas
+certificate of the implication, and the closed form's rows bound the
+consequent on a nonempty box, an empty one implying anything.  Both
+read each premise atom's form only, so a strict atom  a.y + a0 < 0  is
+dualized as its relaxation; on a nonempty strict premise that is exact,
+the relaxed premise being its closure.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import lp
@@ -70,6 +108,11 @@ class Disjunction:
 
 @dataclass(frozen=True)
 class DualConstraint:
+    """The dual of one implication: the multipliers it declares and its
+    constraints.  `zs` is empty for a premise with no atom and for a box
+    premise in closed form, whose rows are over the implication's own
+    parameters."""
+
     tag: str
     mode: str  # general | premise-sat
     zs: tuple[Param, ...]
@@ -104,8 +147,14 @@ class ConstraintSystem:
     def has_disjunction(self) -> bool:
         return any(isinstance(i, Disjunction) for i in self.constraints)
 
-    def all_linear(self) -> bool:
+    @cached_property
+    def _linear(self) -> bool:
         return self.degree() <= 1 and not self.has_disjunction()
+
+    def all_linear(self) -> bool:
+        """Degree at most 1 and no disjunction, read off the rows on the
+        first call only, since nothing changes a system after assembly."""
+        return self._linear
 
     def holds(self, valuation) -> bool:
         return all(c.holds(valuation) for c in self.constraints)
@@ -192,15 +241,73 @@ def farkas_premise_sat(impl: Implication, prefix: str = "z") -> DualConstraint:
     )
 
 
+def _box_ends(
+    impl: Implication,
+) -> tuple[dict[str, Fraction], dict[str, Fraction]] | None:
+    """The lower and the upper ends of a box premise by variable, read off
+    its atoms' cached bounds, a strict end as its closure; None unless
+    every atom bounds one variable of the implication and no two bound one
+    variable from one side."""
+    lo: dict[str, Fraction] = {}
+    hi: dict[str, Fraction] = {}
+    for atom in impl.premise:
+        b = atom.form.bound()
+        # a constant atom's variable is None, which is in no `variables`
+        if b is None or b[0] not in impl.variables:
+            return None
+        v, upper, n, d = b[:4]
+        side = hi if upper else lo
+        if v in side:
+            return None
+        side[v] = Fraction(n, d)
+    return lo, hi
+
+
+def farkas_box(impl: Implication) -> DualConstraint | None:
+    """The premise-sat dual of a box premise with its multipliers
+    eliminated in closed form (see the module docstring); None when the
+    premise is not a box."""
+    ends = _box_ends(impl)
+    if ends is None:
+        return None
+    lo, hi = ends
+    form = impl.consequent.form
+    rows: list[PolyConstraint] = []
+    choices: list[list[Poly]] = []
+    for v in impl.variables:
+        c = form.coeff(v)
+        if c.is_zero():
+            continue
+        low, high = lo.get(v), hi.get(v)
+        if high is None:
+            rows.append(PolyConstraint(c, Rel.LE))
+        if low is None:
+            rows.append(PolyConstraint(-c, Rel.LE))
+        terms = [c.scale(e) for e in (low, high) if e is not None]
+        if terms:  # with no end, c_v = 0 and v adds nothing
+            choices.append(terms)
+    for terms in itertools.product(*choices):
+        rows.append(PolyConstraint(sum(terms, form.const), Rel.LE))
+    return DualConstraint(impl.tag, "premise-sat", (), tuple(rows))
+
+
 def transform(vcset: VCSet) -> list[DualConstraint]:
-    """Route every implication: premise-sat when its premise is
-    parameter-free, else general."""
+    """Route every implication (see the module docstring): in a set whose
+    every premise is parameter-free, the closed form for a box premise and
+    premise-sat for any other; in any other set, premise-sat when the
+    premise is parameter-free, else general."""
+    free = [
+        all(a.form.is_param_free() for a in impl.premise)
+        for impl in vcset.implications
+    ]
+    conjunctive = all(free)
     duals = []
-    for idx, impl in enumerate(vcset.implications):
-        if all(a.form.is_param_free() for a in impl.premise):
-            duals.append(farkas_premise_sat(impl, f"z{idx}"))
-        else:
-            duals.append(farkas_general(impl, f"z{idx}"))
+    for idx, (impl, param_free) in enumerate(zip(vcset.implications, free)):
+        dual = farkas_box(impl) if conjunctive else None
+        if dual is None:
+            route = farkas_premise_sat if param_free else farkas_general
+            dual = route(impl, f"z{idx}")
+        duals.append(dual)
     return duals
 
 

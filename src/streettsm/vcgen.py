@@ -39,8 +39,11 @@ atom.  This is exact: the binding atoms define the same nonempty set as
 the whole premise, so an implication holds under exactly the same
 parameter values, and Farkas' lemma is exact on either premise.  So
 every parameter-free premise of a VC set built here is nonempty, which
-the premise-sat form of `farkas.transform` requires; the box atoms a
-consecution VC appends for a box disturbance keep it so.
+the premise-sat form of `farkas.transform` and its closed form for a box
+premise require; the box atoms a consecution VC appends for a box
+disturbance keep it so.  A screened box bounds each variable at most
+once from each side, the shape the closed form takes; a premise with a
+second atom on one side would keep its multipliers.
 """
 
 from __future__ import annotations

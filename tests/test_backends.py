@@ -314,6 +314,23 @@ def test_decide_routes_lp_only_for_all_linear(monkeypatch):
         assert routes == [route]
 
 
+def test_decide_reads_each_row_degree_once(monkeypatch):
+    # `decide` and `simplex_solve` both ask whether the system is all
+    # linear; the rows are scanned for it once
+    scanned = []
+    degree = Poly.degree
+
+    def counted(poly):
+        scanned.append(poly)
+        return degree(poly)
+
+    monkeypatch.setattr(Poly, "degree", counted)
+    a, b = Param("a", CERT), Param("b", CERT)
+    rows = [le(P("a") - P("b")), le(Poly() - P("a")), le(P("b") - Poly.const(F(2)))]
+    assert decide(SolverJob(system_of([a, b], rows))).status == "sat"
+    assert len(scanned) == len(rows)
+
+
 def test_decide_rejects_lying_solvers(monkeypatch):
     a = Param("a", CERT)
     system = system_of(

@@ -201,10 +201,11 @@ def test_fixed_control_concrete_invariant_assembles_to_pure_lp():
     assert system.degree() == 1
     assert not system.has_disjunction()
     assert system.all_linear()
-    # every premise is a box: its redundant atoms (a second bound on one
-    # side of a variable, or a constant atom) get no multiplier
-    assert len(system.params) == 34
-    assert len(system.constraints) == 55
+    # every premise is a box, dualized in closed form: no multiplier, so
+    # the parameters are V's and M's alone
+    assert all(p.kind is not ParamKind.MULTIPLIER for p in system.params)
+    assert len(system.params) == 7
+    assert len(system.constraints) == 31
 
 
 def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
@@ -214,7 +215,7 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
     # same routing as the fixed model: premises never mention the control
     assert Counter(d.mode for d in duals) == {"premise-sat": 11}
     system = assemble(vcs, duals)
-    assert system.degree() == 2  # theta * kappa products in A^T z = c rows
+    assert system.degree() == 2  # theta * kappa products in the consequents
     assert not system.has_disjunction()
     assert not system.all_linear()
     # deterministic multiplier naming: dual i prefixes its z's with z<i>
