@@ -119,9 +119,9 @@ def parse_dsa(
     state variables and modes (a single unnamed mode when omitted)."""
     states: tuple[str, ...] | None = None
     init: str | None = None
-    # (source, target, label text, line) per transition, and the tokens of
-    # each distinct label text, read at its first transition
-    raw_trans: list[tuple[str, str, str, int]] = []
+    # (source token, target token, label text) per transition, and the
+    # tokens of each distinct label text, read at its first transition
+    raw_trans: list[tuple[Token, Token, str]] = []
     label_tokens: dict[str, list[Token]] = {}
     pairs: list[StreettPair] = []
     # the line of the states: and init: declarations and of each pair:
@@ -150,19 +150,17 @@ def parse_dsa(
                 raise ts.error("duplicate init")
             init, init_line = ts.expect_ident("state name").text, lineno
         elif key.text == "trans":
-            src = ts.expect_ident("state name").text
+            src = ts.expect_ident("state name")
             ts.expect("->")
-            dst = ts.expect_ident("state name").text
+            dst = ts.expect_ident("state name")
             ts.expect(":")
-            raw_trans.append((src, dst, label, lineno))
+            raw_trans.append((src, dst, label))
         elif key.text == "pair":
             ts.expect(":")
             def parse_set(label: str) -> frozenset[str]:
                 tok = ts.expect_ident()
                 if tok.text != label:
-                    raise SourceError(
-                        f"expected {label!r}", tok.line, tok.col
-                    )
+                    raise SourceError.at(tok, f"expected {label!r}")
                 ts.expect("{")
                 out = set()
                 while ts.peek().text != "}":
@@ -174,9 +172,7 @@ def parse_dsa(
             pairs.append(StreettPair(a, b))
             pair_lines.append(lineno)
         else:
-            raise SourceError(
-                f"unknown statement {key.text!r}", key.line, key.col
-            )
+            raise SourceError.at(key, f"unknown statement {key.text!r}")
         if not ts.at_end():
             raise ts.error("trailing input")
 
@@ -202,9 +198,10 @@ def parse_dsa(
     # malformed one is reported), and its transitions share its atoms
     guards: dict[str, tuple[tuple[Atom, ...], tuple[ModeTest, ...]]] = {}
     transitions: list[Transition] = []
-    for src, dst, label, lineno in raw_trans:
-        if src not in states or dst not in states:
-            raise SourceError("transition names unknown state", lineno, 1)
+    for src, dst, label in raw_trans:
+        for end in (src, dst):
+            if end.text not in states:
+                raise SourceError.at(end, "transition names unknown state")
         guard = guards.get(label)
         if guard is None:
             ts = TokenStream(label_tokens[label])
@@ -212,7 +209,7 @@ def parse_dsa(
             if not ts.at_end():
                 raise ts.error("trailing input")
             guard = guards[label] = (tuple(atoms), tuple(tests))
-        transitions.append(Transition(src, dst, *guard, lineno))
+        transitions.append(Transition(src.text, dst.text, *guard, src.line))
 
     dsa = GuardedDSA(states, init, tuple(transitions), tuple(pairs))
     validate_dsa(dsa, tuple(variables), modes or (DEFAULT_MODE,), states_line)

@@ -137,11 +137,6 @@ def simplex_solve(system: ConstraintSystem) -> Verdict:
             "(degree <= 1, no disjunctions)"
         )
     names = [p.name for p in system.params]
-    if not names:
-        ok = system.holds({})
-        return Verdict(status="sat" if ok else "unsat",
-                       valuation={} if ok else None,
-                       witness={} if ok else None)
     res = lp.solve(
         lp.linear_system(((c.poly, c.rel) for c in system.constraints), names)
     )

@@ -27,8 +27,9 @@ of the multipliers leaves, for the consequent  sum_v c_v y_v + c0 <= 0,
     sum_v c_v e_v + c0 <= 0      for each choice of a finite end e_v
                                  (l_v or u_v) of each v with c_v != 0
 
-over the consequent's parameters alone, with no multiplier.  It is
-exact on a nonempty box: the consequent's supremum over the box is
+over the consequent's parameters alone, with no multiplier (a constant
+when the consequent has none, which `assemble` keeps only if false).  It
+is exact on a nonempty box: the consequent's supremum over the box is
 sum_v max(c_v l_v, c_v u_v) + c0, finite iff each c_v has the sign that
 its missing ends allow, and the largest of the end choices is that sum.
 A strict end is read as its closure, as the premise-sat form reads it,
@@ -42,12 +43,14 @@ premise takes the closed form and any other premise the premise-sat
 form over its atoms as they are.  In a set with a parameter-dependent
 premise every implication keeps its multipliers: the premise-sat form
 for a parameter-free premise, the general form for any other.  Such a
-set is disjunctive and goes to the bundled descent, which draws its
-restart points from the constants of the whole system
-(`smtsolver._harvest_pool`).  The closed form's constants change that
-pool: with it, `FinMemoryControl` over its fixture invariant makes six
-times the LP solves and takes about nine times as long to reach `sat`.
-A conjunctive set is decided by the simplex, or by the descent with no
+set is disjunctive and goes to the bundled descent, whose restart
+points take values from a pool of the system's constants
+(`smtsolver._harvest_pool`) by each parameter's position.  The closed
+form there leaves the pool as it is but drops multipliers, which moves
+the start of every later parameter: `FinMemoryControl` over its fixture
+invariant loses 2 of its 380 parameters and reaches `sat` at restart 9
+instead of restart 1, with 1,432 `lp.solve` calls instead of 229.  A
+conjunctive set is decided by the simplex, or by the descent with no
 disjunction to branch on, and the closed form only shrinks it.
 
 Precondition: a parameter-free premise is nonempty.  The VC sets of
@@ -311,10 +314,23 @@ def transform(vcset: VCSet) -> list[DualConstraint]:
     return duals
 
 
+def _constrains(item: PolyConstraint | Disjunction) -> bool:
+    """False for a row with no parameter that holds: it constrains nothing.
+    A false one is kept, and the LP or the descent's linear screen answers
+    unsat on it; a disjunction is kept as it is."""
+    return (
+        isinstance(item, Disjunction)
+        or not item.poly.is_constant()
+        or not item.holds({})
+    )
+
+
 def assemble(
     vcset: VCSet, duals: Sequence[DualConstraint]
 ) -> ConstraintSystem:
-    """One quantifier-free conjunction over every existential parameter."""
+    """One quantifier-free conjunction over every existential parameter,
+    its rows in the order of the side atoms and then the duals, less the
+    parameter-free rows that hold (`_constrains`)."""
     params = list(vcset.params)
     constraints: list[PolyConstraint | Disjunction] = []
     for atom in vcset.side_atoms:
@@ -324,7 +340,8 @@ def assemble(
     for dual in duals:
         params.extend(dual.zs)
         constraints.extend(dual.items())
-    return ConstraintSystem(tuple(params), tuple(constraints))
+    kept = tuple(filter(_constrains, constraints))
+    return ConstraintSystem(tuple(params), kept)
 
 
 # -- brute-force validity oracle (for differential testing) -------------------

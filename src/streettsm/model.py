@@ -9,9 +9,10 @@ driven by an i.i.d. disturbance w that is either finitely supported
 plus a mean vector).  Updates are affine in the state with coefficients
 polynomial in the control parameters and the disturbance components, so
 bilinear state-times-disturbance dynamics are representable.  Guards may
-carry control parameters (synthesized switching logic); such models are
-flagged and exempted from the static cover checks, which
-`StochModel.with_control` runs once the control has a value.
+carry control parameters (synthesized switching logic,
+`StochModel.guards_parameter_bearing`); their modes are exempted from
+the static cover checks, which `StochModel.with_control` runs once the
+control has a value.
 
 Branch guards within each mode must be pairwise disjoint and jointly
 exhaustive over R^n; both properties are decided exactly at parse time
@@ -125,11 +126,17 @@ class StochModel:
     branches: tuple[Branch, ...]
     controls: tuple[ControlParam, ...] = ()
     side_constraints: tuple[Atom, ...] = ()  # over control params only
-    guards_parameter_bearing: bool = False
 
     @property
     def state_dim(self) -> int:
         return len(self.state_vars)
+
+    @property
+    def guards_parameter_bearing(self) -> bool:
+        """Does some guard carry a control parameter?"""
+        return not all(
+            a.form.is_param_free() for br in self.branches for a in br.guard
+        )
 
     def branches_for_mode(self, mode: str) -> list[Branch]:
         return [b for b in self.branches if b.mode_from == mode]
@@ -172,8 +179,7 @@ class StochModel:
 
     def with_control(self, values: Mapping[str, Fraction]) -> "StochModel":
         """The model at one control: `values` substituted into every guard
-        and update, with no controls, no side constraints and no
-        parameter-bearing guard.
+        and update, with no controls and no side constraints.
 
         Raises ValueError unless `values` names exactly the controls, each
         within its declared interval and all side constraints holding, and
@@ -230,7 +236,6 @@ class StochModel:
             branches=branches,
             controls=(),
             side_constraints=(),
-            guards_parameter_bearing=False,
         )
 
 
@@ -255,7 +260,7 @@ class _ModelBuilder:
         self.lines: dict[str, int] = {}
 
 
-def _parse_vector(ts: TokenStream, dim: int | None = None) -> tuple[Fraction, ...]:
+def _parse_vector(ts: TokenStream) -> tuple[Fraction, ...]:
     """(n1, n2, ...) or a bare number (1-dimensional)."""
     if ts.peek().text == "(":
         ts.advance()
@@ -265,8 +270,6 @@ def _parse_vector(ts: TokenStream, dim: int | None = None) -> tuple[Fraction, ..
         ts.expect(")")
     else:
         vals = [parse_number(ts)]
-    if dim is not None and len(vals) != dim:
-        raise ts.error(f"expected {dim} components, got {len(vals)}")
     return tuple(vals)
 
 
@@ -277,7 +280,7 @@ def parse_model(text: str) -> StochModel:
         ts = TokenStream(tokenize(line, line=lineno))
         head = ts.peek()
         if head.kind != "ident":
-            raise SourceError("expected a statement keyword", head.line, head.col)
+            raise SourceError.at(head, "expected a statement keyword")
         if head.text in ("guard", "update"):
             _parse_block_line(b, ts)
         else:
@@ -293,9 +296,10 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         ts.expect(":")
         if b.state_dim is not None:
             raise ts.error("duplicate state_dim declaration")
+        start = ts.peek()
         n = parse_number(ts)
         if n.denominator != 1 or n <= 0:
-            raise ts.error("state_dim must be a positive integer")
+            raise SourceError.at(start, "state_dim must be a positive integer")
         b.state_dim = int(n)
     elif key.text == "vars":
         ts.expect(":")
@@ -318,9 +322,7 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
             if name.text in env or (
                 name.text == "mode" and b.init_mode is not None
             ):
-                raise SourceError(
-                    f"duplicate init for {name.text!r}", name.line, name.col
-                )
+                raise SourceError.at(name, f"duplicate init for {name.text!r}")
             if name.text == "mode":
                 b.init_mode = ts.expect_ident("mode name").text
             else:
@@ -333,88 +335,95 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         if b.disturbance is not None:
             raise ts.error("duplicate disturbance declaration")
         name = ts.expect_ident("disturbance name").text
-        kind = ts.expect_ident("'finite' or 'box'").text
+        kind = ts.expect_ident("'finite' or 'box'")
+        if kind.text not in ("finite", "box"):
+            raise SourceError.at(kind, "disturbance kind must be 'finite' or 'box'")
         ts.expect("{")
-        if kind == "finite":
+        # a vector whose dimension differs from the first one's is reported
+        # at its first token
+        if kind.text == "finite":
             support: list[tuple[tuple[Fraction, ...], Fraction]] = []
             while True:
+                start = ts.peek()
                 value = _parse_vector(ts)
+                if support and len(value) != len(support[0][0]):
+                    raise SourceError.at(start, "support points of mixed dimension")
                 ts.expect(":")
+                start = ts.peek()
                 prob = parse_number(ts)
+                if prob <= 0:
+                    raise SourceError.at(start, "probabilities must be positive")
                 support.append((value, prob))
                 if not ts.match(","):
                     break
             ts.expect("}")
-            dims = {len(v) for v, _ in support}
-            if len(dims) != 1:
-                raise ts.error("support points of mixed dimension")
-            if any(p <= 0 for _, p in support):
-                raise ts.error("probabilities must be positive")
             if sum(p for _, p in support) != 1:
                 raise ts.error("probabilities sum != 1")
             b.disturbance = Disturbance(
-                name, dims.pop(), support=tuple(support)
-            )
-        elif kind == "box":
-            fields: dict[str, tuple[Fraction, ...]] = {}
-            while True:
-                fname = ts.expect_ident("'lo', 'hi' or 'mean'").text
-                ts.expect("=")
-                fields[fname] = _parse_vector(ts)
-                if not ts.match(","):
-                    break
-            ts.expect("}")
-            if set(fields) != {"lo", "hi", "mean"}:
-                raise ts.error("box needs exactly lo, hi, mean")
-            dims = {len(v) for v in fields.values()}
-            if len(dims) != 1:
-                raise ts.error("box fields of mixed dimension")
-            lo, hi, mean = fields["lo"], fields["hi"], fields["mean"]
-            if not all(l <= m <= h for l, m, h in zip(lo, mean, hi)):
-                raise ts.error("box requires lo <= mean <= hi per dimension")
-            b.disturbance = Disturbance(
-                name, dims.pop(), lo=lo, hi=hi, mean=mean
+                name, len(support[0][0]), support=tuple(support)
             )
         else:
-            raise ts.error("disturbance kind must be 'finite' or 'box'")
+            fields: dict[str, tuple[Fraction, ...]] = {}
+            while True:
+                field = ts.expect_ident("'lo', 'hi' or 'mean'")
+                if field.text not in ("lo", "hi", "mean") or field.text in fields:
+                    raise SourceError.at(field, "box needs exactly lo, hi, mean")
+                ts.expect("=")
+                start = ts.peek()
+                value = _parse_vector(ts)
+                if fields and len(value) != len(next(iter(fields.values()))):
+                    raise SourceError.at(start, "box fields of mixed dimension")
+                fields[field.text] = value
+                if field.text == "mean":
+                    mean_at = start
+                if not ts.match(","):
+                    break
+            close = ts.expect("}")
+            if len(fields) != 3:
+                raise SourceError.at(close, "box needs exactly lo, hi, mean")
+            lo, hi, mean = fields["lo"], fields["hi"], fields["mean"]
+            if not all(l <= m <= h for l, m, h in zip(lo, mean, hi)):
+                raise SourceError.at(
+                    mean_at, "box requires lo <= mean <= hi per dimension"
+                )
+            b.disturbance = Disturbance(name, len(lo), lo=lo, hi=hi, mean=mean)
     elif key.text == "control":
         ts.expect(":")
-        name = ts.expect_ident("control name").text
+        name = ts.expect_ident("control name")
         word = ts.expect_ident()
         if word.text != "in":
-            raise ts.error("expected 'in [lo, hi]'")
-        ts.expect("[")
+            raise SourceError.at(word, "expected 'in [lo, hi]'")
+        bracket = ts.expect("[")
         lo = parse_number(ts)
         ts.expect(",")
         hi = parse_number(ts)
         ts.expect("]")
         if lo > hi:
-            raise ts.error("empty control interval")
-        if any(c.name == name for c in b.controls):
-            raise ts.error(f"duplicate control {name!r}")
-        b.controls.append(ControlParam(name, lo, hi))
+            raise SourceError.at(bracket, "empty control interval")
+        if any(c.name == name.text for c in b.controls):
+            raise SourceError.at(name, f"duplicate control {name.text!r}")
+        b.controls.append(ControlParam(name.text, lo, hi))
         b.control_lines.append(key.line)
     elif key.text == "constraint":
         ts.expect(":")
         b.side_constraints.append(ts)
     elif key.text == "branch":
-        mode_from = ts.expect_ident("mode name").text
+        mode_from = ts.expect_ident("mode name")
         ts.expect("->")
-        mode_to = ts.expect_ident("mode name").text
+        mode_to = ts.expect_ident("mode name")
         ts.expect(":")
+        # the mode tokens are checked in _finish, once the modes are known
         blk = {
+            "key": key,
             "from": mode_from,
             "to": mode_to,
             "guard": None,
             "update": None,
-            "line": key.line,
         }
         b.branches.append(blk)
         b.current = blk
     else:
-        raise SourceError(
-            f"unknown statement {key.text!r}", key.line, key.col
-        )
+        raise SourceError.at(key, f"unknown statement {key.text!r}")
     if key.text not in ("constraint",) and not ts.at_end():
         raise ts.error("trailing input")
 
@@ -423,9 +432,7 @@ def _parse_block_line(b: _ModelBuilder, ts: TokenStream) -> None:
     key = ts.advance()
     blk = b.current
     if blk is None:
-        raise SourceError(
-            f"{key.text!r} outside a branch block", key.line, key.col
-        )
+        raise SourceError.at(key, f"{key.text!r} outside a branch block")
     if key.text == "guard":
         ts.expect(":")
         if blk["guard"] is not None:
@@ -442,18 +449,15 @@ def _parse_updates(
     ts: TokenStream, state_vars: tuple[str, ...], resolve
 ) -> dict[str, LinForm]:
     out: dict[str, LinForm] = {}
+    start = ts.peek()
     while True:
         name = ts.expect_ident("state variable")
         if name.text not in state_vars:
-            raise SourceError(
-                f"unknown state variable {name.text!r}", name.line, name.col
-            )
+            raise SourceError.at(name, f"unknown state variable {name.text!r}")
         ts.expect("'")
         ts.expect("=")
         if name.text in out:
-            raise SourceError(
-                f"duplicate update for {name.text!r}", name.line, name.col
-            )
+            raise SourceError.at(name, f"duplicate update for {name.text!r}")
         out[name.text] = parse_expression(ts, resolve)
         if not ts.match(","):
             break
@@ -461,7 +465,7 @@ def _parse_updates(
         raise ts.error("trailing input")
     missing = set(state_vars) - set(out)
     if missing:
-        raise ts.error(f"missing update for {sorted(missing)}")
+        raise SourceError.at(start, f"missing update for {sorted(missing)}")
     return out
 
 
@@ -539,14 +543,13 @@ def _finish(b: _ModelBuilder) -> StochModel:
 
     branches: list[Branch] = []
     for blk in b.branches:
-        if blk["from"] not in modes or blk["to"] not in modes:
-            raise SourceError(
-                f"unknown mode in branch header", blk["line"], 1
-            )
+        for mode in (blk["from"], blk["to"]):
+            if mode.text not in modes:
+                raise SourceError.at(mode, "unknown mode in branch header")
         if blk["guard"] is None:
-            raise SourceError("branch missing guard", blk["line"], 1)
+            raise SourceError.at(blk["key"], "branch missing guard")
         if blk["update"] is None:
-            raise SourceError("branch missing update", blk["line"], 1)
+            raise SourceError.at(blk["key"], "branch missing update")
         atoms, tests = parse_conjunction(blk["guard"], guard_forms.get)
         if not blk["guard"].at_end():
             raise blk["guard"].error("trailing input")
@@ -561,15 +564,13 @@ def _finish(b: _ModelBuilder) -> StochModel:
             for poly in (*form.coeffs.values(), form.const)
             for mono in poly.terms
         ):
-            raise SourceError(
+            raise SourceError.at(
+                start,
                 "box disturbance with a quadratic disturbance monomial "
                 "in an update",
-                start.line,
-                start.col,
             )
-        branches.append(
-            Branch(blk["from"], blk["to"], tuple(atoms), update, blk["line"])
-        )
+        ends = blk["from"].text, blk["to"].text
+        branches.append(Branch(*ends, tuple(atoms), update, blk["key"].line))
     if not branches:
         raise SourceError("model declares no branches", 1, 1)
 
@@ -581,9 +582,7 @@ def _finish(b: _ModelBuilder) -> StochModel:
         assert not tests
         side.extend(atoms)
 
-    flagged = _check_guard_cover(
-        state_vars, modes, branches, b.lines.get("modes", 1)
-    )
+    _check_guard_cover(state_vars, modes, branches, b.lines.get("modes", 1))
 
     return StochModel(
         state_vars=state_vars,
@@ -594,7 +593,6 @@ def _finish(b: _ModelBuilder) -> StochModel:
         branches=tuple(branches),
         controls=tuple(b.controls),
         side_constraints=tuple(side),
-        guards_parameter_bearing=flagged,
     )
 
 
@@ -671,11 +669,10 @@ def _check_guard_cover(
     modes: tuple[str, ...],
     branches: list[Branch],
     modes_line: int,
-) -> bool:
-    """Disjointness and exhaustiveness per mode; parameter-bearing modes
-    are exempted from the check and flagged.  A mode with no branch is
+) -> None:
+    """Disjointness and exhaustiveness per mode; modes whose guards carry
+    a parameter are exempted from the check.  A mode with no branch is
     reported at `modes_line`, where the modes are declared."""
-    flagged = False
     for mode in modes:
         group = [br for br in branches if br.mode_from == mode]
         if not group:
@@ -683,7 +680,6 @@ def _check_guard_cover(
                 f"mode {mode!r} has no branches", modes_line, 1
             )
         if not all(a.form.is_param_free() for br in group for a in br.guard):
-            flagged = True
             continue
         fault = partition_fault([br.guard for br in group], state_vars)
         if fault is None:
@@ -705,4 +701,3 @@ def _check_guard_cover(
             group[0].line,
             1,
         )
-    return flagged

@@ -6,8 +6,6 @@ as it is, with its ``PolyConstraint`` rows and two-branch
 ``Disjunction``s.  No SMT-LIB text is read or written on the way.
 
 Decision strategy:
-  * single-variable equalities pin their variable; pins propagate, and
-    disjunction branches refuted by constants are pruned;
   * if the linear disjunction-free subset is infeasible, the whole
     problem is unsat;
   * otherwise: alternating block descent.  The variable product graph of
@@ -66,79 +64,6 @@ def _violation(con, point) -> Fraction:
 
 
 # -- decision ------------------------------------------------------------------
-
-
-def _substitute_row(c: PolyConstraint, point) -> PolyConstraint:
-    return PolyConstraint(c.poly.substitute(point), c.rel)
-
-
-def _substitute(con, point):
-    if isinstance(con, Disjunction):
-        return Disjunction(
-            tuple(_substitute_row(c, point) for c in con.left),
-            tuple(_substitute_row(c, point) for c in con.right),
-        )
-    return _substitute_row(con, point)
-
-
-def _propagate_pins(constraints, pins: dict[str, Fraction]):
-    """Single-variable linear equalities force values; returns None on a
-    constant contradiction (sound unsat).
-
-    Disjunctions are pruned along the way: a branch holding a constant
-    falsehood is dropped, a branch reduced to constants that all hold
-    discharges the whole disjunction, and a sole surviving branch is
-    inlined as plain conjuncts (joining the pin fixpoint)."""
-    work = [_substitute(c, pins) for c in constraints]
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for con in work:
-            if isinstance(con, Disjunction):
-                branches = []
-                for branch in (con.left, con.right):
-                    rows = []
-                    dead = False
-                    for c in branch:
-                        if not c.poly.params():
-                            if not c.holds({}):
-                                dead = True
-                                break
-                            continue
-                        rows.append(c)
-                    if not dead:
-                        branches.append(tuple(rows))
-                if not branches:
-                    return None
-                if any(not br for br in branches):
-                    continue  # some branch holds outright
-                if len(branches) == 1:
-                    rest.extend(branches[0])
-                    changed = True
-                    continue
-                rest.append(Disjunction(*branches))
-                continue
-            names = con.poly.params()
-            if not names:
-                if not con.holds({}):
-                    return None
-                continue
-            if con.rel is Rel.EQ and len(names) == 1:
-                (name,) = names
-                slope = con.poly.terms.get((name,), F0)
-                linear = all(len(m) <= 1 for m in con.poly.terms)
-                # a second pin on the same name in this sweep stays a row,
-                # so the next sweep checks it against the first
-                if linear and slope and name not in pins:
-                    pins[name] = -con.poly.terms.get((), F0) / slope
-                    changed = True
-                    continue
-            rest.append(con)
-        if changed:
-            rest = [_substitute(c, pins) for c in rest]
-        work = rest
-    return work
 
 
 def _linear_verdict(constraints, names):
@@ -389,29 +314,18 @@ def _block_lp(active, group, point):
 
 def decide(system: ConstraintSystem):
     """-> (status, model or None); a model values every parameter."""
-    variables = [p.name for p in system.params]
-    pins: dict[str, Fraction] = {}
-    work = _propagate_pins(system.constraints, pins)
-    if work is None:
-        return "unsat", None
-    names = [n for n in variables if n not in pins]
-
-    def total(point):
-        model = dict(pins)
-        model.update(point)
-        for n in variables:
-            model.setdefault(n, F0)
-        return model
+    names = [p.name for p in system.params]
+    constraints = system.constraints
 
     # sound unsat screen: the linear disjunction-free subset alone.  Its
     # exact point is also restart 0's start: every linear row holds there,
     # strict rows with margin, so the descent only has the rest to repair
     # (and a linear system is a model there already)
-    res = _linear_verdict(work, names)
+    res = _linear_verdict(constraints, names)
     if res.status == "infeasible":
         return "unsat", None
 
-    blocks = _product_blocks(work, names)
+    blocks = _product_blocks(constraints, names)
     if blocks is None:
         return "unknown", None
 
@@ -420,25 +334,25 @@ def decide(system: ConstraintSystem):
             point = dict(res.assignment)
         else:
             if restart == 1:
-                pool = _harvest_pool(work)
-                lo, hi = _variable_bounds(work, names)
+                pool = _harvest_pool(constraints)
+                lo, hi = _variable_bounds(constraints, names)
             point = {}
             for i, n in enumerate(names):
                 value = pool[(i * 7 + restart * 13) % len(pool)]
                 point[n] = _clamp(value, lo[n], hi[n])
-        best = _measure(work, point)
+        best = _measure(constraints, point)
         for _ in range(ROUNDS):
             if best == MEASURE_ZERO:
                 break
             improved = False
             for group in blocks:
-                active = _choose_branches(work, point)
+                active = _choose_branches(constraints, point)
                 moved = _block_lp(active, group, point)
                 if moved is None:
                     continue
                 candidate = dict(point)
                 candidate.update(moved)
-                value = _measure(work, candidate)
+                value = _measure(constraints, candidate)
                 if value <= best:
                     improved = improved or value < best
                     point, best = candidate, value
@@ -446,8 +360,6 @@ def decide(system: ConstraintSystem):
                     break
             if not improved:
                 break
-        if best == MEASURE_ZERO:
-            model = total(point)
-            if system.holds(model):
-                return "sat", model
+        if best == MEASURE_ZERO and system.holds(point):
+            return "sat", point
     return "unknown", None

@@ -76,6 +76,11 @@ class SourceError(ValueError):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, tok: Token, message: str) -> SourceError:
+        """`message` at the position of `tok`."""
+        return cls(message, tok.line, tok.col)
+
 
 @dataclass(slots=True)
 class Token:
@@ -147,19 +152,18 @@ class TokenStream:
         tok = self.peek()
         if tok.text != text or tok.kind == "eof":
             shown = tok.text or "end of input"
-            raise SourceError(f"expected {text!r}, found {shown!r}", tok.line, tok.col)
+            raise SourceError.at(tok, f"expected {text!r}, found {shown!r}")
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
         if tok.kind != "ident":
             shown = tok.text or "end of input"
-            raise SourceError(f"expected {what}, found {shown!r}", tok.line, tok.col)
+            raise SourceError.at(tok, f"expected {what}, found {shown!r}")
         return self.advance()
 
     def error(self, message: str) -> SourceError:
-        tok = self.peek()
-        return SourceError(message, tok.line, tok.col)
+        return SourceError.at(self.peek(), message)
 
 
 # resolve(name) maps an identifier to its LinForm meaning (a variable or a
@@ -186,7 +190,7 @@ def parse_number(ts: TokenStream) -> Fraction:
         ts.advance()
         d = numeral(den.text)
         if not d:
-            raise SourceError("division by zero", den.line, den.col)
+            raise SourceError.at(den, "division by zero")
         value /= d
     return value if sign > 0 else -value
 
@@ -200,7 +204,7 @@ def _unary(ts: TokenStream, resolve: Resolver) -> _Product:
     if tok.kind == "ident":
         meaning = resolve(tok.text)
         if meaning is None:
-            raise SourceError(f"unknown name {tok.text!r}", tok.line, tok.col)
+            raise SourceError.at(tok, f"unknown name {tok.text!r}")
         ts.advance()
         return _F1, meaning
     if tok.kind == "num":
@@ -237,22 +241,20 @@ def _product(ts: TokenStream, resolve: Resolver) -> _Product:
                 elif not g.coeffs:
                     form = form.mul_poly(g.const)
                 else:
-                    raise SourceError(
-                        "product of two variable-dependent expressions is not affine",
-                        tok.line,
-                        tok.col,
+                    raise SourceError.at(
+                        tok,
+                        "product of two variable-dependent expressions is "
+                        "not affine",
                     )
         elif tok.text == "/":
             ts.advance()
             f, g = _unary(ts, resolve)
             if g is not None:
                 if g.coeffs or not g.const.is_constant():
-                    raise SourceError(
-                        "division only by numeric constants", tok.line, tok.col
-                    )
+                    raise SourceError.at(tok, "division only by numeric constants")
                 f *= g.const.constant_value()
             if not f:
-                raise SourceError("division by zero", tok.line, tok.col)
+                raise SourceError.at(tok, "division by zero")
             factor /= f
         else:
             return factor, form
@@ -295,7 +297,7 @@ def parse_atom(
         ts.advance()
         name = ts.expect_ident("mode name")
         if name.text not in modes:
-            raise SourceError(f"unknown mode {name.text!r}", name.line, name.col)
+            raise SourceError.at(name, f"unknown mode {name.text!r}")
         return ModeTest(name.text, equal=op.text != "!=")
     diff = FormSum()
     _add_sum(ts, resolve, diff, 1)

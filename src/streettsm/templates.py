@@ -230,14 +230,16 @@ def parse_invariant(
         ts = TokenStream(tokenize(line, line=lineno))
         key = ts.expect_ident("'at'")
         if key.text != "at":
-            raise SourceError("expected 'at <state> [<mode>]:'", key.line, key.col)
-        q = ts.expect_ident("automaton state").text
+            raise SourceError.at(key, "expected 'at <state> [<mode>]:'")
+        state = ts.expect_ident("automaton state")
+        q = state.text
         if q not in dsa.states:
-            raise SourceError(f"unknown automaton state {q!r}", lineno, 1)
+            raise SourceError.at(state, f"unknown automaton state {q!r}")
         if ts.peek().kind == "ident":
-            mode = ts.advance().text
+            word = ts.advance()
+            mode = word.text
             if mode not in model.modes:
-                raise SourceError(f"unknown mode {mode!r}", lineno, 1)
+                raise SourceError.at(word, f"unknown mode {mode!r}")
         else:
             if len(model.modes) > 1:
                 raise SourceError(

@@ -283,6 +283,11 @@ def test_strict_rows_get_interior_points():
 def test_empty_system_is_trivially_sat():
     assert simplex_solve(system_of([], [])).status == "sat"
     assert decide(SolverJob(system_of([], []))).status == "sat"
+    # with no parameter, a false constant row is unsat with its Farkas ray
+    false = system_of([], [le(Poly.const(F(1))), le(Poly.const(F(-1)))])
+    for verdict in (simplex_solve(false), decide(SolverJob(false))):
+        assert verdict.status == "unsat"
+        _assert_farkas_ray(false, verdict.ray)
 
 
 # -- routing and the bundled solver ---------------------------------------------
@@ -382,8 +387,8 @@ def test_bundled_solver_answers_quadratic_unknown_and_unsat():
 
 
 def test_bundled_solver_checks_a_second_pin_on_one_name():
-    # 1 + b = 0 and b = 0 pin b twice in one sweep; the second pin is a
-    # contradiction, not a new value
+    # 1 + b = 0 and b = 0 fix b twice; the second is a contradiction,
+    # not a new value, and the descent's linear screen finds it
     a, b = Param("a", CERT), Param("b", CERT)
     system = system_of(
         [a, b],

@@ -205,7 +205,9 @@ def test_fixed_control_concrete_invariant_assembles_to_pure_lp():
     # the parameters are V's and M's alone
     assert all(p.kind is not ParamKind.MULTIPLIER for p in system.params)
     assert len(system.params) == 7
-    assert len(system.constraints) == 31
+    # the parameter-free rows of the closed form that hold are not kept
+    assert len(system.constraints) == 11
+    assert all(c.poly.params() for c in system.constraints)
 
 
 def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
