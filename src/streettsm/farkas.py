@@ -53,6 +53,17 @@ instead of restart 1, with 1,432 `lp.solve` calls instead of 229.  A
 conjunctive set is decided by the simplex, or by the descent with no
 disjunction to branch on, and the closed form only shrinks it.
 
+Assembly (`assemble`).  The system is the side atoms' rows and then
+each dual's items, less the rows that constrain nothing the others do
+not: a parameter-free row that holds, and a `<=` or `<` row that another
+row implies, one with the same non-constant part q and, as q + c REL 0,
+a larger constant, or an equal one and `<` against `<=`.  This is the
+parallel-row step of LP presolve (Andersen & Andersen, 1995) for rows
+equal, not proportional, in q, and it is exact for a bilinear q as well.
+The closed form emits one row per end choice, and many differ from
+another only in their constant: `Temperature4`'s system has 39 rows
+instead of 64.  `=` rows and disjunctions are kept as they are.
+
 Precondition: a parameter-free premise is nonempty.  The VC sets of
 `vcgen.build_product_vcs` meet it, because `vcgen` screens every premise
 and builds no VC whose parameter-free premise is empty.  On any premise
@@ -73,7 +84,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import lp
-from .expr import Atom, Param, ParamKind, Poly, Rel, _accumulate
+from .expr import _F0, Atom, Param, ParamKind, Poly, Rel, _accumulate
 from .vcgen import Implication, VCSet
 
 
@@ -325,12 +336,45 @@ def _constrains(item: PolyConstraint | Disjunction) -> bool:
     )
 
 
+def _drop_implied(
+    items: list[PolyConstraint | Disjunction],
+) -> tuple[PolyConstraint | Disjunction, ...]:
+    """The items, in order, less each `<=` or `<` row that another row
+    implies.  Rows  q + c REL 0  with the same non-constant part q are
+    ranked by (c, strict): the highest implies every other, since
+    q + c <= 0 gives q + c' <= 0 for c >= c', and q + c' < 0 too if
+    c > c' or the row is strict.  Of equal ranks the first stays; an `=`
+    row and a disjunction stay as they are.
+
+    q is keyed by its terms, each coefficient as the integer pair of its
+    normalised `Fraction`, since two ints hash faster than a `Fraction`."""
+    best: dict[frozenset, tuple[tuple[Fraction, bool], int]] = {}
+    dropped: set[int] = set()
+    for i, item in enumerate(items):
+        if isinstance(item, Disjunction) or item.rel is Rel.EQ:
+            continue
+        terms = item.poly.terms
+        q = frozenset(
+            (m, c.numerator, c.denominator) for m, c in terms.items() if m
+        )
+        rank = (terms.get((), _F0), item.rel is Rel.LT)
+        prev = best.get(q)
+        if prev is not None and prev[0] >= rank:
+            dropped.add(i)
+            continue
+        if prev is not None:
+            dropped.add(prev[1])
+        best[q] = rank, i
+    return tuple(item for i, item in enumerate(items) if i not in dropped)
+
+
 def assemble(
     vcset: VCSet, duals: Sequence[DualConstraint]
 ) -> ConstraintSystem:
     """One quantifier-free conjunction over every existential parameter,
     its rows in the order of the side atoms and then the duals, less the
-    parameter-free rows that hold (`_constrains`)."""
+    parameter-free rows that hold (`_constrains`) and the rows that a
+    kept row implies (`_drop_implied`)."""
     params = list(vcset.params)
     constraints: list[PolyConstraint | Disjunction] = []
     for atom in vcset.side_atoms:
@@ -340,7 +384,7 @@ def assemble(
     for dual in duals:
         params.extend(dual.zs)
         constraints.extend(dual.items())
-    kept = tuple(filter(_constrains, constraints))
+    kept = _drop_implied(list(filter(_constrains, constraints)))
     return ConstraintSystem(tuple(params), kept)
 
 

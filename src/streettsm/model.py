@@ -338,7 +338,7 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
         kind = ts.expect_ident("'finite' or 'box'")
         if kind.text not in ("finite", "box"):
             raise SourceError.at(kind, "disturbance kind must be 'finite' or 'box'")
-        ts.expect("{")
+        brace = ts.expect("{")
         # a vector whose dimension differs from the first one's is reported
         # at its first token
         if kind.text == "finite":
@@ -358,7 +358,7 @@ def _parse_statement(b: _ModelBuilder, ts: TokenStream) -> None:
                     break
             ts.expect("}")
             if sum(p for _, p in support) != 1:
-                raise ts.error("probabilities sum != 1")
+                raise SourceError.at(brace, "probabilities sum != 1")
             b.disturbance = Disturbance(
                 name, len(support[0][0]), support=tuple(support)
             )

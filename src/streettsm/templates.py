@@ -242,14 +242,12 @@ def parse_invariant(
                 raise SourceError.at(word, f"unknown mode {mode!r}")
         else:
             if len(model.modes) > 1:
-                raise SourceError(
-                    "model has several modes; location needs one", lineno, 1
-                )
+                raise ts.error("model has several modes; location needs one")
             mode = model.modes[0]
         ts.expect(":")
         loc = (q, mode)
         if loc in seen:
-            raise SourceError(f"duplicate location {loc}", lineno, 1)
+            raise SourceError.at(key, f"duplicate location {loc}")
         seen.add(loc)
         tok = ts.peek()
         if tok.kind == "ident" and tok.text == "false":

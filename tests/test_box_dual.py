@@ -9,8 +9,10 @@ premise screened, every closed-form row of the ten fixtures holds, and
 each benchmark mutant fails one.  Routing: a concrete invariant
 assembles with no multiplier unless the guards carry the control, and a
 set with a parameter-dependent premise keeps every multiplier.
-Assembly: the parameter-free rows that hold are not kept, and every
-other row is, in order.
+Assembly: the parameter-free rows that hold are not kept, nor a row
+that a kept row with the same non-constant part implies, and every other
+row is, in order; the drop keeps the solution set, and each synthesis
+operation of the benchmark assembles a pinned number of rows.
 """
 
 import copy
@@ -24,9 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streettsm import benchmarks, lp
+from streettsm import backends, benchmarks, lp
 from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from streettsm.farkas import (
+    ConstraintSystem,
     Disjunction,
     DualConstraint,
     PolyConstraint,
@@ -314,8 +317,38 @@ def _is_true_constant(item) -> bool:
     )
 
 
+def _implies(s: PolyConstraint, r: PolyConstraint) -> bool:
+    """Does s imply r by the same non-constant part and a constant at
+    least as large, strictly larger or with s strict when r is strict?"""
+    d = s.poly - r.poly
+    if not d.is_constant():
+        return False
+    d = d.constant_value()
+    return d > 0 or (d == 0 and (s.rel is Rel.LT or r.rel is Rel.LE))
+
+
+def _inequality(item) -> bool:
+    return isinstance(item, PolyConstraint) and item.rel is not Rel.EQ
+
+
+def _implied_reference(rows: list) -> list:
+    """The rows less each inequality that another one implies, pairwise:
+    of two rows that imply each other, the first stays."""
+    def dropped(i, r):
+        return _inequality(r) and any(
+            j != i
+            and _inequality(s)
+            and _implies(s, r)
+            and (not _implies(r, s) or j < i)
+            for j, s in enumerate(rows)
+        )
+
+    return [r for i, r in enumerate(rows) if not dropped(i, r)]
+
+
 @pytest.mark.parametrize("name", [r["name"] for r in ROWS])
 def test_assemble_keeps_every_row_but_the_true_constants(name):
+    # ... and the rows that another row implies
     bench = benchmarks.load_benchmark(name)
     model, dsa = bench.model, bench.dsa
     Vs = [CertTemplate.fresh(model, dsa, k) for k in range(len(dsa.pairs))]
@@ -328,8 +361,13 @@ def test_assemble_keeps_every_row_but_the_true_constants(name):
         rows = [PolyConstraint(a.form.const, a.rel) for a in vcs.side_atoms]
         rows += [item for dual in duals for item in dual.items()]
         assert not any(map(_is_true_constant, system.constraints))
-        kept = [r for r in rows if not _is_true_constant(r)]
+        constraining = [r for r in rows if not _is_true_constant(r)]
+        kept = _implied_reference(constraining)
         assert list(system.constraints) == kept
+        for r in constraining:
+            assert r in kept or any(
+                _inequality(s) and _implies(s, r) for s in kept
+            ), r
         assert system.params == vcs.params + tuple(
             z for dual in duals for z in dual.zs
         )
@@ -347,3 +385,98 @@ def test_assemble_keeps_a_false_constant_and_branches_as_they_are():
     )
     system = assemble(VCSet((), (a,), ()), [dual])
     assert system.constraints == (false_row, row, branches)
+
+
+# the rows each synthesis operation of the benchmark assembles
+ASSEMBLED_ROWS = {
+    "verify-lp": {
+        "example2-fixed": 10,
+        "evenOrNegative": 26,
+        "PersistRW": 9,
+        "RecurRW": 11,
+        "GuaranteeRW": 19,
+        "Temperature2": 17,
+    },
+    "control-descent": {
+        "example2": 16,
+        "Temperature4": 39,
+        "SafeRWalk1": 6,
+        "SafeRWalk2": 6,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "workload, entry",
+    [
+        pytest.param(w, e, id=f"{w}-{e.name}")
+        for w in ASSEMBLED_ROWS
+        for e in pipeline.WORKLOADS[w][1]
+    ],
+)
+def test_synthesis_assembles_a_pinned_number_of_rows(workload, entry):
+    bench = benchmarks.load_benchmark(entry.name)
+    inv = (
+        bench.invariant
+        if entry.inv_source == "inv"
+        else pipeline.fixture_invariant(bench.cert, bench.model, bench.dsa)
+    )
+    rows = len(_system(bench, inv).constraints)
+    assert rows == ASSEMBLED_ROWS[workload][entry.name]
+
+
+# -- dropping implied rows keeps the solution set ------------------------------
+
+coefficients = st.sampled_from([F(1), F(-1), F(2), F(1, 2)])
+constants = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2)])
+points = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2), F(3)])
+relations = st.sampled_from([Rel.LE, Rel.LT, Rel.EQ])
+
+
+@st.composite
+def parts(draw, bilinear: bool) -> Poly:
+    """A non-constant part over p0 and p1: affine, or with a p0*p1 term."""
+    q = Poly()
+    for name in ("p0", "p1"):
+        if draw(st.booleans()):
+            q = q + Poly.param(name).scale(draw(coefficients))
+    if bilinear or q.is_zero():
+        q = q + (Poly.param("p0") * Poly.param("p1")).scale(draw(coefficients))
+    return q
+
+
+@st.composite
+def shared_part_systems(draw):
+    """2-7 `<=`, `<` and `=` rows over 1-3 non-constant parts, so that
+    rows share a part, each with its own constant."""
+    bilinear = draw(st.booleans())
+    pool = [
+        draw(parts(bilinear and draw(st.booleans())))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return [
+        PolyConstraint(
+            draw(st.sampled_from(pool)) + Poly.const(draw(constants)),
+            draw(relations),
+        )
+        for _ in range(draw(st.integers(2, 7)))
+    ]
+
+
+@given(shared_part_systems(), st.lists(st.tuples(points, points), max_size=8))
+@settings(deadline=None, max_examples=300)
+def test_dropping_implied_rows_keeps_the_solution_set(rows, valuations):
+    params = (Param("p0", ParamKind.CERT), Param("p1", ParamKind.CERT))
+    before = ConstraintSystem(params, tuple(rows))
+    dual = DualConstraint("consec", "premise-sat", (), tuple(rows))
+    after = assemble(VCSet((), params, ()), [dual])
+    for p0, p1 in valuations:
+        point = {"p0": p0, "p1": p1}
+        assert before.holds(point) == after.holds(point), point
+    if before.all_linear():
+        verdicts = [
+            backends.decide(backends.SolverJob(s)).status
+            for s in (before, after)
+        ]
+        assert verdicts[0] == verdicts[1] != "unknown"
+    assert list(after.constraints) == _implied_reference(rows)

@@ -205,8 +205,9 @@ def test_fixed_control_concrete_invariant_assembles_to_pure_lp():
     # the parameters are V's and M's alone
     assert all(p.kind is not ParamKind.MULTIPLIER for p in system.params)
     assert len(system.params) == 7
-    # the parameter-free rows of the closed form that hold are not kept
-    assert len(system.constraints) == 11
+    # the parameter-free rows of the closed form that hold are not kept,
+    # nor a row that a tighter one with the same non-constant part implies
+    assert len(system.constraints) == 10
     assert all(c.poly.params() for c in system.constraints)
 
 
@@ -315,12 +316,27 @@ def test_assemble_carries_side_constraints_over_parameters():
     model, dsa, inv, Vs, tables = example2_pieces("example2.model")
     vcs = build_product_vcs(model, dsa, Vs, inv, tables, eps=Fraction(1, 2))
     system = assemble(vcs, transform(vcs))
-    polys = [
-        c.poly for c in system.constraints if isinstance(c, PolyConstraint)
+    kept = [c for c in system.constraints if isinstance(c, PolyConstraint)]
+    # M0 >= 0, kappa <= 4 and kappa >= -4
+    upper = PolyConstraint(P("kappa") - Poly.const(Fraction(4)), Rel.LE)
+    sides = [
+        PolyConstraint(Poly() - P("M0"), Rel.LE),
+        upper,
+        PolyConstraint(Poly() - P("kappa") - Poly.const(Fraction(4)), Rel.LE),
     ]
-    assert Poly() - P("M0") in polys  # M0 >= 0
-    assert P("kappa") - Poly.const(Fraction(4)) in polys  # kappa <= 4
-    assert Poly() - P("kappa") - Poly.const(Fraction(4)) in polys
+    atoms = {PolyConstraint(a.form.const, a.rel) for a in vcs.side_atoms}
+    assert atoms == set(sides)
+    # each is kept, or implied by a kept inequality that exceeds it by a
+    # nonnegative constant (the same non-constant part): kappa <= 4 by a
+    # dual row
+    for side in sides:
+        assert any(
+            row.rel is not Rel.EQ
+            and (row.poly - side.poly).is_constant()
+            and (row.poly - side.poly).constant_value() >= 0
+            for row in kept
+        ), side
+    assert upper not in kept
 
 
 def test_side_atoms_must_not_mention_state_variables():

@@ -74,6 +74,10 @@ MODEL_CASES = {
         WALK.replace(FINITE, "disturbance: w finite { (1): 3/2, (0): -1/2 }"),
         "probabilities must be positive", 4, 40,
     ),
+    "probabilities sum": (
+        WALK.replace(FINITE, "disturbance: w finite { (1): 1/2, (0): 1/3 }"),
+        "probabilities sum != 1", 4, 23,
+    ),
     "control without in": (
         WALK + "control: k at [0, 1]\n",
         "expected 'in [lo, hi]'", 11, 12,
@@ -216,6 +220,14 @@ INV_CASES = {
         "unknown automaton state 'q9'", 2, 4,
     ),
     "unknown mode": ("at q_ae zz: x >= 0\n", "unknown mode 'zz'", 1, 9),
+    "location without a mode": (
+        "  at q_ae: x >= 0\n",
+        "model has several modes; location needs one", 1, 10,
+    ),
+    "duplicate location": (
+        "at q_ae ev: true\n  at q_ae ev: x >= 0\n",
+        "duplicate location ('q_ae', 'ev')", 2, 3,
+    ),
     "trailing input": ("at q_ae ev: x >= 0 x\n", "trailing input", 1, 20),
     "trailing input after false": (
         "at q_ae ev: false 1\n", "trailing input", 1, 19
