@@ -32,7 +32,6 @@ File format (# comments):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -50,10 +49,18 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
 class StreettPair:
-    a: frozenset[str]
-    b: frozenset[str]
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: frozenset[str], b: frozenset[str]):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is StreettPair and self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def classify(self, q: str) -> str:
         """Drift obligation at q: 'dec' (A minus B), 'inc' (B), 'noninc'."""
@@ -64,24 +71,59 @@ class StreettPair:
         return "noninc"
 
 
-@dataclass(frozen=True)
 class Transition:
-    source: str
-    target: str
-    atoms: tuple[Atom, ...]
-    mode_tests: tuple[ModeTest, ...] = ()
-    line: int = 0
+    __slots__ = ("source", "target", "atoms", "mode_tests", "line")
+
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        atoms: tuple[Atom, ...],
+        mode_tests: tuple[ModeTest, ...] = (),
+        line: int = 0,
+    ):
+        self.source = source
+        self.target = target
+        self.atoms = atoms
+        self.mode_tests = mode_tests
+        self.line = line
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Transition and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.atoms, self.mode_tests, self.line)
 
     def applies_in_mode(self, mode: str) -> bool:
         return all(t.holds(mode) for t in self.mode_tests)
 
 
-@dataclass(frozen=True)
 class GuardedDSA:
-    states: tuple[str, ...]
-    init: str
-    transitions: tuple[Transition, ...]
-    pairs: tuple[StreettPair, ...]
+    __slots__ = ("states", "init", "transitions", "pairs")
+
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        init: str,
+        transitions: tuple[Transition, ...],
+        pairs: tuple[StreettPair, ...],
+    ):
+        self.states = states
+        self.init = init
+        self.transitions = transitions
+        self.pairs = pairs
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is GuardedDSA and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return (self.states, self.init, self.transitions, self.pairs)
 
     def outgoing(self, q: str) -> list[Transition]:
         return [t for t in self.transitions if t.source == q]

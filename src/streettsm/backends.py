@@ -14,7 +14,6 @@ here goes through that text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, smtsolver
@@ -26,17 +25,27 @@ class BackendError(Exception):
     """A model that fails the exact re-check."""
 
 
-@dataclass(frozen=True)
 class SolverJob:
-    system: ConstraintSystem
+    __slots__ = ("system",)
+
+    def __init__(self, system: ConstraintSystem):
+        self.system = system
 
 
-@dataclass(frozen=True)
 class Verdict:
-    status: str  # sat | unsat | unknown
-    valuation: dict[str, Fraction] | None = None  # non-multiplier params
-    witness: dict[str, Fraction] | None = None  # total, exactly re-checked
-    ray: list[Fraction] | None = None  # infeasibility certificate (LP route)
+    __slots__ = ("status", "valuation", "witness", "ray")
+
+    def __init__(
+        self,
+        status: str,
+        valuation: dict[str, Fraction] | None = None,
+        witness: dict[str, Fraction] | None = None,
+        ray: list[Fraction] | None = None,
+    ):
+        self.status = status  # sat | unsat | unknown
+        self.valuation = valuation  # non-multiplier params
+        self.witness = witness  # total, exactly re-checked
+        self.ray = ray  # infeasibility certificate (LP route)
 
 
 # -- SMT-LIB2 emission ---------------------------------------------------------

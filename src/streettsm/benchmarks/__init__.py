@@ -11,7 +11,6 @@ fixed to its golden value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from ..automata import GuardedDSA, parse_dsa
@@ -53,15 +52,26 @@ def benchmark_names(include_extras: bool = False) -> list[str]:
     return [row["name"] for row in rows]
 
 
-@dataclass(frozen=True)
 class Benchmark:
-    name: str
-    mode: str  # V | VI | VC | VIC
-    model: StochModel
-    dsa: GuardedDSA
-    invariant: InvTemplate | None  # provided invariant, if any
-    cert: dict | None  # known-valid certificate fixture, if any
-    files: dict  # manifest row (file names, flags, notes)
+    __slots__ = ("name", "mode", "model", "dsa", "invariant", "cert", "files")
+
+    def __init__(
+        self,
+        name: str,
+        mode: str,
+        model: StochModel,
+        dsa: GuardedDSA,
+        invariant: InvTemplate | None,
+        cert: dict | None,
+        files: dict,
+    ):
+        self.name = name
+        self.mode = mode  # V | VI | VC | VIC
+        self.model = model
+        self.dsa = dsa
+        self.invariant = invariant  # provided invariant, if any
+        self.cert = cert  # known-valid certificate fixture, if any
+        self.files = files  # manifest row (file names, flags, notes)
 
 
 def load_benchmark(name: str) -> Benchmark:

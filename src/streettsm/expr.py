@@ -31,7 +31,6 @@ unchanged keeps them; `-form` and every other new form compute their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -63,12 +62,24 @@ class ParamKind(Enum):
     MULTIPLIER = "mult"    # Farkas multipliers (z), fresh per implication
 
 
-@dataclass(frozen=True)
 class Param:
     """A named existential parameter. Names are unique per problem."""
 
-    name: str
-    kind: ParamKind
+    __slots__ = ("name", "kind")
+
+    def __init__(self, name: str, kind: ParamKind):
+        self.name = name
+        self.kind = kind
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Param
+            and self.name == other.name
+            and self.kind == other.kind
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.kind))
 
 
 # A monomial is a sorted tuple of parameter names, with multiplicity.
@@ -541,7 +552,6 @@ class Rel(Enum):
     EQ = "=="
 
 
-@dataclass(frozen=True)
 class Atom:
     """A single constraint `form rel 0` over variables and parameters.
 
@@ -549,12 +559,23 @@ class Atom:
     `<`.  The parser rewrites `>=`, `>` and `=` into it (`syntax.parse_atom`),
     so every layer downstream takes atoms as they are."""
 
-    form: LinForm
-    rel: Rel
+    __slots__ = ("form", "rel")
 
-    def __post_init__(self) -> None:
-        if self.rel is Rel.EQ:
+    def __init__(self, form: LinForm, rel: Rel):
+        if rel is Rel.EQ:
             raise ValueError("an atom is <= or <; write == as two <= atoms")
+        self.form = form
+        self.rel = rel
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Atom
+            and self.rel is other.rel
+            and self.form == other.form
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.form, self.rel))
 
     def holds(
         self,

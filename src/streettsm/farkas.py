@@ -78,9 +78,7 @@ the relaxed premise being its closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from . import lp
@@ -88,12 +86,24 @@ from .expr import _F0, Atom, Param, ParamKind, Poly, Rel, _accumulate
 from .vcgen import Implication, VCSet
 
 
-@dataclass(frozen=True)
 class PolyConstraint:
     """poly REL 0 over existential parameters only."""
 
-    poly: Poly
-    rel: Rel  # LE, LT or EQ
+    __slots__ = ("poly", "rel")
+
+    def __init__(self, poly: Poly, rel: Rel):
+        self.poly = poly
+        self.rel = rel  # LE, LT or EQ
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is PolyConstraint
+            and self.rel is other.rel
+            and self.poly == other.poly
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.poly, self.rel))
 
     def __str__(self) -> str:
         return f"{self.poly} {self.rel.value} 0"
@@ -107,12 +117,28 @@ class PolyConstraint:
         return v == 0
 
 
-@dataclass(frozen=True)
 class Disjunction:
     """Either branch must hold (Farkas' general form)."""
 
-    left: tuple[PolyConstraint, ...]
-    right: tuple[PolyConstraint, ...]
+    __slots__ = ("left", "right")
+
+    def __init__(
+        self,
+        left: tuple[PolyConstraint, ...],
+        right: tuple[PolyConstraint, ...],
+    ):
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Disjunction
+            and self.left == other.left
+            and self.right == other.right
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     def holds(self, valuation) -> bool:
         return all(c.holds(valuation) for c in self.left) or all(
@@ -120,19 +146,38 @@ class Disjunction:
         )
 
 
-@dataclass(frozen=True)
 class DualConstraint:
     """The dual of one implication: the multipliers it declares and its
     constraints.  `zs` is empty for a premise with no atom and for a box
     premise in closed form, whose rows are over the implication's own
     parameters."""
 
-    tag: str
-    mode: str  # general | premise-sat
-    zs: tuple[Param, ...]
-    shared: tuple[PolyConstraint, ...]  # z >= 0 (and the whole premise-sat body)
-    left: tuple[PolyConstraint, ...] = ()
-    right: tuple[PolyConstraint, ...] = ()
+    __slots__ = ("tag", "mode", "zs", "shared", "left", "right")
+
+    def __init__(
+        self,
+        tag: str,
+        mode: str,
+        zs: tuple[Param, ...],
+        shared: tuple[PolyConstraint, ...],
+        left: tuple[PolyConstraint, ...] = (),
+        right: tuple[PolyConstraint, ...] = (),
+    ):
+        self.tag = tag
+        self.mode = mode  # general | premise-sat
+        self.zs = zs
+        self.shared = shared  # z >= 0 (and the whole premise-sat body)
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DualConstraint and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return (self.tag, self.mode, self.zs, self.shared, self.left, self.right)
 
     def items(self) -> list[PolyConstraint | Disjunction]:
         out: list[PolyConstraint | Disjunction] = list(self.shared)
@@ -141,10 +186,17 @@ class DualConstraint:
         return out
 
 
-@dataclass(frozen=True)
 class ConstraintSystem:
-    params: tuple[Param, ...]
-    constraints: tuple[PolyConstraint | Disjunction, ...]
+    __slots__ = ("params", "constraints", "_linear")
+
+    def __init__(
+        self,
+        params: tuple[Param, ...],
+        constraints: tuple[PolyConstraint | Disjunction, ...],
+    ):
+        self.params = params
+        self.constraints = constraints
+        self._linear: bool | None = None  # all_linear(), once asked
 
     def degree(self) -> int:
         out = 0
@@ -161,13 +213,11 @@ class ConstraintSystem:
     def has_disjunction(self) -> bool:
         return any(isinstance(i, Disjunction) for i in self.constraints)
 
-    @cached_property
-    def _linear(self) -> bool:
-        return self.degree() <= 1 and not self.has_disjunction()
-
     def all_linear(self) -> bool:
         """Degree at most 1 and no disjunction, read off the rows on the
         first call only, since nothing changes a system after assembly."""
+        if self._linear is None:
+            self._linear = self.degree() <= 1 and not self.has_disjunction()
         return self._linear
 
     def holds(self, valuation) -> bool:

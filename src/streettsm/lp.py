@@ -98,7 +98,6 @@ Everything is deterministic; Bland's rule guarantees termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Literal, Sequence
@@ -118,7 +117,6 @@ def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-@dataclass
 class LinearSystem:
     """Constraint rows over named variables.
 
@@ -126,17 +124,39 @@ class LinearSystem:
     (column, Fraction) pairs, ascending and zero-free, over the indices of
     `variables`; `rel` a `Rel`; `rhs` a `Fraction`."""
 
-    variables: list[str]
-    rows: list[tuple[Row, Rel, Fraction]] = field(default_factory=list)
+    __slots__ = ("variables", "rows")
+
+    def __init__(
+        self,
+        variables: list[str],
+        rows: list[tuple[Row, Rel, Fraction]] | None = None,
+    ):
+        self.variables = variables
+        self.rows = [] if rows is None else rows
 
 
-@dataclass
 class LPResult:
-    status: Literal["optimal", "unbounded", "infeasible"]
-    assignment: dict[str, Fraction] | None = None
-    value: Fraction | None = None
-    ray: dict[str, Fraction] | None = None
-    farkas: list[Fraction] | None = None
+    __slots__ = ("status", "assignment", "value", "ray", "farkas")
+
+    def __init__(
+        self,
+        status: Literal["optimal", "unbounded", "infeasible"],
+        assignment: dict[str, Fraction] | None = None,
+        value: Fraction | None = None,
+        ray: dict[str, Fraction] | None = None,
+        farkas: list[Fraction] | None = None,
+    ):
+        self.status = status
+        self.assignment = assignment
+        self.value = value
+        self.ray = ray
+        self.farkas = farkas
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LPResult and self._key() == other._key()
+
+    def _key(self) -> tuple:
+        return (self.status, self.assignment, self.value, self.ray, self.farkas)
 
 
 def _sign_bounds(rows: list[tuple[Row, Rel, Fraction]]) -> dict[int, int]:

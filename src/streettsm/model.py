@@ -38,7 +38,6 @@ The file format is line-oriented (# comments):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -58,17 +57,26 @@ from .syntax import (
 DEFAULT_MODE = "_"
 
 
-@dataclass(frozen=True)
 class Disturbance:
     """I.i.d. disturbance: finite support or a box with known mean."""
 
-    name: str
-    dim: int
-    # finite support: ((value vector, probability), ...)
-    support: tuple[tuple[tuple[Fraction, ...], Fraction], ...] | None = None
-    lo: tuple[Fraction, ...] | None = None
-    hi: tuple[Fraction, ...] | None = None
-    mean: tuple[Fraction, ...] | None = None
+    __slots__ = ("name", "dim", "support", "lo", "hi", "mean")
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        support: tuple[tuple[tuple[Fraction, ...], Fraction], ...] | None = None,
+        lo: tuple[Fraction, ...] | None = None,
+        hi: tuple[Fraction, ...] | None = None,
+        mean: tuple[Fraction, ...] | None = None,
+    ):
+        self.name = name
+        self.dim = dim
+        self.support = support  # finite: ((value vector, probability), ...)
+        self.lo = lo
+        self.hi = hi
+        self.mean = mean
 
     @property
     def kind(self) -> str:
@@ -100,32 +108,64 @@ class Disturbance:
         return out
 
 
-@dataclass(frozen=True)
 class Branch:
-    mode_from: str
-    mode_to: str
-    guard: tuple[Atom, ...]  # over state vars; coefficients may carry params
-    update: dict[str, LinForm]  # per state var, over state + disturbance names
-    line: int = 0
+    __slots__ = ("mode_from", "mode_to", "guard", "update", "line")
+
+    def __init__(
+        self,
+        mode_from: str,
+        mode_to: str,
+        guard: tuple[Atom, ...],
+        update: dict[str, LinForm],
+        line: int = 0,
+    ):
+        self.mode_from = mode_from
+        self.mode_to = mode_to
+        self.guard = guard  # over state vars; coefficients may carry params
+        self.update = update  # per state var, over state + disturbance names
+        self.line = line
 
 
-@dataclass(frozen=True)
 class ControlParam:
-    name: str
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("name", "lo", "hi")
+
+    def __init__(self, name: str, lo: Fraction, hi: Fraction):
+        self.name = name
+        self.lo = lo
+        self.hi = hi
 
 
-@dataclass(frozen=True)
 class StochModel:
-    state_vars: tuple[str, ...]
-    modes: tuple[str, ...]
-    init_state: tuple[Fraction, ...]
-    init_mode: str
-    disturbance: Disturbance
-    branches: tuple[Branch, ...]
-    controls: tuple[ControlParam, ...] = ()
-    side_constraints: tuple[Atom, ...] = ()  # over control params only
+    __slots__ = (
+        "state_vars",
+        "modes",
+        "init_state",
+        "init_mode",
+        "disturbance",
+        "branches",
+        "controls",
+        "side_constraints",
+    )
+
+    def __init__(
+        self,
+        state_vars: tuple[str, ...],
+        modes: tuple[str, ...],
+        init_state: tuple[Fraction, ...],
+        init_mode: str,
+        disturbance: Disturbance,
+        branches: tuple[Branch, ...],
+        controls: tuple[ControlParam, ...] = (),
+        side_constraints: tuple[Atom, ...] = (),
+    ):
+        self.state_vars = state_vars
+        self.modes = modes
+        self.init_state = init_state
+        self.init_mode = init_mode
+        self.disturbance = disturbance
+        self.branches = branches
+        self.controls = controls
+        self.side_constraints = side_constraints  # over control params only
 
     @property
     def state_dim(self) -> int:
@@ -204,16 +244,15 @@ class StochModel:
             if not atom.holds(values, {}):
                 raise ValueError(f"control breaks side constraint {atom}")
         branches = tuple(
-            replace(
-                br,
-                guard=tuple(
+            Branch(
+                br.mode_from,
+                br.mode_to,
+                tuple(
                     Atom(a.form.substitute_params(values), a.rel)
                     for a in br.guard
                 ),
-                update={
-                    v: f.substitute_params(values)
-                    for v, f in br.update.items()
-                },
+                {v: f.substitute_params(values) for v, f in br.update.items()},
+                br.line,
             )
             for br in self.branches
         )
@@ -231,11 +270,13 @@ class StochModel:
                     f"at this control the branch guards {what} in mode "
                     f"{mode!r}, at state {at}"
                 )
-        return replace(
-            self,
-            branches=branches,
-            controls=(),
-            side_constraints=(),
+        return StochModel(
+            self.state_vars,
+            self.modes,
+            self.init_state,
+            self.init_mode,
+            self.disturbance,
+            branches,
         )
 
 

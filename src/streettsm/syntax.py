@@ -36,7 +36,6 @@ Errors carry line and column positions pointing into the source file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -82,20 +81,34 @@ class SourceError(ValueError):
         return cls(message, tok.line, tok.col)
 
 
-@dataclass(slots=True)
 class Token:
-    kind: str  # num | ident | op | eof
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # num | ident | op | eof
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-@dataclass(frozen=True)
 class ModeTest:
     """Guard atom over the finite mode component: mode ==/!= name."""
 
-    mode: str
-    equal: bool
+    __slots__ = ("mode", "equal")
+
+    def __init__(self, mode: str, equal: bool):
+        self.mode = mode
+        self.equal = equal
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is ModeTest
+            and self.mode == other.mode
+            and self.equal == other.equal
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.equal))
 
     def holds(self, mode: str) -> bool:
         return (mode == self.mode) if self.equal else (mode != self.mode)

@@ -24,7 +24,6 @@ for affine V because no update monomial carries two disturbance factors
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import GuardedDSA, Transition
@@ -50,13 +49,28 @@ def locations(model: StochModel, dsa: GuardedDSA) -> list[Location]:
     return [(q, m) for q in dsa.states for m in model.modes]
 
 
-@dataclass(frozen=True)
 class CertTemplate:
     """One affine piece of V per product location, for one Streett pair."""
 
-    pair_index: int
-    pieces: dict[Location, LinForm]
-    params: tuple[Param, ...] = ()
+    __slots__ = ("pair_index", "pieces", "params")
+
+    def __init__(
+        self,
+        pair_index: int,
+        pieces: dict[Location, LinForm],
+        params: tuple[Param, ...] = (),
+    ):
+        self.pair_index = pair_index
+        self.pieces = pieces
+        self.params = params
+
+    def __repr__(self) -> str:
+        # a function of a concrete template's value: perfbench keys its
+        # output checks on it
+        return (
+            f"CertTemplate(pair_index={self.pair_index!r}, "
+            f"pieces={self.pieces!r}, params={self.params!r})"
+        )
 
     @staticmethod
     def fresh(
@@ -86,12 +100,18 @@ class CertTemplate:
         return CertTemplate(pair_index, dict(pieces), ())
 
 
-@dataclass(frozen=True)
 class InvTemplate:
     """Conjunction of parameter-bearing rows per location."""
 
-    rows: dict[Location, tuple[Atom, ...]]
-    params: tuple[Param, ...] = ()
+    __slots__ = ("rows", "params")
+
+    def __init__(
+        self,
+        rows: dict[Location, tuple[Atom, ...]],
+        params: tuple[Param, ...] = (),
+    ):
+        self.rows = rows
+        self.params = params
 
     @staticmethod
     def fresh(
@@ -126,26 +146,37 @@ class InvTemplate:
         return InvTemplate(dict(rows), ())
 
 
-@dataclass(frozen=True)
 class PostPiece:
     """Post V on one product transition: from `location`, along `edge`
     and `branch`."""
 
-    location: Location
-    edge: Transition
-    branch: Branch
-    guard: tuple[Atom, ...]  # branch guard && edge guard
-    form: LinForm  # symbolic Post V piece over x
+    __slots__ = ("location", "edge", "branch", "guard", "form")
+
+    def __init__(
+        self,
+        location: Location,
+        edge: Transition,
+        branch: Branch,
+        guard: tuple[Atom, ...],
+        form: LinForm,
+    ):
+        self.location = location
+        self.edge = edge
+        self.branch = branch
+        self.guard = guard  # branch guard && edge guard
+        self.form = form  # symbolic Post V piece over x
 
 
-@dataclass(frozen=True)
 class PostTable:
     """Post V of one pair's V.  Which transitions get a piece depends only
     on the model and the automaton, so every table of one product has the
     same (location, edge, branch) steps, in the same order."""
 
-    pair_index: int
-    pieces: tuple[PostPiece, ...]
+    __slots__ = ("pair_index", "pieces")
+
+    def __init__(self, pair_index: int, pieces: tuple[PostPiece, ...]):
+        self.pair_index = pair_index
+        self.pieces = pieces
 
 
 def _image_with_sample(

@@ -96,11 +96,18 @@ class Implication:
         return out
 
 
-@dataclass(frozen=True)
 class VCSet:
-    implications: tuple[Implication, ...]
-    params: tuple[Param, ...]
-    side_atoms: tuple[Atom, ...]  # over params only (kappa boxes, M >= 0, ...)
+    __slots__ = ("implications", "params", "side_atoms")
+
+    def __init__(
+        self,
+        implications: tuple[Implication, ...],
+        params: tuple[Param, ...],
+        side_atoms: tuple[Atom, ...],
+    ):
+        self.implications = implications
+        self.params = params
+        self.side_atoms = side_atoms  # over params only (kappa boxes, M >= 0, ...)
 
     def dump(self) -> str:
         lines = []

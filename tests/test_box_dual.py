@@ -109,12 +109,16 @@ def box_vcs(draw):
 
 def _at(dual: DualConstraint, valuation) -> DualConstraint:
     """The dual with the parameters bound, over its multipliers alone."""
-    return dataclasses.replace(
-        dual,
-        shared=tuple(
+    return DualConstraint(
+        dual.tag,
+        dual.mode,
+        dual.zs,
+        tuple(
             PolyConstraint(c.poly.substitute(valuation), c.rel)
             for c in dual.shared
         ),
+        dual.left,
+        dual.right,
     )
 
 

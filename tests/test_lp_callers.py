@@ -1,6 +1,8 @@
 """Every public function of `lp` has a caller in another module of the
 package, found by a scan of the sources' syntax trees, so that the LP layer
-keeps no helper that only tests reach."""
+keeps no helper that only tests reach.  Package-wide, every public function
+is referred to by another definition of the package or by the benchmark
+(`perfbench/*.py`), save a fixed few that only tests reach."""
 
 import ast
 from pathlib import Path
@@ -56,3 +58,71 @@ def test_every_public_lp_function_has_a_caller_outside_lp():
     # the scan sees both spellings of a call
     assert {"solve", "defining_atoms"} <= called
     assert public and public <= called, sorted(public - called)
+
+
+# -- every public function of the package has a user ---------------------------
+
+BENCH = PKG.parents[1] / "perfbench"
+
+# public functions that only tests reach, kept for the command line of
+# ROADMAP item 5
+ONLY_TESTS = {
+    ("backends", "emit_smtlib"),
+    ("farkas", "dump_duals"),
+    ("benchmarks", "benchmark_names"),
+}
+
+
+def _module_name(path: Path) -> str:
+    return path.parent.name if path.name == "__init__.py" else path.stem
+
+
+def _references(tree: ast.Module, own: str | None):
+    """(module, name, user) for each package name the module refers to,
+    where `user` is the top-level definition holding the reference.  A name
+    is resolved through the module's imports, or through `own`, the
+    module's package name when it is a module of the package."""
+    modules, names = set(), {}
+    if own is not None:
+        names.update({f: (own, f) for f in _public_functions(tree)})
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.module == "streettsm" or (node.level and not node.module)
+        inside = node.level or (node.module or "").startswith("streettsm.")
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if package:
+                modules.add(bound)
+            elif inside:
+                names[bound] = (node.module.split(".")[-1], alias.name)
+    for top in tree.body:
+        user = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in names:
+                yield (*names[node.id], user)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                yield (node.value.id, node.attr, user)
+
+
+def test_every_public_function_has_a_user_outside_itself():
+    public, used = set(), set()
+    for path in sorted(PKG.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _module_name(path)
+        public |= {(own, f) for f in _public_functions(tree)}
+        for module, name, user in _references(tree, own):
+            if (module, name) != (own, user):
+                used.add((module, name))
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= {(module, name) for module, name, _ in _references(tree, None)}
+    # both spellings, an attribute of a module and an imported name
+    assert {("lp", "solve"), ("benchmarks", "load_benchmark")} <= used
+    assert ("templates", "parse_invariant") in used
+    assert ONLY_TESTS <= public and not ONLY_TESTS & used
+    assert public - used == ONLY_TESTS, sorted(public - used - ONLY_TESTS)

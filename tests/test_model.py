@@ -661,3 +661,41 @@ def test_every_fixture_control_gives_a_well_defined_model():
                 assert all(a.form.is_param_free() for a in br.guard)
             fixed += 1
     assert fixed == 4  # FinMemoryControl's guards carry its control
+
+
+def test_with_control_copies_every_field_it_does_not_substitute():
+    bench = load_benchmark("FinMemoryControl")
+    model = bench.model
+    control = {k: F(v) for k, v in bench.cert["control"].items()}
+    kept = ("state_vars", "modes", "init_state", "init_mode", "disturbance")
+    fields = kept + ("branches", "controls", "side_constraints")
+    before = {name: getattr(model, name) for name in fields}
+    branches = [
+        (br.mode_from, br.mode_to, br.line, br.guard, dict(br.update))
+        for br in model.branches
+    ]
+    assert model.controls and model.guards_parameter_bearing
+    fixed = model.with_control(control)
+    for name in kept:
+        assert getattr(fixed, name) is before[name]
+    assert fixed.controls == () and fixed.side_constraints == ()
+    assert len(fixed.branches) == len(branches)
+    assert len({br.mode_to for br in fixed.branches}) > 1
+    for new, (mode_from, mode_to, line, guard, update) in zip(
+        fixed.branches, branches
+    ):
+        assert (new.mode_from, new.mode_to, new.line) == (mode_from, mode_to, line)
+        assert new.guard == tuple(
+            Atom(a.form.substitute_params(control), a.rel) for a in guard
+        )
+        assert new.update == {
+            v: f.substitute_params(control) for v, f in update.items()
+        }
+    # the original model and its branches are unchanged
+    for name in fields:
+        assert getattr(model, name) is before[name]
+    for old, (mode_from, mode_to, line, guard, update) in zip(
+        model.branches, branches
+    ):
+        assert (old.mode_from, old.mode_to, old.line) == (mode_from, mode_to, line)
+        assert old.guard is guard and old.update == update

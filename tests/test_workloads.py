@@ -10,7 +10,6 @@ route also runs on an automaton with two Streett pairs, and on
 descent needs a restart past the first.
 """
 
-import dataclasses
 import os
 import sys
 
@@ -82,7 +81,7 @@ def test_two_streett_pairs_synthesize_and_share_their_steps(monkeypatch):
     inv = parse_invariant(
         benchmarks.read_corpus_text("Temperature4.inv"), b.model, dsa
     )
-    two = dataclasses.replace(b, dsa=dsa, invariant=inv)
+    two = benchmarks.Benchmark(b.name, b.mode, b.model, dsa, inv, b.cert, b.files)
     monkeypatch.setattr(benchmarks, "load_benchmark", lambda name: two)
     out = pipeline.synthesize(pipeline.Entry("Temperature4", "inv", "sat"))
     assert out.verdict == "sat"
