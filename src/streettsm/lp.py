@@ -57,32 +57,28 @@ readers: `_box` keys them by column, over the bounds of LP rows, and
 `_atom_box` by variable name, over the bounds that atoms' forms cache
 (`LinForm.bound`).  One rule (`_wins`) picks each end: the tighter
 bound wins, at one bound a strict end beats a non-strict one, else the
-first row wins.  `solve` decides a box by intersecting the intervals,
-with no tableau, and builds a Fraction only for an end it reads.
-With no strict row it returns what the tableau returns on 'optimal' and
-'infeasible': a coordinate with a cost sits at its optimizing end, every
-other one at the point of its interval nearest 0, and the value is c.x
-there.  The Farkas ray of an empty interval puts 1/|a| on its two rows
-a x (<= | =) b, with the sign flipped on an `=` row read against its
+first row wins.  `solve` decides an optimization over a box by
+intersecting the intervals, with no tableau, and builds a Fraction only
+for an end it reads.  It returns what the tableau returns on 'optimal'
+and 'infeasible': a coordinate with a cost sits at its optimizing end,
+every other one at the point of its interval nearest 0, and the value is
+c.x there.  The Farkas ray of an empty interval puts 1/|a| on its two
+rows a x (<= | =) b, with the sign flipped on an `=` row read against its
 sense; an empty row that fails on its own (0 <= b < 0, 0 = b != 0)
 carries the ray alone.  The multipliers are computed only for the clash
 that is returned.  An unbounded box returns a feasible point and an
-improving unit ray.  Every corpus guard, automaton edge and premise
-atom bounds one variable, so every screen the pipeline runs is a box of
-atoms, decided from their cached bounds with no `LinearSystem`, no
+improving unit ray.  A feasibility query takes the tableau even over a
+box, for the pipeline screens no box through `solve`: every corpus
+guard, automaton edge and premise atom bounds one variable, and a box of
+atoms is decided from their cached bounds, with no `LinearSystem`, no
 point and no per-atom Fraction work: `atoms_satisfiable` gives the
 verdict, and `defining_atoms` the binding atoms, the rows of its ends.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
-Farkas ray.  A box is decided by interval intersection: an interval with
-a strict end is nonempty iff its ends differ, and the point of it
-nearest 0 moves off a strict end, to the midpoint, or one unit in when
-the interval has one end (`_interior`; with no strict end it is the
-point nearest 0, so every box feasibility query takes this point).  Any
-other system goes through a slack-maximization transform: max t subject
-to strict rows tightened by t and t <= 1, by the tableau; the strict
-system is feasible iff the optimum is positive.
+Farkas ray.  It goes through a slack-maximization transform: max t
+subject to strict rows tightened by t and t <= 1, by the tableau; the
+strict system is feasible iff the optimum is positive.
 
 Row layout.  A row is (coeffs, rel, rhs): `coeffs` a sparse `Row`, a
 tuple of (column, Fraction) pairs in ascending column order with no
@@ -208,21 +204,22 @@ def solve(
 
     With no objective: any feasible point (status 'optimal', value 0),
     meeting every strict row with positive margin, or 'infeasible' with a
-    Farkas ray aligned with the input rows when no row is strict.  A box
-    system is decided by interval intersection, any other by the tableau,
-    through the slack transform when a row is strict (see the module
-    docstring).  Raises ValueError on strict rows with an objective: the
-    supremum over an open set need not be attained.
+    Farkas ray aligned with the input rows when no row is strict.  A
+    system with a strict row goes through the slack transform, any other
+    feasibility query through the tableau; an optimization over a box is
+    decided by interval intersection, any other by the tableau (see the
+    module docstring).  Raises ValueError on strict rows with an
+    objective: the supremum over an open set need not be attained.
     """
-    strict = any(rel is _LT for _, rel, _ in system.rows)
-    if strict and objective is not None:
-        raise ValueError("strict rows admit no objective")
-    ends = _box(system.rows, len(system.variables))
-    if ends is None:
-        if strict:
-            return _strict_tableau(system)
-        return _tableau(system, objective, maximize)
-    return _box_solve(system, *ends, strict, objective, maximize)
+    if any(rel is _LT for _, rel, _ in system.rows):
+        if objective is not None:
+            raise ValueError("strict rows admit no objective")
+        return _strict_tableau(system)
+    if objective is not None:
+        ends = _box(system.rows, len(system.variables))
+        if ends is not None:
+            return _box_solve(system, *ends, objective, maximize)
+    return _tableau(system, objective, maximize)
 
 
 def _box_solve(
@@ -230,25 +227,17 @@ def _box_solve(
     lo: dict[int, _IntEnd],
     hi: dict[int, _IntEnd],
     clash: _Clash | None,
-    strict: bool,
-    objective: Sequence[Fraction] | None,
+    objective: Sequence[Fraction],
     maximize: bool,
 ) -> LPResult:
-    """`solve` of a box system from its ends by column and its clash (see
-    the module docstring)."""
+    """`solve` of an optimization over a box system from its ends by
+    column and its clash (see the module docstring)."""
     names = system.variables
     if clash is not None:
-        if strict:
-            return LPResult(status="infeasible")
         farkas = [_ZERO] * len(system.rows)
         for i, y in clash:
             farkas[i] = y
         return LPResult(status="infeasible", farkas=farkas)
-    if objective is None:
-        point = {
-            v: _interior(lo.get(j), hi.get(j)) for j, v in enumerate(names)
-        }
-        return LPResult(status="optimal", assignment=point, value=_ZERO)
     # each coordinate with a cost sits at its optimizing end, if it has one,
     # every other one at the point of its interval nearest 0
     costs = [_frac(cf) for cf in objective]
@@ -389,22 +378,6 @@ def _nearest_zero(lo: _IntEnd | None, hi: _IntEnd | None) -> Fraction:
     if hi is not None and hi[0] < 0:
         return _value(hi)
     return _ZERO
-
-
-def _interior(lo: _IntEnd | None, hi: _IntEnd | None) -> Fraction:
-    """A point of a nonempty interval off its strict ends: the point
-    nearest 0, moved to the midpoint, or one unit in from the only end,
-    when it sits on a strict end."""
-    x = _nearest_zero(lo, hi)
-    if (lo is not None and lo[2] and x == _value(lo)) or (
-        hi is not None and hi[2] and x == _value(hi)
-    ):
-        if lo is None:
-            return _value(hi) - 1
-        if hi is None:
-            return _value(lo) + 1
-        return (_value(lo) + _value(hi)) / 2
-    return x
 
 
 def _tableau(
@@ -607,14 +580,14 @@ def _tableau(
 
 
 def _strict_tableau(system: LinearSystem) -> LPResult:
-    """`solve` of a non-box system with strict rows: maximize t with the
-    strict rows tightened by t and t <= 1, by the tableau; the system is
-    strictly feasible iff the optimum is positive.  The augmented system
-    keeps the row that made the input no box, so it is none either."""
+    """`solve` of a system with strict rows: maximize t with the strict
+    rows tightened by t and t <= 1, by the tableau; the system is strictly
+    feasible iff the optimum is positive.  t's column is named `#t`, which
+    no input name can be (`syntax`)."""
     nv = len(system.variables)
     t = ((nv, _ONE),)
     aug = LinearSystem(
-        system.variables + ["__t"],
+        system.variables + ["#t"],
         [
             (coeffs + t, _LE, rhs) if rel is _LT else (coeffs, rel, rhs)
             for coeffs, rel, rhs in system.rows
@@ -625,7 +598,7 @@ def _strict_tableau(system: LinearSystem) -> LPResult:
     if res.status != "optimal" or res.value <= 0:
         return LPResult(status="infeasible")
     assignment = dict(res.assignment)
-    del assignment["__t"]
+    del assignment["#t"]
     return LPResult(status="optimal", assignment=assignment, value=_ZERO)
 
 

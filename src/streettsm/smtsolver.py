@@ -239,8 +239,9 @@ def _component_lp(sub, rows, point):
         return {n: res.assignment.get(n, F0) for n in sub}
 
     # worst, the last column, bounds the violation of every soft row; -worst
-    # is maximized, and worst >= 0 is the last row
-    worst = Poly({("__worst",): F1})
+    # is maximized, and worst >= 0 is the last row.  Its name `#worst` is no
+    # identifier (`syntax`), so no parameter shares its column
+    worst = Poly({("#worst",): F1})
     relaxed = []
     for residual, rel, local in rows:
         if local:
@@ -250,7 +251,7 @@ def _component_lp(sub, rows, point):
         if rel is Rel.EQ:
             relaxed.append((-residual - worst, Rel.LE))
     relaxed.append((-worst, Rel.LE))
-    system = lp.linear_system(relaxed, [*sub, "__worst"])
+    system = lp.linear_system(relaxed, [*sub, "#worst"])
     res = lp.solve(system, objective=[F0] * len(sub) + [-F1], maximize=True)
     if res.status != "optimal":
         return {n: point[n] for n in sub}

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streettsm.automata import StreettPair, parse_dsa
+from streettsm.automata import GuardedDSA, StreettPair, Transition, parse_dsa
 from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
-from streettsm.expr import LinForm
+from streettsm.expr import Atom, LinForm, Rel
 from streettsm.syntax import (
     SourceError,
     TokenStream,
@@ -40,6 +40,30 @@ def test_step_follows_unique_transition():
     assert dsa.step("q0", {"x": F(1)}, "_") == "q0"
     assert dsa.step("q0", {"x": F(999, 1000)}, "_") == "q1"
     assert dsa.step("q1", {"x": F(-50)}, "_") == "q1"
+
+
+def test_step_rejects_two_successors_and_none():
+    # built directly: `parse_dsa` rejects both automata
+    x_ge_0 = Atom(-LinForm.var("x"), Rel.LE)
+    x_ge_1 = Atom(LinForm.constant(F(1)) - LinForm.var("x"), Rel.LE)
+    pair = (StreettPair(frozenset({"q1"}), frozenset()),)
+    two = GuardedDSA(
+        ("q0", "q1"),
+        "q0",
+        (Transition("q0", "q0", (x_ge_0,)), Transition("q0", "q1", (x_ge_0,))),
+        pair,
+    )
+    with pytest.raises(ValueError) as e:
+        two.step("q0", {"x": F(0)}, "_")
+    assert str(e.value) == "nondeterministic step from 'q0' at {'x': Fraction(0, 1)}"
+    none = GuardedDSA(
+        ("q0", "q1"), "q0", (Transition("q0", "q1", (x_ge_1,)),), pair
+    )
+    with pytest.raises(ValueError) as e:
+        none.step("q0", {"x": F(0)}, "_")
+    assert (
+        str(e.value) == "no transition from 'q0' at {'x': Fraction(0, 1)} mode '_'"
+    )
 
 
 def test_nondeterminism_rejected_with_lines():

@@ -146,6 +146,46 @@ MODEL_CASES = {
         WALK + "control: k in [0, 1]\nconstraint: k <= 1 1\n",
         "trailing input", 12, 20,
     ),
+    "branch header without an arrow": (
+        WALK.replace("branch _ -> _:\n  guard: x < 0", "branch _ _:\n  guard: x < 0"),
+        "expected '->', found '_'", 8, 10,
+    ),
+    "statement without a keyword": (
+        WALK + "1: x\n", "expected a statement keyword", 11, 1,
+    ),
+    # `lp._strict_tableau` and `smtsolver._component_lp` add LP columns of
+    # their own, named so that no identifier can be one: a variable named
+    # like them is a plain name, and the gap is reported at the first branch
+    "gap over a variable named like an LP column": (
+        """vars: __t y
+init: __t = 0, y = 0
+disturbance: w finite { (1): 1/2, (0): 1/2 }
+branch _ -> _:
+  guard: __t + y <= 0
+  update: __t' = __t, y' = y
+branch _ -> _:
+  guard: __t + y >= 1
+  update: __t' = __t, y' = y
+""",
+        "branch guards do not cover mode '_': uncovered region "
+        "{-1*__t - 1*y < 0 and __t + y - 1 < 0}, e.g. state __t = 1/2, y = 0",
+        4, 1,
+    ),
+    "gap in one variable named like an LP column": (
+        """vars: __t
+init: __t = 0
+disturbance: w finite { (1): 1/2, (0): 1/2 }
+branch _ -> _:
+  guard: __t <= 0
+  update: __t' = __t
+branch _ -> _:
+  guard: __t >= 1
+  update: __t' = __t
+""",
+        "branch guards do not cover mode '_': uncovered region "
+        "{-1*__t < 0 and __t - 1 < 0}, e.g. state __t = 1/2",
+        4, 1,
+    ),
 }
 
 

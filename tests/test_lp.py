@@ -449,11 +449,11 @@ def test_box_path_matches_the_tableau(s, obj, maximize):
 
 
 def _augmented_status(s):
-    """The verdict of a strict system by the tableau on the __t transform."""
+    """The verdict of a strict system by the tableau on the slack transform."""
     nv = len(s.variables)
     t = ((nv, F(1)),)
     aug = LinearSystem(
-        s.variables + ["__t"],
+        s.variables + ["t"],
         [
             (c + t, Rel.LE, b) if rel == Rel.LT else (c, rel, b)
             for c, rel, b in s.rows
@@ -467,8 +467,12 @@ def _augmented_status(s):
 @settings(max_examples=400, deadline=None)
 @given(box_systems(strict=True))
 def test_strict_box_agrees_with_the_slack_transform(s):
+    # a strict box takes the slack transform too; its verdict is the
+    # intervals' (`_box` finds no clash iff the box is nonempty)
     got = solve(s)
     assert got.status == _augmented_status(s)
+    clash = lp._box(s.rows, len(s.variables))[2]
+    assert got.status == ("optimal" if clash is None else "infeasible")
     if got.status == "optimal":
         assert _satisfies(s, got.assignment)
         assert got.value == 0
@@ -513,36 +517,23 @@ def test_empty_rows_decide_a_box_on_their_own():
 
 
 def test_equality_against_its_sense_gets_a_negative_multiplier():
-    # 2x = 4 read as x >= 2 against x <= 1
+    # 2x = 4 read as x >= 2 against x <= 1; a box optimization's clash
     s = _sys(["x"], [([1], Rel.LE, 1), ([2], Rel.EQ, 4)])
-    r = solve(s)
+    r = solve(s, objective=[F(1)])
     assert r.status == "infeasible"
     _assert_farkas(s, r.farkas)
     assert r.farkas == [1, F(-1, 2)]
 
 
 def test_box_clash_with_non_unit_coefficients_gets_reciprocal_multipliers():
-    # 2x <= 1 and -3x <= -2, i.e. x <= 1/2 and x >= 2/3
+    # 2x <= 1 and -3x <= -2, i.e. x <= 1/2 and x >= 2/3; a box
+    # optimization's clash
     s = _sys(["x"], [([2], Rel.LE, 1), ([-3], Rel.LE, -2)])
-    r = solve(s)
+    r = solve(s, objective=[F(1)])
     assert r.status == "infeasible"
     _assert_farkas(s, r.farkas)
     assert r.farkas == [F(1, 2), F(1, 3)]
     assert all(type(y) is F for y in r.farkas)
-
-
-def test_strict_box_points_leave_strict_ends():
-    # nearest 0 is a strict end: the midpoint, or one unit in
-    cases = [
-        ([([1], Rel.LT, 3), ([-1], Rel.LT, 0)], F(3, 2)),
-        ([([-1], Rel.LT, -1), ([1], Rel.LE, 2)], F(3, 2)),
-        ([([-1], Rel.LT, -2)], F(3)),
-        ([([1], Rel.LT, -1)], F(-2)),
-        ([([1], Rel.LT, 2), ([-1], Rel.LE, 1)], F(0)),
-    ]
-    for rows, x in cases:
-        r = solve(_sys(["x"], rows))
-        assert r.status == "optimal" and r.assignment == {"x": x}
 
 
 # -- integer box ends against the Fraction oracle --------------------------------
@@ -883,3 +874,106 @@ def test_repeat_key_follows_the_rows(drawn, data):
     changed = list(coeffs)
     changed[j] += data.draw(big_coef.filter(bool))
     assert key(changed) != key(coeffs)
+
+
+# -- sympy's exact simplex as the oracle ----------------------------------------
+
+
+def _sympy_max(s, c):
+    """sympy's `lpmax` of c.x over the rows of `s`, which shares no code
+    with `lp`: ("optimal", the maximum), ("infeasible", None) or
+    ("unbounded", None).  None when sympy's answer certifies nothing: its
+    phase 1 can stop at a point that breaks a row (sympy 1.14 gives
+    x + y = 1 under x + y <= 0, x + y <= 1 and -x - y <= -1) or give up on
+    what it calls an oscillating system."""
+    from sympy import Eq, Rational, Symbol
+    from sympy.solvers.simplex import InfeasibleLPError, UnboundedLPError, lpmax
+
+    xs = [Symbol(v) for v in s.variables]
+
+    def rational(q):
+        return Rational(q.numerator, q.denominator)
+
+    cons = []
+    for coeffs, rel, rhs in s.rows:
+        lhs = sum((rational(cf) * xs[j] for j, cf in coeffs), Rational(0))
+        b = rational(rhs)
+        cons.append(lhs <= b if rel == Rel.LE else Eq(lhs, b))
+    f = sum((rational(cf) * x for cf, x in zip(c, xs)), Rational(0))
+    try:
+        opt, point = lpmax(f, cons)
+    except InfeasibleLPError as e:
+        return None if "Oscillating" in str(e) else ("infeasible", None)
+    except UnboundedLPError:
+        return "unbounded", None
+    point = {v: F(str(point.get(x, 0))) for v, x in zip(s.variables, xs)}
+    if not _satisfies(s, point):
+        return None
+    return "optimal", F(str(opt))
+
+
+def _check_against_sympy(s, obj, maximize):
+    # feasibility is the objective 0; minimizing c is maximizing -c
+    c = [F(0)] * len(s.variables) if obj is None else obj[: len(s.variables)]
+    sense = 1 if maximize or obj is None else -1
+    want = _sympy_max(s, [sense * ci for ci in c])
+    if want is None:
+        # no verdict to compare: `lp`'s own certificates still hold
+        if obj is None:
+            _check_feasibility(s)
+        else:
+            _check_optimum(s, c, maximize)
+        return
+    got = solve(s, objective=None if obj is None else c, maximize=maximize)
+    assert got.status == want[0]
+    if got.status == "infeasible":
+        _assert_farkas(s, got.farkas)
+    elif got.status == "optimal":
+        assert got.value == sense * want[1]
+        assert _satisfies(s, got.assignment)
+        assert got.value == sum(
+            ci * got.assignment[v] for ci, v in zip(c, s.variables)
+        )
+
+
+# derandomized: one lpmax call takes tens of milliseconds, and sympy's
+# phase 1 does not stop on every system (it cycles on some of `systems()`),
+# so the examples are fixed ones that it decides
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(systems(), box_systems(strict=False)),
+    st.one_of(st.none(), st.lists(coef, min_size=3, max_size=3)),
+    st.booleans(),
+)
+def test_solve_agrees_with_sympys_simplex(s, obj, maximize):
+    _check_against_sympy(s, obj, maximize)
+
+
+@st.composite
+def two_sided_boxes(draw):
+    """Nonempty boxes whose variables mostly have both ends: per variable a
+    lower end l and an upper end u >= l, each a row a x <= a b with a of
+    the end's sign, and dropped one time in five; rows in a drawn order."""
+    nv = draw(st.integers(1, 3))
+    rows = []
+    for j in range(nv):
+        low = draw(tie_bound)
+        high = low + draw(st.sampled_from([F(0), F(1, 2), F(1), F(3)]))
+        for b, sign in ((high, 1), (low, -1)):
+            if draw(st.integers(0, 4)):
+                coeffs = [F(0)] * nv
+                coeffs[j] = a = sign * abs(draw(row_coef))
+                rows.append((coeffs, Rel.LE, a * b))
+    order = draw(st.permutations(range(len(rows))))
+    return _sys([f"x{i}" for i in range(nv)], [rows[i] for i in order])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    two_sided_boxes(),
+    st.lists(coef, min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_box_optima_agree_with_sympys_simplex(s, obj, maximize):
+    # the box path, `_box_solve`, with both ends of most intervals to pick from
+    _check_against_sympy(s, obj, maximize)

@@ -240,14 +240,15 @@ branch _ -> _:
 
 
 def test_uncovered_region_point_meets_its_strict_atoms():
-    # uncovered: 0 < x <= 1 and y < 0, strict on x's lower and y's upper end
+    # uncovered: 0 < x <= 1 and y < 0, strict on x's lower and y's upper
+    # end; the slack transform's tableau point
     guards = [
         (_atom("x", "<=", F(0)),),
         (_atom("x", ">", F(1)),),
         (_atom("y", ">=", F(0)),),
     ]
     ok, region, point = guards_cover_space(guards, ("x", "y"))
-    assert not ok and point == {"x": F(1, 2), "y": F(-1)}
+    assert not ok and point == {"x": F(1), "y": F(-1)}
     assert all(a.holds({}, point) for a in region)
 
 

@@ -6,7 +6,8 @@ Over every manifest entry, loading, Post V, VC generation and the Farkas
 routing make no `lp.solve` and no `lp.system_from_atoms` call; every
 parameter-free premise VC generation emits is already screened, and the
 Farkas routing makes no `lp._atom_box` call.  The fixture check makes
-exactly one `lp.solve` per implication: its own LP maximisation.  Loading
+exactly one `lp.solve` per implication: its own LP maximisation, over a
+box, which `lp._box_solve` decides.  Loading
 parses each distinct automaton label once (`automata.parse_dsa`).  The
 counts are deterministic.
 """
@@ -107,6 +108,47 @@ def test_the_check_route_solves_one_lp_per_implication(
     out = pipeline.check_fixture(pipeline.Entry(name, "fixture", "valid"))
     assert out.verdict == "valid", out.detail
     assert checked and calls["solve"] == len(checked)
+
+
+def test_the_check_route_keeps_the_box_path(monkeypatch):
+    # every LP maximisation of the fixture check is a box, decided by
+    # `lp._box_solve` with no tableau, and no feasibility query takes a
+    # box scan on its way to the tableau
+    objectives = []  # per `lp.solve` call in progress, was it given one
+    box_scans = []  # per `lp._box` call, was its `lp.solve` call given one
+    box_solves = []  # per checked implication, its `lp._box_solve` calls
+    solve, box, box_solve = lp.solve, lp._box, lp._box_solve
+    check = farkas.implication_valid_bruteforce
+
+    def solving(system, objective=None, maximize=True):
+        objectives.append(objective is not None)
+        try:
+            return solve(system, objective, maximize)
+        finally:
+            objectives.pop()
+
+    def scanning(*args):
+        box_scans.append(objectives[-1])
+        return box(*args)
+
+    def box_solving(*args):
+        assert args[-2] is not None  # its objective
+        box_solves[-1] += 1
+        return box_solve(*args)
+
+    def checking(impl):
+        box_solves.append(0)
+        return check(impl)
+
+    monkeypatch.setattr(lp, "solve", solving)
+    monkeypatch.setattr(lp, "_box", scanning)
+    monkeypatch.setattr(lp, "_box_solve", box_solving)
+    monkeypatch.setattr(farkas, "implication_valid_bruteforce", checking)
+    for entry in pipeline.WORKLOADS["check"][1]:
+        out = pipeline.check_fixture(entry)
+        assert out.verdict == "valid", out.detail
+    assert len(box_solves) == 283 and set(box_solves) == {1}
+    assert box_scans and all(box_scans)
 
 
 def test_loading_parses_each_distinct_label_once(monkeypatch):

@@ -402,4 +402,14 @@ def test_component_lp_falls_back_to_the_worst_violation(
         assert smtsolver._measure(cons, moved) == worst
     # the plain LP, then one worst-violation LP
     assert [obj for _, obj in lp_calls] == [False, True]
-    assert lp_calls[0][0].variables == ["a"]  # the plain LP has no __worst
+    assert lp_calls[0][0].variables == ["a"]  # the plain LP has no #worst
+
+
+def test_component_lp_keeps_a_parameter_named_like_its_worst_column(lp_calls):
+    # the "soft" case over a parameter named `__worst`: its own column, apart
+    # from the worst violation's, which no identifier can name
+    W = P("__worst")
+    rows = [(W - const(1), Rel.LE, False), (const(2) - W, Rel.LE, False)]
+    moved = smtsolver._component_lp(["__worst"], rows, {"__worst": F(0)})
+    assert moved == {"__worst": F(3, 2)}
+    assert [len(s.variables) for s, _ in lp_calls] == [1, 2]

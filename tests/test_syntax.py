@@ -85,6 +85,9 @@ def test_parse_number_forms():
     # a zero denominator is reported at the denominator
     with pytest.raises(SourceError, match="^line 1, col 6: division by zero$"):
         parse_number(_ts("-1 / 0.0"))
+    # so is a missing one
+    with pytest.raises(SourceError, match="^line 4, col 3: expected denominator$"):
+        parse_number(_ts("1/x", line=4))
 
 
 DIGITS = st.text("0123456789", min_size=1, max_size=12)
@@ -118,6 +121,10 @@ def test_expression_affine_arithmetic():
     form = parse_expression(_ts("2*x - (x + 1)/2"), _resolver())
     assert form.coeff("x") == Poly.const(F(3, 2))
     assert form.const == Poly.const(F(-1, 2))
+    # a divisor may be any constant expression
+    assert parse_expression(_ts("x / (1 + 1)"), _resolver()) == parse_expression(
+        _ts("x / 2"), _resolver()
+    )
 
 
 def test_expression_parameter_products():
@@ -125,6 +132,10 @@ def test_expression_parameter_products():
     form = parse_expression(_ts("kappa*x + alpha*kappa"), _resolver())
     assert form.coeff("x") == Poly.param("kappa")
     assert form.const == Poly.param("alpha") * Poly.param("kappa")
+    # in either order
+    assert parse_expression(_ts("x * kappa"), _resolver()) == parse_expression(
+        _ts("kappa * x"), _resolver()
+    )
 
 
 def test_expression_rejects_nonaffine():
@@ -154,6 +165,10 @@ def test_atom_relations():
     le, ge = parse_atom(_ts("x = 1"), _resolver())
     assert le.rel == ge.rel == Rel.LE and ge.form == -le.form
 
+    # a zero factor makes the whole product 0, whatever follows it
+    (z,) = parse_atom(_ts("0 * x * y <= 1"), _resolver())
+    assert z.form == LinForm.constant(F(-1)) and z.rel == Rel.LE
+
     with pytest.raises(SourceError):
         parse_atom(_ts("x + 1"), _resolver())
 
@@ -167,6 +182,10 @@ def test_mode_atoms_need_mode_list():
 
     with pytest.raises(SourceError):
         parse_atom(_ts("mode == hot"), _resolver(), modes=("ev", "od"))
+    with pytest.raises(
+        SourceError, match="^line 2, col 6: expected '==' or '!=' after 'mode'$"
+    ):
+        parse_atom(_ts("mode < ev", line=2), _resolver(), modes=("ev", "od"))
     # without a mode list, 'mode' is an ordinary (unknown) identifier
     with pytest.raises(SourceError):
         parse_atom(_ts("mode == ev"), _resolver())

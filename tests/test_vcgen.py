@@ -16,6 +16,7 @@ from streettsm.templates import (
     FALSE_ATOM,
     CertTemplate,
     InvTemplate,
+    PostTable,
     locations,
     parse_invariant,
     post_table,
@@ -353,6 +354,25 @@ def test_an_invariant_missing_a_location_is_named():
             InvTemplate.concrete(rows),
             [post_table(V, b.model, b.dsa)],
         )
+
+
+def test_one_template_and_one_table_per_pair():
+    b = load_benchmark("example2")  # one Streett pair
+    V = CertTemplate.fresh(b.model, b.dsa, 0)
+    table = post_table(V, b.model, b.dsa)
+    for Vs, tables in (([V, V], [table]), ([V], [table, table]), ([], [])):
+        with pytest.raises(
+            ValueError, match="^one V template and one PostTable per Streett pair$"
+        ):
+            build_product_vcs(b.model, b.dsa, Vs, b.invariant, tables)
+
+
+def test_a_table_must_be_its_templates_pair():
+    b = load_benchmark("example2")
+    V = CertTemplate.fresh(b.model, b.dsa, 0)
+    other = PostTable(1, post_table(V, b.model, b.dsa).pieces)
+    with pytest.raises(ValueError, match="^PostTable/CertTemplate pair mismatch$"):
+        build_product_vcs(b.model, b.dsa, [V], b.invariant, [other])
 
 
 def test_eps_must_be_positive():
