@@ -19,7 +19,9 @@ arithmetic, `Poly.const`, `Poly.param` and `substitute` build their result
 maps canonical from canonical operands, adding terms in place with
 `_accumulate`, and wrap them unchecked with `Poly._wrap`; so does
 `FormSum`, which the parser sums each expression into.  Outside this
-module only `farkas._dual_parts` uses those two, on canonical operands.
+module only `farkas._dual_parts` uses those two, and
+`model.Disturbance.expectation` `_add_term` and `Poly._wrap`, on
+canonical operands.
 
 Immutability.  Nothing writes to a `Poly`'s `terms` or a `LinForm`'s
 `coeffs` and `const` after construction.  So `Poly.substitute` and

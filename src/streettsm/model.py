@@ -41,7 +41,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .expr import Atom, LinForm, Poly, Rel
+from .expr import Atom, LinForm, Monomial, Poly, Rel, _add_term
 from .lp import atoms_satisfiable, solve, system_from_atoms
 from .syntax import (
     SourceError,
@@ -96,6 +96,57 @@ class Disturbance:
             return tuple(acc)
         assert self.mean is not None
         return self.mean
+
+    def moment(self, factors: Monomial) -> Fraction:
+        """E[w_a * w_b * ...] over the components named in `factors`, with
+        multiplicity.  A finite support gives sum_j p_j * prod w_j, exact
+        for any product, dependent components included; a box gives the
+        mean of a single factor and raises ValueError on two or more."""
+        index = {n: i for i, n in enumerate(self.component_names())}
+        if self.support is None:
+            assert self.mean is not None
+            if len(factors) != 1:
+                raise ValueError(
+                    f"box disturbance: no moment of {'*'.join(factors)} "
+                    "from its mean"
+                )
+            return self.mean[index[factors[0]]]
+        total = Fraction(0)
+        for value, prob in self.support:
+            for n in factors:
+                prob *= value[index[n]]
+            total += prob
+        return total
+
+    def expectation(
+        self, form: LinForm, moments: dict[Monomial, Fraction]
+    ) -> LinForm:
+        """E_w of an update form: in each monomial of each coefficient, the
+        product of its disturbance factors replaced by its `moment`, which
+        `moments` memoises by that product.  `form` itself when it reads
+        no component."""
+        names = frozenset(self.component_names())
+        if form.params().isdisjoint(names):
+            return form
+
+        def expect(poly: Poly) -> Poly:
+            out: dict[Monomial, Fraction] = {}
+            for mono, coeff in poly.terms.items():
+                factors = tuple(n for n in mono if n in names)
+                if factors:
+                    m = moments.get(factors)
+                    if m is None:
+                        m = moments[factors] = self.moment(factors)
+                    if not m:
+                        continue
+                    mono = tuple(n for n in mono if n not in names)
+                    coeff *= m
+                _add_term(out, mono, coeff)  # still sorted
+            return Poly._wrap(out)
+
+        return LinForm(
+            {v: expect(p) for v, p in form.coeffs.items()}, expect(form.const)
+        )
 
     def box_atoms(self) -> list[Atom]:
         """lo <= w <= hi as atoms over the component names (box kind)."""
@@ -597,8 +648,9 @@ def _finish(b: _ModelBuilder) -> StochModel:
         assert not tests
         start = blk["update"].peek()
         update = _parse_updates(blk["update"], state_vars, update_forms.get)
-        # Post V substitutes the box mean, which is exact for affine V
-        # only when each monomial carries at most one disturbance factor
+        # Post V takes each update monomial's disturbance moment
+        # (`Disturbance.expectation`); a box knows only its mean, the
+        # moment of a single factor, so no monomial may carry two
         if dist.kind == "box" and any(
             sum(n in wnames for n in mono) > 1
             for form in update.values()

@@ -16,10 +16,14 @@ satisfiable.  On that guard
     Post V(x) = sum_w p(w) . V(f(x, w), (edge target, branch target mode))
 
 The automaton target depends only on the current observation, never on w.
-One loop sums over (value, probability) pairs: the finite support, where
-the sum is exact, or the single pair (mean, 1) of a box, which is exact
-for affine V because no update monomial carries two disturbance factors
-(model parsing rejects any that does).
+V is affine and the probabilities sum to 1, so the sum is V at the
+expected successor, V(E_w f(x, w), ...).  Each branch's expected update
+is taken once per table (`Disturbance.expectation`): each update monomial
+keeps its state and control factors, and its disturbance factors become
+their moment, sum_w p(w) . prod w over a finite support (exact for w*w
+and for dependent components) or the mean of a box, whose monomials carry
+at most one disturbance factor (model parsing rejects any that carries
+two).  Each (target, branch) is then one composition of V with it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .automata import GuardedDSA, Transition
-from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
+from .expr import Atom, LinForm, Monomial, Param, ParamKind, Poly, Rel
 from .lp import defining_atoms
 from .model import Branch, StochModel
 from .syntax import (
@@ -179,15 +183,6 @@ class PostTable:
         self.pieces = pieces
 
 
-def _image_with_sample(
-    update: dict[str, LinForm],
-    wnames: tuple[str, ...],
-    sample: tuple[Fraction, ...],
-) -> dict[str, LinForm]:
-    val = dict(zip(wnames, sample))
-    return {v: f.substitute_params(val) for v, f in update.items()}
-
-
 def screen(
     atoms: tuple[Atom, ...], variables: tuple[str, ...]
 ) -> tuple[Atom, ...] | None:
@@ -206,15 +201,12 @@ def post_table(
     """Symbolic Post V, one piece per product transition, save those whose
     joint guard is parameter-free and LP-infeasible."""
     dist = model.disturbance
-    wnames = dist.component_names()
-    cases = (
-        dist.support
-        if dist.kind == "finite"
-        else ((dist.mean_vector(), Fraction(1)),)
-    )
+    moments: dict[Monomial, Fraction] = {}
     pieces: list[PostPiece] = []
     # a piece's form depends only on its target location and its branch,
-    # so each (target, branch) is composed once per call
+    # so each branch's expected update is taken once per call, and each
+    # (target, branch) composed once
+    expected: dict[int, dict[str, LinForm]] = {}
     forms: dict[tuple[Location, int], LinForm] = {}
     for q, m in locations(model, dsa):
         if (q, m) not in V.pieces:
@@ -231,12 +223,13 @@ def post_table(
                 target = (edge.target, br.mode_to)
                 key = (target, id(br))
                 if key not in forms:
-                    vnext = V.pieces[target]
-                    form = LinForm()
-                    for value, prob in cases:
-                        image = _image_with_sample(br.update, wnames, value)
-                        form = form + vnext.substitute_state(image).scale(prob)
-                    forms[key] = form
+                    image = expected.get(id(br))
+                    if image is None:
+                        image = expected[id(br)] = {
+                            v: dist.expectation(f, moments)
+                            for v, f in br.update.items()
+                        }
+                    forms[key] = V.pieces[target].substitute_state(image)
                 pieces.append(PostPiece((q, m), edge, br, guard, forms[key]))
     return PostTable(V.pair_index, tuple(pieces))
 

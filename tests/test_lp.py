@@ -422,12 +422,14 @@ def box_systems(draw, strict):
 @settings(max_examples=400, deadline=None)
 @given(
     box_systems(strict=False),
-    st.one_of(st.none(), st.lists(coef, min_size=3, max_size=3)),
+    st.lists(coef, min_size=3, max_size=3),
     st.booleans(),
 )
 def test_box_path_matches_the_tableau(s, obj, maximize):
+    # always with an objective: `solve` sends a feasibility query to the
+    # tableau itself (`test_a_feasibility_query_never_scans_for_a_box`)
     assert lp._box(s.rows, len(s.variables)) is not None
-    c = None if obj is None else obj[: len(s.variables)]
+    c = obj[: len(s.variables)]
     got = solve(s, objective=c, maximize=maximize)
     want = lp._tableau(s, c, maximize)
     assert got.status == want.status
@@ -674,12 +676,13 @@ def _solve_or_error(s, c, maximize):
 @settings(max_examples=600, deadline=None)
 @given(
     tie_boxes(),
-    st.one_of(st.none(), st.lists(coef, min_size=2, max_size=2)),
+    st.lists(coef, min_size=2, max_size=2),
     st.booleans(),
 )
 def test_integer_box_ends_match_the_fraction_oracle(s, obj, maximize):
     # the same ends (bound, strictness, row, coefficient), the same clash
-    # multipliers and so the same `solve` results, objective or not
+    # multipliers and so the same `solve` results; only a query with an
+    # objective reaches `lp._box`
     got = lp._box(s.rows, len(s.variables))
     want = _box(s.rows, len(s.variables))
     if got is None:
@@ -689,13 +692,37 @@ def test_integer_box_ends_match_the_fraction_oracle(s, obj, maximize):
         lo, hi, _ = got
         ends = list(lo.values()) + list(hi.values())
         assert all(type(e[0]) is type(e[1]) is int and e[1] > 0 for e in ends)
-    c = None if obj is None else obj[: len(s.variables)]
+    c = obj[: len(s.variables)]
     results = []
     for box in (lp._box, _integer_box):
         with mock.patch.object(lp, "_box", box):
             results.append(_solve_or_error(s, c, maximize))
-            results.append(_solve_or_error(s, None, maximize))
-    assert results[:2] == results[2:]
+    assert results[0] == results[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        box_systems(strict=False), box_systems(strict=True), tie_boxes()
+    )
+)
+def test_a_feasibility_query_never_scans_for_a_box(s):
+    # `solve` takes its box path only to maximise: a query with no
+    # objective goes to the tableau or the slack transform, box or not,
+    # and one with an objective and no strict row scans once
+    scans = []
+    box = lp._box
+
+    def scanning(*args):
+        scans.append(args)
+        return box(*args)
+
+    with mock.patch.object(lp, "_box", scanning):
+        solve(s)
+        assert scans == []
+        if all(rel is not Rel.LT for _, rel, _ in s.rows):
+            solve(s, objective=[F(1)] * len(s.variables))
+            assert len(scans) == 1
 
 
 # -- a box of atoms from the bounds their forms cache ---------------------------

@@ -1,10 +1,12 @@
 """Post V and the consecution VCs compose each (target, branch) once per
 call and reuse it for every product transition that shares it.  Every
 piece and every consecution consequent must still equal the composition
-made directly for that transition."""
+made directly for that transition, and Post V makes exactly one
+composition per (target, branch), scaling none."""
 
 import os
 import sys
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -15,7 +17,6 @@ from streettsm.lp import atoms_satisfiable
 from streettsm.templates import (
     CertTemplate,
     InvTemplate,
-    _image_with_sample,
     locations,
     post_table,
 )
@@ -39,7 +40,9 @@ def _invariant(b):
 
 
 def _direct_post(V, model, piece):
-    """The piece's Post V form composed for this transition alone."""
+    """The piece's Post V form composed for this transition alone, as the
+    per-sample sum sum_w p(w) . V(f(x, w)) over the finite support, or V at
+    the box mean."""
     dist = model.disturbance
     cases = (
         dist.support
@@ -50,7 +53,8 @@ def _direct_post(V, model, piece):
     vnext = V.pieces[(piece.edge.target, br.mode_to)]
     form = LinForm()
     for value, prob in cases:
-        image = _image_with_sample(br.update, dist.component_names(), value)
+        sample = dict(zip(dist.component_names(), value))
+        image = {v: f.substitute_params(sample) for v, f in br.update.items()}
         form = form + vnext.substitute_state(image).scale(prob)
     return form
 
@@ -102,3 +106,29 @@ def test_shared_compositions_equal_the_direct_ones(name):
         for atom in _direct_consequents(model, inv, piece)
     ]
     assert got == want
+
+
+@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+def test_post_composes_each_target_and_branch_once(name, monkeypatch):
+    # V at the expected successor: one `LinForm.substitute_state` per
+    # distinct (target, branch) of the table, and no per-sample
+    # `LinForm.scale`
+    b = load_benchmark(name)
+    Vs = [CertTemplate.fresh(b.model, b.dsa, k) for k in range(len(b.dsa.pairs))]
+    calls = Counter()
+    for method in ("substitute_state", "scale"):
+        fn = getattr(LinForm, method)
+
+        def counting(*args, _fn=fn, _method=method, **kwargs):
+            calls[_method] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(LinForm, method, counting)
+    for V in Vs:
+        calls.clear()
+        table = post_table(V, b.model, b.dsa)
+        steps = {
+            ((p.edge.target, p.branch.mode_to), id(p.branch))
+            for p in table.pieces
+        }
+        assert steps and calls == {"substitute_state": len(steps)}

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from streettsm.automata import parse_dsa
 from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.farkas import farkas_premise_sat
+from streettsm.model import Disturbance, parse_model
 from streettsm.templates import (
     FALSE_ATOM,
     CertTemplate,
@@ -133,6 +135,112 @@ def test_finite_support_post_is_the_exact_mixture():
     # E[c*x' + 1] over x' uniform on {1, -1} is exactly 1
     assert piece.form.coeff("x") == Poly.const(0)
     assert piece.form.const == Poly.const((c * 1 + 1 + c * (-1) + 1) / 2)
+
+
+# hand-written models whose updates the corpus lacks: a squared and a
+# state-times-disturbance monomial, and dependent components multiplied
+SQUARES = """
+vars: x
+init: x = 0
+disturbance: w finite { (2): 1/4, (-1): 1/4, (1): 1/2 }
+control: kappa in [-1, 1]
+branch _ -> _:
+  guard: x <= 0
+  update: x' = x + w*w
+branch _ -> _:
+  guard: x > 0
+  update: x' = w*x + kappa*w
+"""
+
+DEPENDENT = """
+vars: x y
+init: x = 0, y = 0
+disturbance: w finite { (1, 2): 1/3, (-1, -1): 2/3 }
+branch _ -> _:
+  guard: true
+  update: x' = x + w0*w1, y' = w0*w1*y - w1*x + w0*w0*w1 + 1
+"""
+
+BOX = """
+vars: x y
+init: x = 0, y = 0
+disturbance: w box { lo = (-1, 0), hi = (1, 2), mean = (1/2, 1/3) }
+control: kappa in [-1, 1]
+branch _ -> _:
+  guard: true
+  update: x' = kappa*x + w0*y + w1, y' = kappa*w1 - x
+"""
+
+LOOP = """
+states: q0 q1
+init: q0
+trans q0 -> q0: x <= 0
+trans q0 -> q1: x > 0
+trans q1 -> q0: true
+pair: A { q0 } B { q1 }
+"""
+
+
+def _per_sample_post(V, model, piece):
+    """sum_w p(w) . V(f(x, w)) over a finite support, one composition per
+    sample, or V at the mean of a box."""
+    dist = model.disturbance
+    cases = (
+        dist.support
+        if dist.kind == "finite"
+        else ((dist.mean_vector(), F(1)),)
+    )
+    br = piece.branch
+    vnext = V.pieces[(piece.edge.target, br.mode_to)]
+    form = LinForm()
+    for value, prob in cases:
+        sample = dict(zip(dist.component_names(), value))
+        image = {v: f.substitute_params(sample) for v, f in br.update.items()}
+        form = form + vnext.substitute_state(image).scale(prob)
+    return form
+
+
+@pytest.mark.parametrize(
+    "text", [SQUARES, DEPENDENT, BOX], ids=["squares", "dependent", "box"]
+)
+def test_post_is_the_per_sample_sum_beyond_the_corpus(text):
+    model = parse_model(text)
+    dsa = parse_dsa(LOOP, variables=model.state_vars)
+    V = CertTemplate.fresh(model, dsa, 0)
+    table = post_table(V, model, dsa)
+    assert table.pieces
+    for piece in table.pieces:
+        assert piece.form == _per_sample_post(V, model, piece)
+
+
+def test_moments_are_exact_where_the_mean_is_not():
+    squares = parse_model(SQUARES).disturbance
+    assert squares.mean_vector() == (F(3, 4),)
+    assert squares.moment(("w", "w")) == F(7, 4)
+    dependent = parse_model(DEPENDENT).disturbance
+    assert dependent.mean_vector() == (F(-1, 3), F(0))
+    assert dependent.moment(("w0", "w1")) == F(4, 3)
+    assert dependent.moment(("w0", "w0", "w1")) == F(0)
+    # E[x + w*w] = x + 7/4, the mean vector's x + 9/16 is not it
+    form = LinForm.var("x") + LinForm.from_poly(Poly.param("w") * Poly.param("w"))
+    moments = {}
+    assert squares.expectation(form, moments) == (
+        LinForm.var("x") + LinForm.constant(F(7, 4))
+    )
+    assert moments == {("w", "w"): F(7, 4)}
+    # a form that reads no component is returned as it is
+    plain = LinForm.var("x") + LinForm.from_poly(Poly.param("kappa"))
+    assert squares.expectation(plain, {}) is plain
+
+
+def test_box_moment_of_two_factors_raises():
+    # model parsing rejects such an update; the operator raises on one
+    # built directly
+    box = Disturbance("w", 1, lo=(F(-1),), hi=(F(1),), mean=(F(0),))
+    assert box.moment(("w",)) == F(0)
+    square = LinForm.var("x").mul_poly(Poly.param("w") * Poly.param("w"))
+    with pytest.raises(ValueError, match="no moment of w\\*w"):
+        box.expectation(square, {})
 
 
 @functools.lru_cache(maxsize=None)
