@@ -7,7 +7,7 @@ are proved exactly at parse time (`model.partition_fault`): for every
 source state and mode, the outgoing guards must be pairwise
 unsatisfiable together and their complements must have no common
 solution.  Box guards, as every corpus automaton has, are decided from
-the bounds their atoms cache, with no LP built.
+the bounds their atoms cache (`lp.defining_atoms`), with no LP built.
 
 Every state reads the same alphabet, so transition labels repeat.
 `parse_dsa` tokenizes and parses each distinct label text once per

@@ -448,7 +448,7 @@ def implication_valid_bruteforce(impl: Implication) -> bool:
 
     A non-empty strict premise has that closure, so the maximum decides
     validity unless the strict premise is empty, which
-    `lp.atoms_satisfiable` decides."""
+    `lp.defining_atoms` decides."""
     if impl.params():
         raise ValueError("brute-force oracle needs a parameter-free implication")
     premise, variables = impl.premise, impl.variables
@@ -458,15 +458,13 @@ def implication_valid_bruteforce(impl: Implication) -> bool:
         impl.consequent.form.coeff(v).constant_value() for v in variables
     ]
     rhs = -impl.consequent.form.const.constant_value()
-    res = lp.solve(
-        lp.system_from_atoms(closure, variables), objective=coeffs, maximize=True
-    )
+    res = lp.solve(lp.system_from_atoms(closure, variables), objective=coeffs)
     ok = res.status == "infeasible" or (
         res.status == "optimal" and res.value <= rhs
     )
     if ok or not strict:
         return ok
-    return not lp.atoms_satisfiable(premise, variables)
+    return lp.defining_atoms(premise, variables) is None
 
 
 def dump_duals(duals: Sequence[DualConstraint]) -> str:

@@ -1,7 +1,7 @@
 """Exact-rational linear programming.
 
 A small two-phase full-tableau simplex with Bland's rule.  One entry
-point, `solve`, decides feasibility and optimization of systems
+point, `solve`, decides feasibility and maximization of systems
 
     sum_j a_ij x_j  (<= | =)  b_i
 
@@ -57,7 +57,7 @@ readers: `_box` keys them by column, over the bounds of LP rows, and
 `_atom_box` by variable name, over the bounds that atoms' forms cache
 (`LinForm.bound`).  One rule (`_wins`) picks each end: the tighter
 bound wins, at one bound a strict end beats a non-strict one, else the
-first row wins.  `solve` decides an optimization over a box by
+first row wins.  `solve` decides a maximization over a box by
 intersecting the intervals, with no tableau, and builds a Fraction only
 for an end it reads.  It returns what the tableau returns on 'optimal'
 and 'infeasible': a coordinate with a cost sits at its optimizing end,
@@ -71,8 +71,8 @@ improving unit ray.  A feasibility query takes the tableau even over a
 box, for the pipeline screens no box through `solve`: every corpus
 guard, automaton edge and premise atom bounds one variable, and a box of
 atoms is decided from their cached bounds, with no `LinearSystem`, no
-point and no per-atom Fraction work: `atoms_satisfiable` gives the
-verdict, and `defining_atoms` the binding atoms, the rows of its ends.
+point and no per-atom Fraction work: `defining_atoms` gives the binding
+atoms, the rows of its ends, or None on a clash.
 
 Strict rows.  A system with a `<` row takes no objective (the supremum
 over an open set need not be attained), and an infeasible one carries no
@@ -196,20 +196,19 @@ def _eliminate(
 
 
 def solve(
-    system: LinearSystem,
-    objective: Sequence[Fraction] | None = None,
-    maximize: bool = True,
+    system: LinearSystem, objective: Sequence[Fraction] | None = None
 ) -> LPResult:
-    """Feasibility / optimization of a system of `<=`, `<` and `=` rows.
+    """Feasibility / maximization of a system of `<=`, `<` and `=` rows.
 
-    With no objective: any feasible point (status 'optimal', value 0),
-    meeting every strict row with positive margin, or 'infeasible' with a
-    Farkas ray aligned with the input rows when no row is strict.  A
-    system with a strict row goes through the slack transform, any other
-    feasibility query through the tableau; an optimization over a box is
-    decided by interval intersection, any other by the tableau (see the
-    module docstring).  Raises ValueError on strict rows with an
-    objective: the supremum over an open set need not be attained.
+    With an objective c: max c.x.  With no objective: any feasible point
+    (status 'optimal', value 0), meeting every strict row with positive
+    margin, or 'infeasible' with a Farkas ray aligned with the input rows
+    when no row is strict.  A system with a strict row goes through the
+    slack transform, any other feasibility query through the tableau; a
+    maximization over a box is decided by interval intersection, any
+    other by the tableau (see the module docstring).  Raises ValueError
+    on strict rows with an objective: the supremum over an open set need
+    not be attained.
     """
     if any(rel is _LT for _, rel, _ in system.rows):
         if objective is not None:
@@ -218,8 +217,8 @@ def solve(
     if objective is not None:
         ends = _box(system.rows, len(system.variables))
         if ends is not None:
-            return _box_solve(system, *ends, objective, maximize)
-    return _tableau(system, objective, maximize)
+            return _box_solve(system, *ends, objective)
+    return _tableau(system, objective)
 
 
 def _box_solve(
@@ -228,9 +227,8 @@ def _box_solve(
     hi: dict[int, _IntEnd],
     clash: _Clash | None,
     objective: Sequence[Fraction],
-    maximize: bool,
 ) -> LPResult:
-    """`solve` of an optimization over a box system from its ends by
+    """`solve` of a maximization over a box system from its ends by
     column and its clash (see the module docstring)."""
     names = system.variables
     if clash is not None:
@@ -244,15 +242,14 @@ def _box_solve(
     point = {}
     ray = None
     for j, (cf, v) in enumerate(zip(costs, names)):
-        gain = cf if maximize else -cf
-        end = hi.get(j) if gain > 0 else lo.get(j) if gain < 0 else None
+        end = hi.get(j) if cf > 0 else lo.get(j) if cf < 0 else None
         if end is not None:
             point[v] = _value(end)
             continue
         point[v] = _nearest_zero(lo.get(j), hi.get(j))
-        if gain and ray is None:
+        if cf and ray is None:
             ray = dict.fromkeys(names, _ZERO)
-            ray[v] = _ONE if gain > 0 else -_ONE
+            ray[v] = _ONE if cf > 0 else -_ONE
     if ray is not None:
         return LPResult(status="unbounded", assignment=point, ray=ray)
     value = sum((cf * point[v] for cf, v in zip(costs, names)), _ZERO)
@@ -381,9 +378,7 @@ def _nearest_zero(lo: _IntEnd | None, hi: _IntEnd | None) -> Fraction:
 
 
 def _tableau(
-    system: LinearSystem,
-    objective: Sequence[Fraction] | None,
-    maximize: bool,
+    system: LinearSystem, objective: Sequence[Fraction] | None
 ) -> LPResult:
     """`solve` by the two-phase tableau (see the module docstring)."""
     rows = system.rows
@@ -547,14 +542,13 @@ def _tableau(
             status="optimal", assignment=extract_point(), value=_ZERO
         )
 
-    # phase 2 minimizes -c^T x or c^T x, over one denominator
+    # phase 2 minimizes -c^T x, over one denominator
     objective = [_frac(cf) for cf in objective]
-    sign = -1 if maximize else 1
     den = lcm(*(cf.denominator for cf in objective))
     obj = {}
     for j, cf in enumerate(objective):
         if cf:
-            v = sign * cf.numerator * (den // cf.denominator)
+            v = -cf.numerator * (den // cf.denominator)
             obj[col_of[j]] = v
             if j not in bound_row:
                 obj[col_of[j] + 1] = -v
@@ -594,7 +588,7 @@ def _strict_tableau(system: LinearSystem) -> LPResult:
         ],
     )
     aug.rows.append((t, _LE, _ONE))
-    res = _tableau(aug, [_ZERO] * nv + [_ONE], True)
+    res = _tableau(aug, [_ZERO] * nv + [_ONE])
     if res.status != "optimal" or res.value <= 0:
         return LPResult(status="infeasible")
     assignment = dict(res.assignment)
@@ -667,29 +661,22 @@ def linear_system(
     return out
 
 
-def atoms_satisfiable(atoms: Sequence[Atom], variables: Sequence[str]) -> bool:
-    """Exact satisfiability of a conjunction, strict atoms honored: whether
-    `solve(system_from_atoms(atoms, variables))` finds a point.  A box of
-    atoms is decided on the integer ends of their cached bounds, with no
-    system built."""
-    ends = _atom_box(atoms, variables)
-    if ends is None:
-        return solve(system_from_atoms(atoms, variables)).status == "optimal"
-    return ends[2] is None
-
-
 def defining_atoms(
     atoms: Sequence[Atom], variables: Sequence[str]
 ) -> Sequence[Atom] | None:
-    """The atoms that define a parameter-free conjunction, or None when it
-    is empty, strict atoms honored.
+    """The atoms that define a conjunction, or None when it is
+    parameter-free and empty, strict atoms honored: the package's one
+    exact emptiness test of a conjunction.
 
-    A box of atoms gives its binding atoms in their order: per variable
-    the atoms of its tightest upper and lower ends, as one `_atom_box`
-    call on their cached bounds picks them.  Any other conjunction is
-    decided by `solve` and, when nonempty, given whole."""
+    A conjunction with a parameter is given whole.  A box of atoms gives
+    its binding atoms in their order: per variable the atoms of its
+    tightest upper and lower ends, as one `_atom_box` call on their cached
+    bounds picks them.  Any other conjunction is decided by `solve` and,
+    when nonempty, given whole."""
     ends = _atom_box(atoms, variables)
     if ends is None:
+        if not all(a.form.is_param_free() for a in atoms):
+            return atoms
         feasible = solve(system_from_atoms(atoms, variables))
         return atoms if feasible.status == "optimal" else None
     lo, hi, clash = ends

@@ -18,7 +18,7 @@ Branch guards within each mode must be pairwise disjoint and jointly
 exhaustive over R^n; both properties are decided exactly at parse time
 (`partition_fault`).  A conjunction of guard atoms that bounds one
 variable per atom, as every corpus guard does, is decided from the
-bounds the atoms cache (`lp.atoms_satisfiable`), with no LP built.
+bounds the atoms cache (`lp.defining_atoms`), with no LP built.
 
 The file format is line-oriented (# comments):
 
@@ -41,8 +41,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from . import lp
 from .expr import Atom, LinForm, Monomial, Poly, Rel, _add_term
-from .lp import atoms_satisfiable, solve, system_from_atoms
 from .syntax import (
     SourceError,
     TokenStream,
@@ -88,14 +88,7 @@ class Disturbance:
         return tuple(f"{self.name}{i}" for i in range(self.dim))
 
     def mean_vector(self) -> tuple[Fraction, ...]:
-        if self.support is not None:
-            acc = [Fraction(0)] * self.dim
-            for value, prob in self.support:
-                for i, v in enumerate(value):
-                    acc[i] += prob * v
-            return tuple(acc)
-        assert self.mean is not None
-        return self.mean
+        return tuple(self.moment((n,)) for n in self.component_names())
 
     def moment(self, factors: Monomial) -> Fraction:
         """E[w_a * w_b * ...] over the components named in `factors`, with
@@ -712,10 +705,9 @@ def guards_cover_space(
 
     The search is depth-first over one negated atom per guard, in product
     order; an empty partial region prunes every completion of it.  Each
-    partial region is screened for a verdict only (`lp.atoms_satisfiable`:
-    a box of atoms, as every corpus guard gives, is decided from the
-    atoms' cached bounds with no LP built), and `lp.solve` gives a point
-    of the region found."""
+    partial region is screened by `lp.defining_atoms` (a box of atoms, as
+    every corpus guard gives, is decided from the atoms' cached bounds
+    with no LP built), and `lp.solve` gives a point of the region found."""
     negated = [[negate_atom(a) for a in g] for g in guards]
 
     def extend(region: list[Atom]) -> list[Atom] | None:
@@ -723,7 +715,7 @@ def guards_cover_space(
             return region
         for atom in negated[len(region)]:
             narrowed = region + [atom]
-            if atoms_satisfiable(narrowed, variables):
+            if lp.defining_atoms(narrowed, variables) is not None:
                 found = extend(narrowed)
                 if found is not None:
                     return found
@@ -737,7 +729,7 @@ def guards_cover_space(
 
 def _point(atoms: list[Atom], variables: tuple[str, ...]) -> dict:
     """The point `lp.solve` gives a satisfiable conjunction."""
-    res = solve(system_from_atoms(atoms, variables))
+    res = lp.solve(lp.system_from_atoms(atoms, variables))
     return {v: res.assignment[v] for v in variables}
 
 
@@ -747,11 +739,11 @@ def partition_fault(
     """None when the guards partition R^n.  Otherwise the first fault with
     a point of it: ('overlap', (i, j), point) for guards i < j that both
     hold there, or ('gap', region, point) for a region no guard covers.
-    Each pair is screened for a verdict only (`lp.atoms_satisfiable`);
-    a point is built for the overlap found."""
+    Each pair is screened by `lp.defining_atoms`; a point is built for
+    the overlap found."""
     for i, j in itertools.combinations(range(len(guards)), 2):
         both = list(guards[i] + guards[j])
-        if atoms_satisfiable(both, variables):
+        if lp.defining_atoms(both, variables) is not None:
             return "overlap", (i, j), _point(both, variables)
     ok, region, point = guards_cover_space(guards, variables)
     return None if ok else ("gap", region, point)

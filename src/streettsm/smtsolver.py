@@ -252,7 +252,7 @@ def _component_lp(sub, rows, point):
             relaxed.append((-residual - worst, Rel.LE))
     relaxed.append((-worst, Rel.LE))
     system = lp.linear_system(relaxed, [*sub, "#worst"])
-    res = lp.solve(system, objective=[F0] * len(sub) + [-F1], maximize=True)
+    res = lp.solve(system, objective=[F0] * len(sub) + [-F1])
     if res.status != "optimal":
         return {n: point[n] for n in sub}
     return {n: res.assignment.get(n, F0) for n in sub}

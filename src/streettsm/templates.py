@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import lp
 from .automata import GuardedDSA, Transition
 from .expr import Atom, LinForm, Monomial, Param, ParamKind, Poly, Rel
-from .lp import defining_atoms
 from .model import Branch, StochModel
 from .syntax import (
     SourceError,
@@ -183,23 +183,11 @@ class PostTable:
         self.pieces = pieces
 
 
-def screen(
-    atoms: tuple[Atom, ...], variables: tuple[str, ...]
-) -> tuple[Atom, ...] | None:
-    """The atoms that define a conjunction, or None when it is
-    parameter-free and empty, strict atoms honored: `lp.defining_atoms`
-    of a parameter-free conjunction (the binding atoms of a box, any other
-    kept whole), and a conjunction with a parameter kept whole."""
-    if not all(a.form.is_param_free() for a in atoms):
-        return atoms
-    return defining_atoms(atoms, variables)
-
-
 def post_table(
     V: CertTemplate, model: StochModel, dsa: GuardedDSA
 ) -> PostTable:
     """Symbolic Post V, one piece per product transition, save those whose
-    joint guard is parameter-free and LP-infeasible."""
+    joint guard is parameter-free and empty (`lp.defining_atoms`)."""
     dist = model.disturbance
     moments: dict[Monomial, Fraction] = {}
     pieces: list[PostPiece] = []
@@ -218,7 +206,7 @@ def post_table(
                 continue
             for br in model.branches_for_mode(m):
                 guard = br.guard + edge.atoms
-                if screen(guard, model.state_vars) is None:
+                if lp.defining_atoms(guard, model.state_vars) is None:
                     continue
                 target = (edge.target, br.mode_to)
                 key = (target, id(br))

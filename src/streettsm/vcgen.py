@@ -32,7 +32,7 @@ a piece whose premise is parameter-free and empty, strict atoms honored,
 gets no VC, and neither does `nonneg` at a location whose invariant is.
 
 Each piece's premise and each location's invariant is screened once
-(`templates.screen`), and its VCs are built over what the screen keeps:
+(`lp.defining_atoms`), and its VCs are built over what the screen keeps:
 of a parameter-free box, only the binding atoms, per variable the
 tightest upper and the tightest lower one; of any other premise, every
 atom.  This is exact: the binding atoms define the same nonempty set as
@@ -53,6 +53,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
+from . import lp
 from .automata import GuardedDSA
 from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from .model import StochModel
@@ -63,7 +64,6 @@ from .templates import (
     PostPiece,
     PostTable,
     locations,
-    screen,
 )
 
 
@@ -221,10 +221,12 @@ def build_product_vcs(
     # each location's invariant, the `nonneg` premise of every pair, as
     # screened: None when parameter-free and empty, which gets no VC
     premises = [
-        screen(inv.rows[piece.location] + piece.guard, xs)
+        lp.defining_atoms(inv.rows[piece.location] + piece.guard, xs)
         for piece in tables[0].pieces
     ]
-    invariants = {loc: screen(rows, xs) for loc, rows in inv.rows.items()}
+    invariants = {
+        loc: lp.defining_atoms(rows, xs) for loc, rows in inv.rows.items()
+    }
 
     # initiation: every invariant row at the initial product location
     init_loc = (dsa.init, model.init_mode)

@@ -31,7 +31,6 @@ from streettsm.templates import (
     InvTemplate,
     parse_invariant,
     post_table,
-    screen,
 )
 from streettsm.vcgen import Implication, VCSet, build_product_vcs
 
@@ -60,7 +59,7 @@ def toy_implication() -> Implication:
 
 def test_toy_dual_shape_and_witness():
     impl = toy_implication()
-    assert screen(impl.premise, impl.variables) == impl.premise
+    assert lp.defining_atoms(impl.premise, impl.variables) == impl.premise
     dual = farkas_general(impl, "z0")
     assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
     assert all(z.kind == ParamKind.MULTIPLIER for z in dual.zs)
@@ -110,7 +109,7 @@ def templated_control_implication() -> Implication:
 
 def test_templated_premise_takes_general_form_with_exact_dual():
     impl = templated_control_implication()
-    assert screen(impl.premise, impl.variables) == impl.premise
+    assert lp.defining_atoms(impl.premise, impl.variables) == impl.premise
     assert transform(VCSet((impl,), (), ())) == [farkas_general(impl, "z0")]
     dual = farkas_general(impl, "z")
     assert dual.mode == "general"
@@ -430,7 +429,7 @@ def test_routing_preserves_dual_satisfiability(impl):
     # the screen, then the premise-sat route, agrees with the general form:
     # a premise the screen finds empty implies anything
     general = dual_sat_by_lp(farkas_general(impl, "z"))
-    premise = screen(impl.premise, impl.variables)
+    premise = lp.defining_atoms(impl.premise, impl.variables)
     if premise is None:
         assert general
         return
@@ -470,7 +469,7 @@ def box_implications(draw):
 @settings(deadline=None, max_examples=150)
 def test_box_premise_dual_sat_iff_implication_valid(impl):
     # the screen finds the premise empty exactly when it implies 1 <= 0
-    premise = screen(impl.premise, impl.variables)
+    premise = lp.defining_atoms(impl.premise, impl.variables)
     empty = implication_valid_bruteforce(
         dataclasses.replace(impl, consequent=FALSE_ATOM)
     )

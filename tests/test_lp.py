@@ -104,18 +104,19 @@ def test_optimum_frozen_values():
         ["x", "y"],
         [([1, 0], Rel.LE, 2), ([0, 1], Rel.LE, 3), ([1, 1], Rel.LE, 4)],
     )
-    r = solve(s, objective=[F(1), F(1)], maximize=True)
+    r = solve(s, objective=[F(1), F(1)])
     assert r.status == "optimal" and r.value == 4
 
     s2 = _sys(
         ["a", "b"],
         [([1, 1], Rel.LE, 4), ([1, 0], Rel.LE, 2), ([0, 1], Rel.LE, 3)],
     )
-    r2 = solve(s2, objective=[F(1), F(2)], maximize=True)
+    r2 = solve(s2, objective=[F(1), F(2)])
     assert r2.status == "optimal"
     assert r2.value == 7 and r2.assignment == {"a": F(1), "b": F(3)}
 
-    r3 = solve(s2, objective=[F(1), F(2)], maximize=False)
+    # min a + 2b, as max -a - 2b
+    r3 = solve(s2, objective=[F(-1), F(-2)])
     assert r3.status == "unbounded"
 
 
@@ -132,7 +133,7 @@ def test_degenerate_pivoting_terminates():
             ([0, 0, -1], Rel.LE, 0),
         ],
     )
-    r = solve(s, objective=[F(3, 4), -20, F(1, 2)], maximize=True)
+    r = solve(s, objective=[F(3, 4), -20, F(1, 2)])
     assert r.status == "optimal" and r.value == F(5, 4)
 
 
@@ -150,11 +151,13 @@ def test_beale_cycling_example_terminates_at_its_optimum():
             ([0, 0, 0, -1], Rel.LE, 0),
         ],
     )
+    # min c.x, as max -c.x
     c = [F(-3, 4), F(150), F(-1, 50), F(6)]
-    r = solve(s, objective=c, maximize=False)
-    assert r.status == "optimal" and r.value == F(-1, 20)
+    r = solve(s, objective=[-ci for ci in c])
+    assert r.status == "optimal" and r.value == F(1, 20)
     assert _satisfies(s, r.assignment)
-    assert sum(ci * r.assignment[v] for ci, v in zip(c, s.variables)) == r.value
+    value = sum(ci * r.assignment[v] for ci, v in zip(c, s.variables))
+    assert value == -r.value
 
 
 def test_system_from_atoms_builds_fraction_rows():
@@ -215,13 +218,13 @@ def test_equalities_and_negative_rhs():
 
 def test_redundant_rows_are_dropped():
     s = _sys(["x"], [([1], Rel.EQ, 1), ([1], Rel.EQ, 1), ([2], Rel.EQ, 2)])
-    r = solve(s, objective=[F(1)], maximize=True)
+    r = solve(s, objective=[F(1)])
     assert r.status == "optimal" and r.value == 1
 
 
 def test_unbounded_ray_certificate():
     s = _sys(["x", "y"], [([-1, 0], Rel.LE, 0), ([0, 1], Rel.LE, 5)])
-    r = solve(s, objective=[F(1), F(0)], maximize=True)
+    r = solve(s, objective=[F(1), F(0)])
     assert r.status == "unbounded"
     base, ray = r.assignment, r.ray
     assert ray["x"] > 0
@@ -264,9 +267,9 @@ def test_strict_rows_rejected_by_solve():
     general = _sys(["x", "y"], [([1, 1], Rel.LT, 1)])
     for s in (box, general):
         assert solve(s).status == "optimal"
-        for maximize in (True, False):
+        for sign in (1, -1):
             with pytest.raises(ValueError, match="strict rows"):
-                solve(s, objective=[F(1)] * len(s.variables), maximize=maximize)
+                solve(s, objective=[F(sign)] * len(s.variables))
 
 
 def test_implication_checks():
@@ -327,26 +330,28 @@ def _check_feasibility(s):
         _assert_farkas(s, r.farkas)
 
 
-def _check_optimum(s, obj, maximize):
-    c = obj[: len(s.variables)]
-    r = solve(s, objective=c, maximize=maximize)
+def _objective(obj, s, negate):
+    """The drawn objective cut to the system's variables; negated, to
+    minimize it by maximizing."""
+    return [-ci if negate else ci for ci in obj[: len(s.variables)]]
+
+
+def _check_optimum(s, c):
+    r = solve(s, objective=c)
     if r.status == "infeasible":
         _assert_farkas(s, r.farkas)
         return
     assert _satisfies(s, r.assignment)
-    sense = F(1) if maximize else F(-1)
     if r.status == "unbounded":
         gain = sum(ci * r.ray[v] for ci, v in zip(c, s.variables))
-        assert sense * gain > 0
+        assert gain > 0
         far = {v: r.assignment[v] + 5 * r.ray[v] for v in s.variables}
         assert _satisfies(s, far)
         return
     assert r.status == "optimal"
     assert r.value == sum(ci * r.assignment[v] for ci, v in zip(c, s.variables))
-    # sense * c.x >= sense * value + 1e-6, written as a <= row
-    beyond = _row(
-        [-sense * ci for ci in c], Rel.LE, -sense * r.value - F(1, 10**6)
-    )
+    # c.x >= value + 1e-6, written as a <= row
+    beyond = _row([-ci for ci in c], Rel.LE, -r.value - F(1, 10**6))
     better = LinearSystem(list(s.variables), s.rows + [beyond])
     beaten = solve(better)
     assert beaten.status == "infeasible"
@@ -361,8 +366,8 @@ def test_solve_certificates_are_sound(s):
 
 @settings(max_examples=150, deadline=None)
 @given(systems(), st.lists(coef, min_size=3, max_size=3), st.booleans())
-def test_optima_cannot_be_beaten(s, obj, maximize):
-    _check_optimum(s, obj, maximize)
+def test_optima_cannot_be_beaten(s, obj, negate):
+    _check_optimum(s, _objective(obj, s, negate))
 
 
 @settings(max_examples=100, deadline=None)
@@ -377,8 +382,8 @@ def test_large_coefficient_certificates_are_sound(s):
     st.lists(big_coef, min_size=3, max_size=3),
     st.booleans(),
 )
-def test_large_coefficient_optima_cannot_be_beaten(s, obj, maximize):
-    _check_optimum(s, obj, maximize)
+def test_large_coefficient_optima_cannot_be_beaten(s, obj, negate):
+    _check_optimum(s, _objective(obj, s, negate))
 
 
 # -- box systems ------------------------------------------------------------
@@ -425,13 +430,13 @@ def box_systems(draw, strict):
     st.lists(coef, min_size=3, max_size=3),
     st.booleans(),
 )
-def test_box_path_matches_the_tableau(s, obj, maximize):
+def test_box_path_matches_the_tableau(s, obj, negate):
     # always with an objective: `solve` sends a feasibility query to the
     # tableau itself (`test_a_feasibility_query_never_scans_for_a_box`)
     assert lp._box(s.rows, len(s.variables)) is not None
-    c = obj[: len(s.variables)]
-    got = solve(s, objective=c, maximize=maximize)
-    want = lp._tableau(s, c, maximize)
+    c = _objective(obj, s, negate)
+    got = solve(s, objective=c)
+    want = lp._tableau(s, c)
     assert got.status == want.status
     if got.status == "infeasible":
         _assert_farkas(s, got.farkas)
@@ -445,7 +450,7 @@ def test_box_path_matches_the_tableau(s, obj, maximize):
         return
     # unbounded: Bland's rule may leave along another variable
     gain = sum(ci * got.ray[v] for ci, v in zip(c, s.variables))
-    assert (gain if maximize else -gain) > 0
+    assert gain > 0
     far = {v: got.assignment[v] + 5 * got.ray[v] for v in s.variables}
     assert _satisfies(s, far)
 
@@ -462,7 +467,7 @@ def _augmented_status(s):
         ]
         + [(t, Rel.LE, F(1))],
     )
-    res = lp._tableau(aug, [F(0)] * nv + [F(1)], True)
+    res = lp._tableau(aug, [F(0)] * nv + [F(1)])
     return "optimal" if res.status == "optimal" and res.value > 0 else "infeasible"
 
 
@@ -666,23 +671,17 @@ def _integer_box(rows, nvars):
     return keyed(lo), keyed(hi), clash
 
 
-def _solve_or_error(s, c, maximize):
-    try:
-        return solve(s, objective=c, maximize=maximize)
-    except ValueError as e:
-        return str(e)
-
-
 @settings(max_examples=600, deadline=None)
 @given(
     tie_boxes(),
     st.lists(coef, min_size=2, max_size=2),
     st.booleans(),
 )
-def test_integer_box_ends_match_the_fraction_oracle(s, obj, maximize):
+def test_integer_box_ends_match_the_fraction_oracle(s, obj, negate):
     # the same ends (bound, strictness, row, coefficient), the same clash
-    # multipliers and so the same `solve` results; only a query with an
-    # objective reaches `lp._box`
+    # multipliers and so the same `solve` results; only a maximization
+    # reaches `lp._box`, and `solve` takes none over a `<` row, so the
+    # results are compared on the closure, every `<` read as `<=`
     got = lp._box(s.rows, len(s.variables))
     want = _box(s.rows, len(s.variables))
     if got is None:
@@ -692,11 +691,15 @@ def test_integer_box_ends_match_the_fraction_oracle(s, obj, maximize):
         lo, hi, _ = got
         ends = list(lo.values()) + list(hi.values())
         assert all(type(e[0]) is type(e[1]) is int and e[1] > 0 for e in ends)
-    c = obj[: len(s.variables)]
+    closure = LinearSystem(
+        s.variables,
+        [(cf, Rel.LE if rel is Rel.LT else rel, b) for cf, rel, b in s.rows],
+    )
+    c = _objective(obj, s, negate)
     results = []
     for box in (lp._box, _integer_box):
         with mock.patch.object(lp, "_box", box):
-            results.append(_solve_or_error(s, c, maximize))
+            results.append(solve(closure, objective=c))
     assert results[0] == results[1]
 
 
@@ -761,7 +764,7 @@ def _verdict_by_tableau(s):
     """The verdict of a system by the tableau alone, no box path."""
     if any(rel == Rel.LT for _, rel, _ in s.rows):
         return _augmented_status(s)
-    return lp._tableau(s, None, True).status
+    return lp._tableau(s, None).status
 
 
 def _raises(fn, *args):
@@ -778,18 +781,19 @@ def test_atom_box_matches_the_row_box_and_solve(drawn):
     atoms, variables = drawn
     error = _raises(system_from_atoms, atoms, variables)
     if error is not None:
-        # a parameter or an undeclared variable: no box, and the same error
-        # from every entry point
+        # a parameter or an undeclared variable: no box; a conjunction with
+        # a parameter is kept whole, and any other gives the same error
         assert lp._atom_box(atoms, variables) is None
-        assert _raises(lp.atoms_satisfiable, atoms, variables) == error
-        assert _raises(lp.defining_atoms, atoms, variables) == error
+        if all(atom.form.is_param_free() for atom in atoms):
+            assert _raises(lp.defining_atoms, atoms, variables) == error
+        else:
+            assert lp.defining_atoms(atoms, variables) is atoms
         return
     s = system_from_atoms(atoms, variables)
     rows = lp._box(s.rows, len(variables))
     got = lp._atom_box(atoms, variables)
     want = solve(s)
     feasible = want.status == "optimal"
-    assert lp.atoms_satisfiable(atoms, variables) == feasible
     assert want.status == _verdict_by_tableau(s)
     if feasible:
         assert all(atom.holds({}, want.assignment) for atom in atoms)
@@ -939,24 +943,26 @@ def _sympy_max(s, c):
     return "optimal", F(str(opt))
 
 
-def _check_against_sympy(s, obj, maximize):
-    # feasibility is the objective 0; minimizing c is maximizing -c
-    c = [F(0)] * len(s.variables) if obj is None else obj[: len(s.variables)]
-    sense = 1 if maximize or obj is None else -1
-    want = _sympy_max(s, [sense * ci for ci in c])
+def _check_against_sympy(s, obj, negate):
+    # feasibility is the objective 0
+    if obj is None:
+        c = [F(0)] * len(s.variables)
+    else:
+        c = _objective(obj, s, negate)
+    want = _sympy_max(s, c)
     if want is None:
         # no verdict to compare: `lp`'s own certificates still hold
         if obj is None:
             _check_feasibility(s)
         else:
-            _check_optimum(s, c, maximize)
+            _check_optimum(s, c)
         return
-    got = solve(s, objective=None if obj is None else c, maximize=maximize)
+    got = solve(s, objective=None if obj is None else c)
     assert got.status == want[0]
     if got.status == "infeasible":
         _assert_farkas(s, got.farkas)
     elif got.status == "optimal":
-        assert got.value == sense * want[1]
+        assert got.value == want[1]
         assert _satisfies(s, got.assignment)
         assert got.value == sum(
             ci * got.assignment[v] for ci, v in zip(c, s.variables)
@@ -972,8 +978,8 @@ def _check_against_sympy(s, obj, maximize):
     st.one_of(st.none(), st.lists(coef, min_size=3, max_size=3)),
     st.booleans(),
 )
-def test_solve_agrees_with_sympys_simplex(s, obj, maximize):
-    _check_against_sympy(s, obj, maximize)
+def test_solve_agrees_with_sympys_simplex(s, obj, negate):
+    _check_against_sympy(s, obj, negate)
 
 
 @st.composite
@@ -1001,6 +1007,6 @@ def two_sided_boxes(draw):
     st.lists(coef, min_size=3, max_size=3),
     st.booleans(),
 )
-def test_box_optima_agree_with_sympys_simplex(s, obj, maximize):
+def test_box_optima_agree_with_sympys_simplex(s, obj, negate):
     # the box path, `_box_solve`, with both ends of most intervals to pick from
-    _check_against_sympy(s, obj, maximize)
+    _check_against_sympy(s, obj, negate)

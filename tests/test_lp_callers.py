@@ -2,15 +2,30 @@
 package, found by a scan of the sources' syntax trees, so that the LP layer
 keeps no helper that only tests reach.  Package-wide, every public function
 is referred to by another definition of the package or by the benchmark
-(`perfbench/*.py`), save a fixed few that only tests reach."""
+(`perfbench/*.py`), save a fixed few that only tests reach.  And every
+function the benchmark's tracer wraps is reached through its module's
+attribute, never through a name another module binds at import, so that
+the tracer sees every call."""
 
 import ast
+import importlib
+import pkgutil
+import sys
 from pathlib import Path
 
+import pytest
+
+import streettsm
 from streettsm import lp
+from streettsm.model import parse_model
+from streettsm.syntax import SourceError
 
 PKG = Path(lp.__file__).parent
 LP = PKG / "lp.py"
+BENCH = PKG.parents[1] / "perfbench"
+sys.path[:0] = [str(BENCH)]
+
+import tracing  # noqa: E402
 
 
 def _public_functions(tree: ast.Module) -> set[str]:
@@ -61,8 +76,6 @@ def test_every_public_lp_function_has_a_caller_outside_lp():
 
 
 # -- every public function of the package has a user ---------------------------
-
-BENCH = PKG.parents[1] / "perfbench"
 
 # public functions that only tests reach, kept for the command line of
 # ROADMAP item 5
@@ -126,3 +139,49 @@ def test_every_public_function_has_a_user_outside_itself():
     assert ("templates", "parse_invariant") in used
     assert ONLY_TESTS <= public and not ONLY_TESTS & used
     assert public - used == ONLY_TESTS, sorted(public - used - ONLY_TESTS)
+
+
+# -- the tracer sees every call ------------------------------------------------
+
+
+def test_no_module_binds_a_traced_function_under_its_own_name():
+    # `from .lp import solve` would bind the original: a call through that
+    # name is one the tracer's wrapper of `lp.solve` never sees
+    modules = [streettsm] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(streettsm.__path__, "streettsm.")
+    ]
+    assert len(modules) > 10
+    bound = []
+    for module in modules:
+        for name, value in vars(module).items():
+            for home, attr in tracing.TARGETS:
+                if value is getattr(home, attr) and module is not home:
+                    bound.append(f"{module.__name__}.{name}")
+    assert bound == []
+
+
+OVERLAP = """
+state_dim: 1
+init: x = 0
+disturbance: w finite { (0): 1 }
+branch _ -> _:
+  guard: x <= 1
+  update: x' = x
+branch _ -> _:
+  guard: x >= 0
+  update: x' = x
+"""
+
+
+def test_the_tracer_sees_the_lp_of_a_guard_overlap():
+    # the state an overlap error shows is a point `lp.solve` gives
+    tracer = tracing.Tracer()
+    tracer.begin_pass()
+    tracer.install()
+    try:
+        with pytest.raises(SourceError, match="overlap .* at state x = 0 "):
+            parse_model(OVERLAP)
+    finally:
+        tracer.uninstall()
+    assert [s.name for s in tracer.passes[0]].count("lp.solve") >= 1

@@ -83,7 +83,7 @@ def test_only_vc_generation_screens_premises(name, monkeypatch):
     for vcs in _vc_sets(name):
         for impl in vcs.implications:
             if all(a.form.is_param_free() for a in impl.premise):
-                again = templates.screen(impl.premise, impl.variables)
+                again = lp.defining_atoms(impl.premise, impl.variables)
                 assert again == impl.premise, impl.tag
         with monkeypatch.context() as patch:
             patch.setattr(lp, "_atom_box", counting)
@@ -120,10 +120,10 @@ def test_the_check_route_keeps_the_box_path(monkeypatch):
     solve, box, box_solve = lp.solve, lp._box, lp._box_solve
     check = farkas.implication_valid_bruteforce
 
-    def solving(system, objective=None, maximize=True):
+    def solving(system, objective=None):
         objectives.append(objective is not None)
         try:
-            return solve(system, objective, maximize)
+            return solve(system, objective)
         finally:
             objectives.pop()
 
@@ -132,7 +132,7 @@ def test_the_check_route_keeps_the_box_path(monkeypatch):
         return box(*args)
 
     def box_solving(*args):
-        assert args[-2] is not None  # its objective
+        assert args[-1] is not None  # its objective
         box_solves[-1] += 1
         return box_solve(*args)
 

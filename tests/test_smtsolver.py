@@ -312,9 +312,9 @@ def lp_calls(monkeypatch):
     calls = []
     solve = lp.solve
 
-    def counting(system, objective=None, maximize=True):
+    def counting(system, objective=None):
         calls.append((system, objective is not None))
-        return solve(system, objective, maximize)
+        return solve(system, objective)
 
     monkeypatch.setattr(lp, "solve", counting)
     return calls

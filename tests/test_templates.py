@@ -11,6 +11,7 @@ from streettsm.automata import parse_dsa
 from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.farkas import farkas_premise_sat
+from streettsm.lp import defining_atoms
 from streettsm.model import Disturbance, parse_model
 from streettsm.templates import (
     FALSE_ATOM,
@@ -19,7 +20,6 @@ from streettsm.templates import (
     locations,
     parse_invariant,
     post_table,
-    screen,
 )
 from streettsm.vcgen import Implication
 
@@ -100,7 +100,7 @@ def test_screen_keeps_the_binding_atoms_only():
         Atom(-one, Rel.LE),
         Atom(-y - one, Rel.LT),
     )
-    kept = screen(premise, ("y",))
+    kept = defining_atoms(premise, ("y",))
     assert kept == (premise[1], premise[3])
     # the premise-sat dual over them: 2 z0 - z1 = 1 and 2 z0 <= 2
     impl = Implication(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from streettsm.benchmarks import benchmark_names, load_benchmark
 from streettsm.expr import Atom, LinForm, Poly, Rel
-from streettsm.lp import atoms_satisfiable
+from streettsm.lp import defining_atoms
 from streettsm.farkas import implication_valid_bruteforce
 from streettsm.templates import (
     FALSE_ATOM,
@@ -20,7 +20,6 @@ from streettsm.templates import (
     locations,
     parse_invariant,
     post_table,
-    screen,
 )
 from streettsm.vcgen import (
     Implication,
@@ -91,9 +90,7 @@ def test_one_consecution_vc_per_firing_transition_sample_and_row(name):
     pairs = len(dsa.pairs)
 
     def empty(premise):
-        return all(a.form.is_param_free() for a in premise) and (
-            not atoms_satisfiable(premise, xs)
-        )
+        return defining_atoms(premise, xs) is None
 
     want, want_drift, never, excluded = Counter(), Counter(), set(), []
     for q, m in locations(model, dsa):
@@ -202,7 +199,7 @@ def test_infeasible_concrete_premise_gets_no_vc():
         Atom(-x - LinForm.constant(F(1, 5)), Rel.LE),
         Atom(LinForm.constant(1) - x, Rel.LE),
     )
-    assert screen(premise, ("x",)) is None
+    assert defining_atoms(premise, ("x",)) is None
     b = load_benchmark("example2")
     V = CertTemplate.fresh(b.model, b.dsa, 0)
     table = post_table(V, b.model, b.dsa)
@@ -221,8 +218,8 @@ def test_contradictory_strict_atoms_get_no_vc():
     half = LinForm.constant(F(1, 2))
     premise = (Atom(x + half, Rel.LT), Atom(-x - half, Rel.LT))
     closure = tuple(Atom(a.form, Rel.LE) for a in premise)
-    assert screen(premise, ("x",)) is None
-    assert screen(closure, ("x",)) == closure
+    assert defining_atoms(premise, ("x",)) is None
+    assert defining_atoms(closure, ("x",)) == closure
     assert implication_valid_bruteforce(
         _mk("consec", None, ("x",), premise, FALSE_ATOM)
     )
