@@ -6,10 +6,6 @@ answers sat with a point or unsat with a Farkas ray; anything else goes to
 the bundled solver, ``smtsolver.decide``, called in process on the same
 ``ConstraintSystem``.  Either way a sat verdict is re-checked by exact
 substitution before it is reported.
-
-``emit_smtlib`` writes a system as an SMT-LIB2 script, the paper's
-reduction of synthesis to SMT, for use outside this package; no verdict
-here goes through that text.
 """
 
 from __future__ import annotations
@@ -17,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import lp, smtsolver
-from .expr import ParamKind, Poly, Rel
-from .farkas import ConstraintSystem, Disjunction, PolyConstraint
+from .expr import ParamKind
+from .farkas import ConstraintSystem
 
 
 class BackendError(Exception):
@@ -46,75 +42,6 @@ class Verdict:
         self.valuation = valuation  # non-multiplier params
         self.witness = witness  # total, exactly re-checked
         self.ray = ray  # infeasibility certificate (LP route)
-
-
-# -- SMT-LIB2 emission ---------------------------------------------------------
-
-
-def smt_rational(q: Fraction) -> str:
-    """Exact literal: integers plain, otherwise a quotient, never a decimal."""
-    if q < 0:
-        return f"(- {smt_rational(-q)})"
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"(/ {q.numerator} {q.denominator})"
-
-
-def smt_poly(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for mono, coeff in sorted(p.terms.items()):
-        if not mono:
-            parts.append(smt_rational(coeff))
-        elif coeff == 1 and len(mono) == 1:
-            parts.append(mono[0])
-        elif coeff == 1:
-            parts.append(f"(* {' '.join(mono)})")
-        else:
-            parts.append(f"(* {smt_rational(coeff)} {' '.join(mono)})")
-    if len(parts) == 1:
-        return parts[0]
-    return f"(+ {' '.join(parts)})"
-
-
-# the SMT-LIB operator of each constraint relation
-_SMT_OPERATOR = {Rel.LE: "<=", Rel.LT: "<", Rel.EQ: "="}
-
-
-def smt_constraint(c: PolyConstraint) -> str:
-    return f"({_SMT_OPERATOR[c.rel]} {smt_poly(c.poly)} 0)"
-
-
-def _smt_branch(constraints: tuple[PolyConstraint, ...]) -> str:
-    if not constraints:
-        return "true"
-    return f"(and {' '.join(smt_constraint(c) for c in constraints)})"
-
-
-def emit_smtlib(system: ConstraintSystem) -> str:
-    """The whole decision problem as one QF_NRA SMT-LIB2 script.
-
-    Every parameter is declared as a Real; the model query asks for the
-    non-multiplier parameters only (certificate content, not Farkas z's).
-    """
-    lines = ["(set-logic QF_NRA)"]
-    for p in system.params:
-        lines.append(f"(declare-const {p.name} Real)")
-    for item in system.constraints:
-        if isinstance(item, Disjunction):
-            body = f"(or {_smt_branch(item.left)} {_smt_branch(item.right)})"
-        else:
-            body = smt_constraint(item)
-        lines.append(f"(assert {body})")
-    lines.append("(check-sat)")
-    reported = [
-        p.name for p in system.params if p.kind != ParamKind.MULTIPLIER
-    ]
-    if reported:
-        lines.append(f"(get-value ({' '.join(reported)}))")
-    lines.append("(exit)")
-    return "\n".join(lines) + "\n"
 
 
 # -- the two routes --------------------------------------------------------------

@@ -19,7 +19,6 @@ from ..templates import InvTemplate, parse_invariant
 
 __all__ = [
     "Benchmark",
-    "benchmark_names",
     "load_benchmark",
     "manifest",
     "read_corpus_text",
@@ -44,12 +43,6 @@ def _entries() -> dict[str, dict]:
     for row in doc["benchmarks"] + doc["extras"]:
         out[row["name"]] = row
     return out
-
-
-def benchmark_names(include_extras: bool = False) -> list[str]:
-    doc = manifest()
-    rows = doc["benchmarks"] + (doc["extras"] if include_extras else [])
-    return [row["name"] for row in rows]
 
 
 class Benchmark:

@@ -226,20 +226,14 @@ class ConstraintSystem:
     def dump(self) -> str:
         lines = [f"params: {', '.join(p.name for p in self.params)}"]
         lines.append(f"max degree: {self.degree()}")
-        lines.extend(_item_lines(self.constraints, ""))
+        for item in self.constraints:
+            if isinstance(item, Disjunction):
+                lines.append("or:")
+                lines.extend(f"  | {c}" for c in item.left)
+                lines.extend(f"  / {c}" for c in item.right)
+            else:
+                lines.append(f"  {item}")
         return "\n".join(lines) + "\n"
-
-
-def _item_lines(items, or_indent: str):
-    """One line per constraint, indented two spaces; a disjunction is an
-    `or:` line at `or_indent` over its `|` left and `/` right rows."""
-    for item in items:
-        if isinstance(item, Disjunction):
-            yield f"{or_indent}or:"
-            yield from (f"{or_indent}  | {c}" for c in item.left)
-            yield from (f"{or_indent}  / {c}" for c in item.right)
-        else:
-            yield f"  {item}"
 
 
 def _fresh_zs(impl: Implication, prefix: str) -> tuple[Param, ...]:
@@ -271,7 +265,7 @@ def _dual_parts(impl, zs, homogeneous: bool):
     return eqs, Poly._wrap(rhs)
 
 
-def farkas_general(impl: Implication, prefix: str = "z") -> DualConstraint:
+def farkas_general(impl: Implication, prefix: str) -> DualConstraint:
     """Full disjunctive dual; sound and complete for any premise."""
     zs = _fresh_zs(impl, prefix)
     nonneg = tuple(
@@ -289,7 +283,7 @@ def farkas_general(impl: Implication, prefix: str = "z") -> DualConstraint:
     )
 
 
-def farkas_premise_sat(impl: Implication, prefix: str = "z") -> DualConstraint:
+def farkas_premise_sat(impl: Implication, prefix: str) -> DualConstraint:
     """Conjunction-only dual over the whole premise; exact when the premise
     is nonempty (see the module docstring)."""
     zs = _fresh_zs(impl, prefix)
@@ -465,12 +459,3 @@ def implication_valid_bruteforce(impl: Implication) -> bool:
     if ok or not strict:
         return ok
     return lp.defining_atoms(premise, variables) is None
-
-
-def dump_duals(duals: Sequence[DualConstraint]) -> str:
-    """Per-implication dual blocks, for --emit-dual."""
-    lines = []
-    for dual in duals:
-        lines.append(f"[{dual.tag}] {dual.mode}")
-        lines.extend(_item_lines(dual.items(), "  "))
-    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@
 ``backends`` sends every system that is not all-linear here, as a
 function call: ``decide`` takes the assembled ``farkas.ConstraintSystem``
 as it is, with its ``PolyConstraint`` rows and two-branch
-``Disjunction``s.  No SMT-LIB text is read or written on the way.
+``Disjunction``s.
 
 Decision strategy:
   * if the linear disjunction-free subset is infeasible, the whole

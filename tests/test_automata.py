@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streettsm.automata import GuardedDSA, StreettPair, Transition, parse_dsa
-from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
+from streettsm.benchmarks import load_benchmark, manifest, read_corpus_text
 from streettsm.expr import Atom, LinForm, Rel
 from streettsm.syntax import (
     SourceError,
@@ -190,19 +190,17 @@ def test_corpus_observer_frozen_run():
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
+ROWS = manifest()["benchmarks"] + manifest()["extras"]
+CORPUS = [row["name"] for row in ROWS]
 
 
 @pytest.fixture(scope="module")
 def corpus():
     """Every corpus benchmark, loaded once for all drawn points."""
-    return {
-        name: load_benchmark(name)
-        for name in benchmark_names(include_extras=True)
-    }
+    return {name: load_benchmark(name) for name in CORPUS}
 
 
-@given(st.sampled_from(sorted(benchmark_names(include_extras=True))),
-       rationals, rationals)
+@given(st.sampled_from(sorted(CORPUS)), rationals, rationals)
 def test_exactly_one_transition_everywhere(corpus, name, x0, x1):
     # determinism + totality, probed pointwise across the whole corpus
     b = corpus[name]
@@ -255,7 +253,7 @@ def _labels(text):
     }
 
 
-@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+@pytest.mark.parametrize("name", CORPUS)
 def test_equal_labels_share_one_parse(name):
     b = load_benchmark(name)
     labels = _labels(read_corpus_text(b.files["dsa"]))

@@ -1,6 +1,5 @@
-"""Backends: SMT-LIB emission, exact simplex, routing, the bundled solver."""
+"""Backends: exact simplex, routing, the bundled solver."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -13,9 +12,7 @@ from streettsm.backends import (
     SolverJob,
     bundled_solve,
     decide,
-    emit_smtlib,
     simplex_solve,
-    smt_rational,
 )
 from streettsm.expr import Param, ParamKind, Poly, Rel
 from streettsm.farkas import (
@@ -38,142 +35,6 @@ def system_of(params, constraints) -> ConstraintSystem:
 
 def le(poly) -> PolyConstraint:
     return PolyConstraint(poly, Rel.LE)
-
-
-# -- emission -------------------------------------------------------------------
-
-
-def test_rational_literals_are_quotients_never_decimals():
-    assert smt_rational(F(0)) == "0"
-    assert smt_rational(F(5)) == "5"
-    assert smt_rational(F(-5)) == "(- 5)"
-    assert smt_rational(F(3, 2)) == "(/ 3 2)"
-    assert smt_rational(F(-3, 2)) == "(- (/ 3 2))"
-    assert "." not in smt_rational(F(1, 8))
-
-
-def test_emitted_script_shape():
-    th = Param("th", CERT)
-    z = Param("z0_0", MULT)
-    system = system_of(
-        [th, z],
-        [
-            le(P("th") - Poly.const(F(1))),
-            Disjunction(
-                (PolyConstraint(P("z0_0") - P("th"), Rel.EQ),),
-                (PolyConstraint(P("z0_0"), Rel.LT),),
-            ),
-        ],
-    )
-    text = emit_smtlib(system)
-    lines = text.splitlines()
-    assert lines[0] == "(set-logic QF_NRA)"
-    assert "(declare-const th Real)" in lines
-    assert "(declare-const z0_0 Real)" in lines
-    assert "(assert (<= (+ (- 1) th) 0))" in lines
-    assert (
-        "(assert (or (and (= (+ (* (- 1) th) z0_0) 0)) (and (< z0_0 0))))"
-        in lines
-    )
-    assert lines[-3] == "(check-sat)"
-    # the model query covers certificate parameters, not Farkas multipliers
-    assert lines[-2] == "(get-value (th))"
-    assert lines[-1] == "(exit)"
-
-
-def test_emission_declares_qf_nra_and_writes_products():
-    a = Param("a", CERT)
-    system = system_of([a], [le(P("a") * P("a") - Poly.const(F(4)))])
-    text = emit_smtlib(system)
-    assert "(set-logic QF_NRA)" in text
-    assert "(* a a)" in text
-
-
-def read_sexps(text: str) -> list:
-    """Every top-level form of an SMT-LIB text, as nested lists of tokens."""
-    stack: list[list] = [[]]
-    for token in text.replace("(", " ( ").replace(")", " ) ").split():
-        if token == "(":
-            stack.append([])
-        elif token == ")":
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(token)
-    (forms,) = stack
-    return forms
-
-
-def smt_value(node, point) -> Fraction:
-    if isinstance(node, str):
-        return Fraction(int(node)) if node.isdigit() else point[node]
-    head, *args = node
-    vals = [smt_value(a, point) for a in args]
-    if head == "+":
-        return sum(vals, F(0))
-    if head == "-":
-        return -vals[0] if len(vals) == 1 else vals[0] - sum(vals[1:], F(0))
-    if head == "*":
-        return math.prod(vals, start=F(1))
-    assert head == "/" and len(vals) == 2
-    return vals[0] / vals[1]
-
-
-def smt_holds(node, point) -> bool:
-    if node == "true":
-        return True
-    head, *args = node
-    if head == "and":
-        return all(smt_holds(a, point) for a in args)
-    if head == "or":
-        return any(smt_holds(a, point) for a in args)
-    lhs, rhs = (smt_value(a, point) for a in args)
-    return {"<=": lhs <= rhs, "<": lhs < rhs, "=": lhs == rhs}[head]
-
-
-@given(st.fractions(max_denominator=10**6))
-def test_rational_round_trip_is_exact(q):
-    (node,) = read_sexps(smt_rational(q))
-    assert smt_value(node, {}) == q
-
-
-small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-
-# monomials of degree 0 to 2 over one certificate and one multiplier name
-quadratic_polys = st.dictionaries(
-    st.sampled_from([(), ("a",), ("z",), ("a", "a"), ("a", "z")]),
-    small_fracs,
-).map(Poly)
-
-emitted_rows = st.builds(
-    PolyConstraint, quadratic_polys, st.sampled_from([Rel.LE, Rel.LT, Rel.EQ])
-)
-emitted_items = st.one_of(
-    emitted_rows,
-    st.builds(
-        Disjunction,
-        st.lists(emitted_rows, max_size=2).map(tuple),
-        st.lists(emitted_rows, max_size=2).map(tuple),
-    ),
-)
-
-
-@given(
-    st.lists(emitted_items, max_size=5),
-    st.fixed_dictionaries({"a": small_fracs, "z": small_fracs}),
-)
-@settings(max_examples=40)
-def test_emitted_asserts_hold_exactly_where_the_system_holds(items, point):
-    system = system_of([Param("a", CERT), Param("z", MULT)], items)
-    forms = read_sexps(emit_smtlib(system))
-    assert forms[0] == ["set-logic", "QF_NRA"]
-    assert ["declare-const", "a", "Real"] in forms
-    assert ["declare-const", "z", "Real"] in forms
-    asserts = [f[1] for f in forms if f[0] == "assert"]
-    assert len(asserts) == len(items)
-    for body, item in zip(asserts, items):
-        assert smt_holds(body, point) == item.holds(point)
-    assert forms[-3:] == [["check-sat"], ["get-value", ["a"]], ["exit"]]
 
 
 # -- exact simplex route --------------------------------------------------------
@@ -434,18 +295,3 @@ def test_lp_and_smt_backends_agree(system):
         assert system.holds(by_lp.witness)
         assert system.holds(by_smt.witness)
 
-
-@given(linear_systems())
-@settings(max_examples=40)
-def test_bundled_smtlib_front_end_agrees_with_simplex(system):
-    # the emitted SMT-LIB holds at the models of both routes, and the
-    # bundled solver and the simplex agree on the verdict
-    asserts = [
-        f[1] for f in read_sexps(emit_smtlib(system)) if f[0] == "assert"
-    ]
-    by_lp = simplex_solve(system)
-    by_smt = bundled_solve(system)
-    assert by_smt.status == by_lp.status
-    if by_lp.status == "sat":
-        for witness in (by_lp.witness, by_smt.witness):
-            assert all(smt_holds(body, witness) for body in asserts)

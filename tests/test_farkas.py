@@ -18,7 +18,6 @@ from streettsm.farkas import (
     Disjunction,
     PolyConstraint,
     assemble,
-    dump_duals,
     farkas_general,
     farkas_premise_sat,
     implication_valid_bruteforce,
@@ -348,19 +347,26 @@ def test_side_atoms_must_not_mention_state_variables():
 def test_dumps_are_readable():
     impl = templated_control_implication()
     duals = [farkas_general(impl, "z0")]
-    text = dump_duals(duals)
-    assert "general" in text
-    assert "| " in text and "/ " in text  # both disjuncts rendered
     vcs_params = tuple(
         Param(n, ParamKind.CERT)
         for n in ("alpha0", "alpha1", "beta0", "beta1", "kappa",
                   "eta1", "eta2", "eta3", "eta4")
     )
     system = assemble(VCSet((impl,), vcs_params, ()), duals)
-    dump = system.dump()
-    assert dump.startswith("params:")
-    assert "max degree: 2" in dump
-    assert "or:" in dump
+    # tests read dumps as identity hashes: the text is pinned byte for byte
+    assert system.dump() == (
+        "params: alpha0, alpha1, beta0, beta1, kappa, eta1, eta2, eta3, eta4,"
+        " z0_0, z0_1, z0_2\n"
+        "max degree: 2\n"
+        "  -z0_0 <= 0\n"
+        "  -z0_1 <= 0\n"
+        "  -z0_2 <= 0\n"
+        "or:\n"
+        "  | alpha1 - z0_2 - alpha0*kappa + eta1*z0_0 + eta3*z0_1 == 0\n"
+        "  | beta0 - beta1 - z0_2 + eta2*z0_0 + eta4*z0_1 <= 0\n"
+        "  / -z0_2 + eta1*z0_0 + eta3*z0_1 == 0\n"
+        "  / -z0_2 + eta2*z0_0 + eta4*z0_1 < 0\n"
+    )
 
 
 # -- differential against the brute-force validity oracle ----------------------

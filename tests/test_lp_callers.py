@@ -2,10 +2,9 @@
 package, found by a scan of the sources' syntax trees, so that the LP layer
 keeps no helper that only tests reach.  Package-wide, every public function
 is referred to by another definition of the package or by the benchmark
-(`perfbench/*.py`), save a fixed few that only tests reach.  And every
-function the benchmark's tracer wraps is reached through its module's
-attribute, never through a name another module binds at import, so that
-the tracer sees every call."""
+(`perfbench/*.py`), with no exemption.  And every function the benchmark's
+tracer wraps is reached through its module's attribute, never through a
+name another module binds at import, so that the tracer sees every call."""
 
 import ast
 import importlib
@@ -77,15 +76,6 @@ def test_every_public_lp_function_has_a_caller_outside_lp():
 
 # -- every public function of the package has a user ---------------------------
 
-# public functions that only tests reach, kept for the command line of
-# ROADMAP item 5
-ONLY_TESTS = {
-    ("backends", "emit_smtlib"),
-    ("farkas", "dump_duals"),
-    ("benchmarks", "benchmark_names"),
-}
-
-
 def _module_name(path: Path) -> str:
     return path.parent.name if path.name == "__init__.py" else path.stem
 
@@ -137,8 +127,7 @@ def test_every_public_function_has_a_user_outside_itself():
     # both spellings, an attribute of a module and an imported name
     assert {("lp", "solve"), ("benchmarks", "load_benchmark")} <= used
     assert ("templates", "parse_invariant") in used
-    assert ONLY_TESTS <= public and not ONLY_TESTS & used
-    assert public - used == ONLY_TESTS, sorted(public - used - ONLY_TESTS)
+    assert public and not public - used, sorted(public - used)
 
 
 # -- the tracer sees every call ------------------------------------------------

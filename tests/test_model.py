@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from streettsm import lp
 from streettsm.automata import parse_dsa
-from streettsm.benchmarks import benchmark_names, load_benchmark
+from streettsm.benchmarks import load_benchmark, manifest
 from streettsm.expr import Atom, LinForm, Rel
 from streettsm.model import (
     DEFAULT_MODE,
@@ -107,7 +107,8 @@ branch _ -> _:
 
 
 def test_corpus_parses_with_expected_flags():
-    for name in benchmark_names(include_extras=True):
+    for row in manifest()["benchmarks"] + manifest()["extras"]:
+        name = row["name"]
         b = load_benchmark(name)
         assert b.model.state_dim in (1, 2)
         flagged = b.model.guards_parameter_bearing
@@ -646,8 +647,8 @@ def test_with_control_checks_the_declared_box_and_side_constraints():
 
 def test_every_fixture_control_gives_a_well_defined_model():
     fixed = 0
-    for name in benchmark_names():
-        bench = load_benchmark(name)
+    for row in manifest()["benchmarks"]:
+        bench = load_benchmark(row["name"])
         control = (bench.cert or {}).get("control")
         if control:
             model = bench.model.with_control(

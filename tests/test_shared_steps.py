@@ -11,7 +11,7 @@ from functools import partial
 
 import pytest
 
-from streettsm.benchmarks import benchmark_names, load_benchmark
+from streettsm.benchmarks import load_benchmark, manifest
 from streettsm.expr import Atom, LinForm
 from streettsm.lp import defining_atoms
 from streettsm.templates import (
@@ -85,7 +85,11 @@ def _empty(premise, variables):
     return defining_atoms(premise, variables) is None
 
 
-@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+ROWS = manifest()["benchmarks"] + manifest()["extras"]
+CORPUS = [row["name"] for row in ROWS]
+
+
+@pytest.mark.parametrize("name", CORPUS)
 def test_shared_compositions_equal_the_direct_ones(name):
     b = load_benchmark(name)
     model, dsa = b.model, b.dsa
@@ -106,7 +110,7 @@ def test_shared_compositions_equal_the_direct_ones(name):
     assert got == want
 
 
-@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+@pytest.mark.parametrize("name", CORPUS)
 def test_post_composes_each_target_and_branch_once(name, monkeypatch):
     # V at the expected successor: one `LinForm.substitute_state` per
     # distinct (target, branch) of the table, and no per-sample

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from streettsm import backends, farkas, lp, smtsolver
 from streettsm.backends import simplex_solve
-from streettsm.benchmarks import benchmark_names, load_benchmark
+from streettsm.benchmarks import load_benchmark, manifest
 from streettsm.expr import Param, ParamKind, Poly, Rel
 from streettsm.farkas import ConstraintSystem, Disjunction, PolyConstraint
 from streettsm.templates import CertTemplate, InvTemplate, post_table
@@ -182,7 +182,8 @@ def _assembled(name, inv_source="inv"):
 def _corpus_systems():
     # every corpus entry over each invariant it has: its .inv file, its
     # fixture's and a fresh two-row template
-    for name in benchmark_names(include_extras=True):
+    for row in manifest()["benchmarks"] + manifest()["extras"]:
+        name = row["name"]
         b = load_benchmark(name)
         sources = ["inv"] if b.invariant is not None else []
         sources += ["fixture"] if b.cert is not None else []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from streettsm.automata import parse_dsa
 from streettsm.benchmarks import (
-    benchmark_names,
     load_benchmark,
     manifest,
     read_corpus_text,
@@ -90,6 +89,9 @@ def test_parse_number_forms():
         parse_number(_ts("1/x", line=4))
 
 
+ROWS = manifest()["benchmarks"] + manifest()["extras"]
+
+
 DIGITS = st.text("0123456789", min_size=1, max_size=12)
 
 
@@ -105,7 +107,7 @@ def test_numerals_read_as_integers_equal_their_fraction(whole, frac):
 
 def test_every_corpus_numeral_reads_as_its_fraction():
     seen = 0
-    for row in manifest()["benchmarks"] + manifest()["extras"]:
+    for row in ROWS:
         for key in ("model", "dsa", "invariant"):
             if not row[key]:
                 continue
@@ -277,7 +279,7 @@ def test_parsed_atoms_are_le_or_lt_and_mean_the_comparison(op, lhs, point, data)
 
 def test_corpus_atoms_are_le_or_lt():
     # guards, edges, invariant rows and side constraints, as parsed
-    names = benchmark_names(include_extras=True)
+    names = [row["name"] for row in ROWS]
     assert len(names) == 13
     for name in names:
         b = load_benchmark(name)

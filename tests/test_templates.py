@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streettsm.automata import parse_dsa
-from streettsm.benchmarks import benchmark_names, load_benchmark, read_corpus_text
+from streettsm.benchmarks import load_benchmark, manifest, read_corpus_text
 from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.farkas import farkas_premise_sat
 from streettsm.lp import defining_atoms
@@ -299,7 +299,10 @@ def _expected_post(b, V, control, loc, x):
     return total
 
 
-@pytest.mark.parametrize("name", benchmark_names(include_extras=True))
+ROWS = manifest()["benchmarks"] + manifest()["extras"]
+
+
+@pytest.mark.parametrize("name", [row["name"] for row in ROWS])
 @given(data=st.data())
 def test_post_table_matches_the_exact_one_step_expectation(name, data):
     b, V, control, table, cuts = _oracle_inputs(name)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streettsm.benchmarks import benchmark_names, load_benchmark
+from streettsm.benchmarks import load_benchmark, manifest
 from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.lp import defining_atoms
 from streettsm.farkas import implication_valid_bruteforce
@@ -72,7 +72,8 @@ def _corpus_vcs(name):
     return b, inv, build_product_vcs(b.model, b.dsa, Vs, inv, tables)
 
 
-CORPUS = benchmark_names(include_extras=True)
+ROWS = manifest()["benchmarks"] + manifest()["extras"]
+CORPUS = [row["name"] for row in ROWS]
 
 
 @pytest.mark.parametrize("name", CORPUS)
