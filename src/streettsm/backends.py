@@ -1,9 +1,9 @@
 """Decision backends for assembled constraint systems.
 
 The route is read from the system itself: an all-linear system (degree at
-most 1, no disjunction) is decided by the exact-rational simplex, which
-answers sat with a point or unsat with a Farkas ray; anything else goes to
-the bundled solver, ``smtsolver.decide``, called in process on the same
+most 1) is decided by the exact-rational simplex, which answers sat with a
+point or unsat with a Farkas ray; a system with a product goes to the
+bundled solver, ``smtsolver.decide``, called in process on the same
 ``ConstraintSystem``.  Either way a sat verdict is re-checked by exact
 substitution before it is reported.
 """
@@ -68,10 +68,7 @@ def simplex_solve(system: ConstraintSystem) -> Verdict:
     The system reads its rows for that once (`ConstraintSystem.all_linear`),
     so the check repeats no work after `decide`'s."""
     if not system.all_linear():
-        raise ValueError(
-            "lp backend needs an all-linear system "
-            "(degree <= 1, no disjunctions)"
-        )
+        raise ValueError("lp backend needs an all-linear system (degree <= 1)")
     names = [p.name for p in system.params]
     res = lp.solve(
         lp.linear_system(((c.poly, c.rel) for c in system.constraints), names)

@@ -1,19 +1,12 @@
 """Farkas' Lemma: universally quantified implications to existential duals.
 
-An implication  forall y: Ay <= b  =>  c^T y <= d  (entries polynomial
-in the existential parameters; each premise row is one `<=` or `<` atom,
-as parsed) is valid iff
-
-    exists z >= 0: (A^T z = c and b^T z <= d)
-                or (A^T z = 0 and b^T z < 0)          (general form)
-
-where the second disjunct certifies an infeasible premise.  On a
-nonempty premise it cannot hold, which leaves the conjunction-only
+An implication  forall y: Ay <= b  =>  c^T y <= d  (each premise row one
+`<=` or `<` atom, as parsed, with constant entries; c and d polynomial in
+the existential parameters) over a nonempty premise is valid iff
 
     exists z >= 0: A^T z = c and b^T z <= d           (premise-sat form)
 
-that keeps the assembled system disjunction-free (and all-linear when c,
-d are affine in the parameters).
+a conjunction, all-linear when c and d are affine in the parameters.
 
 Box premises in closed form.  A box premise has only atoms that bound
 one variable each, at most one from each side: y_v <= u_v and
@@ -37,21 +30,11 @@ which on a nonempty box leaves the supremum where it is.  The ends are
 the integer pairs of the atoms' cached bounds (`LinForm.bound`), so no
 call into `lp` is made.
 
-Routing (`transform`).  The closed form is taken only in a conjunctive
-VC set, one whose every premise is parameter-free: there each box
-premise takes the closed form and any other premise the premise-sat
-form over its atoms as they are.  In a set with a parameter-dependent
-premise every implication keeps its multipliers: the premise-sat form
-for a parameter-free premise, the general form for any other.  Such a
-set is disjunctive and goes to the bundled descent, whose restart
-points take values from a pool of the system's constants
-(`smtsolver._harvest_pool`) by each parameter's position.  The closed
-form there leaves the pool as it is but drops multipliers, which moves
-the start of every later parameter: `FinMemoryControl` over its fixture
-invariant loses 2 of its 380 parameters and reaches `sat` at restart 9
-instead of restart 1, with 1,432 `lp.solve` calls instead of 229.  A
-conjunctive set is decided by the simplex, or by the descent with no
-disjunction to branch on, and the closed form only shrinks it.
+Routing (`transform`).  Every premise must be parameter-free: a box
+premise takes the closed form and any other the premise-sat form over its
+atoms as they are.  A premise that depends on a parameter is an error; a
+model whose guards carry the control is made concrete at one control
+first (`model.StochModel.with_control`).
 
 Assembly (`assemble`).  The system is the side atoms' rows and then
 each dual's items, less the rows that constrain nothing the others do
@@ -62,7 +45,7 @@ parallel-row step of LP presolve (Andersen & Andersen, 1995) for rows
 equal, not proportional, in q, and it is exact for a bilinear q as well.
 The closed form emits one row per end choice, and many differ from
 another only in their constant: `Temperature4`'s system has 39 rows
-instead of 64.  `=` rows and disjunctions are kept as they are.
+instead of 64.  `=` rows are kept as they are.
 
 Precondition: a parameter-free premise is nonempty.  The VC sets of
 `vcgen.build_product_vcs` meet it, because `vcgen` screens every premise
@@ -118,32 +101,8 @@ class PolyConstraint:
 
 
 class Disjunction:
-    """Either branch must hold (Farkas' general form)."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(
-        self,
-        left: tuple[PolyConstraint, ...],
-        right: tuple[PolyConstraint, ...],
-    ):
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Disjunction
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
-    def holds(self, valuation) -> bool:
-        return all(c.holds(valuation) for c in self.left) or all(
-            c.holds(valuation) for c in self.right
-        )
+    """Nothing builds one: every assembled system is a conjunction.  The
+    benchmark's tracer still counts its instances in a system."""
 
 
 class DualConstraint:
@@ -152,7 +111,7 @@ class DualConstraint:
     premise in closed form, whose rows are over the implication's own
     parameters."""
 
-    __slots__ = ("tag", "mode", "zs", "shared", "left", "right")
+    __slots__ = ("tag", "mode", "zs", "shared")
 
     def __init__(
         self,
@@ -160,15 +119,11 @@ class DualConstraint:
         mode: str,
         zs: tuple[Param, ...],
         shared: tuple[PolyConstraint, ...],
-        left: tuple[PolyConstraint, ...] = (),
-        right: tuple[PolyConstraint, ...] = (),
     ):
         self.tag = tag
-        self.mode = mode  # general | premise-sat
+        self.mode = mode  # premise-sat, counted by the benchmark's tracer
         self.zs = zs
-        self.shared = shared  # z >= 0 (and the whole premise-sat body)
-        self.left = left
-        self.right = right
+        self.shared = shared  # z >= 0 and the whole premise-sat body
 
     def __eq__(self, other: object) -> bool:
         return type(other) is DualConstraint and self._key() == other._key()
@@ -177,13 +132,10 @@ class DualConstraint:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        return (self.tag, self.mode, self.zs, self.shared, self.left, self.right)
+        return (self.tag, self.mode, self.zs, self.shared)
 
-    def items(self) -> list[PolyConstraint | Disjunction]:
-        out: list[PolyConstraint | Disjunction] = list(self.shared)
-        if self.mode == "general":
-            out.append(Disjunction(self.left, self.right))
-        return out
+    def items(self) -> list[PolyConstraint]:
+        return list(self.shared)
 
 
 class ConstraintSystem:
@@ -192,32 +144,20 @@ class ConstraintSystem:
     def __init__(
         self,
         params: tuple[Param, ...],
-        constraints: tuple[PolyConstraint | Disjunction, ...],
+        constraints: tuple[PolyConstraint, ...],
     ):
         self.params = params
         self.constraints = constraints
         self._linear: bool | None = None  # all_linear(), once asked
 
     def degree(self) -> int:
-        out = 0
-        for item in self.constraints:
-            group = (
-                item.left + item.right
-                if isinstance(item, Disjunction)
-                else (item,)
-            )
-            for c in group:
-                out = max(out, c.poly.degree())
-        return out
-
-    def has_disjunction(self) -> bool:
-        return any(isinstance(i, Disjunction) for i in self.constraints)
+        return max((c.poly.degree() for c in self.constraints), default=0)
 
     def all_linear(self) -> bool:
-        """Degree at most 1 and no disjunction, read off the rows on the
-        first call only, since nothing changes a system after assembly."""
+        """Degree at most 1, read off the rows on the first call only,
+        since nothing changes a system after assembly."""
         if self._linear is None:
-            self._linear = self.degree() <= 1 and not self.has_disjunction()
+            self._linear = self.degree() <= 1
         return self._linear
 
     def holds(self, valuation) -> bool:
@@ -226,13 +166,7 @@ class ConstraintSystem:
     def dump(self) -> str:
         lines = [f"params: {', '.join(p.name for p in self.params)}"]
         lines.append(f"max degree: {self.degree()}")
-        for item in self.constraints:
-            if isinstance(item, Disjunction):
-                lines.append("or:")
-                lines.extend(f"  | {c}" for c in item.left)
-                lines.extend(f"  / {c}" for c in item.right)
-            else:
-                lines.append(f"  {item}")
+        lines.extend(f"  {c}" for c in self.constraints)
         return "\n".join(lines) + "\n"
 
 
@@ -243,8 +177,8 @@ def _fresh_zs(impl: Implication, prefix: str) -> tuple[Param, ...]:
     )
 
 
-def _dual_parts(impl, zs, homogeneous: bool):
-    """A^T z = c (or = 0) per column, and b^T z - d (or b^T z).
+def _dual_parts(impl, zs):
+    """A^T z = c per column, and b^T z - d.
 
     Premise atoms are  a.y + a0 <= 0, so A's rows are the coefficients a
     and b = -a0; the consequent  c.y + c0 <= 0  gives d = -c0.  Each column
@@ -252,35 +186,15 @@ def _dual_parts(impl, zs, homogeneous: bool):
     eqs = []
     for v in impl.variables:
         acc: dict = {}
-        if not homogeneous:
-            _accumulate(acc, impl.consequent.form.coeff(v), -1)
+        _accumulate(acc, impl.consequent.form.coeff(v), -1)
         for z, atom in zip(zs, impl.premise):
             _accumulate(acc, atom.form.coeff(v), 1, z.name)
         eqs.append(PolyConstraint(Poly._wrap(acc), Rel.EQ))
     rhs: dict = {}
-    if not homogeneous:
-        _accumulate(rhs, impl.consequent.form.const)
+    _accumulate(rhs, impl.consequent.form.const)
     for z, atom in zip(zs, impl.premise):
         _accumulate(rhs, atom.form.const, -1, z.name)
     return eqs, Poly._wrap(rhs)
-
-
-def farkas_general(impl: Implication, prefix: str) -> DualConstraint:
-    """Full disjunctive dual; sound and complete for any premise."""
-    zs = _fresh_zs(impl, prefix)
-    nonneg = tuple(
-        PolyConstraint(Poly() - Poly.param(z.name), Rel.LE) for z in zs
-    )
-    eqs, rhs = _dual_parts(impl, zs, homogeneous=False)
-    alt_eqs, alt_rhs = _dual_parts(impl, zs, homogeneous=True)
-    return DualConstraint(
-        impl.tag,
-        "general",
-        zs,
-        nonneg,
-        tuple(eqs) + (PolyConstraint(rhs, Rel.LE),),
-        tuple(alt_eqs) + (PolyConstraint(alt_rhs, Rel.LT),),
-    )
 
 
 def farkas_premise_sat(impl: Implication, prefix: str) -> DualConstraint:
@@ -290,7 +204,7 @@ def farkas_premise_sat(impl: Implication, prefix: str) -> DualConstraint:
     nonneg = tuple(
         PolyConstraint(Poly() - Poly.param(z.name), Rel.LE) for z in zs
     )
-    eqs, rhs = _dual_parts(impl, zs, homogeneous=False)
+    eqs, rhs = _dual_parts(impl, zs)
     return DualConstraint(
         impl.tag,
         "premise-sat",
@@ -350,52 +264,45 @@ def farkas_box(impl: Implication) -> DualConstraint | None:
 
 
 def transform(vcset: VCSet) -> list[DualConstraint]:
-    """Route every implication (see the module docstring): in a set whose
-    every premise is parameter-free, the closed form for a box premise and
-    premise-sat for any other; in any other set, premise-sat when the
-    premise is parameter-free, else general."""
-    free = [
-        all(a.form.is_param_free() for a in impl.premise)
-        for impl in vcset.implications
-    ]
-    conjunctive = all(free)
+    """Route every implication (see the module docstring): the closed form
+    for a box premise, premise-sat for any other.  Raises ValueError,
+    naming the implication, on a premise that depends on a parameter."""
     duals = []
-    for idx, (impl, param_free) in enumerate(zip(vcset.implications, free)):
-        dual = farkas_box(impl) if conjunctive else None
+    for idx, impl in enumerate(vcset.implications):
+        if not all(a.form.is_param_free() for a in impl.premise):
+            raise ValueError(
+                f"the premise of {impl.tag} depends on a parameter"
+            )
+        dual = farkas_box(impl)
         if dual is None:
-            route = farkas_premise_sat if param_free else farkas_general
-            dual = route(impl, f"z{idx}")
+            dual = farkas_premise_sat(impl, f"z{idx}")
         duals.append(dual)
     return duals
 
 
-def _constrains(item: PolyConstraint | Disjunction) -> bool:
+def _constrains(item: PolyConstraint) -> bool:
     """False for a row with no parameter that holds: it constrains nothing.
     A false one is kept, and the LP or the descent's linear screen answers
-    unsat on it; a disjunction is kept as it is."""
-    return (
-        isinstance(item, Disjunction)
-        or not item.poly.is_constant()
-        or not item.holds({})
-    )
+    unsat on it."""
+    return not item.poly.is_constant() or not item.holds({})
 
 
 def _drop_implied(
-    items: list[PolyConstraint | Disjunction],
-) -> tuple[PolyConstraint | Disjunction, ...]:
+    items: list[PolyConstraint],
+) -> tuple[PolyConstraint, ...]:
     """The items, in order, less each `<=` or `<` row that another row
     implies.  Rows  q + c REL 0  with the same non-constant part q are
     ranked by (c, strict): the highest implies every other, since
     q + c <= 0 gives q + c' <= 0 for c >= c', and q + c' < 0 too if
     c > c' or the row is strict.  Of equal ranks the first stays; an `=`
-    row and a disjunction stay as they are.
+    row stays as it is.
 
     q is keyed by its terms, each coefficient as the integer pair of its
     normalised `Fraction`, since two ints hash faster than a `Fraction`."""
     best: dict[frozenset, tuple[tuple[Fraction, bool], int]] = {}
     dropped: set[int] = set()
     for i, item in enumerate(items):
-        if isinstance(item, Disjunction) or item.rel is Rel.EQ:
+        if item.rel is Rel.EQ:
             continue
         terms = item.poly.terms
         q = frozenset(
@@ -420,7 +327,7 @@ def assemble(
     parameter-free rows that hold (`_constrains`) and the rows that a
     kept row implies (`_drop_implied`)."""
     params = list(vcset.params)
-    constraints: list[PolyConstraint | Disjunction] = []
+    constraints: list[PolyConstraint] = []
     for atom in vcset.side_atoms:
         if atom.form.variables():
             raise ValueError(f"side constraint {atom} mentions variables")

@@ -15,13 +15,12 @@ Tableau layout.  Variables are free unless a row bounds their sign: the
 first row of the form  -a x_j <= 0  (a > 0) for a variable is taken as the
 bound x_j >= 0, leaves the tableau, and gives x_j a single column.  Every
 other variable is split as x = u - w over two columns.  Farkas
-multipliers, most of a system whose premises carry a parameter (a set
-of parameter-free premises dualizes its boxes with none, `farkas`),
-thereby cost one column instead of two columns, a row, a slack and an
-artificial.  A `<=` row with rhs >= 0 starts with its slack in the
-basis; only `=` rows and rows flipped to a non-negative rhs get an
-artificial, and phase 1 is skipped when no row has one.  Points and
-rays are read back through the per-variable column map.
+multipliers (a non-box premise keeps them; a box premise is dualized
+with none, `farkas`) thereby cost one column instead of two columns, a
+row, a slack and an artificial.  A `<=` row with rhs >= 0 starts with
+its slack in the basis; only `=` rows and rows flipped to a non-negative
+rhs get an artificial, and phase 1 is skipped when no row has one.
+Points and rays are read back through the per-variable column map.
 
 Integer rows.  The tableau holds no fractions.  Each row is a sparse
 {column: int} map with an int rhs, a positive multiple of the true row:

@@ -12,7 +12,10 @@ bilinear state-times-disturbance dynamics are representable.  Guards may
 carry control parameters (synthesized switching logic,
 `StochModel.guards_parameter_bearing`); their modes are exempted from
 the static cover checks, which `StochModel.with_control` runs once the
-control has a value.
+control has a value.  Synthesis makes each candidate control concrete
+with it (`pipeline.synthesize`), and the certificate check its control
+(`pipeline.failing_vcs`), so that no VC is built at a control whose
+guards overlap or leave a gap.
 
 Branch guards within each mode must be pairwise disjoint and jointly
 exhaustive over R^n; both properties are decided exactly at parse time

@@ -2,24 +2,19 @@
 
 ``backends`` sends every system that is not all-linear here, as a
 function call: ``decide`` takes the assembled ``farkas.ConstraintSystem``
-as it is, with its ``PolyConstraint`` rows and two-branch
-``Disjunction``s.
+as it is, a conjunction of ``PolyConstraint`` rows.
 
 Decision strategy:
-  * if the linear disjunction-free subset is infeasible, the whole
-    problem is unsat;
-  * otherwise: alternating block descent.  The variable product graph of
-    a bilinear system is bipartite, so its two sides alternate: fixing
-    one side makes every constraint affine in the other, which is then
-    solved exactly, one connected component at a time.  A component
-    whose rows all hold already is skipped; a violated one is solved as
-    a plain feasibility LP first, then by minimizing its worst violation
-    with the rows local to the block held hard.  Disjunction branches
-    are re-chosen greedily per round.  Restart 0 starts at the linear
-    screen's exact point, where every linear row holds (so a linear
-    system is decided there); later restarts draw their starting points
-    deterministically from constants harvested off the problem, clamped
-    to single-variable bounds.  A model is reported only after exact
+  * if the linear subset is infeasible, the whole problem is unsat;
+  * otherwise: alternating block descent from the linear screen's exact
+    point, where every linear row holds (so a linear system is decided
+    there).  The variable product graph of a bilinear system is
+    bipartite, so its two sides alternate: fixing one side makes every
+    constraint affine in the other, which is then solved exactly, one
+    connected component at a time.  A component whose rows all hold
+    already is skipped; a violated one is solved as a plain feasibility
+    LP first, then by minimizing its worst violation with the rows local
+    to the block held hard.  A model is reported only after exact
     re-substitution, so "sat" answers are sound; descent that fails to
     converge, or a product graph that is not bipartite (a squared
     variable included), is "unknown".
@@ -34,27 +29,22 @@ from fractions import Fraction
 
 from . import lp
 from .expr import Poly, Rel
-from .farkas import ConstraintSystem, Disjunction, PolyConstraint
+from .farkas import ConstraintSystem
 
 ROUNDS = 40
-RESTARTS = 24
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 # A strict row sitting exactly on its boundary reports STRICT_GAP, not
-# zero: otherwise a homogeneous strict branch looks converged at the
-# all-zero point and the descent has no reason to leave it.
+# zero: otherwise a strict side row, such as Temperature4's
+# `305*alpha + beta < 5.24`, looks converged on its boundary and the
+# descent has no reason to leave it.
 STRICT_GAP = Fraction(1, 2)
 
 
 def _violation(con, point) -> Fraction:
-    """How far `point` is from satisfying a row or a disjunction."""
-    if isinstance(con, Disjunction):
-        return min(
-            max((_violation(c, point) for c in branch), default=F0)
-            for branch in (con.left, con.right)
-        )
+    """How far `point` is from satisfying a row."""
     v = con.poly.eval(point)
     if con.rel is Rel.EQ:
         return abs(v)
@@ -67,12 +57,10 @@ def _violation(con, point) -> Fraction:
 
 
 def _linear_verdict(constraints, names):
-    """Exact simplex on the linear rows (disjunctions and rows of degree
-    above one are left out)."""
+    """Exact simplex on the linear rows (rows of degree above one are left
+    out)."""
     rows = (
-        (con.poly, con.rel)
-        for con in constraints
-        if not isinstance(con, Disjunction) and con.poly.degree() <= 1
+        (con.poly, con.rel) for con in constraints if con.poly.degree() <= 1
     )
     return lp.solve(lp.linear_system(rows, names))
 
@@ -90,19 +78,11 @@ def _product_blocks(constraints, names) -> list[list[str]] | None:
     Variables in no product join both blocks (they stay affine either
     way, so every round may move them)."""
     adjacent: dict[str, set[str]] = {n: set() for n in names}
-
-    def see(poly: Poly):
-        for mono in poly.terms:
+    for con in constraints:
+        for mono in con.poly.terms:
             for a, b in itertools.combinations(mono, 2):
                 adjacent[a].add(b)
                 adjacent[b].add(a)
-
-    for con in constraints:
-        if isinstance(con, Disjunction):
-            for c in con.left + con.right:
-                see(c.poly)
-        else:
-            see(con.poly)
 
     side: dict[str, int] = {}
     for start in names:
@@ -125,93 +105,12 @@ def _product_blocks(constraints, names) -> list[list[str]] | None:
     return sorted((b for b in (b0, b1) if b), key=len, reverse=True)
 
 
-def _harvest_pool(constraints) -> list[Fraction]:
-    seen: set[Fraction] = set()
-
-    def see(poly: Poly):
-        for coeff in poly.terms.values():
-            seen.add(abs(coeff))
-
-    for con in constraints:
-        if isinstance(con, Disjunction):
-            for c in con.left + con.right:
-                see(c.poly)
-        else:
-            see(con.poly)
-    base = [F0, F1, -F1, Fraction(1, 2), -Fraction(1, 2), Fraction(2), -Fraction(2)]
-    extra = sorted(c for c in seen if c not in (F0, F1) and c <= 10**6)
-    for c in extra[:12]:
-        base.extend([c, -c])
-    return base
-
-
-def _variable_bounds(constraints, names):
-    """Per-variable bounds `lo`, `hi` (None where there is none) from the
-    inequality rows outside disjunctions that are affine in one variable:
-    `a*x + c <= 0` gives `x <= -c/a` for `a > 0` and `x >= -c/a` for
-    `a < 0`.  A `<` row gives the same closed bound as `<=`, so a start
-    clamped to it may sit on the row's boundary."""
-    lo = {n: None for n in names}
-    hi = {n: None for n in names}
-    for con in constraints:
-        if isinstance(con, Disjunction) or con.rel is Rel.EQ:
-            continue
-        terms = con.poly.terms
-        vs = {n for m in terms for n in m}
-        if len(vs) != 1:
-            continue
-        (name,) = vs
-        slope = terms.get((name,), F0)
-        if not slope or any(len(m) > 1 for m in terms):
-            continue
-        bound = -terms.get((), F0) / slope
-        if slope > 0:
-            hi[name] = bound if hi[name] is None else min(hi[name], bound)
-        else:
-            lo[name] = bound if lo[name] is None else max(lo[name], bound)
-    return lo, hi
-
-
-def _clamp(value, lo, hi):
-    if lo is not None and value < lo:
-        value = lo
-    if hi is not None and value > hi:
-        value = hi
-    return value
-
-
-def _branch_key(branch, point) -> Fraction:
-    return max((_violation(c, point) for c in branch), default=F0)
-
-
-def _greedy_branch(con: Disjunction, point) -> int:
-    """0 or 1: the branch with the lower `_branch_key`, left on a tie."""
-    branches = (con.left, con.right)
-    return min((0, 1), key=lambda k: _branch_key(branches[k], point))
-
-
-def _choose_branches(constraints, point):
-    """Freeze each disjunction to its currently least-violated branch.
-
-    A branch at violation zero fully holds (strict rows included, see
-    `STRICT_GAP`), so a zero-violation point settles on branches the
-    final check accepts."""
-    active: list[PolyConstraint] = []
-    for con in constraints:
-        if isinstance(con, Disjunction):
-            active.extend((con.left, con.right)[_greedy_branch(con, point)])
-        else:
-            active.append(con)
-    return active
-
-
 def _measure(constraints, point) -> Fraction:
-    """The worst violation over the rows and disjunctions, each evaluated
-    once.
+    """The worst violation over the rows, each evaluated once.
 
-    Zero means the point is a model: with `STRICT_GAP` a row or a
-    disjunction is at violation zero exactly when it holds, so a strict
-    row on its boundary is never taken for converged."""
+    Zero means the point is a model: with `STRICT_GAP` a row is at
+    violation zero exactly when it holds, so a strict row on its boundary
+    is never taken for converged."""
     return max((_violation(con, point) for con in constraints), default=F0)
 
 
@@ -258,7 +157,7 @@ def _component_lp(sub, rows, point):
     return {n: res.assignment.get(n, F0) for n in sub}
 
 
-def _block_lp(active, group, point):
+def _block_lp(constraints, group, point):
     """Re-optimize `group` with everything else fixed, splitting the
     affine rows into connected components solved independently.
 
@@ -272,7 +171,7 @@ def _block_lp(active, group, point):
     so renaming the parameters does not move the vertex an LP lands on."""
     rank = {n: i for i, n in enumerate(group)}
     touched = []
-    for con in active:
+    for con in constraints:
         names = con.poly.params()
         vs = sorted((n for n in names if n in rank), key=rank.__getitem__)
         if vs:
@@ -318,10 +217,10 @@ def decide(system: ConstraintSystem):
     names = [p.name for p in system.params]
     constraints = system.constraints
 
-    # sound unsat screen: the linear disjunction-free subset alone.  Its
-    # exact point is also restart 0's start: every linear row holds there,
-    # strict rows with margin, so the descent only has the rest to repair
-    # (and a linear system is a model there already)
+    # sound unsat screen: the linear subset alone.  Its exact point is
+    # also the descent's start: every linear row holds there, strict rows
+    # with margin, so the descent only has the rest to repair (and a
+    # linear system is a model there already)
     res = _linear_verdict(constraints, names)
     if res.status == "infeasible":
         return "unsat", None
@@ -330,37 +229,26 @@ def decide(system: ConstraintSystem):
     if blocks is None:
         return "unknown", None
 
-    for restart in range(RESTARTS):
-        if restart == 0:
-            point = dict(res.assignment)
-        else:
-            if restart == 1:
-                pool = _harvest_pool(constraints)
-                lo, hi = _variable_bounds(constraints, names)
-            point = {}
-            for i, n in enumerate(names):
-                value = pool[(i * 7 + restart * 13) % len(pool)]
-                point[n] = _clamp(value, lo[n], hi[n])
-        best = _measure(constraints, point)
-        for _ in range(ROUNDS):
+    point = dict(res.assignment)
+    best = _measure(constraints, point)
+    for _ in range(ROUNDS):
+        if best == MEASURE_ZERO:
+            break
+        improved = False
+        for group in blocks:
+            moved = _block_lp(constraints, group, point)
+            if moved is None:
+                continue
+            candidate = dict(point)
+            candidate.update(moved)
+            value = _measure(constraints, candidate)
+            if value <= best:
+                improved = improved or value < best
+                point, best = candidate, value
             if best == MEASURE_ZERO:
                 break
-            improved = False
-            for group in blocks:
-                active = _choose_branches(constraints, point)
-                moved = _block_lp(active, group, point)
-                if moved is None:
-                    continue
-                candidate = dict(point)
-                candidate.update(moved)
-                value = _measure(constraints, candidate)
-                if value <= best:
-                    improved = improved or value < best
-                    point, best = candidate, value
-                if best == MEASURE_ZERO:
-                    break
-            if not improved:
-                break
-        if best == MEASURE_ZERO and system.holds(point):
-            return "sat", point
+        if not improved:
+            break
+    if best == MEASURE_ZERO and system.holds(point):
+        return "sat", point
     return "unknown", None

@@ -14,13 +14,9 @@ from streettsm.backends import (
     decide,
     simplex_solve,
 )
-from streettsm.expr import Param, ParamKind, Poly, Rel
-from streettsm.farkas import (
-    ConstraintSystem,
-    Disjunction,
-    PolyConstraint,
-    farkas_general,
-)
+from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
+from streettsm.farkas import ConstraintSystem, PolyConstraint, farkas_premise_sat
+from streettsm.vcgen import Implication
 from tests.test_farkas import toy_implication
 
 P = Poly.param
@@ -90,13 +86,10 @@ def test_simplex_unsat_carries_a_certificate():
     assert verdict.ray[0] > 0
 
 
-def test_simplex_rejects_nonlinear_and_disjunctive_input():
+def test_simplex_rejects_nonlinear_input():
     a = Param("a", CERT)
     with pytest.raises(ValueError, match="all-linear"):
         simplex_solve(system_of([a], [le(P("a") * P("a"))]))
-    disj = Disjunction((le(P("a")),), (le(Poly() - P("a")),))
-    with pytest.raises(ValueError, match="all-linear"):
-        simplex_solve(system_of([a], [disj]))
 
 
 def test_simplex_solves_a_verification_mode_dual():
@@ -155,8 +148,8 @@ def test_empty_system_is_trivially_sat():
 
 
 def test_decide_routes_lp_only_for_all_linear(monkeypatch):
-    # the route is read from the system: linear and disjunction-free goes
-    # to the simplex, a product or a disjunction to the bundled solver
+    # the route is read from the system: linear goes to the simplex, a
+    # product to the bundled solver
     routes = []
     for name in ("simplex_solve", "bundled_solve"):
         original = getattr(backends, name)
@@ -169,11 +162,9 @@ def test_decide_routes_lp_only_for_all_linear(monkeypatch):
     a, b = Param("a", CERT), Param("b", CERT)
     linear = system_of([a], [le(P("a") - Poly.const(F(1)))])
     bilinear = system_of([a, b], [le(P("a") * P("b") - Poly.const(F(1)))])
-    disj = system_of([a], [Disjunction((le(P("a")),), (le(Poly() - P("a")),))])
     for system, route in [
         (linear, "simplex_solve"),
         (bilinear, "bundled_solve"),
-        (disj, "bundled_solve"),
     ]:
         routes.clear()
         assert decide(SolverJob(system)).status == "sat"
@@ -218,11 +209,18 @@ def test_default_smt_route_runs_in_process():
     verdict = decide(SolverJob(unsat))
     assert verdict.status == "unsat"
     _assert_farkas_ray(unsat, verdict.ray)
-    # a disjunctive dual is decided by the bundled solver as a function
-    # call, with a model over every parameter, multipliers included
-    dual = farkas_general(toy_implication(), "z0")
-    system = system_of(list(dual.zs), dual.items())
-    assert system.has_disjunction()
+    # a bilinear dual (y <= 1 and y >= 0 imply a*k*y <= 2) is decided by
+    # the bundled solver as a function call, with a model over every
+    # parameter, multipliers included
+    toy = toy_implication()
+    consequent = LinForm({"y": P("a") * P("k")}, Poly.const(F(-2)))
+    impl = Implication(
+        "consec", None, toy.variables, toy.premise, Atom(consequent, Rel.LE)
+    )
+    dual = farkas_premise_sat(impl, "z0")
+    params = [Param("a", CERT), Param("k", CERT), *dual.zs]
+    system = system_of(params, dual.items())
+    assert not system.all_linear()
     verdict = decide(SolverJob(system))
     assert verdict.status == "sat"
     assert set(verdict.witness) == {p.name for p in system.params}

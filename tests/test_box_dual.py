@@ -7,9 +7,8 @@ implication is valid, by `implication_valid_bruteforce` and by the
 premise-sat dual.  Fixtures: with the control substituted and each
 premise screened, every closed-form row of the ten fixtures holds, and
 each benchmark mutant fails one.  Routing: a concrete invariant
-assembles with no multiplier unless the guards carry the control, and a
-set with a parameter-dependent premise keeps every multiplier.
-Assembly: the parameter-free rows that hold are not kept, nor a row
+assembles with no multiplier, at the fixture's control where the guards
+carry it.  Assembly: the parameter-free rows that hold are not kept, nor a row
 that a kept row with the same non-constant part implies, and every other
 row is, in order; the drop keeps the solution set, and each synthesis
 operation of the benchmark assembles a pinned number of rows.
@@ -17,7 +16,6 @@ operation of the benchmark assembles a pinned number of rows.
 
 import copy
 import dataclasses
-import hashlib
 import os
 import sys
 from fractions import Fraction
@@ -30,7 +28,6 @@ from streettsm import backends, benchmarks, lp
 from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from streettsm.farkas import (
     ConstraintSystem,
-    Disjunction,
     DualConstraint,
     PolyConstraint,
     assemble,
@@ -39,7 +36,7 @@ from streettsm.farkas import (
     implication_valid_bruteforce,
     transform,
 )
-from streettsm.templates import CertTemplate, InvTemplate, post_table
+from streettsm.templates import CertTemplate, post_table
 from streettsm.vcgen import Implication, VCSet, build_product_vcs
 from tests.test_farkas import dual_sat_by_lp
 
@@ -117,8 +114,6 @@ def _at(dual: DualConstraint, valuation) -> DualConstraint:
             PolyConstraint(c.poly.substitute(valuation), c.rel)
             for c in dual.shared
         ),
-        dual.left,
-        dual.right,
     )
 
 
@@ -246,8 +241,21 @@ def test_every_mutant_fails_a_closed_form_row(mutant):
 # -- routing --------------------------------------------------------------------
 
 
-def _system(bench, inv):
+def _concrete(bench):
+    """The entry's model, at its fixture's control when its guards carry
+    the control, and each invariant it has: its .inv file's and its
+    fixture's."""
     model, dsa = bench.model, bench.dsa
+    if model.guards_parameter_bearing:
+        _, _, control = pipeline.fixture_scalars(bench.cert, len(dsa.pairs))
+        model = model.with_control(control)
+    out = [] if bench.invariant is None else [bench.invariant]
+    if bench.cert is not None:
+        out.append(pipeline.fixture_invariant(bench.cert, model, dsa))
+    return model, out
+
+
+def _system(model, dsa, inv):
     Vs = [CertTemplate.fresh(model, dsa, k) for k in range(len(dsa.pairs))]
     tables = [post_table(V, model, dsa) for V in Vs]
     vcs = build_product_vcs(model, dsa, Vs, inv, tables)
@@ -259,58 +267,14 @@ def _system(bench, inv):
 )
 def test_a_concrete_invariant_assembles_with_no_multiplier(name):
     bench = benchmarks.load_benchmark(name)
-    invariants = []
-    if bench.invariant is not None:
-        invariants.append(bench.invariant)
-    if bench.cert is not None:
-        invariants.append(
-            pipeline.fixture_invariant(bench.cert, bench.model, bench.dsa)
-        )
+    model, invariants = _concrete(bench)
+    assert invariants
     for inv in invariants:
-        kinds = {p.kind for p in _system(bench, inv).params}
-        # guards that carry the control put parameters into premises
-        carried = bench.model.guards_parameter_bearing
-        assert (ParamKind.MULTIPLIER in kinds) == carried
-
-
-# sha256 of `ConstraintSystem.dump()`, as assembled with multipliers on
-# every premise before the closed form existed, less its parameter-free
-# rows that hold (`0 == 0` and `0 <= 0`), which `assemble` does not keep:
-# 487 -> 485 rows for FinMemoryControl and 131 -> 129 for example2
-DUMPS = {
-    "FinMemoryControl":
-        "885470e490316921c14a686c1c30a120af40a241d3ee20ac1ccb29e07cc9d7c4",
-    "example2":
-        "9dab08d6228d0f605cbad08bb117327196be29bb914819d0d3906df373208ce1",
-}
-
-
-@pytest.mark.parametrize("name", sorted(DUMPS))
-def test_a_set_with_a_parametric_premise_keeps_its_dual(name):
-    # FinMemoryControl over its fixture invariant, whose guards carry the
-    # control, and example2 over a fresh two-row template invariant
-    bench = benchmarks.load_benchmark(name)
-    model, dsa = bench.model, bench.dsa
-    inv = (
-        pipeline.fixture_invariant(bench.cert, model, dsa)
-        if name == "FinMemoryControl"
-        else InvTemplate.fresh(model, dsa, nrows=2)
-    )
-    dump = _system(bench, inv).dump().encode()
-    assert hashlib.sha256(dump).hexdigest() == DUMPS[name]
+        kinds = {p.kind for p in _system(model, bench.dsa, inv).params}
+        assert ParamKind.MULTIPLIER not in kinds
 
 
 # -- assembly -------------------------------------------------------------------
-
-
-def _invariants(bench) -> list:
-    """Each invariant an entry has: its .inv file, its fixture's and a
-    fresh two-row template."""
-    model, dsa = bench.model, bench.dsa
-    out = [] if bench.invariant is None else [bench.invariant]
-    if bench.cert is not None:
-        out.append(pipeline.fixture_invariant(bench.cert, model, dsa))
-    return out + [InvTemplate.fresh(model, dsa, nrows=2)]
 
 
 def _is_true_constant(item) -> bool:
@@ -354,10 +318,11 @@ def _implied_reference(rows: list) -> list:
 def test_assemble_keeps_every_row_but_the_true_constants(name):
     # ... and the rows that another row implies
     bench = benchmarks.load_benchmark(name)
-    model, dsa = bench.model, bench.dsa
+    model, invariants = _concrete(bench)
+    dsa = bench.dsa
     Vs = [CertTemplate.fresh(model, dsa, k) for k in range(len(dsa.pairs))]
     tables = [post_table(V, model, dsa) for V in Vs]
-    for inv in _invariants(bench):
+    for inv in invariants:
         vcs = build_product_vcs(model, dsa, Vs, inv, tables)
         duals = transform(vcs)
         system = assemble(vcs, duals)
@@ -377,18 +342,16 @@ def test_assemble_keeps_every_row_but_the_true_constants(name):
         )
 
 
-def test_assemble_keeps_a_false_constant_and_branches_as_they_are():
+def test_assemble_keeps_a_false_constant():
     a = Param("a", ParamKind.CERT)
     false_row = PolyConstraint(Poly.const(1), Rel.LE)
     true_row = PolyConstraint(Poly.const(-1), Rel.LT)
-    branches = Disjunction((true_row,), (false_row,))
     row = PolyConstraint(Poly.param("a"), Rel.LE)
     dual = DualConstraint(
-        "consec", "general", (), (true_row, false_row, row), (true_row,),
-        (false_row,),
+        "consec", "premise-sat", (), (true_row, false_row, row)
     )
     system = assemble(VCSet((), (a,), ()), [dual])
-    assert system.constraints == (false_row, row, branches)
+    assert system.constraints == (false_row, row)
 
 
 # the rows each synthesis operation of the benchmark assembles
@@ -425,7 +388,7 @@ def test_synthesis_assembles_a_pinned_number_of_rows(workload, entry):
         if entry.inv_source == "inv"
         else pipeline.fixture_invariant(bench.cert, bench.model, bench.dsa)
     )
-    rows = len(_system(bench, inv).constraints)
+    rows = len(_system(bench.model, bench.dsa, inv).constraints)
     assert rows == ASSEMBLED_ROWS[workload][entry.name]
 
 

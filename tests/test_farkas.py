@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -15,10 +16,8 @@ from streettsm.backends import simplex_solve
 from streettsm.benchmarks import load_benchmark, read_corpus_text
 from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
 from streettsm.farkas import (
-    Disjunction,
     PolyConstraint,
     assemble,
-    farkas_general,
     farkas_premise_sat,
     implication_valid_bruteforce,
     transform,
@@ -27,7 +26,6 @@ from streettsm.model import parse_model
 from streettsm.templates import (
     FALSE_ATOM,
     CertTemplate,
-    InvTemplate,
     parse_invariant,
     post_table,
 )
@@ -59,32 +57,21 @@ def toy_implication() -> Implication:
 def test_toy_dual_shape_and_witness():
     impl = toy_implication()
     assert lp.defining_atoms(impl.premise, impl.variables) == impl.premise
-    dual = farkas_general(impl, "z0")
+    dual = farkas_premise_sat(impl, "z0")
+    assert dual.mode == "premise-sat"
     assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
     assert all(z.kind == ParamKind.MULTIPLIER for z in dual.zs)
-    # exists z >= 0: (z0 - z1 = 1 and z0 <= 2) or (z0 - z1 = 0 and z0 < 0)
-    assert dual.left[0].poly == P("z0_0") - P("z0_1") - Poly.const(ONE)
-    assert dual.left[0].rel == Rel.EQ
-    assert dual.left[1].poly == P("z0_0") - Poly.const(Fraction(2))
-    assert dual.left[1].rel == Rel.LE
-    assert dual.right[0].poly == P("z0_0") - P("z0_1")
-    assert dual.right[1].poly == P("z0_0")
-    assert dual.right[1].rel == Rel.LT
+    # exists z >= 0: z0 - z1 = 1 and z0 <= 2
+    assert [(c.poly, c.rel) for c in dual.items()] == [
+        (Poly() - P("z0_0"), Rel.LE),
+        (Poly() - P("z0_1"), Rel.LE),
+        (P("z0_0") - P("z0_1") - Poly.const(ONE), Rel.EQ),
+        (P("z0_0") - Poly.const(Fraction(2)), Rel.LE),
+    ]
     good = {"z0_0": ONE, "z0_1": Fraction(0)}
     assert all(item.holds(good) for item in dual.items())
     bad = {"z0_0": Fraction(0), "z0_1": Fraction(0)}
     assert not all(item.holds(bad) for item in dual.items())
-
-
-def test_premise_sat_form_drops_the_disjunction():
-    impl = toy_implication()
-    dual = farkas_premise_sat(impl, "z0")
-    assert dual.mode == "premise-sat"
-    assert dual.left == () and dual.right == ()
-    assert len(dual.shared) == 4  # two z >= 0, one equality, one inequality
-    assert not any(isinstance(i, Disjunction) for i in dual.items())
-    good = {"z0_0": ONE, "z0_1": Fraction(0)}
-    assert all(item.holds(good) for item in dual.items())
 
 
 def templated_control_implication() -> Implication:
@@ -106,36 +93,13 @@ def templated_control_implication() -> Implication:
     return Implication("noninc", ("q1", "_"), (x,), premise, consequent)
 
 
-def test_templated_premise_takes_general_form_with_exact_dual():
+def test_a_parameter_dependent_premise_is_an_error():
+    # Farkas' lemma is taken in its conjunctive form only, which needs a
+    # parameter-free premise; the error names the implication
     impl = templated_control_implication()
-    assert lp.defining_atoms(impl.premise, impl.variables) == impl.premise
-    assert transform(VCSet((impl,), (), ())) == [farkas_general(impl, "z0")]
-    dual = farkas_general(impl, "z")
-    assert dual.mode == "general"
-    # A^T z = c: z0*eta1 + z1*eta3 - z2 = alpha0*kappa - alpha1
-    assert dual.left[0].poly == (
-        P("z_0") * P("eta1")
-        + P("z_1") * P("eta3")
-        - P("z_2")
-        - (P("alpha0") * P("kappa") - P("alpha1"))
-    )
-    assert dual.left[0].rel == Rel.EQ
-    # b^T z <= d: z0*eta2 + z1*eta4 - z2 <= beta1 - beta0
-    assert dual.left[1].poly == (
-        P("z_0") * P("eta2")
-        + P("z_1") * P("eta4")
-        - P("z_2")
-        - (P("beta1") - P("beta0"))
-    )
-    assert dual.left[1].rel == Rel.LE
-    # infeasibility branch: A^T z = 0 and b^T z < 0
-    assert dual.right[0].poly == (
-        P("z_0") * P("eta1") + P("z_1") * P("eta3") - P("z_2")
-    )
-    assert dual.right[1].poly == (
-        P("z_0") * P("eta2") + P("z_1") * P("eta4") - P("z_2")
-    )
-    assert dual.right[1].rel == Rel.LT
+    free = toy_implication()
+    with pytest.raises(ValueError, match=re.escape(impl.tag)):
+        transform(VCSet((free, impl), (), ()))
 
 
 def relax(impl: Implication) -> Implication:
@@ -146,8 +110,7 @@ def relax(impl: Implication) -> Implication:
 
 def test_dual_of_strict_atoms_is_the_relaxed_dual():
     # 0 < x < 1 implies x <= 2: a feasible strict premise is dualized as
-    # its closure, multiplier for multiplier; so is a parameter-dependent
-    # one, in the general form
+    # its closure, multiplier for multiplier
     x = LinForm.var("x")
     premise = (Atom(x - LinForm.constant(ONE), Rel.LT), Atom(-x, Rel.LT))
     impl = Implication(
@@ -197,7 +160,6 @@ def test_fixed_control_concrete_invariant_assembles_to_pure_lp():
     assert Counter(d.mode for d in duals) == {"premise-sat": 11}
     system = assemble(vcs, duals)
     assert system.degree() == 1
-    assert not system.has_disjunction()
     assert system.all_linear()
     # every premise is a box, dualized in closed form: no multiplier, so
     # the parameters are V's and M's alone
@@ -217,23 +179,22 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
     assert Counter(d.mode for d in duals) == {"premise-sat": 11}
     system = assemble(vcs, duals)
     assert system.degree() == 2  # theta * kappa products in the consequents
-    assert not system.has_disjunction()
     assert not system.all_linear()
     # deterministic multiplier naming: dual i prefixes its z's with z<i>
     for i, dual in enumerate(duals):
         assert all(z.name.startswith(f"z{i}_") for z in dual.zs)
 
 
-def _dual_parts_by_repeated_add(impl, zs, homogeneous):
+def _dual_parts_by_repeated_add(impl, zs):
     """The dual rows built one `+` at a time, as a reference."""
     eqs = []
     for v in impl.variables:
-        acc = Poly() if homogeneous else Poly() - impl.consequent.form.coeff(v)
+        acc = Poly() - impl.consequent.form.coeff(v)
         for z, atom in zip(zs, impl.premise):
             acc = acc + P(z.name) * atom.form.coeff(v)
         eqs.append(PolyConstraint(acc, Rel.EQ))
     d = Poly() - impl.consequent.form.const
-    rhs = Poly() if homogeneous else Poly() - d
+    rhs = Poly() - d
     for z, atom in zip(zs, impl.premise):
         rhs = rhs + P(z.name) * (Poly() - atom.form.const)
     return eqs, rhs
@@ -241,14 +202,9 @@ def _dual_parts_by_repeated_add(impl, zs, homogeneous):
 
 def _corpus_implications():
     out = []
-    for name, templated in (
-        ("example2", False), ("Temperature4", False), ("example2", True)
-    ):
+    for name in ("example2", "Temperature4"):
         b = load_benchmark(name)
-        inv = (
-            InvTemplate.fresh(b.model, b.dsa, nrows=2) if templated
-            else b.invariant
-        )
+        inv = b.invariant
         Vs = [CertTemplate.fresh(b.model, b.dsa, k) for k in range(len(b.dsa.pairs))]
         tables = [post_table(V, b.model, b.dsa) for V in Vs]
         vcs = build_product_vcs(b.model, b.dsa, Vs, inv, tables)
@@ -256,16 +212,15 @@ def _corpus_implications():
     return out
 
 
-@pytest.mark.parametrize("homogeneous", [False, True])
-def test_dual_parts_match_repeated_addition(homogeneous):
+def test_dual_parts_match_repeated_addition():
     impls = _corpus_implications()
-    # the templated invariant puts parameters into premises
-    assert any(not a.form.is_param_free() for i in impls for a in i.premise)
+    # the control puts parameters into consequents
+    assert any(not i.consequent.form.is_param_free() for i in impls)
     # "A" sorts before every template parameter name, "z" after them
     for impl, prefix in itertools.product(impls, ("z", "A")):
         zs = farkas._fresh_zs(impl, prefix)
-        eqs, rhs = farkas._dual_parts(impl, zs, homogeneous)
-        ref_eqs, ref_rhs = _dual_parts_by_repeated_add(impl, zs, homogeneous)
+        eqs, rhs = farkas._dual_parts(impl, zs)
+        ref_eqs, ref_rhs = _dual_parts_by_repeated_add(impl, zs)
         assert eqs == ref_eqs and rhs == ref_rhs
         # same key order too, so everything downstream iterates alike
         for got, ref in zip([c.poly for c in eqs] + [rhs],
@@ -273,41 +228,16 @@ def test_dual_parts_match_repeated_addition(homogeneous):
             assert list(got.terms.items()) == list(ref.terms.items())
 
 
-def test_templated_invariant_forces_the_general_form():
-    model, dsa, _, Vs, tables = example2_pieces("example2.model")
-    inv = InvTemplate.fresh(model, dsa, nrows=2)
-    vcs = build_product_vcs(model, dsa, Vs, inv, tables, eps=Fraction(1, 2))
-    duals = transform(vcs)
-    assert Counter(d.mode for d in duals) == {"general": 24, "premise-sat": 2}
-    # the only premise-free implications are the initiation rows
-    for dual, impl in zip(duals, vcs.implications):
-        if dual.mode == "premise-sat":
-            assert impl.family == "init"
-            assert dual.zs == ()
-    system = assemble(vcs, duals)
-    assert system.degree() == 2  # z * eta products
-    assert system.has_disjunction()
-
-
 def test_empty_premise_dual_is_the_consequent_constant():
-    model, dsa, _, Vs, tables = example2_pieces("example2.model")
-    inv = InvTemplate.fresh(model, dsa, nrows=2)
-    vcs = build_product_vcs(model, dsa, Vs, inv, tables, eps=Fraction(1, 2))
-    duals = transform(vcs)
-    init = [
-        (dual, impl)
-        for dual, impl in zip(duals, vcs.implications)
-        if impl.family == "init"
-    ]
-    assert len(init) == 2
-    for r, (dual, _) in enumerate(init):
-        # row(x0) <= 0 with x0 = 100: 100*eta_x - eta_rhs <= 0
-        expected = P(f"eta_q0___{r}_x").scale(100) - P(f"eta_q0___{r}_rhs")
-        ineqs = [
-            c for c in dual.items()
-            if isinstance(c, PolyConstraint) and c.rel == Rel.LE
-        ]
-        assert [c.poly for c in ineqs] == [expected]
+    # an initiation VC of a templated invariant row at x0 = 100:
+    # 100*eta_x - eta_rhs <= 0, with no multiplier
+    row = P("eta_x").scale(100) - P("eta_rhs")
+    impl = Implication(
+        "init", ("q0", "_"), ("x",), (), Atom(LinForm.from_poly(row), Rel.LE)
+    )
+    (dual,) = transform(VCSet((impl,), (), ()))
+    assert dual.zs == ()
+    assert dual.items() == [PolyConstraint(row, Rel.LE)]
 
 
 def test_assemble_carries_side_constraints_over_parameters():
@@ -345,27 +275,35 @@ def test_side_atoms_must_not_mention_state_variables():
 
 
 def test_dumps_are_readable():
-    impl = templated_control_implication()
-    duals = [farkas_general(impl, "z0")]
+    # y <= 1, -y <= 0 and y + u <= 3 over (y, u): no box, so multipliers
+    # stay; the consequent (alpha0*kappa - alpha1) y <= beta1 - beta0
+    premise = toy_implication().premise + (
+        const_atom({"y": ONE, "u": ONE}, Fraction(3)),
+    )
+    consequent = Atom(
+        LinForm(
+            {"y": P("alpha0") * P("kappa") - P("alpha1")},
+            P("beta0") - P("beta1"),
+        ),
+        Rel.LE,
+    )
+    impl = Implication("noninc", ("q1", "_"), ("y", "u"), premise, consequent)
     vcs_params = tuple(
         Param(n, ParamKind.CERT)
-        for n in ("alpha0", "alpha1", "beta0", "beta1", "kappa",
-                  "eta1", "eta2", "eta3", "eta4")
+        for n in ("alpha0", "alpha1", "beta0", "beta1", "kappa")
     )
-    system = assemble(VCSet((impl,), vcs_params, ()), duals)
+    vcs = VCSet((impl,), vcs_params, ())
+    system = assemble(vcs, transform(vcs))
     # tests read dumps as identity hashes: the text is pinned byte for byte
     assert system.dump() == (
-        "params: alpha0, alpha1, beta0, beta1, kappa, eta1, eta2, eta3, eta4,"
-        " z0_0, z0_1, z0_2\n"
+        "params: alpha0, alpha1, beta0, beta1, kappa, z0_0, z0_1, z0_2\n"
         "max degree: 2\n"
         "  -z0_0 <= 0\n"
         "  -z0_1 <= 0\n"
         "  -z0_2 <= 0\n"
-        "or:\n"
-        "  | alpha1 - z0_2 - alpha0*kappa + eta1*z0_0 + eta3*z0_1 == 0\n"
-        "  | beta0 - beta1 - z0_2 + eta2*z0_0 + eta4*z0_1 <= 0\n"
-        "  / -z0_2 + eta1*z0_0 + eta3*z0_1 == 0\n"
-        "  / -z0_2 + eta2*z0_0 + eta4*z0_1 < 0\n"
+        "  alpha1 + z0_0 - z0_1 + z0_2 - alpha0*kappa == 0\n"
+        "  z0_2 == 0\n"
+        "  beta0 - beta1 + z0_0 + 3*z0_2 <= 0\n"
     )
 
 
@@ -385,23 +323,15 @@ def linear_parts(poly: Poly, names: list[str]):
     return coeffs, const
 
 
-def branch_feasible(constraints, names: list[str]) -> bool:
+def dual_sat_by_lp(dual) -> bool:
+    """Exact satisfiability of one parameter-free premise-sat dual."""
+    names = [z.name for z in dual.zs]
     system = lp.LinearSystem(list(names))
-    for c in constraints:
+    for c in dual.shared:
         coeffs, const = linear_parts(c.poly, names)
         row = tuple((j, coeffs[n]) for j, n in enumerate(names) if coeffs[n])
         system.rows.append((row, c.rel, -const))
     return lp.solve(system).status == "optimal"
-
-
-def dual_sat_by_lp(dual) -> bool:
-    """Exact satisfiability of one parameter-free dual, branch by branch."""
-    names = [z.name for z in dual.zs]
-    if dual.mode == "premise-sat":
-        return branch_feasible(dual.shared, names)
-    return branch_feasible(dual.shared + dual.left, names) or branch_feasible(
-        dual.shared + dual.right, names
-    )
 
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -424,23 +354,16 @@ def constant_implications(draw):
 
 @given(constant_implications())
 @settings(deadline=None, max_examples=120)
-def test_general_dual_sat_iff_implication_valid(impl):
-    dual = farkas_general(impl, "z")
-    assert dual_sat_by_lp(dual) == implication_valid_bruteforce(impl)
-
-
-@given(constant_implications())
-@settings(deadline=None, max_examples=60)
 def test_routing_preserves_dual_satisfiability(impl):
-    # the screen, then the premise-sat route, agrees with the general form:
-    # a premise the screen finds empty implies anything
-    general = dual_sat_by_lp(farkas_general(impl, "z"))
+    # the screen, then the routed dual, agrees with the oracle: a premise
+    # the screen finds empty implies anything
+    valid = implication_valid_bruteforce(impl)
     premise = lp.defining_atoms(impl.premise, impl.variables)
     if premise is None:
-        assert general
+        assert valid
         return
     (routed,) = transform(VCSet((screened(impl, premise),), (), ()))
-    assert dual_sat_by_lp(routed) == general
+    assert dual_sat_by_lp(routed) == valid
 
 
 def screened(impl: Implication, premise) -> Implication:

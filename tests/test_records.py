@@ -18,14 +18,10 @@ from streettsm.automata import GuardedDSA, StreettPair, Transition
 from streettsm.backends import SolverJob, Verdict
 from streettsm.benchmarks import Benchmark
 from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
-from streettsm.farkas import (
-    ConstraintSystem,
-    Disjunction,
-    DualConstraint,
-    PolyConstraint,
-)
+from streettsm.farkas import ConstraintSystem, DualConstraint, PolyConstraint
 from streettsm.lp import LinearSystem, LPResult
 from streettsm.model import Branch, ControlParam, Disturbance, StochModel
+from streettsm.pipeline import Synthesis
 from streettsm.syntax import ModeTest, Token
 from streettsm.templates import CertTemplate, InvTemplate, PostPiece, PostTable
 from streettsm.vcgen import VCSet
@@ -90,12 +86,12 @@ RECORDS = [
     PostTable(0, ()),
     VCSet((), (), ()),
     _row(),
-    Disjunction((_row(),), ()),
-    DualConstraint("init", "general", (), ()),
+    DualConstraint("init", "premise-sat", (), ()),
     ConstraintSystem((), ()),
     SolverJob(ConstraintSystem((), ())),
     Verdict("unknown"),
     Benchmark("b", "V", None, None, None, None, {}),
+    Synthesis("unknown"),
 ]
 
 
@@ -137,17 +133,9 @@ VALUES = {
         (Poly.param("a"), Rel.LE),
         (Poly.const(1), Rel.EQ),
     ),
-    Disjunction: lambda: (((_row(),), ()), ((), (_row(),))),
     DualConstraint: lambda: (
-        (
-            "init",
-            "general",
-            (Param("z_0", ParamKind.MULTIPLIER),),
-            (_row(),),
-            (_row(),),
-            (),
-        ),
-        ("consec", "premise-sat", (), (), (), (_row(),)),
+        ("init", "premise-sat", (Param("z_0", ParamKind.MULTIPLIER),), ()),
+        ("consec", "closed", (), (_row(),)),
     ),
     LPResult: lambda: (
         ("optimal", {"x": F(1)}, F(2), None, None),

@@ -2,8 +2,10 @@
 the atoms' cached bounds with no LP built, and VC generation is the only
 stage that screens a premise.
 
-Over every manifest entry, loading, Post V, VC generation and the Farkas
-routing make no `lp.solve` and no `lp.system_from_atoms` call; every
+Over every manifest entry, with a concrete invariant and at the fixture's
+control where the guards carry it, loading, Post V, VC generation and the
+Farkas routing make no `lp.solve` and no `lp.system_from_atoms` call (a
+templated invariant makes the routing raise); every
 parameter-free premise VC generation emits is already screened, and the
 Farkas routing makes no `lp._atom_box` call.  The fixture check makes
 exactly one `lp.solve` per implication: its own LP maximisation, over a
@@ -47,11 +49,19 @@ def calls(monkeypatch):
 
 
 def _vc_sets(name):
-    """The VC sets of one entry over a fresh two-row invariant, its `.inv`
-    invariant and its fixture's, where it has them."""
+    """The parameter-free VC sets of one entry: over its `.inv` invariant
+    and its fixture's, where it has them, or else the invariant true at
+    every location; at its fixture's control where its guards carry the
+    control."""
     bench = benchmarks.load_benchmark(name)
     model, dsa = bench.model, bench.dsa
-    invariants = [InvTemplate.fresh(model, dsa, nrows=2)]
+    if model.guards_parameter_bearing:
+        _, _, control = pipeline.fixture_scalars(bench.cert, len(dsa.pairs))
+        model = model.with_control(control)
+    invariants = []
+    if bench.invariant is None and bench.cert is None:
+        locations = templates.locations(model, dsa)
+        invariants.append(InvTemplate.concrete({loc: () for loc in locations}))
     if bench.invariant is not None:
         invariants.append(bench.invariant)
     if bench.cert is not None:
@@ -67,6 +77,20 @@ def _vc_sets(name):
 @pytest.mark.parametrize("name", [row["name"] for row in ROWS])
 def test_the_stages_build_and_solve_no_lp(name, calls):
     for vcs in _vc_sets(name):
+        farkas.transform(vcs)
+    assert calls == {}
+
+
+def test_a_templated_invariant_is_an_error(calls):
+    # its rows put parameters into every consecution premise, which the
+    # conjunctive Farkas form does not take
+    bench = benchmarks.load_benchmark("example2")
+    model, dsa = bench.model, bench.dsa
+    inv = InvTemplate.fresh(model, dsa, nrows=2)
+    Vs = [CertTemplate.fresh(model, dsa, 0)]
+    tables = [templates.post_table(V, model, dsa) for V in Vs]
+    vcs = vcgen.build_product_vcs(model, dsa, Vs, inv, tables)
+    with pytest.raises(ValueError, match="depends on a parameter"):
         farkas.transform(vcs)
     assert calls == {}
 

@@ -1,7 +1,7 @@
-"""The bundled solver: disjunctions under an equality row, honest
-`unknown` (a squared variable included), a corpus whose systems are all
-bilinear with a bipartite product graph, and a descent that starts at
-the linear screen's point and does not depend on parameter names."""
+"""The bundled solver: honest `unknown` (a squared variable included), a
+corpus whose systems are all bilinear with a bipartite product graph, and
+a descent that starts at the linear screen's point and does not depend on
+parameter names."""
 
 import os
 import sys
@@ -12,11 +12,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streettsm import backends, farkas, lp, smtsolver
-from streettsm.backends import simplex_solve
 from streettsm.benchmarks import load_benchmark, manifest
 from streettsm.expr import Param, ParamKind, Poly, Rel
-from streettsm.farkas import ConstraintSystem, Disjunction, PolyConstraint
-from streettsm.templates import CertTemplate, InvTemplate, post_table
+from streettsm.farkas import ConstraintSystem, PolyConstraint
+from streettsm.templates import CertTemplate, post_table
 from streettsm.vcgen import build_product_vcs
 
 BENCH = os.path.join(
@@ -38,63 +37,6 @@ def const(q) -> Poly:
     return Poly.const(F(q))
 
 
-# b - 1 = 0 fixes b to 1
-PIN = PolyConstraint(P("b") - const(1), Rel.EQ)
-
-# name: (plain rows besides the pin, left branch, right branch)
-CASES = {
-    # a <= b and a >= b + 1 both keep a free row
-    "both live": (
-        [le(P("a") - const(3))],
-        (le(P("a") - P("b")),),
-        (le(P("b") - P("a") + const(1)),),
-    ),
-    # b = 2 fails at b = 1, and a + b <= 5 meets a >= 5
-    "one refuted": (
-        [le(const(5) - P("a"))],
-        (PolyConstraint(P("b") - const(2), Rel.EQ),),
-        (le(P("a") + P("b") - const(5)),),
-    ),
-    # the same, with the right branch satisfiable
-    "one refuted, sat": (
-        [le(const(2) - P("a"))],
-        (PolyConstraint(P("b") - const(2), Rel.EQ),),
-        (le(P("a") + P("b") - const(5)),),
-    ),
-    # b < 1 and b >= 2 both fail at b = 1
-    "both refuted": (
-        [],
-        (PolyConstraint(P("b") - const(1), Rel.LT),),
-        (le(const(2) - P("b")),),
-    ),
-    # b <= 1 holds at b = 1, so the unsatisfiable right branch is not needed
-    "one holds outright": (
-        [le(Poly() - P("a"))],
-        (le(P("b") - const(1)),),
-        (le(P("a") + const(1)),),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_disjunction_pruning_agrees_with_the_simplex(name):
-    plain, left, right = CASES[name]
-    params = (Param("a", ParamKind.CERT), Param("b", ParamKind.CERT))
-    system = ConstraintSystem(params, (PIN, *plain, Disjunction(left, right)))
-    # sat iff one branch system is sat by LP; else unknown, since the
-    # descent proves unsat from the rows outside disjunctions alone
-    by_branch = [
-        simplex_solve(ConstraintSystem(params, (PIN, *plain, *branch))).status
-        for branch in (left, right)
-    ]
-    expected = "sat" if "sat" in by_branch else "unknown"
-    status, model = smtsolver.decide(system)
-    assert status == expected
-    if status == "sat":
-        assert set(model) == {"a", "b"}
-        assert system.holds(model)
-
-
 # small values, so that rows often sit exactly on their boundary
 small = st.integers(-2, 2).map(F)
 rows = st.builds(
@@ -104,22 +46,16 @@ rows = st.builds(
     ),
     st.sampled_from([Rel.LE, Rel.LT, Rel.EQ]),
 )
-branches = st.lists(rows, max_size=3).map(tuple)
-items = st.one_of(rows, st.builds(Disjunction, branches, branches))
 points = st.fixed_dictionaries({"a": small, "b": small})
 
 
-@given(st.lists(items, max_size=4), points)
-@example(  # an empty branch holds; a < 0 sits on its boundary at a = 0
-    [
-        Disjunction((), (PolyConstraint(P("a"), Rel.LT),)),
-        Disjunction((PolyConstraint(P("a"), Rel.LT),), ()),
-        PolyConstraint(P("a"), Rel.LT),
-    ],
+@given(st.lists(rows, max_size=4), points)
+@example(  # a < 0 sits on its boundary at a = 0
+    [PolyConstraint(P("a"), Rel.LT)],
     {"a": F(0), "b": F(0)},
 )
 def test_zero_violation_is_exactly_holding(constraints, point):
-    # the measure's single component is enough: no item sits at violation
+    # the measure's single component is enough: no row sits at violation
     # zero without holding (a strict row on its boundary reports STRICT_GAP)
     for con in constraints:
         assert (smtsolver._violation(con, point) == 0) == con.holds(point)
@@ -164,39 +100,36 @@ def test_contradictory_bilinear_rows_are_an_honest_unknown():
 
 def _assembled(name, inv_source="inv"):
     # as the benchmark's synthesis operation assembles it: a fresh V over
-    # the .inv file's invariant, the fixture's or a two-row template
+    # the .inv file's invariant or the fixture's, at the fixture's control
+    # where the guards carry it
     b = load_benchmark(name)
+    model = b.model
+    if model.guards_parameter_bearing:
+        _, _, control = pipeline.fixture_scalars(b.cert, len(b.dsa.pairs))
+        model = model.with_control(control)
     if inv_source == "inv":
         inv = b.invariant
-    elif inv_source == "fixture":
-        inv = pipeline.fixture_invariant(b.cert, b.model, b.dsa)
     else:
-        inv = InvTemplate.fresh(b.model, b.dsa, nrows=2)
-    V = CertTemplate.fresh(b.model, b.dsa, 0)
+        inv = pipeline.fixture_invariant(b.cert, model, b.dsa)
+    V = CertTemplate.fresh(model, b.dsa, 0)
     vcs = build_product_vcs(
-        b.model, b.dsa, [V], inv, [post_table(V, b.model, b.dsa)]
+        model, b.dsa, [V], inv, [post_table(V, model, b.dsa)]
     )
     return farkas.assemble(vcs, farkas.transform(vcs))
 
 
 def _corpus_systems():
-    # every corpus entry over each invariant it has: its .inv file, its
-    # fixture's and a fresh two-row template
+    # every corpus entry over each invariant it has, its .inv file and its
+    # fixture's, but FinMemoryControl, whose guards carry the control
     for row in manifest()["benchmarks"] + manifest()["extras"]:
         name = row["name"]
         b = load_benchmark(name)
+        if b.model.guards_parameter_bearing:
+            continue
         sources = ["inv"] if b.invariant is not None else []
         sources += ["fixture"] if b.cert is not None else []
-        for source in sources + ["fresh"]:
+        for source in sources:
             yield f"{name}/{source}", _assembled(name, source)
-
-
-def _rows(constraints):
-    for con in constraints:
-        if isinstance(con, Disjunction):
-            yield from con.left + con.right
-        else:
-            yield con
 
 
 def test_corpus_systems_are_bilinear_with_no_squared_variable():
@@ -206,7 +139,7 @@ def test_corpus_systems_are_bilinear_with_no_squared_variable():
     seen = []
     for label, system in _corpus_systems():
         seen.append(label)
-        rows = list(_rows(system.constraints))
+        rows = system.constraints
         assert max(c.poly.degree() for c in rows) <= 2, label
         for c in rows:
             for mono in c.poly.terms:
@@ -214,7 +147,7 @@ def test_corpus_systems_are_bilinear_with_no_squared_variable():
         names = [p.name for p in system.params]
         blocks = smtsolver._product_blocks(system.constraints, names)
         assert blocks is not None, label
-    assert len(seen) == 27
+    assert len(seen) == 13
 
 
 @pytest.mark.parametrize(
@@ -222,7 +155,7 @@ def test_corpus_systems_are_bilinear_with_no_squared_variable():
     [
         pytest.param("example2", "inv", id="example2"),
         pytest.param("Temperature4", "inv", id="Temperature4"),
-        # disjunctive, sat at restart 1 after a greedy choice of branches
+        # linear at its fixture control, so decided at the screen's point
         pytest.param("FinMemoryControl", "fixture", id="FinMemoryControl"),
     ],
 )
@@ -230,22 +163,13 @@ def test_descent_does_not_depend_on_parameter_names(name, inv_source):
     # the same system with its parameters renamed so that their name order
     # reverses: the descent walks the same points and returns the same model
     system = _assembled(name, inv_source)
-    assert system.has_disjunction() == (name == "FinMemoryControl")
     ranked = sorted(p.name for p in system.params)
     new = {n: f"v{len(ranked) - i:04d}" for i, n in enumerate(ranked)}
 
-    def rename_row(c):
+    def rename(c):
         terms = c.poly.terms.items()
         poly = Poly({tuple(new[n] for n in mono): k for mono, k in terms})
         return PolyConstraint(poly, c.rel)
-
-    def rename(con):
-        if isinstance(con, Disjunction):
-            return Disjunction(
-                tuple(map(rename_row, con.left)),
-                tuple(map(rename_row, con.right)),
-            )
-        return rename_row(con)
 
     renamed = ConstraintSystem(
         tuple(Param(new[p.name], p.kind) for p in system.params),
@@ -271,22 +195,19 @@ def test_restart_zero_starts_at_the_linear_screen_point(
     monkeypatch, name, inv_source, block_lps
 ):
     # every linear row already holds at the screen's exact point, so the
-    # random walks are models there and Temperature4 needs one block LP;
-    # restart 0 reads no harvested constants, so none are harvested
-    calls = {"_block_lp": 0, "_harvest_pool": 0}
-    for fn in calls:
-        original = getattr(smtsolver, fn)
+    # random walks are models there and Temperature4 needs one block LP
+    calls = []
+    block_lp = smtsolver._block_lp
 
-        def counted(*args, _fn=fn, _original=original):
-            calls[_fn] += 1
-            return _original(*args)
+    def counted(*args):
+        calls.append(args)
+        return block_lp(*args)
 
-        monkeypatch.setattr(smtsolver, fn, counted)
+    monkeypatch.setattr(smtsolver, "_block_lp", counted)
     system = _assembled(name, inv_source)
     status, model = smtsolver.decide(system)
     assert status == "sat" and system.holds(model)
-    assert calls["_block_lp"] <= block_lps
-    assert calls["_harvest_pool"] == 0
+    assert len(calls) <= block_lps
 
 
 def test_squared_variables_are_unknown():

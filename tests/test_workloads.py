@@ -5,9 +5,11 @@ The ten operations of `verify-lp` and `control-descent` run through the
 benchmark's own composition (`perfbench/pipeline.py`), and each sat
 certificate goes through `perfbench/checks.py`: control bounds and side
 constraints, pointwise sampling and the per-VC LP re-check.  The same
-route also runs on an automaton with two Streett pairs, and on
-`FinMemoryControl` over its fixture invariant, the one corpus row whose
-descent needs a restart past the first.
+route also runs on an automaton with two Streett pairs.  `FinMemoryControl`
+over its fixture invariant, the one corpus row whose guards carry the
+control, goes through the package's route (`pipeline.synthesize`), which
+fixes the control before it decides, and its certificate through the same
+checks.
 """
 
 import os
@@ -15,7 +17,8 @@ import sys
 
 import pytest
 
-from streettsm import benchmarks, smtsolver, templates
+from streettsm import benchmarks, lp, templates
+from streettsm import pipeline as package
 from streettsm.automata import parse_dsa
 from streettsm.templates import parse_invariant
 
@@ -47,25 +50,32 @@ def test_synthesis_is_sat_and_checks(entry):
     assert checks.output_faults(out, 1) == []
 
 
-def test_fin_memory_control_needs_a_restart(monkeypatch):
-    # its guards carry the control, so its system is disjunctive; restart 0
-    # at the linear screen's point does not converge, and restart 1, from
-    # harvested constants clamped to the one-variable bounds, does
-    harvests = []
-    harvest = smtsolver._harvest_pool
+def test_fin_memory_control_is_sat_at_the_first_candidate(monkeypatch):
+    # its guards carry the control, so the control is fixed first: the
+    # first candidate, the midpoint of every [-100, 100], makes every VC
+    # parameter-free and the system one LP
+    b = benchmarks.load_benchmark("FinMemoryControl")
+    inv = pipeline.fixture_invariant(b.cert, b.model, b.dsa)
+    solves = []
+    solve = lp.solve
 
-    def counted(constraints):
-        harvests.append(1)
-        return harvest(constraints)
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(smtsolver, "_harvest_pool", counted)
-    entry = pipeline.Entry("FinMemoryControl", "fixture", "sat")
-    out = pipeline.synthesize(entry)
-    assert out.verdict == "sat"
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "solve", counting)
+        found = package.synthesize(b.model, b.dsa, inv)
+    assert found.verdict == "sat" and len(solves) == 1
+    assert set(found.control.values()) == {0}
+    out = pipeline.Outcome(
+        found.verdict, b, inv, found.Vs, found.eps, found.M, found.control
+    )
     assert checks.output_faults(out, 1) == []
-    assert pipeline.failing_vcs(out) == []
-    out.bench.model.with_control(out.control)  # raises on a bad control
-    assert len(harvests) == 1
+    failed = package.failing_vcs(
+        b.model, b.dsa, inv, found.Vs, found.eps, found.M, found.control
+    )
+    assert failed == []
 
 
 def test_two_streett_pairs_synthesize_and_share_their_steps(monkeypatch):
