@@ -74,6 +74,18 @@ def test_toy_dual_shape_and_witness():
     assert not all(item.holds(bad) for item in dual.items())
 
 
+def test_premise_sat_form_drops_the_disjunction():
+    impl = toy_implication()
+    dual = farkas_premise_sat(impl, "z0")
+    assert dual.mode == "premise-sat"
+    # no branch of a disjunction is kept: every row is a shared row
+    assert dual.items() == list(dual.shared)
+    assert len(dual.shared) == 4  # two z >= 0, one equality, one inequality
+    assert not any(isinstance(i, farkas.Disjunction) for i in dual.items())
+    good = {"z0_0": ONE, "z0_1": Fraction(0)}
+    assert all(item.holds(good) for item in dual.items())
+
+
 def templated_control_implication() -> Implication:
     # premise [eta1, eta3, -1] x <= [eta2, eta4, -1],
     # consequent (alpha0*kappa - alpha1) x <= beta1 - beta0
