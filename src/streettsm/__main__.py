@@ -1,9 +1,11 @@
 """Synthesize a certificate: ``python -m streettsm MODEL DSA INV``.
 
-Prints the verdict on its first line.  On sat the certificate is printed
-only once every VC has passed the exact re-check (`pipeline.failing_vcs`):
-V per Streett pair and location, M per pair and the control.  An input
-error is printed with its file and place, and the exit status is 1.
+Prints the verdict on its first line, a sat one only once every VC has
+passed the exact re-check (`pipeline.failing_vcs`), and then the
+certificate: V per Streett pair and location, M per pair and the control.
+A certificate that fails the re-check prints `unknown`, the failing VCs'
+tags go to standard error, and the exit status is 1.  So does an input
+error, printed with its file and place.
 """
 
 import sys
@@ -33,14 +35,19 @@ def _main(paths: list[str]) -> None:
     )
     inv = _read(paths[2], parse_invariant, model, dsa)
     out = pipeline.synthesize(model, dsa, inv)
-    print(out.verdict)
     if out.verdict != "sat":
+        print(out.verdict)
         return
     failed = pipeline.failing_vcs(
         model, dsa, inv, out.Vs, out.eps, out.M, out.control
     )
     if failed:
-        sys.exit("the certificate fails its re-check: " + "; ".join(failed))
+        print("unknown")
+        print("the certificate fails its re-check:", file=sys.stderr)
+        for tag in failed:
+            print(f"  {tag}", file=sys.stderr)
+        sys.exit(1)
+    print("sat")
     for V, M in zip(out.Vs, out.M):
         for (q, mode), form in V.pieces.items():
             print(f"V{V.pair_index} at {q} {mode}: {form}")

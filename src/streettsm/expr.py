@@ -2,7 +2,7 @@
 
 The common currency of every module is the affine form over named variables
 (model state, disturbance inputs) whose coefficients are polynomials over
-named existential parameters (certificate, invariant, control, slack and
+named existential parameters (certificate, control, slack and
 Farkas-multiplier parameters):
 
     form  =  sum_v  poly_v(params) * v  +  poly_const(params)
@@ -58,7 +58,6 @@ class ParamKind(Enum):
     """Role of an existential parameter in the synthesis problem."""
 
     CERT = "cert"          # certificate template coefficients (theta)
-    INV = "inv"            # invariant template coefficients (eta)
     CONTROL = "control"    # control parameters (kappa)
     SLACK = "slack"        # the shared M-increase bound (epsilon is fixed)
     MULTIPLIER = "mult"    # Farkas multipliers (z), fresh per implication

@@ -32,9 +32,10 @@ call into `lp` is made.
 
 Routing (`transform`).  Every premise must be parameter-free: a box
 premise takes the closed form and any other the premise-sat form over its
-atoms as they are.  A premise that depends on a parameter is an error; a
-model whose guards carry the control is made concrete at one control
-first (`model.StochModel.with_control`).
+atoms as they are.  A premise that depends on a parameter is an error.
+Every invariant is concrete, so such a premise comes only from a guard
+that carries the control; a model whose guards do is made concrete at
+one control first (`model.StochModel.with_control`).
 
 Assembly (`assemble`).  The system is the side atoms' rows and then
 each dual's items, less the rows that constrain nothing the others do

@@ -215,10 +215,6 @@ class StochModel:
         self.side_constraints = side_constraints  # over control params only
 
     @property
-    def state_dim(self) -> int:
-        return len(self.state_vars)
-
-    @property
     def guards_parameter_bearing(self) -> bool:
         """Does some guard carry a control parameter?"""
         return not all(

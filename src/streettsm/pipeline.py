@@ -77,10 +77,15 @@ def _decide(model, dsa, inv) -> Synthesis:
 
 
 def _candidates(controls):
-    """The grid's controls in search order (see the module docstring)."""
-    axes = [[c.lo + (c.hi - c.lo) * t for t in _GRID] for c in controls]
+    """The grid's controls in search order (see the module docstring),
+    each once: a point interval has one grid value."""
+    axes = [
+        list(dict.fromkeys(c.lo + (c.hi - c.lo) * t for t in _GRID))
+        for c in controls
+    ]
     for depth in range(len(_GRID)):
-        for picks in itertools.product(range(depth + 1), repeat=len(axes)):
+        ranges = [range(min(depth + 1, len(axis))) for axis in axes]
+        for picks in itertools.product(*ranges):
             if max(picks) == depth:
                 yield {
                     c.name: axis[i]

@@ -70,8 +70,8 @@ def _product_blocks(constraints, names) -> list[list[str]] | None:
     if it is not bipartite.
 
     Farkas duals of certificate synthesis problems are bilinear: every
-    product pairs a multiplier with an invariant coefficient or a
-    certificate coefficient with a control parameter.  The product graph
+    premise is parameter-free, so every product pairs a certificate
+    coefficient with a control parameter.  The product graph
     is then bipartite and the two sides alternate as descent blocks, each
     exactly solvable with the other fixed.  A repeated factor is a
     self-loop, so a squared variable makes the graph non-bipartite.

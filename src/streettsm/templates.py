@@ -1,17 +1,15 @@
-"""Affine certificate templates, polyhedral invariant templates, and
-symbolic post-expectations over the product process.
+"""Affine certificate templates, concrete invariants, and symbolic
+post-expectations over the product process.
 
 A certificate template assigns each product location (automaton state,
 model mode) one affine form theta . x + theta_0 with fresh parameters; an
-invariant template assigns each location a conjunction of R rows
-eta . x <= eta' with fresh parameters (R configurable, default 2).  A
-"false" location needs no special literal: the solver can pick an
-infeasible row such as 0 <= -1.
+invariant assigns each location a conjunction of parameter-free rows.  A
+"false" location is one infeasible row, 1 <= 0 (`FALSE_ATOM`).
 
 The post-expectation of V at location (q, m) is computed piecewise, one
 piece per product transition: an automaton edge from q times a model
-branch from m, whose joint guard (branch guard and edge guard) is
-satisfiable.  On that guard
+branch from m, on their joint guard (branch guard and edge guard).  On
+that guard
 
     Post V(x) = sum_w p(w) . V(f(x, w), (edge target, branch target mode))
 
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import lp
 from .automata import GuardedDSA, Transition
 from .expr import Atom, LinForm, Monomial, Param, ParamKind, Poly, Rel
 from .model import Branch, StochModel
@@ -105,41 +102,12 @@ class CertTemplate:
 
 
 class InvTemplate:
-    """Conjunction of parameter-bearing rows per location."""
+    """A conjunction of parameter-free rows per location."""
 
-    __slots__ = ("rows", "params")
+    __slots__ = ("rows",)
 
-    def __init__(
-        self,
-        rows: dict[Location, tuple[Atom, ...]],
-        params: tuple[Param, ...] = (),
-    ):
+    def __init__(self, rows: dict[Location, tuple[Atom, ...]]):
         self.rows = rows
-        self.params = params
-
-    @staticmethod
-    def fresh(
-        model: StochModel, dsa: GuardedDSA, nrows: int = 2
-    ) -> "InvTemplate":
-        if nrows < 1:
-            raise ValueError("invariant template needs at least one row")
-        rows: dict[Location, tuple[Atom, ...]] = {}
-        params: list[Param] = []
-        for q, m in locations(model, dsa):
-            here = []
-            for r in range(nrows):
-                form = LinForm()
-                for v in model.state_vars:
-                    name = f"eta_{q}_{m}_{r}_{v}"
-                    params.append(Param(name, ParamKind.INV))
-                    form = form + LinForm.var(v).mul_poly(Poly.param(name))
-                rhs = f"eta_{q}_{m}_{r}_rhs"
-                params.append(Param(rhs, ParamKind.INV))
-                here.append(
-                    Atom(form - LinForm.from_poly(Poly.param(rhs)), Rel.LE)
-                )
-            rows[(q, m)] = tuple(here)
-        return InvTemplate(rows, tuple(params))
 
     @staticmethod
     def concrete(rows: dict[Location, tuple[Atom, ...]]) -> "InvTemplate":
@@ -147,7 +115,7 @@ class InvTemplate:
             for a in atoms:
                 if not a.form.is_param_free():
                     raise ValueError(f"parameter in concrete invariant at {loc}")
-        return InvTemplate(dict(rows), ())
+        return InvTemplate(dict(rows))
 
 
 class PostPiece:
@@ -186,8 +154,9 @@ class PostTable:
 def post_table(
     V: CertTemplate, model: StochModel, dsa: GuardedDSA
 ) -> PostTable:
-    """Symbolic Post V, one piece per product transition, save those whose
-    joint guard is parameter-free and empty (`lp.defining_atoms`)."""
+    """Symbolic Post V, one piece per product transition.  No step is
+    screened here: `vcgen.build_product_vcs` gives no VC to a piece whose
+    premise, the invariant at its source and its joint guard, is empty."""
     dist = model.disturbance
     moments: dict[Monomial, Fraction] = {}
     pieces: list[PostPiece] = []
@@ -206,8 +175,6 @@ def post_table(
                 continue
             for br in model.branches_for_mode(m):
                 guard = br.guard + edge.atoms
-                if lp.defining_atoms(guard, model.state_vars) is None:
-                    continue
                 target = (edge.target, br.mode_to)
                 key = (target, id(br))
                 if key not in forms:

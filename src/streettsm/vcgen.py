@@ -8,7 +8,7 @@ templates witness almost-sure satisfaction of every Streett pair:
 
     init       each invariant row holds at the initial product location
     consec     the invariant is closed under every product transition
-               whose joint guard is satisfiable
+               that can fire from it
     dec        Post V <= V - eps     at locations with q in A \\ B
     inc        Post V <= V + M       at locations with q in B
     noninc     Post V <= V           elsewhere
@@ -21,15 +21,16 @@ strict atom as its relaxation, which is exact whenever the strict premise
 is nonempty: its closure is then the relaxed premise.
 
 The product transitions are enumerated once, by the Post V table: its
-pieces, one per (location, automaton edge, model branch) with a
-satisfiable joint guard, carry both the drift conditions and the closure
-of the invariant.  A transition whose parameter-free joint guard is
-LP-infeasible never fires and gets no VC.  Each piece has one premise,
-the invariant rows at its location and then its joint guard, shared by
-its consecution VCs (with the box atoms of a box disturbance) and its
-drift VCs.  A VC whose premise is empty holds for every certificate, so
-a piece whose premise is parameter-free and empty, strict atoms honored,
-gets no VC, and neither does `nonneg` at a location whose invariant is.
+pieces, one per (location, automaton edge, model branch), carry both the
+drift conditions and the closure of the invariant.  Each piece has one
+premise, the invariant rows at its location and then its joint guard,
+shared by its consecution VCs (with the box atoms of a box disturbance)
+and its drift VCs.  A VC whose premise is empty holds for every
+certificate, so a piece whose premise is parameter-free and empty, strict
+atoms honored, gets no VC, and neither does `nonneg` at a location whose
+invariant is.  The invariant is parameter-free, so this is the only step
+screen: a transition whose parameter-free joint guard is empty never
+fires, and its premise is empty too.
 
 Each piece's premise and each location's invariant is screened once
 (`lp.defining_atoms`), and its VCs are built over what the screen keeps:
@@ -344,10 +345,9 @@ def build_product_vcs(
                 )
             )
 
-    # declared existentials: template, invariant and control parameters
+    # declared existentials: template and control parameters
     for V in Vs:
         params.extend(V.params)
-    params.extend(inv.params)
     for c in model.controls:
         params.append(Param(c.name, ParamKind.CONTROL))
         form = LinForm.from_poly(Poly.param(c.name))

@@ -204,7 +204,7 @@ def corpus():
 def test_exactly_one_transition_everywhere(corpus, name, x0, x1):
     # determinism + totality, probed pointwise across the whole corpus
     b = corpus[name]
-    state = (x0,) if b.model.state_dim == 1 else (x0, x1)
+    state = (x0,) if len(b.model.state_vars) == 1 else (x0, x1)
     env = b.model.state_env(state)
     for q in b.dsa.states:
         for mode in b.model.modes:

@@ -2,9 +2,13 @@
 package, found by a scan of the sources' syntax trees, so that the LP layer
 keeps no helper that only tests reach.  Package-wide, every public function
 is referred to by another definition of the package or by the benchmark
-(`perfbench/*.py`), with no exemption.  And every function the benchmark's
-tracer wraps is reached through its module's attribute, never through a
-name another module binds at import, so that the tracer sees every call."""
+(`perfbench/*.py`), with no exemption; so is every public static and
+class method, referred to as `Class.method`, bare or module-qualified.
+Instance methods and properties are out of scope: a call `x.method()`
+cannot be resolved to a class by name.  And every function the
+benchmark's tracer wraps is reached through its module's attribute, never
+through a name another module binds at import, so that the tracer sees
+every call."""
 
 import ast
 import importlib
@@ -32,6 +36,29 @@ def _public_functions(tree: ast.Module) -> set[str]:
         node.name
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def _public_classes(tree: ast.Module) -> list[ast.ClassDef]:
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    ]
+
+
+def _public_static_methods(tree: ast.Module) -> set[str]:
+    """`Class.method` for each public static or class method."""
+    return {
+        f"{cls.name}.{node.name}"
+        for cls in _public_classes(tree)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and any(
+            isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+            for d in node.decorator_list
+        )
     }
 
 
@@ -80,14 +107,28 @@ def _module_name(path: Path) -> str:
     return path.parent.name if path.name == "__init__.py" else path.stem
 
 
+def _users(tree: ast.Module):
+    """(user, node) for each top-level definition, and for each method as
+    `Class.method`; `user` is None for any other statement."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                name = getattr(node, "name", None)
+                yield (top.name if name is None else f"{top.name}.{name}"), node
+        else:
+            yield getattr(top, "name", None), top
+
+
 def _references(tree: ast.Module, own: str | None):
     """(module, name, user) for each package name the module refers to,
-    where `user` is the top-level definition holding the reference.  A name
-    is resolved through the module's imports, or through `own`, the
-    module's package name when it is a module of the package."""
+    where `user` is the definition holding the reference (`_users`).  A
+    name is resolved through the module's imports, or through `own`, the
+    module's package name when it is a module of the package.  A class's
+    attribute is the name `Class.attr`."""
     modules, names = set(), {}
     if own is not None:
         names.update({f: (own, f) for f in _public_functions(tree)})
+        names.update({c.name: (own, c.name) for c in _public_classes(tree)})
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -99,17 +140,25 @@ def _references(tree: ast.Module, own: str | None):
                 modules.add(bound)
             elif inside:
                 names[bound] = (node.module.split(".")[-1], alias.name)
-    for top in tree.body:
-        user = getattr(top, "name", None)
+    for user, top in _users(tree):
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and node.id in names:
                 yield (*names[node.id], user)
+            elif not isinstance(node, ast.Attribute):
+                continue
+            elif isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    yield (node.value.id, node.attr, user)
+                elif node.value.id in names:
+                    module, cls = names[node.value.id]
+                    yield (module, f"{cls}.{node.attr}", user)
             elif (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in modules
+                isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in modules
             ):
-                yield (node.value.id, node.attr, user)
+                module, cls = node.value.value.id, node.value.attr
+                yield (module, f"{cls}.{node.attr}", user)
 
 
 def test_every_public_function_has_a_user_outside_itself():
@@ -118,6 +167,7 @@ def test_every_public_function_has_a_user_outside_itself():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         own = _module_name(path)
         public |= {(own, f) for f in _public_functions(tree)}
+        public |= {(own, m) for m in _public_static_methods(tree)}
         for module, name, user in _references(tree, own):
             if (module, name) != (own, user):
                 used.add((module, name))
@@ -127,6 +177,10 @@ def test_every_public_function_has_a_user_outside_itself():
     # both spellings, an attribute of a module and an imported name
     assert {("lp", "solve"), ("benchmarks", "load_benchmark")} <= used
     assert ("templates", "parse_invariant") in used
+    # and both spellings of a static method, `templates.CertTemplate.fresh`
+    # in the package and `CertTemplate.fresh` in the benchmark
+    assert ("templates", "CertTemplate.fresh") in used
+    assert ("expr", "LinForm.var") in used
     assert public and not public - used, sorted(public - used)
 
 

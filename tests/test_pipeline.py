@@ -6,8 +6,9 @@ certificate passes the exact re-check; so does every fixture.  A model
 whose guards carry the control is decided one concrete control at a time,
 so a control whose guards leave a gap is never sat: the Farkas route over
 the guards' parameters (`farkas.transform`) refuses the model, and the
-re-check names the gap.  `python -m streettsm` prints the verdict, and
-the certificate once it is re-checked.
+re-check names the gap.  The grid tries each distinct control once.
+`python -m streettsm` prints a sat verdict, and the certificate, only
+once it is re-checked.
 """
 
 import os
@@ -18,10 +19,13 @@ from pathlib import Path
 
 import pytest
 
+import itertools
+
 from streettsm import benchmarks, farkas, pipeline, templates, vcgen
+from streettsm.__main__ import _main
 from streettsm.automata import parse_dsa
 from streettsm.expr import LinForm
-from streettsm.model import parse_model
+from streettsm.model import ControlParam, parse_model
 from streettsm.templates import CertTemplate, parse_invariant
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,6 +137,35 @@ def test_a_control_whose_guards_leave_a_gap_is_never_sat():
         farkas.transform(vcs)
 
 
+# -- the candidate grid -----------------------------------------------------------
+
+
+def _tried(*bounds):
+    controls = [
+        ControlParam(f"c{i}", F(lo), F(hi))
+        for i, (lo, hi) in enumerate(bounds)
+    ]
+    candidates = pipeline._candidates(controls)
+    return [
+        tuple(c.values())
+        for c in itertools.islice(candidates, pipeline.CANDIDATES)
+    ]
+
+
+def test_the_grid_tries_midpoints_first_then_ends():
+    tried = _tried((0, 8), (0, 8))
+    assert tried[:4] == [(4, 4), (4, 0), (0, 4), (0, 0)]
+    assert len(tried) == len(set(tried)) == pipeline.CANDIDATES
+
+
+def test_a_point_interval_repeats_no_candidate():
+    # p in [0, 0] has one grid value, so q's whole axis fits the budget
+    tried = _tried((0, 0), (-100, 100))
+    assert len(tried) == len(set(tried)) == 9
+    assert [q for _, q in tried] == [0, -100, 100, -50, 50, -75, -25, 25, 75]
+    assert _tried((3, 3)) == [(3,)]
+
+
 # -- the command line -------------------------------------------------------------
 
 CORPUS = ROOT / "src" / "streettsm" / "benchmarks"
@@ -170,3 +203,17 @@ def test_the_command_line_reports_a_source_error(tmp_path):
 def test_importing_the_command_line_runs_nothing():
     done = _run("-c", "import streettsm.__main__")
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def test_a_certificate_that_fails_its_recheck_prints_unknown(
+    monkeypatch, capsys
+):
+    # the verdict is printed only after the re-check
+    monkeypatch.setattr(pipeline, "failing_vcs", lambda *args: ["init", "dec"])
+    files = [CORPUS / f"example2.{ext}" for ext in ("model", "dsa", "inv")]
+    with pytest.raises(SystemExit) as done:
+        _main(list(map(str, files)))
+    assert done.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "unknown\n"
+    assert err.splitlines()[1:] == ["  init", "  dec"]

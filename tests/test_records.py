@@ -109,7 +109,7 @@ def test_linear_system_rows_are_per_instance():
 
 # class -> (fields, other fields): every field differs between the two
 VALUES = {
-    Param: lambda: (("a", ParamKind.CERT), ("b", ParamKind.INV)),
+    Param: lambda: (("a", ParamKind.CERT), ("b", ParamKind.CONTROL)),
     Atom: lambda: ((_x(), Rel.LE), (LinForm.var("y"), Rel.LT)),
     ModeTest: lambda: (("m", True), ("n", False)),
     StreettPair: lambda: (

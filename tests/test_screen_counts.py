@@ -1,11 +1,10 @@
 """Every feasibility screen of the pipeline is a box of atoms, decided from
 the atoms' cached bounds with no LP built, and VC generation is the only
-stage that screens a premise.
+stage that screens a premise or a step.
 
 Over every manifest entry, with a concrete invariant and at the fixture's
 control where the guards carry it, loading, Post V, VC generation and the
-Farkas routing make no `lp.solve` and no `lp.system_from_atoms` call (a
-templated invariant makes the routing raise); every
+Farkas routing make no `lp.solve` and no `lp.system_from_atoms` call; every
 parameter-free premise VC generation emits is already screened, and the
 Farkas routing makes no `lp._atom_box` call.  The fixture check makes
 exactly one `lp.solve` per implication: its own LP maximisation, over a
@@ -81,20 +80,6 @@ def test_the_stages_build_and_solve_no_lp(name, calls):
     assert calls == {}
 
 
-def test_a_templated_invariant_is_an_error(calls):
-    # its rows put parameters into every consecution premise, which the
-    # conjunctive Farkas form does not take
-    bench = benchmarks.load_benchmark("example2")
-    model, dsa = bench.model, bench.dsa
-    inv = InvTemplate.fresh(model, dsa, nrows=2)
-    Vs = [CertTemplate.fresh(model, dsa, 0)]
-    tables = [templates.post_table(V, model, dsa) for V in Vs]
-    vcs = vcgen.build_product_vcs(model, dsa, Vs, inv, tables)
-    with pytest.raises(ValueError, match="depends on a parameter"):
-        farkas.transform(vcs)
-    assert calls == {}
-
-
 @pytest.mark.parametrize("name", [row["name"] for row in ROWS])
 def test_only_vc_generation_screens_premises(name, monkeypatch):
     boxes = []
@@ -113,6 +98,16 @@ def test_only_vc_generation_screens_premises(name, monkeypatch):
             patch.setattr(lp, "_atom_box", counting)
             farkas.transform(vcs)
     assert boxes == []
+
+
+@pytest.mark.parametrize("name", [row["name"] for row in ROWS])
+def test_post_v_screens_no_step(name, monkeypatch):
+    bench = benchmarks.load_benchmark(name)
+    screened = []
+    monkeypatch.setattr(lp, "defining_atoms", lambda *a: screened.append(a))
+    V = CertTemplate.fresh(bench.model, bench.dsa, 0)
+    templates.post_table(V, bench.model, bench.dsa)
+    assert screened == []
 
 
 @pytest.mark.parametrize(

@@ -55,15 +55,6 @@ def test_concrete_templates_reject_parameters():
         InvTemplate.concrete({("q0", "_"): (Atom(sym[("q0", "_")], Rel.LE),)})
 
 
-def test_fresh_invariant_row_count():
-    model, dsa = _e2()
-    inv = InvTemplate.fresh(model, dsa, nrows=3)
-    assert all(len(rows) == 3 for rows in inv.rows.values())
-    assert len(inv.params) == 3 * 3 * 2  # location x row x (slope, rhs)
-    with pytest.raises(ValueError, match="at least one row"):
-        InvTemplate.fresh(model, dsa, nrows=0)
-
-
 def test_box_mean_substitution_is_symbolic_in_controls():
     model, dsa = _e2()
     V = CertTemplate.fresh(model, dsa, 0)
@@ -80,10 +71,10 @@ def test_box_mean_substitution_is_symbolic_in_controls():
     assert piece.form.degree() == 2
 
 
-def test_piece_count_prunes_infeasible_guards():
+def test_one_piece_per_automaton_edge_and_branch():
     model, dsa = _e2()
     V = CertTemplate.fresh(model, dsa, 0)
-    # 7 automaton edges, one branch, no infeasible joint guards
+    # 7 automaton edges, one branch
     assert len(post_table(V, model, dsa).pieces) == 7
 
 

@@ -1,8 +1,10 @@
 """Tests for verification-condition generation."""
 
 import re
+import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,17 +33,18 @@ from streettsm.vcgen import (
     promote_disturbance,
 )
 
+sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "perfbench")]
 
-def _vcs(name, eps=F(1), M=None, fresh_inv=False, nrows=2):
+import pipeline as bench  # noqa: E402
+
+
+def _vcs(name, eps=F(1), M=None):
     b = load_benchmark(name)
     V = CertTemplate.fresh(b.model, b.dsa, 0)
-    inv = (
-        InvTemplate.fresh(b.model, b.dsa, nrows)
-        if fresh_inv
-        else b.invariant
-    )
     table = post_table(V, b.model, b.dsa)
-    return build_product_vcs(b.model, b.dsa, [V], inv, [table], eps=eps, M=M)
+    return build_product_vcs(
+        b.model, b.dsa, [V], b.invariant, [table], eps=eps, M=M
+    )
 
 
 def test_family_counts_match_displayed_system():
@@ -63,10 +66,16 @@ def test_family_counts_match_displayed_system():
 
 
 def _corpus_vcs(name):
-    """Every pair's VCs over the entry's `.inv` invariant, else a fresh
-    one-row template."""
+    """Every pair's VCs over the entry's `.inv` invariant, else its
+    fixture's, else the invariant true at every location."""
     b = load_benchmark(name)
-    inv = b.invariant or InvTemplate.fresh(b.model, b.dsa, nrows=1)
+    if b.invariant is not None:
+        inv = b.invariant
+    elif b.cert is not None:
+        inv = bench.fixture_invariant(b.cert, b.model, b.dsa)
+    else:
+        everywhere = locations(b.model, b.dsa)
+        inv = InvTemplate.concrete({loc: () for loc in everywhere})
     Vs = [CertTemplate.fresh(b.model, b.dsa, k) for k in range(len(b.dsa.pairs))]
     tables = [post_table(V, b.model, b.dsa) for V in Vs]
     return b, inv, build_product_vcs(b.model, b.dsa, Vs, inv, tables)
@@ -78,11 +87,11 @@ CORPUS = [row["name"] for row in ROWS]
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_one_consecution_vc_per_firing_transition_sample_and_row(name):
-    # the product transitions written out: a transition whose joint guard
-    # or premise (the invariant at its source, then the joint guard) is
-    # parameter-free and LP-infeasible has no VC, and neither has `nonneg` where the invariant
-    # is; every other transition has its consecution VCs and one drift VC
-    # per pair, and every other location one `nonneg` VC per pair
+    # the product transitions written out: a transition whose premise
+    # (the invariant at its source, then the joint guard) is parameter-free
+    # and empty has no VC, and neither has `nonneg` where the invariant is;
+    # every other transition has its consecution VCs and one drift VC per
+    # pair, and every other location one `nonneg` VC per pair
     b, inv, vcs = _corpus_vcs(name)
     model, dsa = b.model, b.dsa
     xs = model.state_vars
@@ -100,14 +109,10 @@ def test_one_consecution_vc_per_firing_transition_sample_and_row(name):
                 continue
             for br in model.branches_for_mode(m):
                 key = ((q, m), edge.line, br.line)
-                guard = [*br.guard, *edge.atoms]
-                premise = [*inv.rows[(q, m)], *guard]
-                # a plainly empty joint guard takes a templated invariant's
-                # transition out too
-                dead = [atoms for atoms in (guard, premise) if empty(atoms)]
-                if dead:
+                premise = [*inv.rows[(q, m)], *br.guard, *edge.atoms]
+                if empty(premise):
                     never.add(key)
-                    excluded.append(dead[0])
+                    excluded.append(premise)
                     continue
                 target_rows = inv.rows[(edge.target, br.mode_to)]
                 want[key] = samples * len(target_rows)
@@ -316,23 +321,13 @@ def test_control_boxes_become_side_atoms():
     assert not all(outside)
 
 
-def test_fresh_invariant_parameters_are_declared():
-    vcs = _vcs("example2", eps=F(1, 2), fresh_inv=True, nrows=2)
-    names = {p.name for p in vcs.params}
-    used = set()
-    for i in vcs.implications:
-        used |= i.params()
-    assert used <= names
-    assert any(n.startswith("eta_") for n in used)
-
-
 def test_undeclared_parameters_rejected():
     b = load_benchmark("example2")
     V = CertTemplate.fresh(b.model, b.dsa, 0)
     ghost = Atom(LinForm.from_poly(Poly.param("ghost")), Rel.LE)
     rows = {loc: () for loc in locations(b.model, b.dsa)}
     rows[("q0", "_")] = (ghost,)
-    inv = InvTemplate(rows, ())  # bypasses the concrete check on purpose
+    inv = InvTemplate(rows)  # bypasses the concrete check on purpose
     with pytest.raises(ValueError, match="undeclared"):
         build_product_vcs(
             b.model, b.dsa, [V], inv, [post_table(V, b.model, b.dsa)]
