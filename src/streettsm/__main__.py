@@ -5,7 +5,9 @@ passed the exact re-check (`pipeline.failing_vcs`), and then the
 certificate: V per Streett pair and location, M per pair and the control.
 A certificate that fails the re-check prints `unknown`, the failing VCs'
 tags go to standard error, and the exit status is 1.  So does an input
-error, printed with its file and place.
+error, printed with its file and place, and an input that parses but that
+synthesis rejects (a strict invariant row at a consequent, say), printed
+alone.
 """
 
 import sys
@@ -34,7 +36,10 @@ def _main(paths: list[str]) -> None:
         paths[1], parse_dsa, variables=model.state_vars, modes=model.modes
     )
     inv = _read(paths[2], parse_invariant, model, dsa)
-    out = pipeline.synthesize(model, dsa, inv)
+    try:
+        out = pipeline.synthesize(model, dsa, inv)
+    except ValueError as err:
+        sys.exit(str(err))
     if out.verdict != "sat":
         print(out.verdict)
         return

@@ -153,9 +153,9 @@ MODEL_CASES = {
     "statement without a keyword": (
         WALK + "1: x\n", "expected a statement keyword", 11, 1,
     ),
-    # `lp._strict_tableau` and `smtsolver._component_lp` add LP columns of
-    # their own, named so that no identifier can be one: a variable named
-    # like them is a plain name, and the gap is reported at the first branch
+    # `lp._strict_tableau` adds an LP column of its own, named so that no
+    # identifier can be it: a variable named like it is a plain name, and
+    # the gap is reported at the first branch
     "gap over a variable named like an LP column": (
         """vars: __t y
 init: __t = 0, y = 0

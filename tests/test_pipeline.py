@@ -200,6 +200,42 @@ def test_the_command_line_reports_a_source_error(tmp_path):
     assert done.stderr.startswith(f"{model}: line 7, col 1: branch guards")
 
 
+ONE_STATE = "states: q0\ninit: q0\ntrans q0 -> q0: true\npair: A { q0 } B { }"
+
+
+@pytest.mark.parametrize(
+    "model, inv, message",
+    [
+        pytest.param(
+            "disturbance: w finite { (1): 1/2, (0): 1/2 }\n"
+            "branch _ -> _:\n  guard: true\n  update: x' = x + 2*w - 1\n",
+            "at q0: x < 5\n",
+            "strict consequent -5 < 0 is unsupported",
+            id="strict-invariant-row",
+        ),
+        pytest.param(
+            "disturbance: w box { lo = -1/10, hi = 1/10, mean = 0 }\n"
+            "branch _ -> _:\n  guard: true\n  update: x' = w*x\n",
+            "at q0: x >= -100\n",
+            "state-times-disturbance product on 'x'",
+            id="state-times-box-disturbance",
+        ),
+    ],
+)
+def test_the_command_line_reports_a_rejected_input(
+    tmp_path, model, inv, message
+):
+    # both parse; VC generation rejects them, in one line and status 1
+    files = {"m.model": "vars: x\ninit: x = 0\n" + model}
+    files.update({"a.dsa": ONE_STATE, "a.inv": inv})
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    done = _run("-m", "streettsm", *(str(tmp_path / n) for n in files))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(message)
+    assert len(done.stderr.splitlines()) == 1
+
+
 def test_importing_the_command_line_runs_nothing():
     done = _run("-c", "import streettsm.__main__")
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

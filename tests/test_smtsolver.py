@@ -1,15 +1,13 @@
 """The bundled solver: honest `unknown` (a squared variable included), a
 corpus whose systems are all bilinear with a bipartite product graph, and
-a descent that starts at the linear screen's point and does not depend on
-parameter names."""
+one pass of block solves that starts at the linear screen's point and does
+not depend on parameter names."""
 
 import os
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from streettsm import backends, farkas, lp, smtsolver
 from streettsm.benchmarks import load_benchmark, manifest
@@ -37,34 +35,6 @@ def const(q) -> Poly:
     return Poly.const(F(q))
 
 
-# small values, so that rows often sit exactly on their boundary
-small = st.integers(-2, 2).map(F)
-rows = st.builds(
-    PolyConstraint,
-    st.builds(
-        lambda a, b, c: Poly({("a",): a, ("b",): b, (): c}), small, small, small
-    ),
-    st.sampled_from([Rel.LE, Rel.LT, Rel.EQ]),
-)
-points = st.fixed_dictionaries({"a": small, "b": small})
-
-
-@given(st.lists(rows, max_size=4), points)
-@example(  # a < 0 sits on its boundary at a = 0
-    [PolyConstraint(P("a"), Rel.LT)],
-    {"a": F(0), "b": F(0)},
-)
-def test_zero_violation_is_exactly_holding(constraints, point):
-    # the measure's single component is enough: no row sits at violation
-    # zero without holding (a strict row on its boundary reports STRICT_GAP)
-    for con in constraints:
-        assert (smtsolver._violation(con, point) == 0) == con.holds(point)
-    worst = smtsolver._measure(constraints, point)
-    assert (worst == smtsolver.MEASURE_ZERO) == all(
-        con.holds(point) for con in constraints
-    )
-
-
 def test_non_bipartite_products_are_unknown():
     # a*b, b*c and a*c close an odd cycle, so no two blocks make every row
     # affine; the linear part (a <= 2) is feasible, so nothing is refuted
@@ -83,9 +53,9 @@ def test_non_bipartite_products_are_unknown():
     assert smtsolver.decide(system) == ("unknown", None)
 
 
-def test_contradictory_bilinear_rows_are_an_honest_unknown():
+def test_contradictory_bilinear_rows_are_an_honest_unknown(lp_calls):
     # a*b >= 1 and a*b <= -1 pass the linear screen (there is no linear
-    # row) and have no model: the descent gives up and says so
+    # row) and have no model: the pass leaves them violated and says so
     rows = (
         le(const(1) - P("a") * P("b")),
         le(const(1) + P("a") * P("b")),
@@ -94,7 +64,11 @@ def test_contradictory_bilinear_rows_are_an_honest_unknown():
         tuple(Param(n, ParamKind.CERT) for n in ("a", "b")), rows
     )
     assert smtsolver._linear_verdict(rows, ["a", "b"]).status == "optimal"
+    lp_calls.clear()
     assert smtsolver.decide(system) == ("unknown", None)
+    # the screen, then one plain feasibility LP per block, each infeasible
+    # (the fixed side is 0, so both rows read 1 <= 0)
+    assert [obj for _, obj in lp_calls] == [False, False, False]
     assert backends.decide(backends.SolverJob(system)).status == "unknown"
 
 
@@ -133,7 +107,7 @@ def _corpus_systems():
 
 
 def test_corpus_systems_are_bilinear_with_no_squared_variable():
-    # the descent has no move for a squared variable (a self-loop makes the
+    # a block solve has no move for a squared variable (a self-loop makes the
     # product graph non-bipartite, so `decide` says unknown); no corpus
     # system needs one
     seen = []
@@ -161,7 +135,7 @@ def test_corpus_systems_are_bilinear_with_no_squared_variable():
 )
 def test_descent_does_not_depend_on_parameter_names(name, inv_source):
     # the same system with its parameters renamed so that their name order
-    # reverses: the descent walks the same points and returns the same model
+    # reverses: the pass walks the same points and returns the same model
     system = _assembled(name, inv_source)
     ranked = sorted(p.name for p in system.params)
     new = {n: f"v{len(ranked) - i:04d}" for i, n in enumerate(ranked)}
@@ -191,7 +165,7 @@ def test_descent_does_not_depend_on_parameter_names(name, inv_source):
         ("Temperature4", "inv", 1),
     ],
 )
-def test_restart_zero_starts_at_the_linear_screen_point(
+def test_pass_starts_at_the_linear_screen_point(
     monkeypatch, name, inv_source, block_lps
 ):
     # every linear row already holds at the screen's exact point, so the
@@ -212,7 +186,7 @@ def test_restart_zero_starts_at_the_linear_screen_point(
 
 def test_squared_variables_are_unknown():
     # a*a is a self-loop of the product graph, so no two blocks make every
-    # row affine; a = -2, b = 0, c = -1 is a model, but the descent has no
+    # row affine; a = -2, b = 0, c = -1 is a model, but a block solve has no
     # move for `a`, and the linear part (b <= 1) refutes nothing
     rows = (
         PolyConstraint(P("a") * P("a") - const(4), Rel.EQ),
@@ -264,7 +238,7 @@ def test_block_round_solves_only_the_violated_component(lp_calls):
 
 @pytest.mark.parametrize("name", ["example2", "Temperature4"])
 def test_descent_makes_one_component_lp(lp_calls, name):
-    # the linear screen, then one block round in which a single component
+    # the linear screen, then one block solve in which a single component
     # has a violated row and its plain feasibility LP is feasible
     system = _assembled(name)
     lp_calls.clear()  # the Farkas screens
@@ -273,65 +247,10 @@ def test_descent_makes_one_component_lp(lp_calls, name):
     assert [obj for _, obj in lp_calls] == [False, False]
 
 
-A = P("a")
 
-
-@pytest.mark.parametrize(
-    "rows, a, worst",
-    [
-        # a - 1 <= 0 against 2 - a <= 0, both coupling rows, so both soft:
-        # the least worst violation is 1/2, at a = 3/2
-        pytest.param(
-            [(A - const(1), Rel.LE, False), (const(2) - A, Rel.LE, False)],
-            F(3, 2),
-            F(1, 2),
-            id="soft",
-        ),
-        # the same rows, both local: they clash, so the hard-local LP is
-        # infeasible too and `a` keeps its old value
-        pytest.param(
-            [(A - const(1), Rel.LE, True), (const(2) - A, Rel.LE, True)],
-            F(0),
-            None,
-            id="local-clash",
-        ),
-        # an `=` coupling row is violated both ways (a - 2 <= worst and
-        # 2 - a <= worst): max(|a - 2|, a) is least, 1, at a = 1
-        pytest.param(
-            [(A - const(2), Rel.EQ, False), (A, Rel.LE, False)],
-            F(1),
-            F(1),
-            id="equality",
-        ),
-        # a strict local row is held as its closure a <= 1 against the soft
-        # a >= 2: a = 1, where the strict row sits on its boundary
-        pytest.param(
-            [(A - const(1), Rel.LT, True), (const(2) - A, Rel.LE, False)],
-            F(1),
-            F(1),
-            id="strict-local",
-        ),
-    ],
-)
-def test_component_lp_falls_back_to_the_worst_violation(
-    lp_calls, rows, a, worst
-):
-    # every case is infeasible as written
-    moved = smtsolver._component_lp(["a"], rows, {"a": F(0)})
-    assert moved == {"a": a}
-    if worst is not None:
-        cons = [PolyConstraint(p, r) for p, r, _ in rows]
-        assert smtsolver._measure(cons, moved) == worst
-    # the plain LP, then one worst-violation LP
-    assert [obj for _, obj in lp_calls] == [False, True]
-    assert lp_calls[0][0].variables == ["a"]  # the plain LP has no #worst
-
-
-def test_component_lp_keeps_a_parameter_named_like_its_worst_column(lp_calls):
-    # the "soft" case over a parameter named `__worst`: its own column, apart
-    # from the worst violation's, which no identifier can name
-    W = P("__worst")
-    rows = [(W - const(1), Rel.LE, False), (const(2) - W, Rel.LE, False)]
-    moved = smtsolver._component_lp(["__worst"], rows, {"__worst": F(0)})
-    assert moved == {"__worst": F(3, 2)}
-    assert [len(s.variables) for s, _ in lp_calls] == [1, 2]
+def test_infeasible_component_keeps_its_values(lp_calls):
+    # a - 1 <= 0 against 2 - a <= 0 clash: the component's one plain LP is
+    # infeasible, so nothing moves and `a` keeps its value
+    rows = [le(P("a") - const(1)), le(const(2) - P("a"))]
+    assert smtsolver._block_lp(rows, ["a"], {"a": F(0)}) == {}
+    assert [(s.variables, obj) for s, obj in lp_calls] == [(["a"], False)]
