@@ -7,6 +7,10 @@ Farkas-multiplier parameters):
 
     form  =  sum_v  poly_v(params) * v  +  poly_const(params)
 
+A parameter is its name, a plain `str` unique per problem.  Its role
+shows in the name only (`th<k>_...` template coefficients, the controls'
+declared names, `M<k>` slacks, `z<i>_<j>` multipliers); nothing reads it.
+
 All arithmetic is exact: coefficients are fractions.Fraction, polynomials
 are canonical sorted-monomial maps, and two forms are equal iff their
 canonical representations are equal.  No floating point appears anywhere in
@@ -52,35 +56,6 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)  # handles '3', '-4/5' and '0.1' exactly
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-class ParamKind(Enum):
-    """Role of an existential parameter in the synthesis problem."""
-
-    CERT = "cert"          # certificate template coefficients (theta)
-    CONTROL = "control"    # control parameters (kappa)
-    SLACK = "slack"        # the shared M-increase bound (epsilon is fixed)
-    MULTIPLIER = "mult"    # Farkas multipliers (z), fresh per implication
-
-
-class Param:
-    """A named existential parameter. Names are unique per problem."""
-
-    __slots__ = ("name", "kind")
-
-    def __init__(self, name: str, kind: ParamKind):
-        self.name = name
-        self.kind = kind
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Param
-            and self.name == other.name
-            and self.kind == other.kind
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.kind))
 
 
 # A monomial is a sorted tuple of parameter names, with multiplicity.

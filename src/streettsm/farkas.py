@@ -38,10 +38,11 @@ that carries the control; a model whose guards do is made concrete at
 one control first (`model.StochModel.with_control`).
 
 Assembly (`assemble`).  The system is the side atoms' rows and then
-each dual's items, less the rows that constrain nothing the others do
-not: a parameter-free row that holds, and a `<=` or `<` row that another
-row implies, one with the same non-constant part q and, as q + c REL 0,
-a larger constant, or an equal one and `<` against `<=`.  This is the
+each dual's rows (`DualConstraint.shared`), less the rows that constrain
+nothing the others do not: a parameter-free row that holds, and a `<=`
+or `<` row that another row implies, one with the same non-constant part
+q and, as q + c REL 0, a larger constant, or an equal one and `<`
+against `<=`.  This is the
 parallel-row step of LP presolve (Andersen & Andersen, 1995) for rows
 equal, not proportional, in q, and it is exact for a bilinear q as well.
 The closed form emits one row per end choice, and many differ from
@@ -66,7 +67,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp
-from .expr import _F0, Atom, Param, ParamKind, Poly, Rel, _accumulate
+from .expr import _F0, Atom, Poly, Rel, _accumulate
 from .vcgen import Implication, VCSet
 
 
@@ -108,21 +109,22 @@ class Disjunction:
 
 class DualConstraint:
     """The dual of one implication: the multipliers it declares and its
-    constraints.  `zs` is empty for a premise with no atom and for a box
-    premise in closed form, whose rows are over the implication's own
-    parameters."""
+    rows.  Every dual is in premise-sat form, a box premise's with its
+    multipliers eliminated: so `zs` is empty for a premise with no atom
+    and for a box premise in closed form, whose rows are over the
+    implication's own parameters."""
 
-    __slots__ = ("tag", "mode", "zs", "shared")
+    __slots__ = ("tag", "zs", "shared")
+
+    mode = "premise-sat"  # the one form; the benchmark's tracer counts it
 
     def __init__(
         self,
         tag: str,
-        mode: str,
-        zs: tuple[Param, ...],
+        zs: tuple[str, ...],
         shared: tuple[PolyConstraint, ...],
     ):
         self.tag = tag
-        self.mode = mode  # premise-sat, counted by the benchmark's tracer
         self.zs = zs
         self.shared = shared  # z >= 0 and the whole premise-sat body
 
@@ -133,49 +135,39 @@ class DualConstraint:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        return (self.tag, self.mode, self.zs, self.shared)
-
-    def items(self) -> list[PolyConstraint]:
-        return list(self.shared)
+        return (self.tag, self.zs, self.shared)
 
 
 class ConstraintSystem:
-    __slots__ = ("params", "constraints", "_linear")
+    __slots__ = ("params", "constraints")
 
     def __init__(
         self,
-        params: tuple[Param, ...],
+        params: tuple[str, ...],
         constraints: tuple[PolyConstraint, ...],
     ):
         self.params = params
         self.constraints = constraints
-        self._linear: bool | None = None  # all_linear(), once asked
 
     def degree(self) -> int:
         return max((c.poly.degree() for c in self.constraints), default=0)
 
     def all_linear(self) -> bool:
-        """Degree at most 1, read off the rows on the first call only,
-        since nothing changes a system after assembly."""
-        if self._linear is None:
-            self._linear = self.degree() <= 1
-        return self._linear
+        """Degree at most 1, which routes the system (`backends.decide`)."""
+        return self.degree() <= 1
 
     def holds(self, valuation) -> bool:
         return all(c.holds(valuation) for c in self.constraints)
 
     def dump(self) -> str:
-        lines = [f"params: {', '.join(p.name for p in self.params)}"]
+        lines = [f"params: {', '.join(self.params)}"]
         lines.append(f"max degree: {self.degree()}")
         lines.extend(f"  {c}" for c in self.constraints)
         return "\n".join(lines) + "\n"
 
 
-def _fresh_zs(impl: Implication, prefix: str) -> tuple[Param, ...]:
-    return tuple(
-        Param(f"{prefix}_{i}", ParamKind.MULTIPLIER)
-        for i in range(len(impl.premise))
-    )
+def _fresh_zs(impl: Implication, prefix: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}_{i}" for i in range(len(impl.premise)))
 
 
 def _dual_parts(impl, zs):
@@ -189,12 +181,12 @@ def _dual_parts(impl, zs):
         acc: dict = {}
         _accumulate(acc, impl.consequent.form.coeff(v), -1)
         for z, atom in zip(zs, impl.premise):
-            _accumulate(acc, atom.form.coeff(v), 1, z.name)
+            _accumulate(acc, atom.form.coeff(v), 1, z)
         eqs.append(PolyConstraint(Poly._wrap(acc), Rel.EQ))
     rhs: dict = {}
     _accumulate(rhs, impl.consequent.form.const)
     for z, atom in zip(zs, impl.premise):
-        _accumulate(rhs, atom.form.const, -1, z.name)
+        _accumulate(rhs, atom.form.const, -1, z)
     return eqs, Poly._wrap(rhs)
 
 
@@ -202,15 +194,10 @@ def farkas_premise_sat(impl: Implication, prefix: str) -> DualConstraint:
     """Conjunction-only dual over the whole premise; exact when the premise
     is nonempty (see the module docstring)."""
     zs = _fresh_zs(impl, prefix)
-    nonneg = tuple(
-        PolyConstraint(Poly() - Poly.param(z.name), Rel.LE) for z in zs
-    )
+    nonneg = tuple(PolyConstraint(Poly() - Poly.param(z), Rel.LE) for z in zs)
     eqs, rhs = _dual_parts(impl, zs)
     return DualConstraint(
-        impl.tag,
-        "premise-sat",
-        zs,
-        nonneg + tuple(eqs) + (PolyConstraint(rhs, Rel.LE),),
+        impl.tag, zs, nonneg + tuple(eqs) + (PolyConstraint(rhs, Rel.LE),)
     )
 
 
@@ -261,7 +248,7 @@ def farkas_box(impl: Implication) -> DualConstraint | None:
             choices.append(terms)
     for terms in itertools.product(*choices):
         rows.append(PolyConstraint(sum(terms, form.const), Rel.LE))
-    return DualConstraint(impl.tag, "premise-sat", (), tuple(rows))
+    return DualConstraint(impl.tag, (), tuple(rows))
 
 
 def transform(vcset: VCSet) -> list[DualConstraint]:
@@ -335,7 +322,7 @@ def assemble(
         constraints.append(PolyConstraint(atom.form.const, atom.rel))
     for dual in duals:
         params.extend(dual.zs)
-        constraints.extend(dual.items())
+        constraints.extend(dual.shared)
     kept = _drop_implied(list(filter(_constrains, constraints)))
     return ConstraintSystem(tuple(params), kept)
 

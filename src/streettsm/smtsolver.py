@@ -2,7 +2,8 @@
 
 ``backends`` sends every system that is not all-linear here, as a
 function call: ``decide`` takes the assembled ``farkas.ConstraintSystem``
-as it is, a conjunction of ``PolyConstraint`` rows.
+as it is, a conjunction of ``PolyConstraint`` rows over its parameter
+names, and values every one of them, multipliers included.
 
 Decision strategy:
   * if the linear subset is infeasible, the whole problem is unsat;
@@ -146,7 +147,7 @@ def _block_lp(constraints, group, point):
 
 def decide(system: ConstraintSystem):
     """-> (status, model or None); a model values every parameter."""
-    names = [p.name for p in system.params]
+    names = list(system.params)
     constraints = system.constraints
 
     # sound unsat screen: the linear subset alone.  Its exact point is

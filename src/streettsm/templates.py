@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .automata import GuardedDSA, Transition
-from .expr import Atom, LinForm, Monomial, Param, ParamKind, Poly, Rel
+from .expr import Atom, LinForm, Monomial, Poly, Rel
 from .model import Branch, StochModel
 from .syntax import (
     SourceError,
@@ -59,7 +59,7 @@ class CertTemplate:
         self,
         pair_index: int,
         pieces: dict[Location, LinForm],
-        params: tuple[Param, ...] = (),
+        params: tuple[str, ...] = (),
     ):
         self.pair_index = pair_index
         self.pieces = pieces
@@ -78,15 +78,15 @@ class CertTemplate:
         model: StochModel, dsa: GuardedDSA, pair_index: int
     ) -> "CertTemplate":
         pieces: dict[Location, LinForm] = {}
-        params: list[Param] = []
+        params: list[str] = []
         for q, m in locations(model, dsa):
             form = LinForm()
             for v in model.state_vars:
                 name = f"th{pair_index}_{q}_{m}_{v}"
-                params.append(Param(name, ParamKind.CERT))
+                params.append(name)
                 form = form + LinForm.var(v).mul_poly(Poly.param(name))
             cname = f"th{pair_index}_{q}_{m}_c"
-            params.append(Param(cname, ParamKind.CERT))
+            params.append(cname)
             form = form + LinForm.from_poly(Poly.param(cname))
             pieces[(q, m)] = form
         return CertTemplate(pair_index, pieces, tuple(params))
@@ -102,20 +102,22 @@ class CertTemplate:
 
 
 class InvTemplate:
-    """A conjunction of parameter-free rows per location."""
+    """A conjunction of parameter-free rows per location; a row with a
+    parameter is a ValueError."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: dict[Location, tuple[Atom, ...]]):
-        self.rows = rows
-
-    @staticmethod
-    def concrete(rows: dict[Location, tuple[Atom, ...]]) -> "InvTemplate":
         for loc, atoms in rows.items():
             for a in atoms:
                 if not a.form.is_param_free():
                     raise ValueError(f"parameter in concrete invariant at {loc}")
-        return InvTemplate(dict(rows))
+        self.rows = dict(rows)
+
+    @staticmethod
+    def concrete(rows: dict[Location, tuple[Atom, ...]]) -> "InvTemplate":
+        """The constructor, under the name the benchmark calls."""
+        return InvTemplate(rows)
 
 
 class PostPiece:
@@ -238,4 +240,4 @@ def parse_invariant(
             rows[loc] = tuple(atoms)
         if not ts.at_end():
             raise ts.error("trailing input")
-    return InvTemplate.concrete(rows)
+    return InvTemplate(rows)

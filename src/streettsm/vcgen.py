@@ -56,7 +56,7 @@ from typing import Sequence
 
 from . import lp
 from .automata import GuardedDSA
-from .expr import Atom, LinForm, Param, ParamKind, Poly, Rel
+from .expr import Atom, LinForm, Poly, Rel
 from .model import StochModel
 from .templates import (
     CertTemplate,
@@ -103,7 +103,7 @@ class VCSet:
     def __init__(
         self,
         implications: tuple[Implication, ...],
-        params: tuple[Param, ...],
+        params: tuple[str, ...],
         side_atoms: tuple[Atom, ...],
     ):
         self.implications = implications
@@ -112,7 +112,7 @@ class VCSet:
 
     def dump(self) -> str:
         lines = []
-        names = ", ".join(p.name for p in self.params)
+        names = ", ".join(self.params)
         lines.append(f"params: {names or '(none)'}")
         for a in self.side_atoms:
             lines.append(f"  side: {a}")
@@ -294,16 +294,15 @@ def build_product_vcs(
                 )
 
     # drift: one implication per PostTable piece, dispatched on the pair
-    params: list[Param] = []
+    params: list[str] = []
     side: list[Atom] = []
     m_polys: list[Poly] = []
     for k in range(len(dsa.pairs)):
         if M is not None:
             m_polys.append(Poly.const(M[k]))
         else:
-            p = Param(f"M{k}", ParamKind.SLACK)
-            params.append(p)
-            m_polys.append(Poly.param(p.name))
+            params.append(f"M{k}")
+            m_polys.append(Poly.param(params[-1]))
             side.append(Atom(-LinForm.from_poly(m_polys[-1]), Rel.LE))
 
     for k, (V, table) in enumerate(zip(Vs, tables)):
@@ -349,13 +348,13 @@ def build_product_vcs(
     for V in Vs:
         params.extend(V.params)
     for c in model.controls:
-        params.append(Param(c.name, ParamKind.CONTROL))
+        params.append(c.name)
         form = LinForm.from_poly(Poly.param(c.name))
         side.append(Atom(LinForm.constant(c.lo) - form, Rel.LE))
         side.append(Atom(form - LinForm.constant(c.hi), Rel.LE))
     side.extend(model.side_constraints)
 
-    declared = {p.name for p in params}
+    declared = set(params)
     for impl in implications:
         stray = impl.params() - declared
         if stray:

@@ -14,15 +14,13 @@ from streettsm.backends import (
     decide,
     simplex_solve,
 )
-from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
+from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.farkas import ConstraintSystem, PolyConstraint, farkas_premise_sat
 from streettsm.vcgen import Implication
 from tests.test_farkas import toy_implication
 
 P = Poly.param
 F = Fraction
-CERT = ParamKind.CERT
-MULT = ParamKind.MULTIPLIER
 
 
 def system_of(params, constraints) -> ConstraintSystem:
@@ -37,8 +35,7 @@ def le(poly) -> PolyConstraint:
 
 
 def test_simplex_pins_alpha_to_zero():
-    a = Param("alpha", CERT)
-    system = system_of([a], [le(P("alpha")), le(Poly() - P("alpha"))])
+    system = system_of(["alpha"], [le(P("alpha")), le(Poly() - P("alpha"))])
     verdict = simplex_solve(system)
     assert verdict.status == "sat"
     assert verdict.valuation == {"alpha": F(0)}
@@ -47,7 +44,7 @@ def test_simplex_pins_alpha_to_zero():
 def _assert_farkas_ray(system: ConstraintSystem, ray) -> None:
     """y >= 0 on <= rows, y^T A = 0 and y^T b < 0 over the rows
     `coeffs . params <= -const` (or `=`) that simplex_solve builds."""
-    names = [p.name for p in system.params]
+    names = system.params
     assert ray is not None and len(ray) == len(system.constraints)
     combo = {n: F(0) for n in names}
     rhs = F(0)
@@ -62,18 +59,16 @@ def _assert_farkas_ray(system: ConstraintSystem, ray) -> None:
 
 
 def test_simplex_unsat_carries_a_certificate():
-    x = Param("x", CERT)
     system = system_of(
-        [x], [le(P("x") - Poly.const(F(1))), le(Poly.const(F(2)) - P("x"))]
+        ["x"], [le(P("x") - Poly.const(F(1))), le(Poly.const(F(2)) - P("x"))]
     )
     verdict = simplex_solve(system)
     assert verdict.status == "unsat"
     _assert_farkas_ray(system, verdict.ray)
     # y >= 0 is a sign bound, not a tableau row, and still needs a
     # positive multiplier: x >= 2 and y >= 0 contradict x + y <= 1
-    y = Param("y", MULT)
     system = system_of(
-        [x, y],
+        ["x", "y"],
         [
             le(Poly() - P("y")),
             le(P("x") + P("y") - Poly.const(F(1))),
@@ -87,17 +82,15 @@ def test_simplex_unsat_carries_a_certificate():
 
 
 def test_simplex_rejects_nonlinear_input():
-    a = Param("a", CERT)
-    with pytest.raises(ValueError, match="all-linear"):
-        simplex_solve(system_of([a], [le(P("a") * P("a"))]))
+    # `lp.linear_system` raises on the product, naming it
+    with pytest.raises(ValueError, match="not linear"):
+        simplex_solve(system_of(["a"], [le(P("a") * P("a"))]))
 
 
 def test_simplex_solves_a_verification_mode_dual():
     # z1 - z2 = a0/2 - a1, 9/10 z1 + 1/5 z2 - z3 <= b1 - b0, z >= 0
-    zs = [Param(f"z{i}", MULT) for i in (1, 2, 3)]
-    ps = [Param(n, CERT) for n in ("a0", "a1", "b0", "b1")]
     system = system_of(
-        zs + ps,
+        ["z1", "z2", "z3", "a0", "a1", "b0", "b1"],
         [
             PolyConstraint(
                 P("z1") - P("z2") - P("a0").scale(F(1, 2)) + P("a1"), Rel.EQ
@@ -116,14 +109,14 @@ def test_simplex_solves_a_verification_mode_dual():
     )
     verdict = simplex_solve(system)
     assert verdict.status == "sat"
-    assert system.holds(verdict.witness)
-    assert set(verdict.valuation) == {"a0", "a1", "b0", "b1"}
+    # the valuation is total, multipliers included, and re-checked
+    assert list(verdict.valuation) == list(system.params)
+    assert system.holds(verdict.valuation)
 
 
 def test_strict_rows_get_interior_points():
-    x = Param("x", CERT)
     system = system_of(
-        [x],
+        ["x"],
         [
             PolyConstraint(Poly() - P("x"), Rel.LT),  # x > 0
             le(P("x") - Poly.const(F(1))),
@@ -159,9 +152,8 @@ def test_decide_routes_lp_only_for_all_linear(monkeypatch):
             return original(system)
 
         monkeypatch.setattr(backends, name, spy)
-    a, b = Param("a", CERT), Param("b", CERT)
-    linear = system_of([a], [le(P("a") - Poly.const(F(1)))])
-    bilinear = system_of([a, b], [le(P("a") * P("b") - Poly.const(F(1)))])
+    linear = system_of(["a"], [le(P("a") - Poly.const(F(1)))])
+    bilinear = system_of(["a", "b"], [le(P("a") * P("b") - Poly.const(F(1)))])
     for system, route in [
         (linear, "simplex_solve"),
         (bilinear, "bundled_solve"),
@@ -172,8 +164,8 @@ def test_decide_routes_lp_only_for_all_linear(monkeypatch):
 
 
 def test_decide_reads_each_row_degree_once(monkeypatch):
-    # `decide` and `simplex_solve` both ask whether the system is all
-    # linear; the rows are scanned for it once
+    # `decide` asks whether the system is all linear, once; the simplex
+    # asks no more, since `lp.linear_system` rejects a product itself
     scanned = []
     degree = Poly.degree
 
@@ -182,16 +174,14 @@ def test_decide_reads_each_row_degree_once(monkeypatch):
         return degree(poly)
 
     monkeypatch.setattr(Poly, "degree", counted)
-    a, b = Param("a", CERT), Param("b", CERT)
     rows = [le(P("a") - P("b")), le(Poly() - P("a")), le(P("b") - Poly.const(F(2)))]
-    assert decide(SolverJob(system_of([a, b], rows))).status == "sat"
+    assert decide(SolverJob(system_of(["a", "b"], rows))).status == "sat"
     assert len(scanned) == len(rows)
 
 
 def test_decide_rejects_lying_solvers(monkeypatch):
-    a = Param("a", CERT)
     system = system_of(
-        [a], [le(Poly.const(F(1)) - P("a") * P("a"))]  # a*a >= 1
+        ["a"], [le(Poly.const(F(1)) - P("a") * P("a"))]  # a*a >= 1
     )
     monkeypatch.setattr(
         smtsolver, "decide", lambda system: ("sat", {"a": F(0)})
@@ -202,9 +192,8 @@ def test_decide_rejects_lying_solvers(monkeypatch):
 
 def test_default_smt_route_runs_in_process():
     # a linear unsat system comes back from the simplex with its Farkas ray
-    x = Param("x", CERT)
     unsat = system_of(
-        [x], [le(P("x") - Poly.const(F(1))), le(Poly.const(F(2)) - P("x"))]
+        ["x"], [le(P("x") - Poly.const(F(1))), le(Poly.const(F(2)) - P("x"))]
     )
     verdict = decide(SolverJob(unsat))
     assert verdict.status == "unsat"
@@ -218,21 +207,19 @@ def test_default_smt_route_runs_in_process():
         "consec", None, toy.variables, toy.premise, Atom(consequent, Rel.LE)
     )
     dual = farkas_premise_sat(impl, "z0")
-    params = [Param("a", CERT), Param("k", CERT), *dual.zs]
-    system = system_of(params, dual.items())
+    system = system_of(["a", "k", *dual.zs], dual.shared)
     assert not system.all_linear()
     verdict = decide(SolverJob(system))
     assert verdict.status == "sat"
-    assert set(verdict.witness) == {p.name for p in system.params}
-    assert system.holds(verdict.witness)
+    assert set(verdict.valuation) == set(system.params)
+    assert system.holds(verdict.valuation)
 
 
 def test_bundled_solver_answers_quadratic_unknown_and_unsat():
     # a squared variable has no descent move: a = 2 is a model, but the
     # answer is an honest unknown
-    a = Param("a", CERT)
     squared = system_of(
-        [a],
+        ["a"],
         [
             le(Poly.const(F(4)) - P("a") * P("a")),  # a*a >= 4
             le(P("a") - Poly.const(F(10))),
@@ -241,16 +228,15 @@ def test_bundled_solver_answers_quadratic_unknown_and_unsat():
     )
     assert squared.holds({"a": F(2)})
     assert bundled_solve(squared).status == "unknown"
-    unsat_sys = system_of([a], [le(P("a")), le(Poly.const(F(1)) - P("a"))])
+    unsat_sys = system_of(["a"], [le(P("a")), le(Poly.const(F(1)) - P("a"))])
     assert bundled_solve(unsat_sys).status == "unsat"
 
 
 def test_bundled_solver_checks_a_second_pin_on_one_name():
     # 1 + b = 0 and b = 0 fix b twice; the second is a contradiction,
     # not a new value, and the descent's linear screen finds it
-    a, b = Param("a", CERT), Param("b", CERT)
     system = system_of(
-        [a, b],
+        ["a", "b"],
         [
             PolyConstraint(Poly.const(F(1)) + P("b"), Rel.EQ),
             PolyConstraint(P("b"), Rel.EQ),
@@ -275,7 +261,7 @@ linear_polys = st.builds(
 @st.composite
 def linear_systems(draw):
     n = draw(st.integers(1, 6))
-    params = [Param(name, CERT) for name in "abc"]
+    params = list("abc")
     rels = st.sampled_from([Rel.LE, Rel.EQ])
     constraints = [
         PolyConstraint(draw(linear_polys), draw(rels)) for _ in range(n)
@@ -290,6 +276,6 @@ def test_lp_and_smt_backends_agree(system):
     by_smt = bundled_solve(system)
     assert by_lp.status == by_smt.status
     if by_lp.status == "sat":
-        assert system.holds(by_lp.witness)
-        assert system.holds(by_smt.witness)
+        assert system.holds(by_lp.valuation)
+        assert system.holds(by_smt.valuation)
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streettsm import backends, benchmarks, lp
-from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
+from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.farkas import (
     ConstraintSystem,
     DualConstraint,
@@ -108,7 +108,6 @@ def _at(dual: DualConstraint, valuation) -> DualConstraint:
     """The dual with the parameters bound, over its multipliers alone."""
     return DualConstraint(
         dual.tag,
-        dual.mode,
         dual.zs,
         tuple(
             PolyConstraint(c.poly.substitute(valuation), c.rel)
@@ -128,8 +127,7 @@ def _dual_holds(dual: DualConstraint, valuation) -> bool:
 @settings(deadline=None, max_examples=200)
 def test_box_dual_holds_iff_the_implication_is_valid(case):
     impl, valuation, doubled = case
-    params = tuple(Param(p, ParamKind.CERT) for p in valuation)
-    (routed,) = transform(VCSet((impl,), params, ()))
+    (routed,) = transform(VCSet((impl,), tuple(valuation), ()))
     assert routed.mode == "premise-sat"
     # the closed form exactly when no side has two atoms
     assert (routed.zs == ()) == (not doubled)
@@ -255,10 +253,14 @@ def _concrete(bench):
     return model, out
 
 
-def _system(model, dsa, inv):
+def _vcs(model, dsa, inv):
     Vs = [CertTemplate.fresh(model, dsa, k) for k in range(len(dsa.pairs))]
     tables = [post_table(V, model, dsa) for V in Vs]
-    vcs = build_product_vcs(model, dsa, Vs, inv, tables)
+    return build_product_vcs(model, dsa, Vs, inv, tables)
+
+
+def _system(model, dsa, inv):
+    vcs = _vcs(model, dsa, inv)
     return assemble(vcs, transform(vcs))
 
 
@@ -270,8 +272,8 @@ def test_a_concrete_invariant_assembles_with_no_multiplier(name):
     model, invariants = _concrete(bench)
     assert invariants
     for inv in invariants:
-        kinds = {p.kind for p in _system(model, bench.dsa, inv).params}
-        assert ParamKind.MULTIPLIER not in kinds
+        vcs = _vcs(model, bench.dsa, inv)
+        assert assemble(vcs, transform(vcs)).params == vcs.params
 
 
 # -- assembly -------------------------------------------------------------------
@@ -328,7 +330,7 @@ def test_assemble_keeps_every_row_but_the_true_constants(name):
         system = assemble(vcs, duals)
         # the side atoms, then each dual's items, as they come
         rows = [PolyConstraint(a.form.const, a.rel) for a in vcs.side_atoms]
-        rows += [item for dual in duals for item in dual.items()]
+        rows += [item for dual in duals for item in dual.shared]
         assert not any(map(_is_true_constant, system.constraints))
         constraining = [r for r in rows if not _is_true_constant(r)]
         kept = _implied_reference(constraining)
@@ -343,14 +345,11 @@ def test_assemble_keeps_every_row_but_the_true_constants(name):
 
 
 def test_assemble_keeps_a_false_constant():
-    a = Param("a", ParamKind.CERT)
     false_row = PolyConstraint(Poly.const(1), Rel.LE)
     true_row = PolyConstraint(Poly.const(-1), Rel.LT)
     row = PolyConstraint(Poly.param("a"), Rel.LE)
-    dual = DualConstraint(
-        "consec", "premise-sat", (), (true_row, false_row, row)
-    )
-    system = assemble(VCSet((), (a,), ()), [dual])
+    dual = DualConstraint("consec", (), (true_row, false_row, row))
+    system = assemble(VCSet((), ("a",), ()), [dual])
     assert system.constraints == (false_row, row)
 
 
@@ -433,9 +432,9 @@ def shared_part_systems(draw):
 @given(shared_part_systems(), st.lists(st.tuples(points, points), max_size=8))
 @settings(deadline=None, max_examples=300)
 def test_dropping_implied_rows_keeps_the_solution_set(rows, valuations):
-    params = (Param("p0", ParamKind.CERT), Param("p1", ParamKind.CERT))
+    params = ("p0", "p1")
     before = ConstraintSystem(params, tuple(rows))
-    dual = DualConstraint("consec", "premise-sat", (), tuple(rows))
+    dual = DualConstraint("consec", (), tuple(rows))
     after = assemble(VCSet((), params, ()), [dual])
     for p0, p1 in valuations:
         point = {"p0": p0, "p1": p1}

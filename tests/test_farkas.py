@@ -14,7 +14,7 @@ from streettsm import farkas, lp
 from streettsm.automata import parse_dsa
 from streettsm.backends import simplex_solve
 from streettsm.benchmarks import load_benchmark, read_corpus_text
-from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
+from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.farkas import (
     PolyConstraint,
     assemble,
@@ -59,19 +59,18 @@ def test_toy_dual_shape_and_witness():
     assert lp.defining_atoms(impl.premise, impl.variables) == impl.premise
     dual = farkas_premise_sat(impl, "z0")
     assert dual.mode == "premise-sat"
-    assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
-    assert all(z.kind == ParamKind.MULTIPLIER for z in dual.zs)
+    assert dual.zs == ("z0_0", "z0_1")
     # exists z >= 0: z0 - z1 = 1 and z0 <= 2
-    assert [(c.poly, c.rel) for c in dual.items()] == [
+    assert [(c.poly, c.rel) for c in dual.shared] == [
         (Poly() - P("z0_0"), Rel.LE),
         (Poly() - P("z0_1"), Rel.LE),
         (P("z0_0") - P("z0_1") - Poly.const(ONE), Rel.EQ),
         (P("z0_0") - Poly.const(Fraction(2)), Rel.LE),
     ]
     good = {"z0_0": ONE, "z0_1": Fraction(0)}
-    assert all(item.holds(good) for item in dual.items())
+    assert all(item.holds(good) for item in dual.shared)
     bad = {"z0_0": Fraction(0), "z0_1": Fraction(0)}
-    assert not all(item.holds(bad) for item in dual.items())
+    assert not all(item.holds(bad) for item in dual.shared)
 
 
 def test_premise_sat_form_drops_the_disjunction():
@@ -79,11 +78,10 @@ def test_premise_sat_form_drops_the_disjunction():
     dual = farkas_premise_sat(impl, "z0")
     assert dual.mode == "premise-sat"
     # no branch of a disjunction is kept: every row is a shared row
-    assert dual.items() == list(dual.shared)
     assert len(dual.shared) == 4  # two z >= 0, one equality, one inequality
-    assert not any(isinstance(i, farkas.Disjunction) for i in dual.items())
+    assert not any(isinstance(i, farkas.Disjunction) for i in dual.shared)
     good = {"z0_0": ONE, "z0_1": Fraction(0)}
-    assert all(item.holds(good) for item in dual.items())
+    assert all(item.holds(good) for item in dual.shared)
 
 
 def templated_control_implication() -> Implication:
@@ -137,7 +135,7 @@ def test_dual_of_strict_atoms_is_the_relaxed_dual():
         (dual,) = transform(VCSet((impl,), (), ()))
         (want,) = transform(VCSet((relax(impl),), (), ()))
         assert dual.mode == want.mode and dual.zs == want.zs
-        assert dual.items() == want.items()
+        assert dual.shared == want.shared
         checked += 1
     assert checked > 1
 
@@ -175,7 +173,7 @@ def test_fixed_control_concrete_invariant_assembles_to_pure_lp():
     assert system.all_linear()
     # every premise is a box, dualized in closed form: no multiplier, so
     # the parameters are V's and M's alone
-    assert all(p.kind is not ParamKind.MULTIPLIER for p in system.params)
+    assert system.params == vcs.params
     assert len(system.params) == 7
     # the parameter-free rows of the closed form that hold are not kept,
     # nor a row that a tighter one with the same non-constant part implies
@@ -194,7 +192,7 @@ def test_free_control_turns_quadratic_but_keeps_conjunctive_form():
     assert not system.all_linear()
     # deterministic multiplier naming: dual i prefixes its z's with z<i>
     for i, dual in enumerate(duals):
-        assert all(z.name.startswith(f"z{i}_") for z in dual.zs)
+        assert all(z.startswith(f"z{i}_") for z in dual.zs)
 
 
 def _dual_parts_by_repeated_add(impl, zs):
@@ -203,12 +201,12 @@ def _dual_parts_by_repeated_add(impl, zs):
     for v in impl.variables:
         acc = Poly() - impl.consequent.form.coeff(v)
         for z, atom in zip(zs, impl.premise):
-            acc = acc + P(z.name) * atom.form.coeff(v)
+            acc = acc + P(z) * atom.form.coeff(v)
         eqs.append(PolyConstraint(acc, Rel.EQ))
     d = Poly() - impl.consequent.form.const
     rhs = Poly() - d
     for z, atom in zip(zs, impl.premise):
-        rhs = rhs + P(z.name) * (Poly() - atom.form.const)
+        rhs = rhs + P(z) * (Poly() - atom.form.const)
     return eqs, rhs
 
 
@@ -249,7 +247,7 @@ def test_empty_premise_dual_is_the_consequent_constant():
     )
     (dual,) = transform(VCSet((impl,), (), ()))
     assert dual.zs == ()
-    assert dual.items() == [PolyConstraint(row, Rel.LE)]
+    assert dual.shared == (PolyConstraint(row, Rel.LE),)
 
 
 def test_assemble_carries_side_constraints_over_parameters():
@@ -281,7 +279,7 @@ def test_assemble_carries_side_constraints_over_parameters():
 
 def test_side_atoms_must_not_mention_state_variables():
     bad = Atom(LinForm({"x": Poly.const(ONE)}, Poly()), Rel.LE)
-    vcs = VCSet((), (Param("x", ParamKind.CERT),), (bad,))
+    vcs = VCSet((), ("x",), (bad,))
     with pytest.raises(ValueError, match="mentions variables"):
         assemble(vcs, [])
 
@@ -300,11 +298,7 @@ def test_dumps_are_readable():
         Rel.LE,
     )
     impl = Implication("noninc", ("q1", "_"), ("y", "u"), premise, consequent)
-    vcs_params = tuple(
-        Param(n, ParamKind.CERT)
-        for n in ("alpha0", "alpha1", "beta0", "beta1", "kappa")
-    )
-    vcs = VCSet((impl,), vcs_params, ())
+    vcs = VCSet((impl,), ("alpha0", "alpha1", "beta0", "beta1", "kappa"), ())
     system = assemble(vcs, transform(vcs))
     # tests read dumps as identity hashes: the text is pinned byte for byte
     assert system.dump() == (
@@ -337,7 +331,7 @@ def linear_parts(poly: Poly, names: list[str]):
 
 def dual_sat_by_lp(dual) -> bool:
     """Exact satisfiability of one parameter-free premise-sat dual."""
-    names = [z.name for z in dual.zs]
+    names = list(dual.zs)
     system = lp.LinearSystem(list(names))
     for c in dual.shared:
         coeffs, const = linear_parts(c.poly, names)

@@ -5,7 +5,9 @@ is referred to by another definition of the package or by the benchmark
 (`perfbench/*.py`), with no exemption; so is every public static and
 class method, referred to as `Class.method`, bare or module-qualified.
 Instance methods and properties are out of scope: a call `x.method()`
-cannot be resolved to a class by name.  And every function the
+cannot be resolved to a class by name.  Every `__slots__` field of a
+package class is read, as an attribute load of its name, in the package
+or the benchmark; reads in tests do not count.  And every function the
 benchmark's tracer wraps is reached through its module's attribute, never
 through a name another module binds at import, so that the tracer sees
 every call."""
@@ -182,6 +184,42 @@ def test_every_public_function_has_a_user_outside_itself():
     assert ("templates", "CertTemplate.fresh") in used
     assert ("expr", "LinForm.var") in used
     assert public and not public - used, sorted(public - used)
+
+
+def _slots(tree: ast.Module):
+    """(`Class.field`, field) for each name in a class's `__slots__`."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (
+                isinstance(node, ast.Assign)
+                and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in node.targets
+                )
+            ):
+                for field in ast.literal_eval(node.value):
+                    yield f"{cls.name}.{field}", field
+
+
+def test_every_slot_is_read_outside_the_tests():
+    # a field that only `__init__` stores and only tests read is dead
+    # weight; an attribute load of its name, on any object, counts as a read
+    slots, read = [], set()
+    sources = sorted(PKG.rglob("*.py")) + sorted(BENCH.glob("*.py"))
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.is_relative_to(PKG):
+            slots.extend(_slots(tree))
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    assert len(slots) > 50 and ("Verdict.valuation", "valuation") in slots
+    unread = [qualified for qualified, field in slots if field not in read]
+    assert unread == []
 
 
 # -- the tracer sees every call ------------------------------------------------

@@ -6,7 +6,9 @@ certificate passes the exact re-check; so does every fixture.  A model
 whose guards carry the control is decided one concrete control at a time,
 so a control whose guards leave a gap is never sat: the Farkas route over
 the guards' parameters (`farkas.transform`) refuses the model, and the
-re-check names the gap.  The grid tries each distinct control once.
+re-check names the gap.  A non-box invariant takes the multiplier route
+(`farkas.farkas_premise_sat`), and the verdict values the multipliers
+too.  The grid tries each distinct control once.
 `python -m streettsm` prints a sat verdict, and the certificate, only
 once it is re-checked.
 """
@@ -21,7 +23,7 @@ import pytest
 
 import itertools
 
-from streettsm import benchmarks, farkas, pipeline, templates, vcgen
+from streettsm import backends, benchmarks, farkas, pipeline, templates, vcgen
 from streettsm.__main__ import _main
 from streettsm.automata import parse_dsa
 from streettsm.expr import LinForm
@@ -135,6 +137,44 @@ def test_a_control_whose_guards_leave_a_gap_is_never_sat():
     vcs = vcgen.build_product_vcs(model, dsa, Vs, inv, tables)
     with pytest.raises(ValueError, match="depends on a parameter"):
         farkas.transform(vcs)
+
+
+# -- the multiplier route -----------------------------------------------------------
+
+# x = y is a line, not a box, so every VC over it takes the premise-sat
+# form with one multiplier per row; no corpus entry has such a premise
+LINE_MODEL = """
+vars: x y
+init: x = 0, y = 0
+disturbance: w finite { (0): 1/2, (1): 1/2 }
+branch _ -> _:
+  guard: true
+  update: x' = x + w, y' = y + w
+"""
+
+LINE_DSA = "states: q0\ninit: q0\ntrans q0 -> q0: true\npair: A { } B { q0 }"
+
+
+def test_a_non_box_invariant_takes_multipliers_and_rechecks():
+    model = parse_model(LINE_MODEL)
+    dsa = parse_dsa(LINE_DSA, variables=model.state_vars, modes=model.modes)
+    inv = parse_invariant("at q0: x = y\n", model, dsa)
+    Vs = [CertTemplate.fresh(model, dsa, 0)]
+    tables = [templates.post_table(V, model, dsa) for V in Vs]
+    vcs = vcgen.build_product_vcs(model, dsa, Vs, inv, tables)
+    system = farkas.assemble(vcs, farkas.transform(vcs))
+    zs = [p for p in system.params if p not in vcs.params]
+    assert len(zs) == 12 and all(z.startswith("z") for z in zs)
+    # the verdict values every parameter, the multipliers too
+    verdict = backends.decide(backends.SolverJob(system))
+    assert verdict.status == "sat"
+    assert list(verdict.valuation) == list(system.params)
+    out = pipeline.synthesize(model, dsa, inv)
+    assert out.verdict == "sat" and out.M == [F(0)]
+    failed = pipeline.failing_vcs(
+        model, dsa, inv, out.Vs, out.eps, out.M, out.control
+    )
+    assert failed == []
 
 
 # -- the candidate grid -----------------------------------------------------------

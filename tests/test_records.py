@@ -17,7 +17,7 @@ import streettsm
 from streettsm.automata import GuardedDSA, StreettPair, Transition
 from streettsm.backends import SolverJob, Verdict
 from streettsm.benchmarks import Benchmark
-from streettsm.expr import Atom, LinForm, Param, ParamKind, Poly, Rel
+from streettsm.expr import Atom, LinForm, Poly, Rel
 from streettsm.farkas import ConstraintSystem, DualConstraint, PolyConstraint
 from streettsm.lp import LinearSystem, LPResult
 from streettsm.model import Branch, ControlParam, Disturbance, StochModel
@@ -67,7 +67,6 @@ def _row() -> PolyConstraint:
 
 # one instance of each record class but `Implication`
 RECORDS = [
-    Param("a", ParamKind.CERT),
     Atom(_x(), Rel.LE),
     Token("ident", "x", 1, 1),
     ModeTest("m", True),
@@ -86,7 +85,7 @@ RECORDS = [
     PostTable(0, ()),
     VCSet((), (), ()),
     _row(),
-    DualConstraint("init", "premise-sat", (), ()),
+    DualConstraint("init", (), ()),
     ConstraintSystem((), ()),
     SolverJob(ConstraintSystem((), ())),
     Verdict("unknown"),
@@ -109,7 +108,6 @@ def test_linear_system_rows_are_per_instance():
 
 # class -> (fields, other fields): every field differs between the two
 VALUES = {
-    Param: lambda: (("a", ParamKind.CERT), ("b", ParamKind.CONTROL)),
     Atom: lambda: ((_x(), Rel.LE), (LinForm.var("y"), Rel.LT)),
     ModeTest: lambda: (("m", True), ("n", False)),
     StreettPair: lambda: (
@@ -134,8 +132,8 @@ VALUES = {
         (Poly.const(1), Rel.EQ),
     ),
     DualConstraint: lambda: (
-        ("init", "premise-sat", (Param("z_0", ParamKind.MULTIPLIER),), ()),
-        ("consec", "closed", (), (_row(),)),
+        ("init", ("z_0",), ()),
+        ("consec", (), (_row(),)),
     ),
     LPResult: lambda: (
         ("optimal", {"x": F(1)}, F(2), None, None),

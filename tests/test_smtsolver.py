@@ -11,7 +11,7 @@ import pytest
 
 from streettsm import backends, farkas, lp, smtsolver
 from streettsm.benchmarks import load_benchmark, manifest
-from streettsm.expr import Param, ParamKind, Poly, Rel
+from streettsm.expr import Poly, Rel
 from streettsm.farkas import ConstraintSystem, PolyConstraint
 from streettsm.templates import CertTemplate, post_table
 from streettsm.vcgen import build_product_vcs
@@ -45,9 +45,7 @@ def test_non_bipartite_products_are_unknown():
         le(const(1) - P("a") * P("c")),
         le(P("a") - const(2)),
     )
-    system = ConstraintSystem(
-        tuple(Param(n, ParamKind.CERT) for n in names), rows
-    )
+    system = ConstraintSystem(names, rows)
     assert smtsolver._product_blocks(list(rows), list(names)) is None
     assert smtsolver._linear_verdict(rows, names).status == "optimal"
     assert smtsolver.decide(system) == ("unknown", None)
@@ -60,9 +58,7 @@ def test_contradictory_bilinear_rows_are_an_honest_unknown(lp_calls):
         le(const(1) - P("a") * P("b")),
         le(const(1) + P("a") * P("b")),
     )
-    system = ConstraintSystem(
-        tuple(Param(n, ParamKind.CERT) for n in ("a", "b")), rows
-    )
+    system = ConstraintSystem(("a", "b"), rows)
     assert smtsolver._linear_verdict(rows, ["a", "b"]).status == "optimal"
     lp_calls.clear()
     assert smtsolver.decide(system) == ("unknown", None)
@@ -118,8 +114,9 @@ def test_corpus_systems_are_bilinear_with_no_squared_variable():
         for c in rows:
             for mono in c.poly.terms:
                 assert len(set(mono)) == len(mono), (label, mono)
-        names = [p.name for p in system.params]
-        blocks = smtsolver._product_blocks(system.constraints, names)
+        blocks = smtsolver._product_blocks(
+            system.constraints, list(system.params)
+        )
         assert blocks is not None, label
     assert len(seen) == 13
 
@@ -137,7 +134,7 @@ def test_descent_does_not_depend_on_parameter_names(name, inv_source):
     # the same system with its parameters renamed so that their name order
     # reverses: the pass walks the same points and returns the same model
     system = _assembled(name, inv_source)
-    ranked = sorted(p.name for p in system.params)
+    ranked = sorted(system.params)
     new = {n: f"v{len(ranked) - i:04d}" for i, n in enumerate(ranked)}
 
     def rename(c):
@@ -146,7 +143,7 @@ def test_descent_does_not_depend_on_parameter_names(name, inv_source):
         return PolyConstraint(poly, c.rel)
 
     renamed = ConstraintSystem(
-        tuple(Param(new[p.name], p.kind) for p in system.params),
+        tuple(new[n] for n in system.params),
         tuple(map(rename, system.constraints)),
     )
     status, model = smtsolver.decide(system)
@@ -193,9 +190,7 @@ def test_squared_variables_are_unknown():
         le(P("a") * P("b") + P("c") + const(1)),
         le(P("b") - const(1)),
     )
-    system = ConstraintSystem(
-        tuple(Param(n, ParamKind.CERT) for n in ("a", "b", "c")), rows
-    )
+    system = ConstraintSystem(("a", "b", "c"), rows)
     assert system.holds({"a": F(-2), "b": F(0), "c": F(-1)})
     assert smtsolver._product_blocks(list(rows), ["a", "b", "c"]) is None
     assert smtsolver.decide(system) == ("unknown", None)

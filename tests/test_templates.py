@@ -98,7 +98,7 @@ def test_screen_keeps_the_binding_atoms_only():
         "consec", None, ("y",), kept, Atom(y - one.scale(2), Rel.LE)
     )
     dual = farkas_premise_sat(impl, "z0")
-    assert [z.name for z in dual.zs] == ["z0_0", "z0_1"]
+    assert dual.zs == ("z0_0", "z0_1")
     z0, z1 = Poly.param("z0_0"), Poly.param("z0_1")
     assert dual.shared[2].poly == z0.scale(2) - z1 - Poly.const(1)
     assert dual.shared[3].poly == z0.scale(2) - Poly.const(2)

@@ -304,11 +304,11 @@ def test_finite_support_expands_per_draw():
 def test_increase_bound_parameter_and_concrete():
     vcs = _vcs("evenOrNegative")  # pair has B nonempty, so inc VCs exist
     assert any(i.family == "inc" for i in vcs.implications)
-    assert any(p.name == "M0" for p in vcs.params)
+    assert "M0" in vcs.params
     assert any("M0" in str(a) for a in vcs.side_atoms)  # M0 >= 0
 
     conc = _vcs("evenOrNegative", M=[F(5)])
-    assert all(p.name != "M0" for p in conc.params)
+    assert "M0" not in conc.params
     inc = next(i for i in conc.implications if i.family == "inc")
     assert "M0" not in inc.consequent.form.params()
 
@@ -322,16 +322,22 @@ def test_control_boxes_become_side_atoms():
 
 
 def test_undeclared_parameters_rejected():
+    # a V piece over `ghost`, which its template's params leave out
     b = load_benchmark("example2")
-    V = CertTemplate.fresh(b.model, b.dsa, 0)
-    ghost = Atom(LinForm.from_poly(Poly.param("ghost")), Rel.LE)
-    rows = {loc: () for loc in locations(b.model, b.dsa)}
-    rows[("q0", "_")] = (ghost,)
-    inv = InvTemplate(rows)  # bypasses the concrete check on purpose
-    with pytest.raises(ValueError, match="undeclared"):
+    fresh = CertTemplate.fresh(b.model, b.dsa, 0)
+    pieces = dict(fresh.pieces)
+    pieces[("q0", "_")] += LinForm.from_poly(Poly.param("ghost"))
+    V = CertTemplate(0, pieces, fresh.params)
+    with pytest.raises(ValueError, match=r"undeclared parameters \['ghost'\]"):
         build_product_vcs(
-            b.model, b.dsa, [V], inv, [post_table(V, b.model, b.dsa)]
+            b.model, b.dsa, [V], b.invariant, [post_table(V, b.model, b.dsa)]
         )
+
+
+def test_an_invariant_row_with_a_parameter_is_rejected():
+    ghost = Atom(LinForm.from_poly(Poly.param("ghost")), Rel.LE)
+    with pytest.raises(ValueError, match="parameter in concrete invariant"):
+        InvTemplate({("q0", "_"): (ghost,)})
 
 
 def test_an_invariant_missing_a_location_is_named():
