@@ -6,8 +6,10 @@ constrained to a model mode (``mode == name``).  Determinism and totality
 are proved exactly at parse time (`model.partition_fault`): for every
 source state and mode, the outgoing guards must be pairwise
 unsatisfiable together and their complements must have no common
-solution.  Box guards, as every corpus automaton has, are decided from
-the bounds their atoms cache (`lp.defining_atoms`), with no LP built.
+solution.  Box guards, as every corpus automaton has, are decided by
+counting the cells their ends cut the state space into, with no LP built
+and no conjunction screened.  Modes in which the same transitions are
+live share their guard set, which is checked once.
 
 Every state reads the same alphabet, so transition labels repeat.
 `parse_dsa` tokenizes and parses each distinct label text once per

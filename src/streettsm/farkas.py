@@ -332,21 +332,28 @@ def assemble(
 
 def implication_valid_bruteforce(impl: Implication) -> bool:
     """Exact validity of a parameter-free implication, independently of
-    Farkas: LP maximization of the consequent over the premise's closure,
-    its `<` atoms read as `<=`.
+    Farkas.
 
-    A non-empty strict premise has that closure, so the maximum decides
-    validity unless the strict premise is empty, which
+    A consequent with no variable,  c0 <= 0, needs no LP: it is valid iff
+    c0 <= 0 or the premise, strict atoms honored, is empty, which
+    `lp.defining_atoms` decides.  Any other takes an LP maximization of
+    the consequent over the premise's closure, its `<` atoms read as
+    `<=`.  A non-empty strict premise has that closure, so the maximum
+    decides validity unless the strict premise is empty, which
     `lp.defining_atoms` decides."""
     if impl.params():
         raise ValueError("brute-force oracle needs a parameter-free implication")
     premise, variables = impl.premise, impl.variables
+    form = impl.consequent.form
+    if not form.coeffs:
+        return (
+            form.const.constant_value() <= 0
+            or lp.defining_atoms(premise, variables) is None
+        )
     strict = any(a.rel is Rel.LT for a in premise)
     closure = [Atom(a.form, Rel.LE) for a in premise] if strict else premise
-    coeffs = [
-        impl.consequent.form.coeff(v).constant_value() for v in variables
-    ]
-    rhs = -impl.consequent.form.const.constant_value()
+    coeffs = [form.coeff(v).constant_value() for v in variables]
+    rhs = -form.const.constant_value()
     res = lp.solve(lp.system_from_atoms(closure, variables), objective=coeffs)
     ok = res.status == "infeasible" or (
         res.status == "optimal" and res.value <= rhs

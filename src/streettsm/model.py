@@ -19,9 +19,14 @@ guards overlap or leave a gap.
 
 Branch guards within each mode must be pairwise disjoint and jointly
 exhaustive over R^n; both properties are decided exactly at parse time
-(`partition_fault`).  A conjunction of guard atoms that bounds one
-variable per atom, as every corpus guard does, is decided from the
-bounds the atoms cache (`lp.defining_atoms`), with no LP built.
+(`partition_fault`).  Guards whose every atom bounds one variable, as
+every corpus guard's does, are boxes read off the bounds the atoms cache
+(`lp._atom_box`), and their partition is decided by counting cells: the
+distinct ends on each variable cut its line into cells, each box is a
+range of cells per variable, two boxes overlap iff their ranges meet on
+every variable, and disjoint boxes cover R^n iff their cells add up to
+all of them.  No LP is built and no conjunction screened unless there is
+a fault to report.
 
 The file format is line-oriented (# comments):
 
@@ -42,6 +47,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd, prod
 from typing import Iterable, Mapping
 
 from . import lp
@@ -704,9 +711,10 @@ def guards_cover_space(
 
     The search is depth-first over one negated atom per guard, in product
     order; an empty partial region prunes every completion of it.  Each
-    partial region is screened by `lp.defining_atoms` (a box of atoms, as
-    every corpus guard gives, is decided from the atoms' cached bounds
-    with no LP built), and `lp.solve` gives a point of the region found."""
+    partial region is screened by `lp.defining_atoms`, and `lp.solve`
+    gives a point of the region found.  `partition_fault` calls it only
+    for the region and point of a gap it has found, or on guards that
+    are not boxes: its own count decides the cover of boxes."""
     negated = [[negate_atom(a) for a in g] for g in guards]
 
     def extend(region: list[Atom]) -> list[Atom] | None:
@@ -732,18 +740,107 @@ def _point(atoms: list[Atom], variables: tuple[str, ...]) -> dict:
     return {v: res.assignment[v] for v in variables}
 
 
+def _reduced(end: tuple) -> tuple[int, int]:
+    """The bound n/d of a box end (`lp._atom_box`) in lowest terms."""
+    n, d = end[0], end[1]
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+# n/d against n'/d', the denominators being positive
+_by_value = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def _cells(
+    guards: list[tuple[Atom, ...]], variables: tuple[str, ...]
+) -> tuple[list[list[tuple[int, int]] | None], int] | None:
+    """Each guard's box as one range of cells per variable, None for an
+    empty box, and the number of cells of R^n; None unless every atom
+    bounds one variable of `variables` (`lp._atom_box`).
+
+    The t distinct ends on a variable cut its line into 2t+1 cells: the
+    ends themselves, at the odd indices, and the open intervals around
+    them.  A non-strict end is its own cell, a strict one the interval
+    beside it, and a missing end the outermost cell on its side."""
+    boxes = []
+    for guard in guards:
+        box = lp._atom_box(guard, variables)
+        if box is None:
+            return None
+        boxes.append(None if box[2] is not None else box[:2])
+    ends: dict[str, set[tuple[int, int]]] = {v: set() for v in variables}
+    for box in boxes:
+        for side in box or ():
+            for v, end in side.items():
+                ends[v].add(_reduced(end))
+    cell = {
+        v: {e: 2 * k + 1 for k, e in enumerate(sorted(es, key=_by_value))}
+        for v, es in ends.items()
+    }
+    ranges = []
+    for box in boxes:
+        if box is None:
+            ranges.append(None)
+            continue
+        lo, hi = box
+        row = []
+        for v in variables:
+            low, high = lo.get(v), hi.get(v)
+            first = 0 if low is None else cell[v][_reduced(low)] + low[2]
+            last = (
+                2 * len(cell[v])
+                if high is None
+                else cell[v][_reduced(high)] - high[2]
+            )
+            row.append((first, last))
+        ranges.append(row)
+    return ranges, prod(2 * len(c) + 1 for c in cell.values())
+
+
+def _meet(a: list | None, b: list | None) -> bool:
+    """Do two cell ranges (`_cells`) share a cell?"""
+    return (
+        a is not None
+        and b is not None
+        and all(max(p[0], q[0]) <= min(p[1], q[1]) for p, q in zip(a, b))
+    )
+
+
 def partition_fault(
     guards: list[tuple[Atom, ...]], variables: tuple[str, ...]
 ) -> tuple[str, object, dict] | None:
     """None when the guards partition R^n.  Otherwise the first fault with
     a point of it: ('overlap', (i, j), point) for guards i < j that both
-    hold there, or ('gap', region, point) for a region no guard covers.
-    Each pair is screened by `lp.defining_atoms`; a point is built for
-    the overlap found."""
-    for i, j in itertools.combinations(range(len(guards)), 2):
-        both = list(guards[i] + guards[j])
-        if lp.defining_atoms(both, variables) is not None:
-            return "overlap", (i, j), _point(both, variables)
+    hold there, or ('gap', region, point) for a region no guard covers
+    (`guards_cover_space`'s).
+
+    Guards that are boxes, as every corpus guard is, are decided by
+    counting cells (`_cells`): two overlap iff their ranges meet on every
+    variable, and pairwise disjoint boxes cover R^n iff their cells add
+    up to all of them.  Any other guard set has each pair screened by
+    `lp.defining_atoms` and its cover decided by `guards_cover_space`.  A
+    point is built only for a fault found."""
+    cells = _cells(guards, variables)
+    pairs = itertools.combinations(range(len(guards)), 2)
+    if cells is None:
+        meets = (
+            (i, j)
+            for i, j in pairs
+            if lp.defining_atoms(guards[i] + guards[j], variables) is not None
+        )
+    else:
+        ranges, total = cells
+        meets = ((i, j) for i, j in pairs if _meet(ranges[i], ranges[j]))
+    overlap = next(meets, None)
+    if overlap is not None:
+        both = list(guards[overlap[0]] + guards[overlap[1]])
+        return "overlap", overlap, _point(both, variables)
+    if cells is not None and total == sum(
+        prod(last - first + 1 for first, last in row)
+        for row in ranges
+        if row is not None
+    ):
+        return None
     ok, region, point = guards_cover_space(guards, variables)
     return None if ok else ("gap", region, point)
 

@@ -117,9 +117,10 @@ def synthesize(model, dsa, inv) -> Synthesis:
 
 def failing_vcs(model, dsa, inv, Vs, eps, M, control) -> list[str]:
     """The tags of the VCs that a concrete certificate fails, each decided
-    by LP maximisation over its premise, with the control substituted
-    first; or the fault `model.StochModel.with_control` finds in the
-    control, alone."""
+    exactly (`farkas.implication_valid_bruteforce`: a constant consequent
+    directly, any other by LP maximisation over its premise), with the
+    control substituted first; or the fault
+    `model.StochModel.with_control` finds in the control, alone."""
     try:
         model = model.with_control(control)
     except ValueError as fault:

@@ -418,6 +418,69 @@ def test_box_premise_dual_sat_iff_implication_valid(impl):
     assert len(routed.zs) <= 2 * len(impl.variables)
 
 
+def valid_by_maximisation(impl: Implication) -> bool:
+    """The LP maximisation of the consequent over the premise's closure,
+    the empty strict premise decided by the slack transform's LP (the
+    oracle of a constant consequent)."""
+    variables = impl.variables
+    closure = [Atom(a.form, Rel.LE) for a in impl.premise]
+    form = impl.consequent.form
+    coeffs = [form.coeff(v).constant_value() for v in variables]
+    res = lp.solve(lp.system_from_atoms(closure, variables), objective=coeffs)
+    if res.status == "infeasible" or (
+        res.status == "optimal" and res.value <= -form.const.constant_value()
+    ):
+        return True
+    strict = lp.solve(lp.system_from_atoms(list(impl.premise), variables))
+    return strict.status == "infeasible"
+
+
+@st.composite
+def constant_consequent_implications(draw):
+    """A consequent c <= 0 with c negative, zero or positive, over a box
+    premise, a two-variable one, or one that `0 < y0 and y0 < 0` empties."""
+    names = ("y0", "y1")
+    y0 = LinForm.var("y0")
+    rels = st.sampled_from([Rel.LE, Rel.LT])
+    kind = draw(st.sampled_from(["box", "strict-empty", "two-variable"]))
+
+    def atom():
+        if kind == "two-variable":
+            form = LinForm(
+                {v: Poly.const(draw(fracs)) for v in names},
+                Poly.const(draw(fracs)),
+            )
+        else:
+            v, a = draw(st.sampled_from(names)), draw(fracs.filter(bool))
+            form = LinForm({v: Poly.const(a)}, Poly.const(draw(fracs)))
+        return Atom(form, draw(rels))
+
+    premise = [atom() for _ in range(draw(st.integers(0, 4)))]
+    if kind == "strict-empty":
+        at = draw(st.integers(0, len(premise)))
+        premise[at:at] = [Atom(-y0, Rel.LT), Atom(y0, Rel.LT)]
+    c = draw(st.sampled_from([Fraction(-2), Fraction(-1, 3), Fraction(0)]) | fracs)
+    consequent = Atom(LinForm.constant(c), Rel.LE)
+    return Implication("consec", None, names, tuple(premise), consequent)
+
+
+@given(constant_consequent_implications())
+@settings(deadline=None, max_examples=120)
+def test_a_constant_consequent_is_decided_with_no_maximisation(impl):
+    objectives = []
+    solve = lp.solve
+
+    def solving(system, objective=None):
+        objectives.append(objective)
+        return solve(system, objective)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "solve", solving)
+        valid = implication_valid_bruteforce(impl)
+    assert valid == valid_by_maximisation(impl)
+    assert objectives == [None] * len(objectives)
+
+
 def test_bruteforce_oracle_rejects_parameters():
     with pytest.raises(ValueError, match="parameter-free"):
         implication_valid_bruteforce(templated_control_implication())

@@ -317,7 +317,7 @@ cover_atoms = st.one_of(
         lambda v, a, c, rel: Atom(
             (LinForm.var(v) - LinForm.constant(c)).scale(a), rel
         ),
-        st.sampled_from("xy"),
+        st.sampled_from("xyz"),
         st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 3)]),
         st.sampled_from([F(-1), F(0), F(1, 2), F(1)]),
         st.sampled_from([Rel.LE, Rel.LT]),
@@ -328,20 +328,67 @@ cover_atoms = st.one_of(
         st.sampled_from([Rel.LE, Rel.LT]),
     ),
 )
-# 1-4 guards of 0-2 atoms each; an empty guard holds everywhere
+# 1-6 guards of 0-2 atoms each; an empty guard holds everywhere
 guard_sets = st.lists(
-    st.lists(cover_atoms, max_size=2).map(tuple), min_size=1, max_size=4
+    st.lists(cover_atoms, max_size=2).map(tuple), min_size=1, max_size=6
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(guard_sets)
 def test_cover_check_matches_the_lp_walk(guards):
-    variables = ("x", "y")
+    variables = ("x", "y", "z")
     assert guards_cover_space(guards, variables) == _lp_cover(guards, variables)
     assert partition_fault(guards, variables) == _lp_partition_fault(
         guards, variables
     )
+
+
+def _grid(k, closed):
+    """The k x k half-open boxes  i <= x < i + 1, j <= y < j + 1  over
+    0 <= i, j < k, or  i < x <= i + 1, ...  when `closed` is "upper", the
+    outer ones open to infinity: a partition of R^2."""
+    rels = (Rel.LE, Rel.LT)
+    low_rel, high_rel = rels if closed == "lower" else rels[::-1]
+
+    def strip(v, i):
+        form = LinForm.var(v)
+        low = (Atom(LinForm.constant(i) - form, low_rel),) if i else ()
+        high = (Atom(form - LinForm.constant(i + 1), high_rel),) * (i < k - 1)
+        return low + high
+
+    return [strip("x", i) + strip("y", j) for i in range(k) for j in range(k)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("closed", ["lower", "upper"])
+def test_a_grid_of_boxes_is_decided_by_counting_cells(k, closed, monkeypatch):
+    screens = []
+    monkeypatch.setattr(lp, "defining_atoms", lambda *a: screens.append(a))
+    assert partition_fault(_grid(k, closed), ("x", "y")) is None
+    assert screens == []
+
+
+# every cell of the small grids; the last cell of the larger ones, whose gap
+# the search over negated atoms finds first (it takes seconds on an early
+# cell of the 5 x 5 grid, and the LP walk longer)
+GRID_CELLS = [(k, c) for k in (2, 3) for c in range(k * k)] + [(4, 15), (5, 24)]
+
+
+@pytest.mark.parametrize("k, cell", GRID_CELLS)
+@pytest.mark.parametrize("closed", ["lower", "upper"])
+@pytest.mark.parametrize("fault", ["gap", "overlap"])
+def test_a_grid_with_a_cell_dropped_or_duplicated_matches_the_lp_walk(
+    k, cell, closed, fault
+):
+    guards = _grid(k, closed)
+    if fault == "gap":
+        del guards[cell]
+    else:
+        guards.append(guards[cell])
+    got = partition_fault(guards, ("x", "y"))
+    assert got is not None and got[0] == fault
+    assert got == _lp_partition_fault(guards, ("x", "y"))
 
 
 def test_a_guard_over_two_variables_is_decided_by_lp():

@@ -6,11 +6,14 @@ Over every manifest entry, with a concrete invariant and at the fixture's
 control where the guards carry it, loading, Post V, VC generation and the
 Farkas routing make no `lp.solve` and no `lp.system_from_atoms` call; every
 parameter-free premise VC generation emits is already screened, and the
-Farkas routing makes no `lp._atom_box` call.  The fixture check makes
-exactly one `lp.solve` per implication: its own LP maximisation, over a
-box, which `lp._box_solve` decides.  Loading
-parses each distinct automaton label once (`automata.parse_dsa`).  The
-counts are deterministic.
+Farkas routing makes no `lp._atom_box` call.  Loading proves its guard
+partitions by counting cells (`model.partition_fault`), with no
+`lp.defining_atoms` call.  The fixture check makes exactly one
+`lp.solve` per implication whose consequent has a variable: its own LP
+maximisation, over a box, which `lp._box_solve` decides; an implication
+whose consequent is a constant takes none.  Loading parses each distinct
+automaton label once (`automata.parse_dsa`).  The counts are
+deterministic.
 """
 
 import os
@@ -110,36 +113,54 @@ def test_post_v_screens_no_step(name, monkeypatch):
     assert screened == []
 
 
+def test_loading_proves_every_partition_with_no_screen(monkeypatch):
+    screens = []
+    monkeypatch.setattr(lp, "defining_atoms", lambda *a: screens.append(a))
+    for row in ROWS:
+        benchmarks.load_benchmark(row["name"])
+    assert len(ROWS) == 13 and screens == []
+
+
+def _has_variable(impl):
+    return bool(impl.consequent.form.coeffs)
+
+
 @pytest.mark.parametrize(
     "name", [row["name"] for row in ROWS if row["cert"]]
 )
 def test_the_check_route_solves_one_lp_per_implication(
     name, calls, monkeypatch
 ):
+    # one per implication whose consequent has a variable
     checked = []
     check = farkas.implication_valid_bruteforce
 
     def counting(impl):
-        checked.append(impl.tag)
+        checked.append(_has_variable(impl))
         return check(impl)
 
     monkeypatch.setattr(farkas, "implication_valid_bruteforce", counting)
     out = pipeline.check_fixture(pipeline.Entry(name, "fixture", "valid"))
     assert out.verdict == "valid", out.detail
-    assert checked and calls["solve"] == len(checked)
+    assert checked and calls["solve"] == sum(checked)
 
 
 def test_the_check_route_keeps_the_box_path(monkeypatch):
     # every LP maximisation of the fixture check is a box, decided by
     # `lp._box_solve` with no tableau, and no feasibility query takes a
-    # box scan on its way to the tableau
+    # box scan on its way to the tableau: one `lp.solve` and one
+    # `lp._box_solve` per implication whose consequent has a variable,
+    # none for one whose consequent is a constant
     objectives = []  # per `lp.solve` call in progress, was it given one
     box_scans = []  # per `lp._box` call, was its `lp.solve` call given one
-    box_solves = []  # per checked implication, its `lp._box_solve` calls
+    # per checked implication: does its consequent have a variable, and
+    # its `lp.solve` and `lp._box_solve` calls
+    checked = []
     solve, box, box_solve = lp.solve, lp._box, lp._box_solve
     check = farkas.implication_valid_bruteforce
 
     def solving(system, objective=None):
+        checked[-1][1] += 1
         objectives.append(objective is not None)
         try:
             return solve(system, objective)
@@ -152,11 +173,11 @@ def test_the_check_route_keeps_the_box_path(monkeypatch):
 
     def box_solving(*args):
         assert args[-1] is not None  # its objective
-        box_solves[-1] += 1
+        checked[-1][2] += 1
         return box_solve(*args)
 
     def checking(impl):
-        box_solves.append(0)
+        checked.append([_has_variable(impl), 0, 0])
         return check(impl)
 
     monkeypatch.setattr(lp, "solve", solving)
@@ -166,7 +187,10 @@ def test_the_check_route_keeps_the_box_path(monkeypatch):
     for entry in pipeline.WORKLOADS["check"][1]:
         out = pipeline.check_fixture(entry)
         assert out.verdict == "valid", out.detail
-    assert len(box_solves) == 283 and set(box_solves) == {1}
+    assert Counter(map(tuple, checked)) == {
+        (True, 1, 1): 142,
+        (False, 0, 0): 141,
+    }
     assert box_scans and all(box_scans)
 
 
